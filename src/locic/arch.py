@@ -7,6 +7,7 @@ targeting a peer or its super-peers, and keep the most specific multiplicity
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from . import ast
@@ -52,17 +53,39 @@ class Architecture:
     def_order: list[str]
     defs: list[FlatDef]
     includes: dict[str, str] = field(default_factory=dict)  # alias -> module name
+    # every peer's super-closure, built once from `peers`
+    closures: dict[PeerId, frozenset[PeerId]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.closures = super_closures({p: info.supers for p, info in self.peers.items()})
 
     def super_closure(self, p: PeerId) -> frozenset[PeerId]:
         """p together with all transitive super-peers."""
-        seen = {p}
-        stack = [p]
-        while stack:
-            for s in self.peers[stack.pop()].supers:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        return frozenset(seen)
+        return self.closures[p]
+
+
+def super_closures(supers: Mapping[PeerId, Sequence[PeerId]]) -> dict[PeerId, frozenset[PeerId]]:
+    """The super-closure of every peer in `supers` (peer -> direct super-peers)."""
+    return {p: _walk_closure(supers, p) for p in supers}
+
+
+def _walk_closure(supers: Mapping[PeerId, Sequence[PeerId]], p: PeerId) -> frozenset[PeerId]:
+    seen = {p}
+    stack = [p]
+    while stack:
+        for s in supers[stack.pop()]:
+            if s not in seen:
+                seen.add(s)
+                stack.append(s)
+    return frozenset(seen)
+
+
+def parse_peer_name(name: str) -> PeerId:
+    """Peer id from its dotted name: "Node" or "mon.Monitored"."""
+    if "." not in name:
+        return PeerId((), name)
+    path, _, base = name.rpartition(".")
+    return PeerId(tuple(path.split(".")), base)
 
 
 EffectiveTies = dict  # (PeerId, PeerId) -> Multiplicity
@@ -174,19 +197,39 @@ def _check_acyclic(peers: dict[PeerId, PeerInfo], m: ast.SurfaceModule,
             return
 
 
+def inherited_ties(a: Architecture, pid: PeerId) -> dict[PeerId, Multiplicity]:
+    """Ties declared on a peer or its super-peers, most specific per target.
+
+    This is the runtime connection contract: targets stay as declared, and
+    admission later matches a remote against an entry whenever the remote is
+    a sub-peer of the entry's target. (The checker's effective-tie table,
+    which also widens targets over their sub-peers, is a typing notion.)
+    """
+    merged: dict[PeerId, Multiplicity] = {}
+    for member in a.closures[pid]:
+        for target, mult in a.peers[member].declared_ties.items():
+            merged[target] = min(mult, merged.get(target, Multiplicity.MULTIPLE))
+    return merged
+
+
 def effective_ties(a: Architecture) -> EffectiveTies:
-    """Tie table over all peer pairs; absence of an entry means "not tied"."""
+    """Tie table over all peer pairs; absence of an entry means "not tied".
+
+    Entries are in sorted (left, right) order. Each inherited tie of a left
+    peer reaches every right peer whose super-closure holds the tie's target.
+    """
+    sub_peers: dict[PeerId, list[PeerId]] = {p: [] for p in a.peers}
+    for p, closure in a.closures.items():
+        for q in closure:
+            sub_peers[q].append(p)
     table: EffectiveTies = {}
-    closures = {p: a.super_closure(p) for p in a.peers}
     for left in sorted(a.peers):
-        declared: list[tuple[PeerId, Multiplicity]] = []
-        for member in closures[left]:
-            declared.extend(a.peers[member].declared_ties.items())
-        for right in sorted(a.peers):
-            targets = closures[right]
-            mults = [m for tgt, m in declared if tgt in targets]
-            if mults:
-                table[(left, right)] = min(mults)
+        row: dict[PeerId, Multiplicity] = {}
+        for target, mult in inherited_ties(a, left).items():
+            for right in sub_peers[target]:
+                row[right] = min(mult, row.get(right, mult))
+        for right in sorted(row):
+            table[(left, right)] = row[right]
     return table
 
 
@@ -199,4 +242,4 @@ def placed_peer_of(a: Architecture, def_name: str) -> PeerId:
 
 def is_subpeer(a: Architecture, p: PeerId, q: PeerId) -> bool:
     """True iff p is q or q is one of p's transitive super-peers."""
-    return q in a.super_closure(p)
+    return q in a.closures[p]

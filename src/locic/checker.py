@@ -301,7 +301,7 @@ class _DefChecker:
             self.diag(e.pos, f"unknown value '{e}'")
             return TRef(name, False, ERROR_T)
         target_type, target_peer = target
-        if not is_subpeer(self.m.arch, self.peer, target_peer):
+        if target_peer not in self.m.arch.closures[self.peer]:
             self.diag(e.pos, f"remote access must be explicit: '{e}' is placed on "
                              f"{target_peer}, use asLocal")
             return TRef(name, False, ERROR_T)

@@ -134,7 +134,7 @@ def cmd_run(args) -> int:
         print(f"{args.file}: {e}", file=sys.stderr)
         return EXIT_CHECK
 
-    pid = _peer_id(args.peer)
+    pid = arch_mod.parse_peer_name(args.peer)
     if pid not in components:
         print(f"unknown peer '{args.peer}'", file=sys.stderr)
         return EXIT_RUNTIME
@@ -216,13 +216,6 @@ def _print_as_settled(instance: runtime.PeerInstance, emit) -> list[threading.Ev
             emit(name, instance.format_value(value))
             done.set()
     return printed
-
-
-def _peer_id(name: str) -> arch_mod.PeerId:
-    if "." in name:
-        path, _, base = name.rpartition(".")
-        return arch_mod.PeerId(tuple(path.split(".")), base)
-    return arch_mod.PeerId((), name)
 
 
 def cmd_sim(args) -> int:

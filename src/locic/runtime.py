@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import splitter, transmit, transport, wire
-from .arch import PeerId
+from .arch import PeerId, parse_peer_name
 from .ast import Multiplicity
 from .checker import (StreamT, TBinOp, TBoolLit, TIntLit, TRef, TStreamMap,
                       TStreamSource, TStrLit, TTupleExpr, TypedExpr)
@@ -154,21 +154,15 @@ class PeerInstance:
         return hs.link.ref
 
     def _resolve_peer_name(self, name: str) -> PeerId:
-        if "." in name:
-            path, _, base = name.rpartition(".")
-            pid = PeerId(tuple(path.split(".")), base)
-        else:
-            pid = PeerId((), name)
+        pid = parse_peer_name(name)
         if pid not in self.component.peer_table:
             raise StartError(f"unknown peer '{name}'")
         return pid
 
     def _make_endpoint(self, conn: transport.Connection, opener: bool,
                        hs: _Handshake) -> Endpoint:
-        holder: dict = {}
-
         def on_control(env):
-            self._on_control(holder["ep"], hs, env)
+            self._on_control(ep, hs, env)
 
         def on_closed(reason):
             self._on_link_closed(hs, reason)
@@ -178,7 +172,7 @@ class PeerInstance:
                       on_request=self._handle_request,
                       on_chan_open=self._handle_chan_open,
                       on_closed=on_closed)
-        holder["ep"] = ep
+        ep.start()  # `ep` is bound, so even the first envelope finds it
         return ep
 
     def _on_inbound(self, conn: transport.Connection) -> None:
@@ -268,6 +262,12 @@ class PeerInstance:
         with self._lock:
             link.live = True
             self._links_changed.notify_all()
+
+    def _wait_live_links(self, count: int, timeout: float) -> bool:
+        """Wait until at least `count` links are live at this end."""
+        with self._lock:
+            return self._links_changed.wait_for(
+                lambda: sum(1 for link in self._links if link.live) >= count, timeout)
 
     def _on_link_closed(self, hs: _Handshake, reason: str) -> None:
         if hs.link is not None:
@@ -620,18 +620,15 @@ def simulate(components: dict[PeerId, PeerComponent], peer_names: list[str],
              timeout: float = DEFAULT_TIMEOUT,
              registry: CodecRegistry | None = None) -> list[PeerInstance]:
     """Instantiate the named peers on the mem transport, wiring every pair
-    related by a tie, activate them all, and wait for settlement.
+    related by a tie. Once every link is live at both ends, activate them
+    all and wait for settlement.
 
     The caller owns the returned instances and must stop them.
     """
     token = next(_sim_counter)
     pids = []
     for name in peer_names:
-        if "." in name:
-            path, _, base = name.rpartition(".")
-            pid = PeerId(tuple(path.split(".")), base)
-        else:
-            pid = PeerId((), name)
+        pid = parse_peer_name(name)
         if pid not in components:
             raise StartError(f"unknown peer '{name}'")
         pids.append(pid)
@@ -662,10 +659,19 @@ def simulate(components: dict[PeerId, PeerComponent], peer_names: list[str],
     try:
         for idx, instance in enumerate(instances):
             instance.listen(f"mem:sim{token}-{idx}")
+        wired = [0] * len(instances)
         for j in range(len(instances)):
             for i in range(j):
                 if tied(pids[i], pids[j]):
                     instances[j].connect(f"mem:sim{token}-{i}", str(pids[i]), timeout)
+                    wired[i] += 1
+                    wired[j] += 1
+        # `connect` returns once the connecting end is live; the accepting end
+        # goes live on the final HelloAck, and no instance may evaluate before
+        deadline = time.monotonic() + timeout
+        for instance, count in zip(instances, wired):
+            if not instance._wait_live_links(count, max(deadline - time.monotonic(), 0)):
+                raise StartError(f"{instance.label}: timed out waiting for its links")
 
         errors: list[str] = []
         threads = []

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import ast, checker
-from .arch import Architecture, PeerId, is_subpeer
+from .arch import Architecture, PeerId, inherited_ties, super_closures
 from .ast import Multiplicity
 from .checker import (FutureT, OptionT, PrimT, RemoteT, SemType, SeqT, StreamT,
                       TupleT, TypedExpr, TypedModule)
@@ -86,15 +87,13 @@ class PeerComponent:
     slots: list[tuple[str, InitPlan]]
     dispatch: dict[ValueSig, AccessPlan]
 
+    @cached_property
+    def closures(self) -> dict[PeerId, frozenset[PeerId]]:
+        """Every peer's super-closure, built on first use."""
+        return super_closures({pid: entry.supers for pid, entry in self.peer_table.items()})
+
     def super_closure(self, p: PeerId) -> frozenset[PeerId]:
-        seen = {p}
-        stack = [p]
-        while stack:
-            for s in self.peer_table[stack.pop()].supers:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        return frozenset(seen)
+        return self.closures[p]
 
     def peer_for_sig(self, sig: PeerSig) -> PeerId | None:
         for pid, entry in self.peer_table.items():
@@ -166,21 +165,6 @@ def transmission_plan(def_name: str, declared: SemType) -> tuple[str, Shape]:
     return mode, shape
 
 
-def inherited_ties(a: Architecture, pid: PeerId) -> dict[PeerId, Multiplicity]:
-    """Ties declared on a peer or its super-peers, most specific per target.
-
-    This is the runtime connection contract: targets stay as declared, and
-    admission later matches a remote against an entry whenever the remote is
-    a sub-peer of the entry's target. (The checker's effective-tie table,
-    which also widens targets over their super-closure, is a typing notion.)
-    """
-    merged: dict[PeerId, Multiplicity] = {}
-    for member in a.super_closure(pid):
-        for target, mult in a.peers[member].declared_ties.items():
-            merged[target] = min(mult, merged.get(target, Multiplicity.MULTIPLE))
-    return merged
-
-
 # --- splitting ----------------------------------------------------------
 
 def _rewrite(a: Architecture, e: TypedExpr,
@@ -246,16 +230,18 @@ def split(tm: TypedModule, registry: CodecRegistry | None = None) -> dict[PeerId
     }
     root = ModuleSig(a.module_name, ())
 
+    # components share the read-only peer table
     components: dict[PeerId, PeerComponent] = {}
     for pid in sorted(a.peers):
         tie_table = {
-            peer_sig_of(a, target): mult
+            peer_table[target].sig: mult
             for target, mult in inherited_ties(a, pid).items()
         }
+        closure = a.closures[pid]
         slots: list[tuple[str, InitPlan]] = []
         dispatch: dict[ValueSig, AccessPlan] = {}
         for d in tm.defs:
-            available = is_subpeer(a, pid, d.placed_on)
+            available = d.placed_on in closure
             slots.append((d.name, Evaluate(rewritten[d.name]) if available else PLACEHOLDER))
             if available and d.name in plans:
                 mode, shape = plans[d.name]
@@ -272,7 +258,7 @@ def split(tm: TypedModule, registry: CodecRegistry | None = None) -> dict[PeerId
             peer=pid,
             sig=peer_table[pid].sig,
             root_module=root,
-            peer_table=dict(peer_table),
+            peer_table=peer_table,
             tie_table=tie_table,
             slots=slots,
             dispatch=dispatch,
@@ -480,7 +466,8 @@ FORMAT = "locic-component/1"
 
 
 def emit_component(pc: PeerComponent) -> str:
-    """Deterministic document for one component; `read_component` inverts it."""
+    """Deterministic document for one component: compact, key-sorted JSON on
+    one line plus a newline. `read_component` inverts it."""
     doc = {
         "format": FORMAT,
         "peer": _pid_doc(pc.peer),
@@ -506,7 +493,7 @@ def emit_component(pc: PeerComponent) -> str:
             for sig, plan in sorted(pc.dispatch.items())
         ],
     }
-    return json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False) + "\n"
+    return json.dumps(doc, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 def read_component(text: str) -> PeerComponent:

@@ -175,7 +175,8 @@ class Endpoint:
     The runtime owns the control plane: handshake envelopes go to
     `on_control`, inbound value requests to `on_request`, and inbound
     channel-opens to `on_chan_open` (which must return the local stream
-    and its element codec, or None to refuse).
+    and its element codec, or None to refuse). No envelope is delivered
+    before `start()`, so the owner can finish wiring its handlers first.
     """
 
     def __init__(self, conn: Connection, opener: bool, registry: CodecRegistry,
@@ -197,7 +198,10 @@ class Endpoint:
         self._local_chans: dict[int, tuple[StreamHandle, Codec]] = {}  # opened by us
         self._forwards: dict[int, Callable[[], None]] = {}  # opened by remote: unsubscribers
         self._closed = False
-        conn.open(self._on_bytes, self._on_conn_close)
+
+    def start(self) -> None:
+        """Start delivering inbound envelopes to the handlers."""
+        self.conn.open(self._on_bytes, self._on_conn_close)
 
     # -- outbound --
 

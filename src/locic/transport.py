@@ -8,6 +8,8 @@ Two transports are built in:
 Both yield `Connection` objects: bidirectional, FIFO per connection, with
 sequential receive callbacks. Delivery starts when `open()` is called;
 messages arriving earlier are buffered (mem) or left in the socket (tcp).
+An exception raised by the receive callback closes the connection with a
+"handler error: ..." reason instead of stopping delivery silently.
 """
 
 from __future__ import annotations
@@ -140,6 +142,15 @@ def parse_spec(spec: str) -> tuple:
     raise SpecError(f"malformed transport spec '{spec}': unknown transport")
 
 
+def _handler_error(e: Exception) -> str:
+    """Log an exception raised by a message handler; returns the close reason."""
+    import logging  # only a failing handler pays for the import
+
+    logging.getLogger(__name__).error("message handler failed; closing the connection",
+                                      exc_info=e)
+    return f"handler error: {type(e).__name__}: {e}"
+
+
 # --- in-process transport ---------------------------------------------
 
 _CLOSE = object()
@@ -160,14 +171,19 @@ class MemConnection(Connection):
         t.start()
 
     def _pump(self) -> None:
-        while True:
-            item = self._inbox.get()
-            if item is _CLOSE:
-                self._fire_close("connection closed")
-                return
-            if self._closed:
-                continue
-            self._on_message(item)
+        reason = "connection closed"
+        try:
+            while True:
+                item = self._inbox.get()
+                if item is _CLOSE:
+                    break
+                if self._closed:
+                    continue
+                self._on_message(item)
+        except Exception as e:
+            reason = _handler_error(e)
+            self.close(reason)
+        self._fire_close(reason)
 
     def _send(self, data: bytes) -> None:
         peer = self._peer
@@ -241,9 +257,11 @@ class TcpConnection(Connection):
                     break
         except ProtocolError as e:
             reason = f"protocol error: {e}"
-            self.close(reason)
         except OSError:
             pass
+        except Exception as e:
+            reason = _handler_error(e)
+        self.close(reason)  # releases the socket unless it was closed locally
         self._fire_close(reason)
 
     def _send(self, data: bytes) -> None:

@@ -160,12 +160,13 @@ def surface_modules(draw):
 
 # --- random architectures with an independent tie oracle -----------------
 
-def random_arch_module(rng: random.Random, max_peers: int = 8) -> ast.SurfaceModule:
-    n = rng.randint(1, max_peers)
+def random_arch_module(rng: random.Random, max_peers: int = 8, min_peers: int = 1,
+                       max_supers: int = 3) -> ast.SurfaceModule:
+    n = rng.randint(min_peers, max_peers)
     names = [f"P{k}" for k in range(n)]
     peers = []
     for idx, name in enumerate(names):
-        supers = rng.sample(names[:idx], k=min(rng.randint(0, 3), idx))
+        supers = rng.sample(names[:idx], k=min(rng.randint(0, max_supers), idx))
         ties = tuple(
             (rng.choice(list(Multiplicity)), ast.PeerRef(None, rng.choice(names)))
             for _ in range(rng.randint(0, 3)))

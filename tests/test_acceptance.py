@@ -172,6 +172,8 @@ def test_criterion_6_tie_conformance():
         created.append(second)
         with pytest.raises(StartError):
             second.connect("mem:acc6-hub", "Hub", timeout=2)
+        # the hub's end goes live on the final HelloAck, maybe after connect returned
+        assert hub_instance._wait_live_links(1, 2)
         assert len(hub_instance.links()) == 1
 
         # optional: zero remotes yield absent options

@@ -5,7 +5,7 @@ import pytest
 import helpers
 from locic import parser
 from locic.arch import (ArchError, PeerId, effective_ties, is_subpeer,
-                        placed_peer_of, resolve_architecture)
+                        parse_peer_name, placed_peer_of, resolve_architecture)
 from locic.ast import Multiplicity
 
 REGISTRY_PID = PeerId((), "Registry")
@@ -157,6 +157,24 @@ def test_effective_ties_matches_bruteforce_oracle_small():
         got = {(left.name, right.name): mult
                for (left, right), mult in effective_ties(a).items()}
         assert got == helpers.oracle_effective_ties(m)
+
+
+def test_effective_ties_matches_bruteforce_oracle_large():
+    # lattices of up to 40 peers with up to five super-peers each
+    rng = random.Random(23)
+    for _ in range(60):
+        m = helpers.random_arch_module(rng, max_peers=40, min_peers=10, max_supers=5)
+        a = resolve_architecture(m, {})
+        ties = effective_ties(a)
+        got = {(left.name, right.name): mult for (left, right), mult in ties.items()}
+        assert got == helpers.oracle_effective_ties(m)
+        assert list(ties) == sorted(ties)
+
+
+def test_parse_peer_name():
+    assert parse_peer_name("Node") == NODE_PID
+    assert parse_peer_name("mon.Monitored") == MONITORED_PID
+    assert parse_peer_name("a.b.P") == PeerId(("a", "b"), "P")
 
 
 def test_effective_ties_deterministic_and_order_independent():

@@ -258,6 +258,34 @@ def test_tcp_refused():
         connect(f"tcp:{host}:{port}")
 
 
+@pytest.mark.parametrize("spec", ["mem:hub-handler-error", "tcp:127.0.0.1:0"])
+def test_handler_error_closes_connection(spec):
+    listener, client, server = _pair(spec)
+    try:
+        reasons = []
+        closed = threading.Event()
+
+        def on_message(data):
+            raise ValueError(f"cannot handle {data!r}")
+
+        def on_close(reason):
+            reasons.append(reason)
+            closed.set()
+
+        server.open(on_message, on_close)
+        client_rx = Collector()
+        client.open(client_rx.on_message, client_rx.on_close)
+        client.send(b"x")
+        assert closed.wait(5)
+        assert reasons == ["handler error: ValueError: cannot handle b'x'"]
+        assert server.closed
+        assert client_rx.closed.wait(5)  # the other end learns of it too
+    finally:
+        client.close()
+        server.close()
+        listener.close()
+
+
 def test_tcp_large_payload_round_trip():
     rng = random.Random(123)
     payloads = [rng.randbytes(rng.randint(0, 1024 * 1024)) for _ in range(5)]

@@ -4,7 +4,7 @@ import time
 import pytest
 
 import helpers
-from locic import runtime
+from locic import runtime, transport
 from locic.arch import PeerId
 from locic.codecs import CodecRegistry
 from locic.runtime import PeerInstance, RemoteRef, StartError, simulate, start
@@ -12,7 +12,7 @@ from locic.sigs import ModuleSig, PeerSig, ValueSig
 from locic.splitter import split
 from locic.transmit import FAILED, READY, Endpoint
 from locic.transport import connect
-from locic.wire import Hello, HelloAck, Response
+from locic.wire import Hello, HelloAck, Response, decode_envelope, encode_envelope
 
 _hub_counter = [0]
 
@@ -87,6 +87,9 @@ def test_single_tie_rejects_second_remote(instances):
     with pytest.raises(StartError) as exc:
         second.connect(hub, "Hub", timeout=5)
     assert "single" in str(exc.value)
+    # the hub's end of the first link goes live when the final HelloAck
+    # arrives, which may be after `first.connect` returned
+    assert hub_instance._wait_live_links(1, 5)
     assert len(hub_instance.links()) == 1
 
 
@@ -169,6 +172,7 @@ def test_module_signature_mismatch_rejected(instances):
                   on_control=on_control,
                   on_request=lambda r: Response(r.id, False, error="no"),
                   on_chan_open=lambda e: None, on_closed=lambda r: None)
+    ep.start()
     ep.send(Hello(ModuleSig("SomethingElse"), PeerSig("MyPeer", ModuleSig("SomethingElse"))))
     assert got_ack.wait(5)
     assert acks[0].accepted is False
@@ -194,6 +198,7 @@ def test_protocol_version_mismatch_rejected(instances):
                   on_control=on_control,
                   on_request=lambda r: Response(r.id, False, error="no"),
                   on_chan_open=lambda e: None, on_closed=lambda r: None)
+    ep.start()
     ep.send(Hello(ModuleSig("SimpleModule"), PeerSig("MyPeer", ModuleSig("SimpleModule")),
                   proto_version=99))
     assert got_ack.wait(5)
@@ -589,3 +594,63 @@ def test_sim_wires_sub_peers_via_super_peer_ties(instances):
     y = fancy.slot("y")
     assert y.state == READY
     assert y.value == 8
+
+
+# --- start-up orderings forced deterministically -------------------------------
+
+class _EagerConnection(transport.Connection):
+    """Delivers its queued inbound messages on the thread that opens it,
+    before `open()` returns; records what is sent."""
+
+    def __init__(self, inbound: list[bytes]):
+        super().__init__(transport.ConnectionInfo("eager", "eager:test"))
+        self.inbound = inbound
+        self.sent = []
+
+    def _start_delivery(self) -> None:
+        for data in self.inbound:
+            self._on_message(data)
+
+    def _send(self, data: bytes) -> None:
+        self.sent.append(decode_envelope(data))
+
+    def _close(self, reason: str) -> None:
+        self._fire_close(reason)
+
+
+def test_hello_delivered_during_endpoint_setup_is_handled(instances):
+    component = components_for(helpers.SIMPLE_MODULE)[PeerId((), "MyPeer")]
+    instance = PeerInstance(component)
+    instances.append(instance)
+    conn = _EagerConnection([encode_envelope(Hello(component.root_module, component.sig))])
+    instance._on_inbound(conn)  # the accepting side, as a listener calls it
+    assert not conn.closed
+    assert conn.sent == [HelloAck(True), Hello(component.root_module, component.sig)]
+
+
+HUB_AND_SPOKES = """
+    module HubAndSpokes {
+      peer Hub { tie: multiple Spoke }
+      peer Spoke { tie: single Hub }
+      val v: Int on Spoke = 7
+      val g: Seq[(Remote[Spoke], Future[Int])] on Hub = v.asLocalFromAll
+    }
+"""
+
+
+def test_simulate_activates_after_links_are_live_at_both_ends(instances, monkeypatch):
+    # the hub is listed first, so it accepts both links; holding back its final
+    # _mark_live keeps them half-live well after each spoke's connect returned
+    mark_live = PeerInstance._mark_live
+
+    def late_on_hub(self, link):
+        if self.component.peer.name == "Hub":
+            time.sleep(0.2)
+        mark_live(self, link)
+
+    monkeypatch.setattr(PeerInstance, "_mark_live", late_on_hub)
+    sims = simulate(components_for(HUB_AND_SPOKES), ["Hub", "Spoke", "Spoke"], timeout=5)
+    instances.extend(sims)
+    gathered = sims[0].slot("g")
+    assert len(gathered) == 2
+    assert [fut.value for _, fut in gathered] == [7, 7]

@@ -1,8 +1,11 @@
+import collections
+import json
 import random
 
 import pytest
 
 import helpers
+from locic import arch, ast, checker
 from locic.arch import PeerId, is_subpeer
 from locic.ast import Multiplicity
 from locic.checker import FutureT, INT_T
@@ -206,6 +209,62 @@ def test_emit_read_round_trip():
     tm, comps = split_source(helpers.MONITORING_P2P)
     for pc in comps.values():
         assert read_component(emit_component(pc)) == pc
+
+
+def test_emit_is_one_compact_line():
+    for pc in split_source(helpers.MONITORING_P2P)[1].values():
+        text = emit_component(pc)
+        assert text.endswith("}\n")
+        assert "\n" not in text[:-1]
+        assert ", " not in text and '": ' not in text
+
+
+def test_read_component_accepts_indented_documents():
+    # documents written by the earlier emitter, which indented by one space
+    for pc in split_source(helpers.MONITORING_P2P)[1].values():
+        text = emit_component(pc)
+        indented = json.dumps(json.loads(text), indent=1, sort_keys=True,
+                              ensure_ascii=False) + "\n"
+        assert indented != text
+        assert read_component(indented) == pc
+        assert emit_component(read_component(indented)) == text
+
+
+def _lattice_module(rng: random.Random, n_peers: int) -> ast.SurfaceModule:
+    """A checkable module over a random peer lattice: two values per peer, the
+    second reading a value placed on one of the peer's super-peers."""
+    base = helpers.random_arch_module(rng, max_peers=n_peers, min_peers=n_peers)
+    defs = []
+    for k, peer in enumerate(base.peers):
+        on = ast.PeerRef(None, peer.name)
+        defs.append(ast.DefDecl(f"v{k}", ast.DefKind.VAL, ast.INT, on, ast.IntLit(k)))
+        source = int(rng.choice(peer.supers).name[1:]) if peer.supers else k
+        defs.append(ast.DefDecl(f"w{k}", ast.DefKind.VAL, ast.INT, on,
+                                ast.BinOp("+", ast.Ref(None, f"v{source}"), ast.IntLit(1))))
+    return ast.SurfaceModule(base.name, (), base.peers, tuple(defs))
+
+
+def test_compile_walks_each_super_closure_once(monkeypatch):
+    walks = collections.Counter()
+    walk = arch._walk_closure
+
+    def counted(supers, p):
+        walks[p] += 1
+        return walk(supers, p)
+
+    monkeypatch.setattr(arch, "_walk_closure", counted)
+    m = _lattice_module(random.Random(29), 200)
+    a = arch.resolve_architecture(m, {})
+    tm = checker.check_module(m, a, arch.effective_ties(a))
+    assert not tm.diagnostics
+    comps = split(tm)
+    assert len(comps) == 200
+    assert set(walks) == set(a.peers) and set(walks.values()) == {1}
+    # a component builds its own table on first use, and only once
+    pc = comps[PeerId((), "P7")]
+    for pid in a.peers:
+        assert pc.super_closure(pid) == a.super_closure(pid)
+    assert set(walks.values()) == {2}
 
 
 def test_emit_deterministic():

@@ -145,6 +145,7 @@ def endpoint_pair(server_value=1, stream: StreamHandle | None = None):
                                        on_request=on_request,
                                        on_chan_open=on_chan_open,
                                        on_closed=lambda reason: None)
+        server_holder["ep"].start()
         ready.set()
 
     listener = listen(hub, on_connection)
@@ -154,6 +155,7 @@ def endpoint_pair(server_value=1, stream: StreamHandle | None = None):
                       on_request=lambda req: Response(req.id, False, error="client serves nothing"),
                       on_chan_open=lambda env: None,
                       on_closed=lambda reason: None)
+    client.start()
     assert ready.wait(5)
     listener.close()
     return client, server_holder["ep"], registry
@@ -213,12 +215,14 @@ def test_connection_loss_fails_pending_pulls():
         holder["ep"] = Endpoint(conn, opener=False, registry=registry,
                                 on_control=lambda e: None, on_request=on_request,
                                 on_chan_open=lambda e: None, on_closed=lambda r: None)
+        holder["ep"].start()
 
     listener = listen(hub, on_connection)
     client = Endpoint(connect(hub), opener=True, registry=registry,
                       on_control=lambda e: None,
                       on_request=lambda r: Response(r.id, False, error="no"),
                       on_chan_open=lambda e: None, on_closed=lambda r: None)
+    client.start()
     listener.close()
     slots = [client.pull(SIG_X, registry.lookup("Int")) for _ in range(3)]
     client.close()
@@ -287,13 +291,14 @@ def test_two_channels_each_receive_their_own_stream():
     def on_connection(conn):
         Endpoint(conn, opener=False, registry=registry, on_control=lambda e: None,
                  on_request=lambda r: Response(r.id, False, error="no"),
-                 on_chan_open=on_chan_open, on_closed=lambda r: None)
+                 on_chan_open=on_chan_open, on_closed=lambda r: None).start()
 
     listener = listen(hub, on_connection)
     client = Endpoint(connect(hub), opener=True, registry=registry,
                       on_control=lambda e: None,
                       on_request=lambda r: Response(r.id, False, error="no"),
                       on_chan_open=lambda e: None, on_closed=lambda r: None)
+    client.start()
     listener.close()
     h1 = client.open_stream(sig1, registry.lookup("Int"))
     h2 = client.open_stream(sig2, registry.lookup("Int"))
@@ -379,3 +384,57 @@ def test_plan_mode_preconditions():
     assert slot.wait(5)
     assert slot.value == 3
     client.close()
+
+
+def test_raising_subscriber_closes_link_and_fails_pending_futures():
+    registry = CodecRegistry()
+    _counter[0] += 1
+    hub = f"mem:transmit-{_counter[0]}"
+    produced = StreamHandle("Int")
+    requested, release = threading.Event(), threading.Event()
+
+    def on_request(req):
+        requested.set()
+        release.wait(10)  # keep the request pending on the client
+        return Response(req.id, True, payload=registry.lookup("Int").serialize(1))
+
+    def on_connection(conn):
+        Endpoint(conn, opener=False, registry=registry, on_control=lambda e: None,
+                 on_request=on_request,
+                 on_chan_open=lambda e: (produced, registry.lookup("Int")),
+                 on_closed=lambda r: None).start()
+
+    reasons = []
+    closed = threading.Event()
+
+    def on_closed(reason):
+        reasons.append(reason)
+        closed.set()
+
+    listener = listen(hub, on_connection)
+    client = Endpoint(connect(hub), opener=True, registry=registry,
+                      on_control=lambda e: None,
+                      on_request=lambda r: Response(r.id, False, error="no"),
+                      on_chan_open=lambda e: None, on_closed=on_closed)
+    client.start()
+    listener.close()
+    try:
+        handle = client.open_stream(SIG_S, registry.lookup("Int"))
+
+        def subscriber(value):
+            raise RuntimeError(f"subscriber failed on {value}")
+
+        handle.subscribe(subscriber)
+        slot = client.pull(SIG_X, registry.lookup("Int"))
+        # the server handles the channel-open before the request
+        assert requested.wait(5)
+        produced.emit(7)
+        assert closed.wait(5)
+        assert reasons == ["handler error: RuntimeError: subscriber failed on 7"]
+        assert slot.wait(5)
+        assert slot.state == FAILED
+        assert slot.error == "connection lost"
+        assert client.conn.closed
+    finally:
+        release.set()
+        client.close()
