@@ -9,13 +9,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 import time
 from pathlib import Path
 
 from . import arch as arch_mod
 from . import checker, parser, runtime, splitter, transport
 from .diagnostics import Diagnostic, SourceError
+from .transmit import FutureSlot
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -152,18 +152,10 @@ def cmd_run(args) -> int:
         print(f"start failed: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    print_lock = threading.Lock()
-
-    def emit(name: str, text: str) -> None:
-        with print_lock:
-            print(f"{name} = {text}", flush=True)
-
-    printed = _print_as_settled(instance, emit)
+    printed = transport.loop().call(_print_as_settled, instance)
     try:
         if args.settle_exit:
-            instance.wait_settled(args.timeout)
-            for event in printed:
-                event.wait(args.timeout)
+            printed.wait(args.timeout)
             return EXIT_OK
         while True:
             time.sleep(0.5)
@@ -173,49 +165,43 @@ def cmd_run(args) -> int:
         instance.stop()
 
 
-def _print_as_settled(instance: runtime.PeerInstance, emit) -> list[threading.Event]:
+def _print_as_settled(instance: runtime.PeerInstance) -> FutureSlot:
     """Print each evaluated slot once its futures settle.
 
-    Returns one event per slot, set after that slot's line was printed.
+    Runs on the event loop, which also runs the settle callbacks, so lines
+    print one at a time. Returns a slot that settles once every line is out.
     """
-    from .transmit import FutureSlot
+    names = [n for n in instance.slot_names if instance.slot_state(n) != "placeholder"]
+    all_printed = FutureSlot()
+    left = [len(names)]
 
-    printed: list[threading.Event] = []
-    for name in instance.slot_names:
-        state = instance.slot_state(name)
-        if state == "placeholder":
-            continue
-        done = threading.Event()
-        printed.append(done)
-        if state == "error":
-            emit(name, f"<failed: {instance.slot_error(name)}>")
-            done.set()
+    def printed(name: str, text: str) -> None:
+        print(f"{name} = {text}", flush=True)
+        left[0] -= 1
+        if left[0] == 0:
+            all_printed.resolve(None)
+
+    if not names:
+        all_printed.resolve(None)
+    for name in names:
+        if instance.slot_state(name) == "error":
+            printed(name, f"<failed: {instance.slot_error(name)}>")
             continue
         value = instance.slot(name)
-        if isinstance(value, FutureSlot):
-            def on_future(fut, n=name, d=done):
-                emit(n, instance.format_value(fut))
-                d.set()
+        futures = runtime.slot_futures(value)
+        if not futures:
+            printed(name, instance.format_value(value))
+            continue
+        pending = [len(futures)]
 
-            value.on_settle(on_future)
-        elif isinstance(value, list) and value:
-            remaining = [len(value)]
-            lock = threading.Lock()
+        def one_settled(_fut, n=name, v=value, p=pending):
+            p[0] -= 1
+            if p[0] == 0:
+                printed(n, instance.format_value(v))
 
-            def one_settled(_fut, n=name, v=value, r=remaining, lk=lock, d=done):
-                with lk:
-                    r[0] -= 1
-                    if r[0] > 0:
-                        return
-                emit(n, instance.format_value(v))
-                d.set()
-
-            for _, fut in value:
-                fut.on_settle(one_settled)
-        else:
-            emit(name, instance.format_value(value))
-            done.set()
-    return printed
+        for fut in futures:
+            fut.on_settle(one_settled)
+    return all_printed
 
 
 def cmd_sim(args) -> int:

@@ -6,16 +6,25 @@ waits until every single tie has its remote, evaluates slots in source
 order, and serves remote dispatch. Remote-access sites in slot bodies
 produce futures (pull) or stream handles (connected channels) shaped by
 the tie multiplicity.
+
+Every instance in a process runs on the transport's one event loop, so an
+instance starts no thread and holds no lock. A request or channel-open for
+a slot that is not evaluated yet is a deferred response: it waits in the
+slot's cell, is answered as soon as the slot evaluates, and fails with
+"peer stopped" if the instance stops first. `connect`, `activate`,
+`wait_settled` and `simulate` hand their work to the loop and wait for one
+completion; the other public methods run on the loop whichever thread calls
+them. A blocking call made from a callback on the loop cannot wait, so it
+times out at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from . import splitter, transmit, transport, wire
 from .arch import PeerId, parse_peer_name
@@ -23,16 +32,21 @@ from .ast import Multiplicity
 from .checker import (StreamT, TBinOp, TBoolLit, TIntLit, TRef, TStreamMap,
                       TStreamSource, TStrLit, TTupleExpr, TypedExpr)
 from .codecs import CodecError, CodecRegistry, codec_registry
-from .sigs import PeerSig
+from .sigs import PeerSig, ValueSig
 from .splitter import (NOT_FOUND, STREAM, PeerComponent, Placeholder,
                        RemoteCall, SlotReadError, dispatch_entry,
                        sem_type_shape, shape_id)
-from .transmit import Endpoint, FutureSlot, StreamHandle
+from .transmit import DEFERRED, PENDING, Endpoint, FutureSlot, StreamHandle
+from .transport import on_loop
 from .wire import ChanOpen, Hello, HelloAck, Request, Response
 
 CONFIGURED, CONNECTING, RUNNING, STOPPED = "configured", "connecting", "running", "stopped"
 
 DEFAULT_TIMEOUT = 10.0
+
+# how a failed handshake failed, besides a rejection
+_HANDSHAKE_TIMED_OUT = "handshake timed out"
+_CLOSED_IN_HANDSHAKE = "connection closed during handshake"
 
 
 class StartError(Exception):
@@ -54,6 +68,15 @@ class RemoteRef:
         return f"{self.peer.peer_name}#{self.link_id}"
 
 
+def slot_futures(value: Any) -> list[FutureSlot]:
+    """The pull futures a slot value holds: one, one per remote, or none."""
+    if isinstance(value, FutureSlot):
+        return [value]
+    if isinstance(value, list):
+        return [fut for _, fut in value]
+    return []
+
+
 class _Link:
     def __init__(self, link_id: int, endpoint: Endpoint, remote_sig: PeerSig,
                  remote_pid: PeerId, matched: list[PeerId]):
@@ -70,22 +93,15 @@ class _Link:
 
 
 class _Handshake:
+    """One connection's hello exchange; `result` settles to the admitted
+    link or fails with the reason."""
+
     def __init__(self, opener: bool, expected: PeerId | None = None):
         self.opener = opener
         self.expected = expected
-        self.done = threading.Event()
-        self.error: str | None = None
+        self.result = FutureSlot()
         self.link: _Link | None = None
-
-    def fail(self, reason: str) -> None:
-        if not self.done.is_set():
-            self.error = reason
-            self.done.set()
-
-    def succeed(self, link: _Link) -> None:
-        if not self.done.is_set():
-            self.link = link
-            self.done.set()
+        self.endpoint: Endpoint | None = None
 
 
 class _SlotCell:
@@ -97,9 +113,7 @@ class _SlotCell:
         self.state = self.PLACEHOLDER if isinstance(plan, Placeholder) else self.PENDING
         self.value: Any = None
         self.error: str | None = None
-        self.event = threading.Event()
-        if self.state == self.PLACEHOLDER:
-            self.event.set()
+        self.waiters: list[Callable[[], None]] = []  # deferred responses
 
 
 class PeerInstance:
@@ -109,12 +123,10 @@ class PeerInstance:
         self.registry = registry or codec_registry()
         self.label = label or str(component.peer)
         self.state = CONFIGURED
-        self._lock = threading.Lock()
-        self._links_changed = threading.Condition(self._lock)
         self._links: list[_Link] = []
+        self._watchers: list[Callable[[], bool]] = []
         self._next_link_id = itertools.count(1)
         self._listeners: list[transport.Listener] = []
-        self._stop_event = threading.Event()
         self._slots: dict[str, _SlotCell] = {
             name: _SlotCell(name, plan) for name, plan in component.slots
         }
@@ -128,8 +140,34 @@ class PeerInstance:
                 self._tie_entries.append((pid, mult))
         self._tie_entries.sort()
 
+    # -- waiting on the loop ------------------------------------------------
+
+    def _until(self, check: Callable[[], bool]) -> None:
+        """Run `check` now and after every change to links, evaluation or
+        state, until it returns True."""
+        if not check():
+            self._watchers.append(check)
+
+    def _changed(self) -> None:
+        if self._watchers:
+            watchers, self._watchers = self._watchers, []
+            self._watchers = [w for w in watchers if not w()] + self._watchers
+
+    def _await(self, check: Callable[[FutureSlot], bool], timeout: float,
+               expire: Callable[[FutureSlot], None]) -> FutureSlot:
+        """Run check(done) on the loop now and after every change until it
+        returns True; wait up to `timeout` for it to settle `done`, and
+        failing that settle it with expire(done) on the loop."""
+        done = FutureSlot()
+        transmit.run_and_wait(done, self._until,
+                              lambda: done.state != PENDING or check(done), timeout=timeout)
+        if done.state == PENDING:
+            transport.loop().call(expire, done)
+        return done
+
     # -- connection management ------------------------------------------
 
+    @on_loop
     def listen(self, spec: str) -> transport.Listener:
         listener = transport.listen(spec, self._on_inbound)
         self._listeners.append(listener)
@@ -138,20 +176,30 @@ class PeerInstance:
     def connect(self, spec: str, expected_peer: str | None = None,
                 timeout: float = DEFAULT_TIMEOUT) -> RemoteRef:
         expected = self._resolve_peer_name(expected_peer) if expected_peer else None
-        conn = transport.connect(spec)
+        conn = transport.connect(spec)  # a TCP connect blocks this thread, not the loop
         hs = _Handshake(opener=True, expected=expected)
+        transmit.run_and_wait(hs.result, self._open_link, conn, hs, timeout=timeout)
+        if hs.result.state == PENDING:
+            transport.loop().call(self._handshake_timed_out, hs)
+        if hs.result.state == transmit.READY:
+            return hs.result.value.ref
+        if hs.result.error == _HANDSHAKE_TIMED_OUT:
+            raise StartError(f"handshake with {spec} timed out")
+        if hs.result.error == _CLOSED_IN_HANDSHAKE:
+            raise StartError(f"connection to {spec} closed during handshake")
+        raise StartError(f"connection to {spec} rejected: {hs.result.error}")
+
+    def _open_link(self, conn: transport.Connection, hs: _Handshake) -> None:
         ep = self._make_endpoint(conn, opener=True, hs=hs)
         try:
             ep.send(Hello(self.component.root_module, self.component.sig))
         except transport.ConnectionClosed:
-            raise StartError(f"connection to {spec} closed during handshake") from None
-        if not hs.done.wait(timeout):
-            ep.close()
-            raise StartError(f"handshake with {spec} timed out")
-        if hs.error is not None:
-            raise StartError(f"connection to {spec} rejected: {hs.error}")
-        assert hs.link is not None
-        return hs.link.ref
+            hs.result.fail(_CLOSED_IN_HANDSHAKE)
+
+    def _handshake_timed_out(self, hs: _Handshake) -> None:
+        if hs.result.state == PENDING:
+            hs.result.fail(_HANDSHAKE_TIMED_OUT)
+            hs.endpoint.close(_HANDSHAKE_TIMED_OUT)
 
     def _resolve_peer_name(self, name: str) -> PeerId:
         pid = parse_peer_name(name)
@@ -161,23 +209,18 @@ class PeerInstance:
 
     def _make_endpoint(self, conn: transport.Connection, opener: bool,
                        hs: _Handshake) -> Endpoint:
-        def on_control(env):
-            self._on_control(ep, hs, env)
-
-        def on_closed(reason):
-            self._on_link_closed(hs, reason)
-
-        ep = Endpoint(conn, opener, self.registry,
-                      on_control=on_control,
-                      on_request=self._handle_request,
-                      on_chan_open=self._handle_chan_open,
-                      on_closed=on_closed)
+        ep = Endpoint(conn, opener,
+                      on_control=lambda env: self._on_control(ep, hs, env),
+                      on_request=lambda req: self._handle_request(ep, req),
+                      on_chan_open=lambda env: self._handle_chan_open(ep, env),
+                      on_closed=lambda reason: self._on_link_closed(hs, reason))
+        hs.endpoint = ep
         ep.start()  # `ep` is bound, so even the first envelope finds it
         return ep
 
+    @on_loop
     def _on_inbound(self, conn: transport.Connection) -> None:
-        hs = _Handshake(opener=False)
-        self._make_endpoint(conn, opener=False, hs=hs)
+        self._make_endpoint(conn, opener=False, hs=_Handshake(opener=False))
 
     def _validate_hello(self, hello: Hello) -> tuple[PeerId, list[PeerId]] | str:
         """Returns (remote peer id, matched tie entries) or a rejection reason."""
@@ -203,35 +246,30 @@ class PeerInstance:
             return f"expected a {expected} instance, remote is {remote_pid}"
         bounds = {pid: mult for pid, mult in self._tie_entries
                   if mult in (Multiplicity.SINGLE, Multiplicity.OPTIONAL)}
-        with self._lock:
-            for pid in matched:
-                if pid not in bounds:
-                    continue
-                held = sum(1 for link in self._links if pid in link.matched)
-                if held >= 1:
-                    return (f"tie to {pid} is {bounds[pid].keyword}; "
-                            f"an instance is already connected")
-            link = _Link(next(self._next_link_id), None, hello.peer, remote_pid, matched)  # type: ignore[arg-type]
-            self._links.append(link)
-            self._links_changed.notify_all()
+        for pid in matched:
+            if pid not in bounds:
+                continue
+            held = sum(1 for link in self._links if pid in link.matched)
+            if held >= 1:
+                return (f"tie to {pid} is {bounds[pid].keyword}; "
+                        f"an instance is already connected")
+        link = _Link(next(self._next_link_id), None, hello.peer, remote_pid, matched)  # type: ignore[arg-type]
+        self._links.append(link)
+        self._changed()
         return link
 
     def _drop_link(self, link: _Link) -> None:
-        with self._lock:
-            if link in self._links:
-                self._links.remove(link)
-                self._links_changed.notify_all()
+        if link in self._links:
+            self._links.remove(link)
+            self._changed()
 
     def _on_control(self, ep: Endpoint, hs: _Handshake, env) -> None:
         if isinstance(env, Hello):
             admitted = self._admit(env, hs.expected)
             if isinstance(admitted, str):
-                try:
-                    ep.send(HelloAck(False, admitted))
-                except transport.ConnectionClosed:
-                    pass
+                ep.try_send(HelloAck(False, admitted))
                 ep.close()
-                hs.fail(admitted)
+                hs.result.fail(admitted)
                 return
             admitted.endpoint = ep
             hs.link = admitted
@@ -241,38 +279,42 @@ class PeerInstance:
                     ep.send(Hello(self.component.root_module, self.component.sig))
             except transport.ConnectionClosed:
                 self._drop_link(admitted)
-                hs.fail("connection lost during handshake")
+                hs.result.fail("connection lost during handshake")
                 return
             if hs.opener:
                 # connector admitted the acceptor's hello: handshake complete
                 self._mark_live(admitted)
-                hs.succeed(admitted)
+                hs.result.resolve(admitted)
         elif isinstance(env, HelloAck):
             if not env.accepted:
                 if hs.link is not None:
                     self._drop_link(hs.link)
-                hs.fail(env.reason or "rejected")
+                hs.result.fail(env.reason or "rejected")
                 ep.close()
                 return
             if not hs.opener and hs.link is not None:
                 self._mark_live(hs.link)
-                hs.succeed(hs.link)
+                hs.result.resolve(hs.link)
 
     def _mark_live(self, link: _Link) -> None:
-        with self._lock:
-            link.live = True
-            self._links_changed.notify_all()
+        link.live = True
+        self._changed()
 
     def _wait_live_links(self, count: int, timeout: float) -> bool:
         """Wait until at least `count` links are live at this end."""
-        with self._lock:
-            return self._links_changed.wait_for(
-                lambda: sum(1 for link in self._links if link.live) >= count, timeout)
+        def enough(done: FutureSlot) -> bool:
+            if sum(1 for link in self._links if link.live) < count:
+                return False
+            done.resolve(True)
+            return True
+
+        done = self._await(enough, timeout, lambda done: done.resolve(False))
+        return done.state == transmit.READY and done.value
 
     def _on_link_closed(self, hs: _Handshake, reason: str) -> None:
         if hs.link is not None:
             self._drop_link(hs.link)
-        hs.fail(f"connection closed: {reason}")
+        hs.result.fail(f"connection closed: {reason}")
 
     # -- activation -------------------------------------------------------
 
@@ -290,19 +332,28 @@ class PeerInstance:
         """Wait for single ties, then evaluate slots in order and serve dispatch."""
         if self.state == STOPPED:
             raise StartError("instance is stopped")
-        self.state = CONNECTING
-        with self._lock:
-            satisfied = self._links_changed.wait_for(
-                lambda: not self._unmet_single_ties() or self._stop_event.is_set(),
-                timeout)
-            if self._stop_event.is_set():
-                raise StartError("stopped while connecting")
-            if not satisfied:
-                unmet = ", ".join(str(p) for p in self._unmet_single_ties())
-                raise StartError(f"timed out waiting for single ties to: {unmet}")
-        self.state = RUNNING
-        self.evaluate_slots()
 
+        def ties_met(done: FutureSlot) -> bool:
+            if self.state == STOPPED:
+                done.fail("stopped while connecting")
+            elif self._unmet_single_ties():
+                self.state = CONNECTING
+                return False
+            else:
+                self.state = RUNNING
+                self.evaluate_slots()
+                done.resolve(None)
+            return True
+
+        def timed_out(done: FutureSlot) -> None:
+            unmet = ", ".join(str(p) for p in self._unmet_single_ties())
+            done.fail(f"timed out waiting for single ties to: {unmet}")
+
+        done = self._await(ties_met, timeout, timed_out)
+        if done.state == transmit.FAILED:
+            raise StartError(done.error)
+
+    @on_loop
     def evaluate_slots(self) -> None:
         if self._evaluated:
             return
@@ -317,7 +368,14 @@ class PeerInstance:
             except EvalError as e:
                 cell.error = str(e)
                 cell.state = _SlotCell.ERROR
-            cell.event.set()
+            self._answer_waiters(cell)
+        self._changed()
+
+    @staticmethod
+    def _answer_waiters(cell: _SlotCell) -> None:
+        waiters, cell.waiters = cell.waiters, []
+        for answer in waiters:
+            answer()
 
     # -- expression evaluation ---------------------------------------------
 
@@ -334,11 +392,10 @@ class PeerInstance:
         return cell.value
 
     def _links_for(self, target: PeerId) -> list[_Link]:
-        with self._lock:
-            return sorted(
-                (link for link in self._links
-                 if link.live and target in self.component.super_closure(link.remote_pid)),
-                key=lambda link: link.link_id)
+        return sorted(
+            (link for link in self._links
+             if link.live and target in self.component.super_closure(link.remote_pid)),
+            key=lambda link: link.link_id)
 
     def _eval(self, e: TypedExpr, env: dict[str, Any]) -> Any:
         if isinstance(e, (TIntLit, TBoolLit, TStrLit)):
@@ -399,50 +456,51 @@ class PeerInstance:
 
     def _eval_remote_call(self, call: RemoteCall) -> Any:
         links = self._links_for(call.target_peer_id)
+        codec = self.registry.lookup(call.result_codec)
         if call.mode == STREAM:
-            plan = transmit.TransmitPlan.connected_stream(call.result_codec)
             if not links:
                 handle = StreamHandle(call.result_codec)
                 handle.close()
                 return handle
-            return transmit.open_remote_stream(links[0].endpoint, call.value_sig,
-                                               plan, self.registry)
-        plan = transmit.TransmitPlan.pull_value(call.result_codec)
-
-        def pull(link: _Link) -> FutureSlot:
-            return transmit.pull_remote(link.endpoint, call.value_sig, plan, self.registry)
-
+            return links[0].endpoint.open_stream(call.value_sig, codec)
         if call.mult is Multiplicity.SINGLE:
             if not links:
                 slot = FutureSlot()
                 slot.fail(f"no connected instance of {call.target_peer_id}")
                 return slot
-            return pull(links[0])
+            return links[0].endpoint.pull(call.value_sig, codec)
         if call.mult is Multiplicity.OPTIONAL:
             if not links:
                 return None
-            return pull(links[0])
-        return [(link.ref, pull(link)) for link in links]
+            return links[0].endpoint.pull(call.value_sig, codec)
+        return [(link.ref, link.endpoint.pull(call.value_sig, codec)) for link in links]
 
     # -- serving ------------------------------------------------------------
 
-    def _await_slot(self, name: str) -> _SlotCell | None:
-        cell = self._slots.get(name)
-        if cell is None:
+    def _unevaluated(self, sig: ValueSig, stream: bool) -> _SlotCell | None:
+        """The cell a request (or, with `stream`, a channel-open) for `sig`
+        must wait for: its slot is placed here but not evaluated yet."""
+        plan = self.component.dispatch.get(sig)
+        if plan is None or (plan.mode == STREAM) != stream or self.state == STOPPED:
             return None
-        while not cell.event.wait(0.1):
-            if self._stop_event.is_set():
-                return None
-        return cell
+        cell = self._slots.get(plan.slot)
+        return cell if cell is not None and cell.state == _SlotCell.PENDING else None
 
     def _dispatch_read(self, name: str) -> Any:
-        cell = self._await_slot(name)
+        cell = self._slots.get(name)
         if cell is None or cell.state != _SlotCell.READY:
             error = cell.error if cell is not None and cell.error else "peer stopped"
             raise SlotReadError(f"value '{name}' is unavailable: {error}")
         return cell.value
 
-    def _handle_request(self, req: Request) -> Response:
+    def _handle_request(self, ep: Endpoint, req: Request):
+        cell = self._unevaluated(req.value, stream=False)
+        if cell is not None:
+            cell.waiters.append(lambda: ep.try_send(self._response(req)))
+            return DEFERRED
+        return self._response(req)
+
+    def _response(self, req: Request) -> Response:
         outcome = dispatch_entry(self.component, req.value, req.args,
                                  self._dispatch_read, self.registry)
         if outcome is NOT_FOUND:
@@ -451,33 +509,42 @@ class PeerInstance:
             return Response(req.id, False, error=outcome.error)
         return Response(req.id, True, payload=outcome.payload)
 
-    def _handle_chan_open(self, env: ChanOpen):
-        plan = self.component.dispatch.get(env.value)
+    def _handle_chan_open(self, ep: Endpoint, env: ChanOpen):
+        cell = self._unevaluated(env.value, stream=True)
+        if cell is not None:
+            cell.waiters.append(lambda: ep.attach(env.chan, self._stream_for(env.value)))
+            return DEFERRED
+        return self._stream_for(env.value)
+
+    def _stream_for(self, sig: ValueSig):
+        """The evaluated local stream a channel-open for `sig` attaches to,
+        with its element codec, or None to refuse the channel."""
+        plan = self.component.dispatch.get(sig)
         if plan is None or plan.mode != STREAM:
             return None
-        cell = self._await_slot(plan.slot)
-        if cell is None or cell.state != _SlotCell.READY:
-            return None
-        value = cell.value
-        if not isinstance(value, StreamHandle):
+        cell = self._slots.get(plan.slot)
+        if cell is None or cell.state != _SlotCell.READY or not isinstance(cell.value, StreamHandle):
             return None
         try:
             codec = self.registry.lookup(plan.result_codec)
         except CodecError:
             return None
-        return value, codec
+        return cell.value, codec
 
     # -- local producer API ---------------------------------------------------
 
+    @on_loop
     def fire(self, name: str, value: Any) -> None:
         """Emit into a locally placed stream; reaches local subscribers and
         every attached remote channel."""
         handle = self._read_slot(name)
         if not isinstance(handle, StreamHandle):
             raise EvalError(f"value '{name}' is not a stream")
+        payload = None
         if handle.elem_codec_id:
-            self.registry.lookup(handle.elem_codec_id).serialize(value)  # type check
-        handle.emit(value)
+            # the type check; attached channels send these same bytes
+            payload = self.registry.lookup(handle.elem_codec_id).serialize(value)
+        handle.emit(value, payload)
 
     def slot(self, name: str) -> Any:
         return self._read_slot(name)
@@ -492,38 +559,34 @@ class PeerInstance:
     def slot_names(self) -> list[str]:
         return list(self._slot_order)
 
+    @on_loop
     def links(self) -> list[RemoteRef]:
-        with self._lock:
-            return [link.ref for link in self._links if link.live]
+        return [link.ref for link in self._links if link.live]
 
     # -- settlement and reporting ---------------------------------------------
 
-    def _slot_futures(self, value: Any) -> list[FutureSlot]:
-        if isinstance(value, FutureSlot):
-            return [value]
-        if isinstance(value, list):
-            return [fut for _, fut in value]
-        return []
-
     def wait_settled(self, timeout: float = DEFAULT_TIMEOUT) -> bool:
         """Wait until every pull future in evaluated slots reaches a terminal state."""
-        deadline = time.monotonic() + timeout
-
-        def remaining() -> float:
-            return deadline - time.monotonic()
-
-        for name in self._slot_order:
-            cell = self._slots[name]
-            if cell.state == _SlotCell.PLACEHOLDER:
-                continue
-            if not cell.event.wait(max(remaining(), 0)):
+        def evaluated(done: FutureSlot) -> bool:
+            if not self._evaluated and self.state != STOPPED:
                 return False
-            if cell.state != _SlotCell.READY:
-                continue
-            for fut in self._slot_futures(cell.value):
-                if not fut.wait(max(remaining(), 0)):
-                    return False
-        return True
+            futures = [fut for cell in self._slots.values() if cell.state == _SlotCell.READY
+                       for fut in slot_futures(cell.value) if fut.state == PENDING]
+            left = [len(futures)]
+
+            def one_settled(_fut):
+                left[0] -= 1
+                if left[0] == 0:
+                    done.resolve(True)
+
+            for fut in futures:
+                fut.on_settle(one_settled)
+            if not futures:
+                done.resolve(True)
+            return True
+
+        done = self._await(evaluated, timeout, lambda done: done.resolve(False))
+        return done.state == transmit.READY and done.value
 
     def format_value(self, value: Any) -> str:
         if isinstance(value, FutureSlot):
@@ -574,22 +637,22 @@ class PeerInstance:
 
     # -- shutdown ---------------------------------------------------------------
 
+    @on_loop
     def stop(self) -> None:
         """Close listeners and connections; pending futures fail. Idempotent."""
         if self.state == STOPPED:
             return
         self.state = STOPPED
-        self._stop_event.set()
         for listener in self._listeners:
             listener.close()
-        with self._lock:
-            links = list(self._links)
-            self._links_changed.notify_all()
-        for link in links:
+        # deferred responses go out before the connections close; their
+        # slots never evaluate now, so they fail with "peer stopped"
+        for cell in self._slots.values():
+            self._answer_waiters(cell)
+        for link in list(self._links):
             if link.endpoint is not None:
                 link.endpoint.close("peer stopped")
-        for cell in self._slots.values():
-            cell.event.set()
+        self._changed()
 
 
 def start(component: PeerComponent, listen_specs: list[str],
@@ -621,7 +684,9 @@ def simulate(components: dict[PeerId, PeerComponent], peer_names: list[str],
              registry: CodecRegistry | None = None) -> list[PeerInstance]:
     """Instantiate the named peers on the mem transport, wiring every pair
     related by a tie. Once every link is live at both ends, activate them
-    all and wait for settlement.
+    all on the loop, in the order given, and wait for settlement. An
+    instance that evaluates first leaves its pulls to the others deferred
+    until they evaluate.
 
     The caller owns the returned instances and must stop them.
     """
@@ -672,27 +737,11 @@ def simulate(components: dict[PeerId, PeerComponent], peer_names: list[str],
         for instance, count in zip(instances, wired):
             if not instance._wait_live_links(count, max(deadline - time.monotonic(), 0)):
                 raise StartError(f"{instance.label}: timed out waiting for its links")
-
-        errors: list[str] = []
-        threads = []
         for instance in instances:
-            def run(inst=instance):
-                try:
-                    inst.activate(timeout)
-                except StartError as e:
-                    errors.append(f"{inst.label}: {e}")
-
-            t = threading.Thread(target=run, daemon=True)
-            t.start()
-            threads.append(t)
-        # activation itself is bounded by `timeout`; the join only needs slack
-        deadline = time.monotonic() + timeout + 2.0
-        for t in threads:
-            t.join(max(deadline - time.monotonic(), 0))
-        if errors:
-            raise StartError("; ".join(sorted(errors)))
-        if any(t.is_alive() for t in threads):
-            raise StartError("timed out activating peers")
+            try:
+                instance.activate(timeout)
+            except StartError as e:
+                raise StartError(f"{instance.label}: {e}") from None
         for instance in instances:
             instance.wait_settled(timeout)
         return instances

@@ -3,58 +3,42 @@
 A value pull sends one request per access and settles a future with the
 decoded response. A stream access opens a multiplexed channel over the
 connection; the producer side forwards every emission as a channel message
-from the moment it processes the channel-open, and either side may close
-the channel. Channel ids are allocated odd by the connection's opener and
-even by the acceptor, so they never collide.
+from the moment it attaches the channel, and either side may close the
+channel. Channel ids are allocated odd by the connection's opener and even
+by the acceptor, so they never collide.
+
+A request or channel-open may be answered later: the owner's handler
+returns `DEFERRED` and answers with `Endpoint.send` or `Endpoint.attach`
+once it can, without holding up the connection meanwhile.
+
+Every object here lives on the transport's event loop and holds no lock:
+its state changes only on the loop thread. The public methods that change
+state are `transport.on_loop`, so a call from another thread is handed to
+the loop; `FutureSlot.wait` is the one way for another thread to block.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable
 
-from .codecs import Codec, CodecError, CodecRegistry
-from .transport import Connection, ConnectionClosed
+from . import transport
+from .codecs import Codec, CodecError
+from .transport import Connection, ConnectionClosed, on_loop
 from .wire import (ChanClose, ChanMsg, ChanOpen, Envelope, Hello, HelloAck,
                    ProtocolError, Request, Response, decode_envelope,
                    encode_envelope)
 
 PENDING, READY, FAILED = "pending", "ready", "failed"
 
-PULL_VALUE, CONNECTED_STREAM = "pull", "stream"
 
-
-@dataclass(frozen=True)
-class TransmitPlan:
-    """Per-value transmission semantics: how a value crosses the network.
-
-    The base type is what the definition declares, the intermediate type is
-    what actually travels, and the result codec decodes the received payload.
-    For the built-in types all three coincide; the triple stays so richer
-    transmittables can be added without wire changes.
-    """
-
-    mode: str  # PULL_VALUE | CONNECTED_STREAM
-    base_codec: str
-    intermediate_codec: str
-    result_codec: str
-
-    @classmethod
-    def pull_value(cls, codec_id: str) -> "TransmitPlan":
-        return cls(PULL_VALUE, codec_id, codec_id, codec_id)
-
-    @classmethod
-    def connected_stream(cls, elem_codec_id: str) -> "TransmitPlan":
-        return cls(CONNECTED_STREAM, elem_codec_id, elem_codec_id, elem_codec_id)
+DEFERRED = object()  # a handler's answer: "I will reply later"
 
 
 class FutureSlot:
     """Write-once async cell: settles to Ready(value) or Failed(error)."""
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._event = threading.Event()
         self._state = PENDING
         self._value: Any = None
         self._error: str | None = None
@@ -76,15 +60,14 @@ class FutureSlot:
             raise ValueError(f"future is {self._state}, not failed")
         return self._error  # type: ignore[return-value]
 
+    @on_loop
     def _settle(self, state: str, value: Any, error: str | None) -> None:
-        with self._lock:
-            if self._state != PENDING:
-                return
-            self._state = state
-            self._value = value
-            self._error = error
-            callbacks, self._callbacks = self._callbacks, []
-        self._event.set()
+        if self._state != PENDING:
+            return
+        self._value = value
+        self._error = error
+        self._state = state
+        callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
             cb(self)
 
@@ -94,16 +77,43 @@ class FutureSlot:
     def fail(self, error: str) -> None:
         self._settle(FAILED, None, error)
 
+    @on_loop
     def on_settle(self, cb: Callable[["FutureSlot"], None]) -> None:
         """Run cb exactly once when settled; immediately if already settled."""
-        with self._lock:
-            if self._state == PENDING:
-                self._callbacks.append(cb)
-                return
-        cb(self)
+        if self._state == PENDING:
+            self._callbacks.append(cb)
+        else:
+            cb(self)
 
     def wait(self, timeout: float | None = None) -> bool:
-        return self._event.wait(timeout)
+        """Block until settled. On the loop thread nothing can settle while
+        it waits, so there it only reports whether the slot has settled."""
+        if self._state != PENDING or transport.on_loop_thread():
+            return self._state != PENDING
+        done = threading.Event()
+        transport.loop().post(self.on_settle, lambda _slot: done.set())
+        return done.wait(timeout)
+
+
+def run_and_wait(slot: FutureSlot, start: Callable, *args, timeout: float) -> None:
+    """Post start(*args) to the loop and wait up to `timeout` for `slot` to
+    settle. `slot` must be new: nobody else may hold it yet. On the loop
+    thread `start` runs inline and nothing is waited for."""
+    if transport.on_loop_thread():
+        start(*args)
+        return
+    done = threading.Event()
+    slot._callbacks.append(lambda _slot: done.set())
+
+    def guarded():
+        try:
+            start(*args)
+        except Exception as e:
+            slot.fail(f"{type(e).__name__}: {e}")
+            raise
+
+    transport.loop().post(guarded)
+    done.wait(timeout)
 
 
 class StreamClosed(Exception):
@@ -115,56 +125,63 @@ class StreamHandle:
 
     def __init__(self, elem_codec_id: str = ""):
         self.elem_codec_id = elem_codec_id
-        self._lock = threading.Lock()
-        self._emit_lock = threading.Lock()
         self._subscribers: dict[int, Callable[[Any], None]] = {}
         self._next_sub = 0
         self._closed = False
         self._close_callbacks: list[Callable[[], None]] = []
+        self._encoded: tuple[Any, str, bytes] | None = None  # (value, codec id, payload)
 
     @property
     def closed(self) -> bool:
         return self._closed
 
+    @on_loop
     def subscribe(self, cb: Callable[[Any], None]) -> Callable[[], None]:
         """Register a subscriber; returns an unsubscribe function."""
-        with self._lock:
-            if self._closed:
-                return lambda: None
-            sub_id = self._next_sub
-            self._next_sub += 1
-            self._subscribers[sub_id] = cb
+        if self._closed:
+            return lambda: None
+        sub_id = self._next_sub
+        self._next_sub += 1
+        self._subscribers[sub_id] = cb
+        return on_loop(lambda: self._subscribers.pop(sub_id, None))
 
-        def unsubscribe():
-            with self._lock:
-                self._subscribers.pop(sub_id, None)
-
-        return unsubscribe
-
+    @on_loop
     def on_close(self, cb: Callable[[], None]) -> None:
-        with self._lock:
-            if not self._closed:
-                self._close_callbacks.append(cb)
-                return
-        cb()
+        if self._closed:
+            cb()
+        else:
+            self._close_callbacks.append(cb)
 
-    def emit(self, value: Any) -> None:
-        with self._emit_lock:
-            if self._closed:
-                raise StreamClosed("stream is closed")
-            with self._lock:
-                subscribers = list(self._subscribers.values())
-            for cb in subscribers:
+    @on_loop
+    def emit(self, value: Any, payload: bytes | None = None) -> None:
+        """Deliver `value` to every subscriber. `payload`, when given, is the
+        value already serialized with the element codec; `encoded` reuses it."""
+        if self._closed:
+            raise StreamClosed("stream is closed")
+        self._encoded = None if payload is None else (value, self.elem_codec_id, payload)
+        try:
+            for cb in list(self._subscribers.values()):
                 cb(value)
+        finally:
+            self._encoded = None
 
+    def encoded(self, value: Any, codec: Codec) -> bytes:
+        """`value` serialized with `codec`. During an emission the bytes are
+        made once and shared by every subscriber that asks for them."""
+        memo = self._encoded
+        if memo is not None and memo[0] is value and memo[1] == codec.id:
+            return memo[2]
+        payload = codec.serialize(value)
+        self._encoded = (value, codec.id, payload)
+        return payload
+
+    @on_loop
     def close(self) -> None:
-        with self._emit_lock:
-            with self._lock:
-                if self._closed:
-                    return
-                self._closed = True
-                self._subscribers.clear()
-                callbacks, self._close_callbacks = self._close_callbacks, []
+        if self._closed:
+            return
+        self._closed = True
+        self._subscribers.clear()
+        callbacks, self._close_callbacks = self._close_callbacks, []
         for cb in callbacks:
             cb()
 
@@ -173,25 +190,25 @@ class Endpoint:
     """Protocol session over one connection: requests, responses, channels.
 
     The runtime owns the control plane: handshake envelopes go to
-    `on_control`, inbound value requests to `on_request`, and inbound
-    channel-opens to `on_chan_open` (which must return the local stream
-    and its element codec, or None to refuse). No envelope is delivered
-    before `start()`, so the owner can finish wiring its handlers first.
+    `on_control`, inbound value requests to `on_request` (which returns the
+    `Response`, or `DEFERRED` and sends it later), and inbound channel-opens
+    to `on_chan_open` (which returns the local stream and its element codec,
+    None to refuse, or `DEFERRED` and calls `attach` later). No envelope is
+    delivered before `start()`, so the owner can finish wiring its handlers
+    first.
     """
 
-    def __init__(self, conn: Connection, opener: bool, registry: CodecRegistry,
+    def __init__(self, conn: Connection, opener: bool,
                  on_control: Callable[[Envelope], None],
                  on_request: Callable[[Request], Response],
                  on_chan_open: Callable[[ChanOpen], "tuple[StreamHandle, Codec] | None"],
                  on_closed: Callable[[str], None]):
         self.conn = conn
         self.opener = opener
-        self._registry = registry
         self._on_control = on_control
         self._on_request = on_request
         self._on_chan_open = on_chan_open
         self._on_closed = on_closed
-        self._lock = threading.Lock()
         self._next_request_id = 1
         self._next_chan_id = 1 if opener else 2
         self._pending: dict[int, tuple[FutureSlot, Codec]] = {}
@@ -208,43 +225,43 @@ class Endpoint:
     def send(self, env: Envelope) -> None:
         self.conn.send(encode_envelope(env))
 
+    def try_send(self, env: Envelope) -> None:
+        try:
+            self.send(env)
+        except ConnectionClosed:
+            pass
+
+    @on_loop
     def pull(self, sig, result_codec: Codec) -> FutureSlot:
         """Request the remote value once; a fresh request per call."""
         slot = FutureSlot()
-        with self._lock:
-            if self._closed:
-                slot.fail("connection lost")
-                return slot
-            rid = self._next_request_id
-            self._next_request_id += 1
-            self._pending[rid] = (slot, result_codec)
+        if self._closed:
+            slot.fail("connection lost")
+            return slot
+        rid = self._next_request_id
+        self._next_request_id += 1
+        self._pending[rid] = (slot, result_codec)
         try:
             self.send(Request(rid, sig, b""))
         except ConnectionClosed:
-            with self._lock:
-                self._pending.pop(rid, None)
+            self._pending.pop(rid, None)
             slot.fail("connection lost")
         return slot
 
+    @on_loop
     def open_stream(self, sig, elem_codec: Codec) -> StreamHandle:
         """Open a typed channel; emissions from the remote stream arrive in order."""
         handle = StreamHandle(elem_codec.id)
-        with self._lock:
-            if self._closed:
-                handle.close()
-                return handle
-            chan = self._next_chan_id
-            self._next_chan_id += 2
-            self._local_chans[chan] = (handle, elem_codec)
+        if self._closed:
+            handle.close()
+            return handle
+        chan = self._next_chan_id
+        self._next_chan_id += 2
+        self._local_chans[chan] = (handle, elem_codec)
 
         def notify_remote():
-            with self._lock:
-                present = self._local_chans.pop(chan, None) is not None
-            if present and not self.conn.closed:
-                try:
-                    self.send(ChanClose(chan))
-                except ConnectionClosed:
-                    pass
+            if self._local_chans.pop(chan, None) is not None and not self.conn.closed:
+                self.try_send(ChanClose(chan))
 
         handle.on_close(notify_remote)
         try:
@@ -268,22 +285,21 @@ class Endpoint:
             self._on_control(env)
         elif isinstance(env, Request):
             response = self._on_request(env)
-            try:
-                self.send(response)
-            except ConnectionClosed:
-                pass
+            if response is not DEFERRED:
+                self.try_send(response)
         elif isinstance(env, Response):
             self._handle_response(env)
         elif isinstance(env, ChanOpen):
-            self._handle_chan_open(env)
+            attached = self._on_chan_open(env)
+            if attached is not DEFERRED:
+                self.attach(env.chan, attached)
         elif isinstance(env, ChanMsg):
             self._handle_chan_msg(env)
         elif isinstance(env, ChanClose):
             self._handle_chan_close(env)
 
     def _handle_response(self, env: Response) -> None:
-        with self._lock:
-            entry = self._pending.pop(env.id, None)
+        entry = self._pending.pop(env.id, None)
         if entry is None:
             return
         slot, codec = entry
@@ -295,43 +311,36 @@ class Endpoint:
         except CodecError as e:
             slot.fail(str(e))
 
-    def _handle_chan_open(self, env: ChanOpen) -> None:
-        attached = self._on_chan_open(env)
+    @on_loop
+    def attach(self, chan: int, attached: "tuple[StreamHandle, Codec] | None") -> None:
+        """Answer the remote's channel-open `chan`: forward every emission of
+        the stream from now on, or refuse the channel when `attached` is None."""
+        if self._closed:
+            return
         if attached is None:
-            try:
-                self.send(ChanClose(env.chan))
-            except ConnectionClosed:
-                pass
+            self.try_send(ChanClose(chan))
             return
         handle, codec = attached
-        chan = env.chan
 
         def forward(value):
             try:
-                self.send(ChanMsg(chan, codec.serialize(value)))
+                self.send(ChanMsg(chan, handle.encoded(value, codec)))
             except (ConnectionClosed, CodecError):
                 pass
 
-        unsubscribe = handle.subscribe(forward)
-        with self._lock:
-            self._forwards[chan] = unsubscribe
+        self._forwards[chan] = handle.subscribe(forward)
         # if the producer stream itself closes, tear the channel down
         handle.on_close(lambda: self._producer_closed(chan))
 
     def _producer_closed(self, chan: int) -> None:
-        with self._lock:
-            unsub = self._forwards.pop(chan, None)
+        unsub = self._forwards.pop(chan, None)
         if unsub is not None:
             unsub()
             if not self.conn.closed:
-                try:
-                    self.send(ChanClose(chan))
-                except ConnectionClosed:
-                    pass
+                self.try_send(ChanClose(chan))
 
     def _handle_chan_msg(self, env: ChanMsg) -> None:
-        with self._lock:
-            entry = self._local_chans.get(env.chan)
+        entry = self._local_chans.get(env.chan)
         if entry is None:
             return  # late message for a channel we already closed
         handle, codec = entry
@@ -345,25 +354,23 @@ class Endpoint:
             pass
 
     def _handle_chan_close(self, env: ChanClose) -> None:
-        with self._lock:
-            local = self._local_chans.pop(env.chan, None)
-            unsub = self._forwards.pop(env.chan, None)
+        local = self._local_chans.pop(env.chan, None)
+        unsub = self._forwards.pop(env.chan, None)
         if local is not None:
             local[0].close()
         if unsub is not None:
             unsub()
 
     def _on_conn_close(self, reason: str) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            pending = list(self._pending.values())
-            self._pending.clear()
-            chans = list(self._local_chans.values())
-            self._local_chans.clear()
-            forwards = list(self._forwards.values())
-            self._forwards.clear()
+        if self._closed:
+            return
+        self._closed = True
+        pending = list(self._pending.values())
+        self._pending.clear()
+        chans = list(self._local_chans.values())
+        self._local_chans.clear()
+        forwards = list(self._forwards.values())
+        self._forwards.clear()
         for slot, _ in pending:
             slot.fail("connection lost")
         for handle, _ in chans:
@@ -371,20 +378,3 @@ class Endpoint:
         for unsub in forwards:
             unsub()
         self._on_closed(reason)
-
-
-def pull_remote(endpoint: Endpoint, sig, plan: TransmitPlan,
-                registry: CodecRegistry) -> FutureSlot:
-    """Pull-based remote value access: one fresh request, one future."""
-    if plan.mode != PULL_VALUE:
-        raise ValueError(f"pull_remote needs a {PULL_VALUE} plan, got {plan.mode}")
-    return endpoint.pull(sig, registry.lookup(plan.result_codec))
-
-
-def open_remote_stream(endpoint: Endpoint, sig, plan: TransmitPlan,
-                       registry: CodecRegistry) -> StreamHandle:
-    """Connected-mode remote stream access over a multiplexed channel."""
-    if plan.mode != CONNECTED_STREAM:
-        raise ValueError(f"open_remote_stream needs a {CONNECTED_STREAM} plan, "
-                         f"got {plan.mode}")
-    return endpoint.open_stream(sig, registry.lookup(plan.intermediate_codec))

@@ -191,7 +191,7 @@ module Pair {
         assert "fetched = 42" in out
     finally:
         server.terminate()
-        server.wait(timeout=10)
+        server.communicate(timeout=10)  # reaps the process and closes its pipes
 
 
 def _free_port() -> int:

@@ -335,3 +335,19 @@ def test_unframe_one_shot():
     assert unframe(frame(b"ab") + frame(b"")) == [b"ab", b""]
     with pytest.raises(ProtocolError):
         unframe(frame(b"ab") + b"\x00")
+
+
+@pytest.mark.parametrize("spec", ["mem:hub-send-then-close", "tcp:127.0.0.1:0"])
+def test_send_just_before_close_is_delivered(spec):
+    listener, client, server = _pair(spec)
+    try:
+        rx = Collector()
+        server.open(rx.on_message, rx.on_close)
+        client.open(lambda d: None, lambda r: None)
+        client.send(b"last words")
+        client.close()
+        assert rx.closed.wait(5)
+        assert rx.messages == [b"last words"]
+    finally:
+        server.close()
+        listener.close()

@@ -1,5 +1,6 @@
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -168,7 +169,7 @@ def test_module_signature_mismatch_rejected(instances):
             acks.append(env)
             got_ack.set()
 
-    ep = Endpoint(connect(hub), opener=True, registry=CodecRegistry(),
+    ep = Endpoint(connect(hub), opener=True,
                   on_control=on_control,
                   on_request=lambda r: Response(r.id, False, error="no"),
                   on_chan_open=lambda e: None, on_closed=lambda r: None)
@@ -194,7 +195,7 @@ def test_protocol_version_mismatch_rejected(instances):
             acks.append(env)
             got_ack.set()
 
-    ep = Endpoint(connect(hub), opener=True, registry=CodecRegistry(),
+    ep = Endpoint(connect(hub), opener=True,
                   on_control=on_control,
                   on_request=lambda r: Response(r.id, False, error="no"),
                   on_chan_open=lambda e: None, on_closed=lambda r: None)
@@ -654,3 +655,146 @@ def test_simulate_activates_after_links_are_live_at_both_ends(instances, monkeyp
     gathered = sims[0].slot("g")
     assert len(gathered) == 2
     assert [fut.value for _, fut in gathered] == [7, 7]
+
+
+# --- deferred responses, forced deterministically --------------------------------
+
+PROD_AND_CONS = """
+    module Deferred {
+      peer Prod { tie: multiple Cons }
+      peer Cons { tie: single Prod }
+      source s: Stream[Int] on Prod
+      val x: Int on Prod = 41 + 1
+      val mirror: Stream[Int] on Cons = s.asLocal
+      val fx: Future[Int] on Cons = x.asLocal
+    }
+"""
+
+
+def _record_arrivals(instance: PeerInstance, monkeypatch) -> dict[str, threading.Event]:
+    """Events set once `instance` has handled a request or a channel-open."""
+    arrived = {"request": threading.Event(), "chan_open": threading.Event()}
+    handle_request = instance._handle_request
+    handle_chan_open = instance._handle_chan_open
+
+    def on_request(ep, req):
+        outcome = handle_request(ep, req)
+        arrived["request"].set()
+        return outcome
+
+    def on_chan_open(ep, env):
+        outcome = handle_chan_open(ep, env)
+        arrived["chan_open"].set()
+        return outcome
+
+    monkeypatch.setattr(instance, "_handle_request", on_request)
+    monkeypatch.setattr(instance, "_handle_chan_open", on_chan_open)
+    return arrived
+
+
+def _unactivated_prod_with_cons(instances, monkeypatch):
+    """A Prod that has not evaluated, and an activated Cons whose pull and
+    channel-open have both reached it."""
+    comps = components_for(PROD_AND_CONS)
+    hub = fresh_hub()
+    prod = PeerInstance(comps[PeerId((), "Prod")], label="prod")
+    instances.append(prod)
+    arrived = _record_arrivals(prod, monkeypatch)
+    prod.listen(hub)
+    cons = start(comps[PeerId((), "Cons")], [], [(hub, "Prod")], timeout=5, label="cons")
+    instances.append(cons)
+    assert arrived["chan_open"].wait(5)
+    assert arrived["request"].wait(5)
+    return prod, cons
+
+
+def test_pull_and_chan_open_before_evaluation_are_answered_once_it_evaluates(
+        instances, monkeypatch):
+    prod, cons = _unactivated_prod_with_cons(instances, monkeypatch)
+    fx = cons.slot("fx")
+    assert fx.state == "pending"
+    assert [len(prod._slots[n].waiters) for n in ("s", "x")] == [1, 1]
+    got = []
+    received = threading.Event()
+
+    def on_value(value):
+        got.append(value)
+        received.set()
+
+    cons.slot("mirror").subscribe(on_value)
+    prod.activate(5)
+    # `s` evaluates before `x`, so the channel is attached before fx's response
+    assert fx.wait(5)
+    assert fx.state == READY and fx.value == 42
+    prod.fire("s", 7)
+    assert received.wait(5)
+    assert got == [7]
+    assert [len(prod._slots[n].waiters) for n in ("s", "x")] == [0, 0]
+
+
+def test_waiting_request_does_not_hold_up_another_connection(instances, monkeypatch):
+    prod, cons = _unactivated_prod_with_cons(instances, monkeypatch)
+    comps = components_for(PROD_AND_CONS)
+    hub = fresh_hub()
+    other_prod = PeerInstance(comps[PeerId((), "Prod")], label="other-prod")
+    instances.append(other_prod)
+    other_prod.listen(hub)
+    other_prod.activate(5)
+    other_cons = start(comps[PeerId((), "Cons")], [], [(hub, "Prod")], timeout=5)
+    instances.append(other_cons)
+    other_fx = other_cons.slot("fx")
+    assert other_fx.wait(5)
+    assert other_fx.value == 42
+    assert cons.slot("fx").state == "pending"  # still waiting for prod to evaluate
+    prod.activate(5)
+    assert cons.slot("fx").wait(5)
+    assert cons.slot("fx").value == 42
+
+
+def test_stop_fails_a_waiting_request_with_peer_stopped(instances, monkeypatch):
+    prod, cons = _unactivated_prod_with_cons(instances, monkeypatch)
+    fx, mirror = cons.slot("fx"), cons.slot("mirror")
+    prod.stop()
+    assert fx.wait(5)
+    assert fx.state == FAILED
+    assert fx.error == "value 'x' is unavailable: peer stopped"
+    assert transport.loop().call(lambda: mirror.closed)  # the channel-open was refused
+
+
+# --- threads and scale --------------------------------------------------------
+
+P2P_SAMPLE = Path(__file__).resolve().parents[1] / "samples" / "p2p.loci"
+
+
+def test_p2p_sim_starts_at_most_the_loop_thread(instances, monkeypatch):
+    comps = components_for(P2P_SAMPLE.read_text(encoding="utf-8"))
+    before = set(threading.enumerate())
+    started = []
+    thread_start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        thread_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    sims = simulate(comps, ["Registry"] + ["Node"] * 19, timeout=10)
+    for instance in sims:
+        instance.stop()
+    monkeypatch.undo()
+    assert set(started) <= {"locic-loop"} and len(started) <= 1
+    left = {t.name for t in set(threading.enumerate()) - before}
+    assert left <= {"locic-loop"}
+    nodes = sims[1:]
+    assert all(node.slot("fromNode").value == 5 for node in nodes)
+
+
+def test_p2p_sim_with_100_nodes_settles(instances):
+    # a full mesh of 99 Nodes plus the Registry: 4,950 links on one loop
+    comps = components_for(P2P_SAMPLE.read_text(encoding="utf-8"))
+    sims = simulate(comps, ["Registry"] + ["Node"] * 99, timeout=30)
+    instances.extend(sims)
+    registry, nodes = sims[0], sims[1:]
+    assert len(registry.links()) == 99
+    assert all(len(node.links()) == 99 for node in nodes)
+    values = [node.slot("fromNode") for node in nodes]
+    assert all(fut.state == READY and fut.value == 5 for fut in values)

@@ -3,9 +3,11 @@ import time
 
 import pytest
 
+from locic import transport
 from locic.codecs import CodecRegistry
 from locic.sigs import ModuleSig, ValueSig
-from locic.transmit import FAILED, PENDING, READY, Endpoint, FutureSlot, StreamClosed, StreamHandle
+from locic.transmit import (DEFERRED, FAILED, PENDING, READY, Endpoint, FutureSlot,
+                            StreamClosed, StreamHandle)
 from locic.transport import connect, listen
 from locic.wire import Response
 
@@ -140,7 +142,7 @@ def endpoint_pair(server_value=1, stream: StreamHandle | None = None):
         return None
 
     def on_connection(conn):
-        server_holder["ep"] = Endpoint(conn, opener=False, registry=registry,
+        server_holder["ep"] = Endpoint(conn, opener=False,
                                        on_control=lambda env: None,
                                        on_request=on_request,
                                        on_chan_open=on_chan_open,
@@ -150,7 +152,7 @@ def endpoint_pair(server_value=1, stream: StreamHandle | None = None):
 
     listener = listen(hub, on_connection)
     client_conn = connect(hub)
-    client = Endpoint(client_conn, opener=True, registry=registry,
+    client = Endpoint(client_conn, opener=True,
                       on_control=lambda env: None,
                       on_request=lambda req: Response(req.id, False, error="client serves nothing"),
                       on_chan_open=lambda env: None,
@@ -203,22 +205,19 @@ def test_connection_loss_fails_pending_pulls():
     registry = CodecRegistry()
     _counter[0] += 1
     hub = f"mem:transmit-{_counter[0]}"
-    block = threading.Event()
-
     def on_request(req):
-        block.wait(10)  # hold the response until after the close
-        return Response(req.id, True, payload=b"1")
+        return DEFERRED  # never answered: the close must fail the pulls
 
     holder = {}
 
     def on_connection(conn):
-        holder["ep"] = Endpoint(conn, opener=False, registry=registry,
+        holder["ep"] = Endpoint(conn, opener=False,
                                 on_control=lambda e: None, on_request=on_request,
                                 on_chan_open=lambda e: None, on_closed=lambda r: None)
         holder["ep"].start()
 
     listener = listen(hub, on_connection)
-    client = Endpoint(connect(hub), opener=True, registry=registry,
+    client = Endpoint(connect(hub), opener=True,
                       on_control=lambda e: None,
                       on_request=lambda r: Response(r.id, False, error="no"),
                       on_chan_open=lambda e: None, on_closed=lambda r: None)
@@ -230,7 +229,6 @@ def test_connection_loss_fails_pending_pulls():
         assert slot.wait(5)
         assert slot.state == FAILED
         assert slot.error == "connection lost"
-    block.set()
 
 
 def test_open_stream_receives_emissions_in_order():
@@ -289,12 +287,12 @@ def test_two_channels_each_receive_their_own_stream():
         return None
 
     def on_connection(conn):
-        Endpoint(conn, opener=False, registry=registry, on_control=lambda e: None,
+        Endpoint(conn, opener=False, on_control=lambda e: None,
                  on_request=lambda r: Response(r.id, False, error="no"),
                  on_chan_open=on_chan_open, on_closed=lambda r: None).start()
 
     listener = listen(hub, on_connection)
-    client = Endpoint(connect(hub), opener=True, registry=registry,
+    client = Endpoint(connect(hub), opener=True,
                       on_control=lambda e: None,
                       on_request=lambda r: Response(r.id, False, error="no"),
                       on_chan_open=lambda e: None, on_closed=lambda r: None)
@@ -317,12 +315,10 @@ def test_two_channels_each_receive_their_own_stream():
 
 def test_channel_ids_do_not_collide():
     client, server, registry = endpoint_pair(stream=StreamHandle("Int"))
-    client_handle = client.open_stream(SIG_S, registry.lookup("Int"))
-    with client._lock:
-        client_chans = set(client._local_chans)
-    server_handle = server.open_stream(SIG_S, registry.lookup("Int"))
-    with server._lock:
-        server_chans = set(server._local_chans)
+    client.open_stream(SIG_S, registry.lookup("Int"))
+    client_chans = transport.loop().call(lambda: set(client._local_chans))
+    server.open_stream(SIG_S, registry.lookup("Int"))
+    server_chans = transport.loop().call(lambda: set(server._local_chans))
     assert all(c % 2 == 1 for c in client_chans)
     assert all(c % 2 == 0 for c in server_chans)
     client.close()
@@ -361,45 +357,19 @@ def test_emit_with_zero_subscribers_sends_nothing():
     client.close()
 
 
-def test_transmit_plan_shapes():
-    from locic.transmit import CONNECTED_STREAM, PULL_VALUE, TransmitPlan
-
-    pull = TransmitPlan.pull_value("Int")
-    assert pull.mode == PULL_VALUE
-    assert pull.intermediate_codec == pull.base_codec
-    stream = TransmitPlan.connected_stream("Str")
-    assert stream.mode == CONNECTED_STREAM
-    assert stream.intermediate_codec == "Str"
-
-
-def test_plan_mode_preconditions():
-    from locic.transmit import TransmitPlan, open_remote_stream, pull_remote
-
-    client, server, registry = endpoint_pair(server_value=3)
-    with pytest.raises(ValueError):
-        pull_remote(client, SIG_X, TransmitPlan.connected_stream("Int"), registry)
-    with pytest.raises(ValueError):
-        open_remote_stream(client, SIG_S, TransmitPlan.pull_value("Int"), registry)
-    slot = pull_remote(client, SIG_X, TransmitPlan.pull_value("Int"), registry)
-    assert slot.wait(5)
-    assert slot.value == 3
-    client.close()
-
-
 def test_raising_subscriber_closes_link_and_fails_pending_futures():
     registry = CodecRegistry()
     _counter[0] += 1
     hub = f"mem:transmit-{_counter[0]}"
     produced = StreamHandle("Int")
-    requested, release = threading.Event(), threading.Event()
+    requested = threading.Event()
 
     def on_request(req):
         requested.set()
-        release.wait(10)  # keep the request pending on the client
-        return Response(req.id, True, payload=registry.lookup("Int").serialize(1))
+        return DEFERRED  # keep the request pending on the client
 
     def on_connection(conn):
-        Endpoint(conn, opener=False, registry=registry, on_control=lambda e: None,
+        Endpoint(conn, opener=False, on_control=lambda e: None,
                  on_request=on_request,
                  on_chan_open=lambda e: (produced, registry.lookup("Int")),
                  on_closed=lambda r: None).start()
@@ -412,7 +382,7 @@ def test_raising_subscriber_closes_link_and_fails_pending_futures():
         closed.set()
 
     listener = listen(hub, on_connection)
-    client = Endpoint(connect(hub), opener=True, registry=registry,
+    client = Endpoint(connect(hub), opener=True,
                       on_control=lambda e: None,
                       on_request=lambda r: Response(r.id, False, error="no"),
                       on_chan_open=lambda e: None, on_closed=on_closed)
@@ -436,5 +406,4 @@ def test_raising_subscriber_closes_link_and_fails_pending_futures():
         assert slot.error == "connection lost"
         assert client.conn.closed
     finally:
-        release.set()
         client.close()
