@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import ast
 from .ast import Multiplicity
-from .diagnostics import UNKNOWN_POS, Diagnostic, SourceError
+from .diagnostics import Diagnostic, SourceError
 
 
 class ArchError(SourceError):
@@ -231,13 +231,6 @@ def effective_ties(a: Architecture) -> EffectiveTies:
         for right in sorted(row):
             table[(left, right)] = row[right]
     return table
-
-
-def placed_peer_of(a: Architecture, def_name: str) -> PeerId:
-    try:
-        return a.placements[def_name]
-    except KeyError:
-        raise ArchError([Diagnostic(UNKNOWN_POS, f"unknown definition '{def_name}'")]) from None
 
 
 def is_subpeer(a: Architecture, p: PeerId, q: PeerId) -> bool:

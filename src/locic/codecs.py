@@ -5,6 +5,11 @@ Serialization is total for well-typed values; deserialization is strict:
 bytes decode successfully only if they are exactly the canonical encoding
 of some value of the codec's type, so corrupted input is either rejected
 or re-encodes to itself.
+
+A codec's id names its type: `Int`, `Bool`, `Str`, `Unit`, or a tuple such
+as `(Int, (Str, Bool))`. `parse_codec` builds the codec an id names. The
+splitter builds each access plan's codec once, so nothing looks codecs up
+while a peer runs.
 """
 
 from __future__ import annotations
@@ -128,35 +133,9 @@ class Codec:
         return value
 
 
-class CodecRegistry:
-    """Codec lookup by id. Tuple codecs are materialized from their id on demand."""
-
-    def __init__(self):
-        self._codecs: dict[str, Codec] = {}
-        for prim in ("Int", "Bool", "Str", "Unit"):
-            self._codecs[prim] = Codec(prim, prim)
-
-    def register(self, codec: Codec) -> None:
-        if codec.id in self._codecs:
-            raise CodecError(f"codec '{codec.id}' is already registered")
-        self._codecs[codec.id] = codec
-
-    def lookup(self, codec_id: str) -> Codec:
-        codec = self._codecs.get(codec_id)
-        if codec is not None:
-            return codec
-        shape = parse_shape(codec_id)  # raises CodecError for unknown ids
-        codec = Codec(shape_id(shape), shape)
-        self._codecs[codec.id] = codec
-        return codec
-
-    def known_ids(self) -> list[str]:
-        return sorted(self._codecs)
-
-
-_default_registry = CodecRegistry()
-
-
-def codec_registry() -> CodecRegistry:
-    """The process-wide registry with the built-in codecs."""
-    return _default_registry
+def parse_codec(codec_id: str) -> Codec:
+    """The codec `codec_id` names; CodecError if it names none."""
+    if not isinstance(codec_id, str):
+        raise CodecError(f"unknown codec {codec_id!r}")
+    shape = parse_shape(codec_id)
+    return Codec(shape_id(shape), shape)

@@ -76,7 +76,3 @@ def render_module(m: ast.SurfaceModule) -> str:
             lines.append(f"  val {d.name}: {ty} on {d.placed_on} = {render_expr(d.body)}")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def render_program(modules: list[ast.SurfaceModule]) -> str:
-    return "\n".join(render_module(m) for m in modules)

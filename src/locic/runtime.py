@@ -3,9 +3,10 @@
 A peer instance loads one component, establishes connections that are
 validated against the component's tie table during a hello handshake,
 waits until every single tie has its remote, evaluates slots in source
-order, and serves remote dispatch. Remote-access sites in slot bodies
-produce futures (pull) or stream handles (connected channels) shaped by
-the tie multiplicity.
+order, and serves remote dispatch: a request or channel-open looks up the
+access plan of the value it names and reads the plan's slot. Remote-access
+sites in slot bodies produce futures (pull) or stream handles (connected
+channels) shaped by the tie multiplicity.
 
 Every instance in a process runs on the transport's one event loop, so an
 instance starts no thread and holds no lock. A request or channel-open for
@@ -26,16 +27,15 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from . import splitter, transmit, transport, wire
+from . import transmit, transport, wire
 from .arch import PeerId, parse_peer_name
 from .ast import Multiplicity
 from .checker import (StreamT, TBinOp, TBoolLit, TIntLit, TRef, TStreamMap,
                       TStreamSource, TStrLit, TTupleExpr, TypedExpr)
-from .codecs import CodecError, CodecRegistry, codec_registry
-from .sigs import PeerSig, ValueSig
-from .splitter import (NOT_FOUND, STREAM, PeerComponent, Placeholder,
-                       RemoteCall, SlotReadError, dispatch_entry,
-                       sem_type_shape, shape_id)
+from .codecs import CodecError
+from .sigs import PeerSig
+from .splitter import (STREAM, AccessPlan, PeerComponent, Placeholder,
+                       RemoteCall, codec_of)
 from .transmit import DEFERRED, PENDING, Endpoint, FutureSlot, StreamHandle
 from .transport import on_loop
 from .wire import ChanOpen, Hello, HelloAck, Request, Response
@@ -117,10 +117,8 @@ class _SlotCell:
 
 
 class PeerInstance:
-    def __init__(self, component: PeerComponent, registry: CodecRegistry | None = None,
-                 label: str | None = None):
+    def __init__(self, component: PeerComponent, label: str | None = None):
         self.component = component
-        self.registry = registry or codec_registry()
         self.label = label or str(component.peer)
         self.state = CONFIGURED
         self._links: list[_Link] = []
@@ -426,13 +424,9 @@ class PeerInstance:
             return self._eval_remote_call(e)
         raise EvalError(f"cannot evaluate {type(e).__name__}")
 
-    def _fresh_stream(self, ty) -> StreamHandle:
-        codec_id = ""
-        if isinstance(ty, StreamT):
-            shape = sem_type_shape(ty.elem)
-            if shape is not None:
-                codec_id = shape_id(shape)
-        return StreamHandle(codec_id)
+    @staticmethod
+    def _fresh_stream(ty) -> StreamHandle:
+        return StreamHandle(codec_of(ty.elem) if isinstance(ty, StreamT) else None)
 
     def _eval_stream_map(self, e: TStreamMap, env: dict[str, Any]) -> StreamHandle:
         source = self._eval(e.source, env)
@@ -456,10 +450,10 @@ class PeerInstance:
 
     def _eval_remote_call(self, call: RemoteCall) -> Any:
         links = self._links_for(call.target_peer_id)
-        codec = self.registry.lookup(call.result_codec)
-        if call.mode == STREAM:
+        codec = call.plan.codec
+        if call.plan.mode == STREAM:
             if not links:
-                handle = StreamHandle(call.result_codec)
+                handle = StreamHandle(codec)
                 handle.close()
                 return handle
             return links[0].endpoint.open_stream(call.value_sig, codec)
@@ -477,59 +471,49 @@ class PeerInstance:
 
     # -- serving ------------------------------------------------------------
 
-    def _unevaluated(self, sig: ValueSig, stream: bool) -> _SlotCell | None:
-        """The cell a request (or, with `stream`, a channel-open) for `sig`
-        must wait for: its slot is placed here but not evaluated yet."""
-        plan = self.component.dispatch.get(sig)
-        if plan is None or (plan.mode == STREAM) != stream or self.state == STOPPED:
-            return None
-        cell = self._slots.get(plan.slot)
-        return cell if cell is not None and cell.state == _SlotCell.PENDING else None
-
-    def _dispatch_read(self, name: str) -> Any:
-        cell = self._slots.get(name)
-        if cell is None or cell.state != _SlotCell.READY:
-            error = cell.error if cell is not None and cell.error else "peer stopped"
-            raise SlotReadError(f"value '{name}' is unavailable: {error}")
-        return cell.value
-
     def _handle_request(self, ep: Endpoint, req: Request):
-        cell = self._unevaluated(req.value, stream=False)
-        if cell is not None:
-            cell.waiters.append(lambda: ep.try_send(self._response(req)))
-            return DEFERRED
-        return self._response(req)
-
-    def _response(self, req: Request) -> Response:
-        outcome = dispatch_entry(self.component, req.value, req.args,
-                                 self._dispatch_read, self.registry)
-        if outcome is NOT_FOUND:
+        plan = self.component.dispatch.get(req.value)
+        if plan is None:
             return Response(req.id, False, error=f"value not found: {req.value.canonical}")
-        if isinstance(outcome, splitter.DispatchFailure):
-            return Response(req.id, False, error=outcome.error)
-        return Response(req.id, True, payload=outcome.payload)
+        if plan.mode == STREAM:
+            return Response(req.id, False, error=(f"'{req.value.canonical}' is a stream; "
+                                                  f"open a channel to access it"))
+        cell = self._slots[plan.slot]
+        if self._defers(cell):
+            cell.waiters.append(lambda: ep.try_send(self._response(req, plan, cell)))
+            return DEFERRED
+        return self._response(req, plan, cell)
+
+    def _defers(self, cell: _SlotCell) -> bool:
+        """Whether a request for `cell` waits for it to evaluate."""
+        return cell.state == _SlotCell.PENDING and self.state != STOPPED
+
+    @staticmethod
+    def _response(req: Request, plan: AccessPlan, cell: _SlotCell) -> Response:
+        if cell.state != _SlotCell.READY:
+            return Response(req.id, False, error=(f"value '{cell.name}' is unavailable: "
+                                                  f"{cell.error or 'peer stopped'}"))
+        try:
+            return Response(req.id, True, payload=plan.codec.serialize(cell.value))
+        except CodecError as e:
+            return Response(req.id, False, error=str(e))
 
     def _handle_chan_open(self, ep: Endpoint, env: ChanOpen):
-        cell = self._unevaluated(env.value, stream=True)
-        if cell is not None:
-            cell.waiters.append(lambda: ep.attach(env.chan, self._stream_for(env.value)))
-            return DEFERRED
-        return self._stream_for(env.value)
-
-    def _stream_for(self, sig: ValueSig):
-        """The evaluated local stream a channel-open for `sig` attaches to,
-        with its element codec, or None to refuse the channel."""
-        plan = self.component.dispatch.get(sig)
+        """The evaluated local stream the channel attaches to, None to
+        refuse it, or DEFERRED until its slot evaluates."""
+        plan = self.component.dispatch.get(env.value)
         if plan is None or plan.mode != STREAM:
             return None
-        cell = self._slots.get(plan.slot)
-        if cell is None or cell.state != _SlotCell.READY or not isinstance(cell.value, StreamHandle):
-            return None
-        try:
-            codec = self.registry.lookup(plan.result_codec)
-        except CodecError:
-            return None
-        return cell.value, codec
+        cell = self._slots[plan.slot]
+        if self._defers(cell):
+            cell.waiters.append(lambda: ep.attach(env.chan, self._stream_of(cell)))
+            return DEFERRED
+        return self._stream_of(cell)
+
+    @staticmethod
+    def _stream_of(cell: _SlotCell) -> StreamHandle | None:
+        ready = cell.state == _SlotCell.READY and isinstance(cell.value, StreamHandle)
+        return cell.value if ready else None
 
     # -- local producer API ---------------------------------------------------
 
@@ -540,10 +524,8 @@ class PeerInstance:
         handle = self._read_slot(name)
         if not isinstance(handle, StreamHandle):
             raise EvalError(f"value '{name}' is not a stream")
-        payload = None
-        if handle.elem_codec_id:
-            # the type check; attached channels send these same bytes
-            payload = self.registry.lookup(handle.elem_codec_id).serialize(value)
+        # the type check; attached channels send these same bytes
+        payload = None if handle.codec is None else handle.codec.serialize(value)
         handle.emit(value, payload)
 
     def slot(self, name: str) -> Any:
@@ -658,10 +640,9 @@ class PeerInstance:
 def start(component: PeerComponent, listen_specs: list[str],
           connect_specs: list[tuple[str, str | None]],
           timeout: float = DEFAULT_TIMEOUT,
-          registry: CodecRegistry | None = None,
           label: str | None = None) -> PeerInstance:
     """Configure, connect, and activate one peer instance."""
-    instance = PeerInstance(component, registry=registry, label=label)
+    instance = PeerInstance(component, label=label)
     try:
         for spec in listen_specs:
             instance.listen(spec)
@@ -680,8 +661,7 @@ _sim_counter = itertools.count(1)
 
 
 def simulate(components: dict[PeerId, PeerComponent], peer_names: list[str],
-             timeout: float = DEFAULT_TIMEOUT,
-             registry: CodecRegistry | None = None) -> list[PeerInstance]:
+             timeout: float = DEFAULT_TIMEOUT) -> list[PeerInstance]:
     """Instantiate the named peers on the mem transport, wiring every pair
     related by a tie. Once every link is live at both ends, activate them
     all on the loop, in the order given, and wait for settlement. An
@@ -703,7 +683,7 @@ def simulate(components: dict[PeerId, PeerComponent], peer_names: list[str],
     for pid in pids:
         counters[pid] = counters.get(pid, 0) + 1
         label = f"{pid}#{counters[pid]}"
-        instances.append(PeerInstance(components[pid], registry=registry, label=label))
+        instances.append(PeerInstance(components[pid], label=label))
 
     # tie tables hold declared targets; a tie to a super-peer also covers its
     # sub-peers, so wiring matches over the super-closures of both sides

@@ -5,6 +5,12 @@ table, one slot per definition in source order (a placeholder where the
 value is not available on this peer, preserving evaluation order), a
 dispatch table for the values it can serve remotely, and bodies whose
 remote-access sites are rewritten into runtime remote-request calls.
+
+Each definition whose type can be transmitted gets one `AccessPlan`: the
+slot that backs it, whether it is pulled or streamed, and the codec of its
+value (of each element, for a stream). The dispatch table maps value
+signatures to these plans, and a rewritten access site holds the plan of
+the value it reaches, so producer and consumer read the one decision.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from .arch import Architecture, PeerId, inherited_ties, super_closures
 from .ast import Multiplicity
 from .checker import (FutureT, OptionT, PrimT, RemoteT, SemType, SeqT, StreamT,
                       TupleT, TypedExpr, TypedModule)
-from .codecs import CodecError, CodecRegistry, Shape, shape_id
+from .codecs import Codec, CodecError, Shape, parse_codec, shape_id
 from .sigs import ModuleSig, PeerSig, ValueSig
 
 
@@ -49,25 +55,22 @@ InitPlan = object  # Evaluate | Placeholder
 
 @dataclass(frozen=True)
 class AccessPlan:
-    value_sig: ValueSig
+    """How one definition is transmitted."""
+
     slot: str  # qualified definition name backing this entry
-    arg_codec: str
-    result_codec: str
     mode: str  # PULL | STREAM
+    codec: Codec  # of the value, or of each element of a stream
 
 
 @dataclass(frozen=True)
 class RemoteCall(TypedExpr):
-    """A rewritten remote-access site: argument bytes, value signature, target peer."""
+    """A rewritten remote-access site: the value's signature, the peer that
+    serves it, and its access plan there."""
 
-    args: bytes
     value_sig: ValueSig
-    target_peer: PeerSig
     target_peer_id: PeerId
     mult: Multiplicity
-    from_all: bool
-    mode: str
-    result_codec: str
+    plan: AccessPlan
     ty: SemType
 
 
@@ -149,79 +152,68 @@ def innermost_uncodable(t: SemType) -> SemType | None:
     return t
 
 
-def transmission_plan(def_name: str, declared: SemType) -> tuple[str, Shape]:
-    """Mode and payload shape for remote access to a definition, or SplitError."""
-    if isinstance(declared, StreamT):
-        shape = sem_type_shape(declared.elem)
-        mode = STREAM
-    else:
-        shape = sem_type_shape(declared)
-        mode = PULL
-    if shape is None:
+def codec_of(t: SemType) -> Codec | None:
+    """The codec for a data type, or None if the type is not serializable."""
+    shape = sem_type_shape(t)
+    return None if shape is None else Codec(shape_id(shape), shape)
+
+
+def access_plan(def_name: str, declared: SemType) -> AccessPlan:
+    """The plan for remote access to a definition, or SplitError."""
+    stream = isinstance(declared, StreamT)
+    codec = codec_of(declared.elem if stream else declared)
+    if codec is None:
         bad = innermost_uncodable(declared)
         raise SplitError(
             f"definition '{def_name}': type {declared} is not serializable "
             f"(no codec for {bad})")
-    return mode, shape
+    return AccessPlan(def_name, STREAM if stream else PULL, codec)
 
 
 # --- splitting ----------------------------------------------------------
 
-def _rewrite(a: Architecture, e: TypedExpr,
-             plans: dict[str, tuple[str, Shape]],
+def _rewrite(e: TypedExpr, plans: dict[str, AccessPlan],
              sigs: dict[str, ValueSig],
              declared: dict[str, SemType]) -> TypedExpr:
     if isinstance(e, checker.TRemoteAccess):
         if e.target not in plans:
             # raises, naming the definition and its innermost uncodable type
-            transmission_plan(e.target, declared[e.target])
-        mode, shape = plans[e.target]
-        return RemoteCall(
-            args=b"",
-            value_sig=sigs[e.target],
-            target_peer=peer_sig_of(a, e.to_peer),
-            target_peer_id=e.to_peer,
-            mult=e.mult,
-            from_all=e.from_all,
-            mode=mode,
-            result_codec=shape_id(shape),
-            ty=e.ty,
-        )
+            access_plan(e.target, declared[e.target])
+        return RemoteCall(sigs[e.target], e.to_peer, e.mult, plans[e.target], e.ty)
     if isinstance(e, checker.TBinOp):
-        return checker.TBinOp(e.op, _rewrite(a, e.left, plans, sigs, declared),
-                              _rewrite(a, e.right, plans, sigs, declared), e.ty)
+        return checker.TBinOp(e.op, _rewrite(e.left, plans, sigs, declared),
+                              _rewrite(e.right, plans, sigs, declared), e.ty)
     if isinstance(e, checker.TTupleExpr):
         return checker.TTupleExpr(
-            tuple(_rewrite(a, i, plans, sigs, declared) for i in e.items), e.ty)
+            tuple(_rewrite(i, plans, sigs, declared) for i in e.items), e.ty)
     if isinstance(e, checker.TStreamMap):
-        return checker.TStreamMap(_rewrite(a, e.source, plans, sigs, declared), e.var,
-                                  _rewrite(a, e.body, plans, sigs, declared), e.ty)
+        return checker.TStreamMap(_rewrite(e.source, plans, sigs, declared), e.var,
+                                  _rewrite(e.body, plans, sigs, declared), e.ty)
     return e
 
 
-def split(tm: TypedModule, registry: CodecRegistry | None = None) -> dict[PeerId, PeerComponent]:
+def split(tm: TypedModule) -> dict[PeerId, PeerComponent]:
     """One component per concrete peer. Requires a diagnostic-free module."""
     if tm.diagnostics:
         raise SplitError("cannot split a module with diagnostics")
     a = tm.arch
-    registry = registry or CodecRegistry()
 
     sigs: dict[str, ValueSig] = {}
     decls = {f.name: f.decl for f in a.defs}
     for d in tm.defs:
         sigs[d.name] = value_sig_of(a, d.name, decls[d.name])
 
-    # per-definition transmission plans, where the type is serializable
-    plans: dict[str, tuple[str, Shape]] = {}
+    # one access plan per definition whose type is serializable
+    plans: dict[str, AccessPlan] = {}
     for d in tm.defs:
         try:
-            plans[d.name] = transmission_plan(d.name, d.declared_type)
+            plans[d.name] = access_plan(d.name, d.declared_type)
         except SplitError:
             continue
 
     declared_types = {d.name: d.declared_type for d in tm.defs}
     rewritten = {
-        d.name: _rewrite(a, d.body, plans, sigs, declared_types) for d in tm.defs
+        d.name: _rewrite(d.body, plans, sigs, declared_types) for d in tm.defs
     }
 
     peer_table = {
@@ -244,16 +236,7 @@ def split(tm: TypedModule, registry: CodecRegistry | None = None) -> dict[PeerId
             available = d.placed_on in closure
             slots.append((d.name, Evaluate(rewritten[d.name]) if available else PLACEHOLDER))
             if available and d.name in plans:
-                mode, shape = plans[d.name]
-                # materialize the codec now: serializability is a split-time guarantee
-                registry.lookup(shape_id(shape))
-                dispatch[sigs[d.name]] = AccessPlan(
-                    value_sig=sigs[d.name],
-                    slot=d.name,
-                    arg_codec="Unit",
-                    result_codec=shape_id(shape),
-                    mode=mode,
-                )
+                dispatch[sigs[d.name]] = plans[d.name]
         components[pid] = PeerComponent(
             peer=pid,
             sig=peer_table[pid].sig,
@@ -264,59 +247,6 @@ def split(tm: TypedModule, registry: CodecRegistry | None = None) -> dict[PeerId
             dispatch=dispatch,
         )
     return components
-
-
-# --- dispatch -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class DispatchSuccess:
-    payload: bytes
-
-
-@dataclass(frozen=True)
-class DispatchFailure:
-    error: str
-
-
-class NotFound:
-    def __repr__(self):
-        return "NOT_FOUND"
-
-
-NOT_FOUND = NotFound()
-
-
-class SlotReadError(Exception):
-    pass
-
-
-def dispatch_entry(pc: PeerComponent, sig: ValueSig, args: bytes, read_slot,
-                   registry: CodecRegistry):
-    """Serve one remote value request against evaluated slots.
-
-    Returns DispatchSuccess with the encoded value, DispatchFailure for
-    unmarshalling or evaluation failures, or NOT_FOUND when this component
-    does not serve the signature.
-    """
-    plan = pc.dispatch.get(sig)
-    if plan is None:
-        return NOT_FOUND
-    if plan.mode == STREAM:
-        return DispatchFailure(f"'{sig.canonical}' is a stream; open a channel to access it")
-    if args:
-        try:
-            registry.lookup(plan.arg_codec).deserialize(args)
-        except CodecError as e:
-            return DispatchFailure(str(e))
-    try:
-        value = read_slot(plan.slot)
-    except SlotReadError as e:
-        return DispatchFailure(str(e))
-    try:
-        payload = registry.lookup(plan.result_codec).serialize(value)
-    except CodecError as e:
-        return DispatchFailure(str(e))
-    return DispatchSuccess(payload)
 
 
 # --- component documents -------------------------------------------------
@@ -351,6 +281,20 @@ def _valuesig_doc(s: ValueSig) -> dict:
 
 def _valuesig_from(doc) -> ValueSig:
     return ValueSig(doc["val"], _modsig_from(doc["module"]))
+
+
+def _plan_doc(plan: AccessPlan) -> dict:
+    return {"slot": plan.slot, "mode": plan.mode, "codec": plan.codec.id}
+
+
+def _plan_from(doc) -> AccessPlan:
+    slot, mode, codec_id = doc["slot"], doc["mode"], doc["codec"]
+    if mode not in (PULL, STREAM):
+        raise ComponentFormatError(f"access plan for '{slot}': unknown mode {mode!r}")
+    try:
+        return AccessPlan(slot, mode, parse_codec(codec_id))
+    except CodecError as e:
+        raise ComponentFormatError(f"access plan for '{slot}': {e}") from None
 
 
 def sem_type_to_doc(t: SemType) -> dict:
@@ -415,12 +359,9 @@ def expr_to_doc(e: TypedExpr) -> dict:
         return {
             "k": "remotecall",
             "val": _valuesig_doc(e.value_sig),
-            "target": _peersig_doc(e.target_peer),
             "targetId": _pid_doc(e.target_peer_id),
             "mult": e.mult.keyword,
-            "fromAll": e.from_all,
-            "mode": e.mode,
-            "resultCodec": e.result_codec,
+            "plan": _plan_doc(e.plan),
             "ty": sem_type_to_doc(e.ty),
         }
     raise TypeError(f"cannot serialize expression {e!r}")
@@ -449,20 +390,16 @@ def expr_from_doc(doc) -> TypedExpr:
         return checker.TStreamSource(sem_type_from_doc(doc["ty"]))
     if k == "remotecall":
         return RemoteCall(
-            args=b"",
-            value_sig=_valuesig_from(doc["val"]),
-            target_peer=_peersig_from(doc["target"]),
-            target_peer_id=_pid_from(doc["targetId"]),
-            mult=ast.MULTIPLICITY_BY_KEYWORD[doc["mult"]],
-            from_all=doc["fromAll"],
-            mode=doc["mode"],
-            result_codec=doc["resultCodec"],
-            ty=sem_type_from_doc(doc["ty"]),
+            _valuesig_from(doc["val"]),
+            _pid_from(doc["targetId"]),
+            ast.MULTIPLICITY_BY_KEYWORD[doc["mult"]],
+            _plan_from(doc["plan"]),
+            sem_type_from_doc(doc["ty"]),
         )
     raise ComponentFormatError(f"unknown expression kind '{k}'")
 
 
-FORMAT = "locic-component/1"
+FORMAT = "locic-component/2"
 
 
 def emit_component(pc: PeerComponent) -> str:
@@ -488,8 +425,7 @@ def emit_component(pc: PeerComponent) -> str:
             for name, plan in pc.slots
         ],
         "dispatch": [
-            {"val": _valuesig_doc(sig), "slot": plan.slot, "argCodec": plan.arg_codec,
-             "resultCodec": plan.result_codec, "mode": plan.mode}
+            {"val": _valuesig_doc(sig), "plan": _plan_doc(plan)}
             for sig, plan in sorted(pc.dispatch.items())
         ],
     }
@@ -501,8 +437,11 @@ def read_component(text: str) -> PeerComponent:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ComponentFormatError(f"not a component document: {e}") from None
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+    if not isinstance(doc, dict) or "format" not in doc:
         raise ComponentFormatError("not a component document")
+    if doc["format"] != FORMAT:
+        raise ComponentFormatError(
+            f"component format {doc['format']!r} is not supported (expected {FORMAT!r})")
     try:
         peer_table = {
             _pid_from(p["id"]): PeerEntry(_peersig_from(p["sig"]),
@@ -515,6 +454,11 @@ def read_component(text: str) -> PeerComponent:
                 slots.append((s["name"], PLACEHOLDER))
             else:
                 slots.append((s["name"], Evaluate(expr_from_doc(s["body"]))))
+        dispatch = {_valuesig_from(d["val"]): _plan_from(d["plan"]) for d in doc["dispatch"]}
+        names = {name for name, _ in slots}
+        for plan in dispatch.values():
+            if plan.slot not in names:
+                raise ComponentFormatError(f"dispatch entry for unknown slot '{plan.slot}'")
         return PeerComponent(
             peer=_pid_from(doc["peer"]),
             sig=_peersig_from(doc["sig"]),
@@ -525,12 +469,7 @@ def read_component(text: str) -> PeerComponent:
                 for t in doc["ties"]
             },
             slots=slots,
-            dispatch={
-                _valuesig_from(d["val"]): AccessPlan(
-                    _valuesig_from(d["val"]), d["slot"], d["argCodec"],
-                    d["resultCodec"], d["mode"])
-                for d in doc["dispatch"]
-            },
+            dispatch=dispatch,
         )
     except (KeyError, TypeError) as e:
         raise ComponentFormatError(f"malformed component document: {e}") from None

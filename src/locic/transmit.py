@@ -121,15 +121,16 @@ class StreamClosed(Exception):
 
 
 class StreamHandle:
-    """An event stream: emissions reach all current subscribers in order."""
+    """An event stream: emissions reach all current subscribers in order.
+    `codec` serializes its elements; None if they cannot be transmitted."""
 
-    def __init__(self, elem_codec_id: str = ""):
-        self.elem_codec_id = elem_codec_id
+    def __init__(self, codec: Codec | None = None):
+        self.codec = codec
         self._subscribers: dict[int, Callable[[Any], None]] = {}
         self._next_sub = 0
         self._closed = False
         self._close_callbacks: list[Callable[[], None]] = []
-        self._encoded: tuple[Any, str, bytes] | None = None  # (value, codec id, payload)
+        self._encoded: tuple[Any, bytes] | None = None  # (value, payload)
 
     @property
     def closed(self) -> bool:
@@ -155,24 +156,24 @@ class StreamHandle:
     @on_loop
     def emit(self, value: Any, payload: bytes | None = None) -> None:
         """Deliver `value` to every subscriber. `payload`, when given, is the
-        value already serialized with the element codec; `encoded` reuses it."""
+        value already serialized with `codec`; `encoded` reuses it."""
         if self._closed:
             raise StreamClosed("stream is closed")
-        self._encoded = None if payload is None else (value, self.elem_codec_id, payload)
+        self._encoded = None if payload is None else (value, payload)
         try:
             for cb in list(self._subscribers.values()):
                 cb(value)
         finally:
             self._encoded = None
 
-    def encoded(self, value: Any, codec: Codec) -> bytes:
+    def encoded(self, value: Any) -> bytes:
         """`value` serialized with `codec`. During an emission the bytes are
         made once and shared by every subscriber that asks for them."""
         memo = self._encoded
-        if memo is not None and memo[0] is value and memo[1] == codec.id:
-            return memo[2]
-        payload = codec.serialize(value)
-        self._encoded = (value, codec.id, payload)
+        if memo is not None and memo[0] is value:
+            return memo[1]
+        payload = self.codec.serialize(value)
+        self._encoded = (value, payload)
         return payload
 
     @on_loop
@@ -192,8 +193,8 @@ class Endpoint:
     The runtime owns the control plane: handshake envelopes go to
     `on_control`, inbound value requests to `on_request` (which returns the
     `Response`, or `DEFERRED` and sends it later), and inbound channel-opens
-    to `on_chan_open` (which returns the local stream and its element codec,
-    None to refuse, or `DEFERRED` and calls `attach` later). No envelope is
+    to `on_chan_open` (which returns the local stream, None to refuse, or
+    `DEFERRED` and calls `attach` later). No envelope is
     delivered before `start()`, so the owner can finish wiring its handlers
     first.
     """
@@ -201,7 +202,7 @@ class Endpoint:
     def __init__(self, conn: Connection, opener: bool,
                  on_control: Callable[[Envelope], None],
                  on_request: Callable[[Request], Response],
-                 on_chan_open: Callable[[ChanOpen], "tuple[StreamHandle, Codec] | None"],
+                 on_chan_open: Callable[[ChanOpen], "StreamHandle | None"],
                  on_closed: Callable[[str], None]):
         self.conn = conn
         self.opener = opener
@@ -212,7 +213,7 @@ class Endpoint:
         self._next_request_id = 1
         self._next_chan_id = 1 if opener else 2
         self._pending: dict[int, tuple[FutureSlot, Codec]] = {}
-        self._local_chans: dict[int, tuple[StreamHandle, Codec]] = {}  # opened by us
+        self._local_chans: dict[int, StreamHandle] = {}  # opened by us
         self._forwards: dict[int, Callable[[], None]] = {}  # opened by remote: unsubscribers
         self._closed = False
 
@@ -232,7 +233,7 @@ class Endpoint:
             pass
 
     @on_loop
-    def pull(self, sig, result_codec: Codec) -> FutureSlot:
+    def pull(self, sig, codec: Codec) -> FutureSlot:
         """Request the remote value once; a fresh request per call."""
         slot = FutureSlot()
         if self._closed:
@@ -240,24 +241,24 @@ class Endpoint:
             return slot
         rid = self._next_request_id
         self._next_request_id += 1
-        self._pending[rid] = (slot, result_codec)
+        self._pending[rid] = (slot, codec)
         try:
-            self.send(Request(rid, sig, b""))
+            self.send(Request(rid, sig))
         except ConnectionClosed:
             self._pending.pop(rid, None)
             slot.fail("connection lost")
         return slot
 
     @on_loop
-    def open_stream(self, sig, elem_codec: Codec) -> StreamHandle:
+    def open_stream(self, sig, codec: Codec) -> StreamHandle:
         """Open a typed channel; emissions from the remote stream arrive in order."""
-        handle = StreamHandle(elem_codec.id)
+        handle = StreamHandle(codec)
         if self._closed:
             handle.close()
             return handle
         chan = self._next_chan_id
         self._next_chan_id += 2
-        self._local_chans[chan] = (handle, elem_codec)
+        self._local_chans[chan] = handle
 
         def notify_remote():
             if self._local_chans.pop(chan, None) is not None and not self.conn.closed:
@@ -312,19 +313,19 @@ class Endpoint:
             slot.fail(str(e))
 
     @on_loop
-    def attach(self, chan: int, attached: "tuple[StreamHandle, Codec] | None") -> None:
+    def attach(self, chan: int, handle: StreamHandle | None) -> None:
         """Answer the remote's channel-open `chan`: forward every emission of
-        the stream from now on, or refuse the channel when `attached` is None."""
+        `handle` from now on, or refuse the channel when there is no handle
+        or its elements cannot be transmitted."""
         if self._closed:
             return
-        if attached is None:
+        if handle is None or handle.codec is None:
             self.try_send(ChanClose(chan))
             return
-        handle, codec = attached
 
         def forward(value):
             try:
-                self.send(ChanMsg(chan, handle.encoded(value, codec)))
+                self.send(ChanMsg(chan, handle.encoded(value)))
             except (ConnectionClosed, CodecError):
                 pass
 
@@ -340,12 +341,11 @@ class Endpoint:
                 self.try_send(ChanClose(chan))
 
     def _handle_chan_msg(self, env: ChanMsg) -> None:
-        entry = self._local_chans.get(env.chan)
-        if entry is None:
+        handle = self._local_chans.get(env.chan)
+        if handle is None:
             return  # late message for a channel we already closed
-        handle, codec = entry
         try:
-            value = codec.deserialize(env.payload)
+            value = handle.codec.deserialize(env.payload)
         except CodecError:
             return
         try:
@@ -357,7 +357,7 @@ class Endpoint:
         local = self._local_chans.pop(env.chan, None)
         unsub = self._forwards.pop(env.chan, None)
         if local is not None:
-            local[0].close()
+            local.close()
         if unsub is not None:
             unsub()
 
@@ -373,7 +373,7 @@ class Endpoint:
         self._forwards.clear()
         for slot, _ in pending:
             slot.fail("connection lost")
-        for handle, _ in chans:
+        for handle in chans:
             handle.close()
         for unsub in forwards:
             unsub()

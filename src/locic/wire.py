@@ -16,7 +16,7 @@ from typing import Union
 from .sigs import ModuleSig, PeerSig, ValueSig
 
 MAX_FRAME_LEN = 64 * 1024 * 1024
-PROTO_VERSION = 1
+PROTO_VERSION = 2
 
 
 class ProtocolError(Exception):
@@ -84,7 +84,6 @@ class HelloAck:
 class Request:
     id: int
     value: ValueSig
-    args: bytes = b""
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,7 @@ def encode_envelope(e: Envelope) -> bytes:
         return _dumps({
             "t": "req", "id": e.id,
             "mod": e.value.module.name, "path": list(e.value.module.path),
-            "val": e.value.canonical, "args": _b64(e.args),
+            "val": e.value.canonical,
         })
     if isinstance(e, Response):
         if e.ok:
@@ -212,7 +211,7 @@ def decode_envelope(data: bytes) -> Envelope:
         return HelloAck(f.bool_("accepted"), f.str_("reason"))
     if t == "req":
         sig = ValueSig(f.str_("val"), ModuleSig(f.str_("mod"), f.path("path")))
-        return Request(f.int_("id"), sig, f.bytes_("args"))
+        return Request(f.int_("id"), sig)
     if t == "res":
         if f.bool_("ok"):
             return Response(f.int_("id"), True, payload=f.bytes_("payload"))

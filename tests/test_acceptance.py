@@ -19,7 +19,7 @@ from locic.ast import Multiplicity
 from locic.checker import (BOOL_T, INT_T, STR_T, FutureT, OptionT,
                            RemoteAccessShapeError, RemoteT, SeqT, StreamT,
                            TupleT, check_module, pair_of, type_remote_access)
-from locic.codecs import CodecError, CodecRegistry
+from locic.codecs import CodecError, parse_codec
 from locic.runtime import PeerInstance, StartError, start
 from locic.sigs import ModuleSig, ValueSig
 from locic.splitter import Evaluate, emit_component, sem_type_shape, split
@@ -296,7 +296,6 @@ def test_criterion_8_wire_conformance():
 @criterion(9, "codec round-trip on 1000 values per codec; corrupted bytes are "
               "rejected or re-encode to themselves")
 def test_criterion_9_codecs():
-    registry = CodecRegistry()
     generators = {
         "Int": lambda rng: rng.randint(-2**40, 2**40),
         "Bool": lambda rng: rng.random() < 0.5,
@@ -308,7 +307,7 @@ def test_criterion_9_codecs():
     }
     rng = random.Random(9)
     for codec_id, gen in generators.items():
-        codec = registry.lookup(codec_id)
+        codec = parse_codec(codec_id)
         samples = []
         for _ in range(1000):
             value = gen(rng)

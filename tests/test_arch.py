@@ -5,7 +5,7 @@ import pytest
 import helpers
 from locic import parser
 from locic.arch import (ArchError, PeerId, effective_ties, is_subpeer,
-                        parse_peer_name, placed_peer_of, resolve_architecture)
+                        parse_peer_name, resolve_architecture)
 from locic.ast import Multiplicity
 
 REGISTRY_PID = PeerId((), "Registry")
@@ -108,14 +108,6 @@ def test_tie_target_covers_sub_peers():
     ties = effective_ties(a)
     assert ties[(REGISTRY_PID, MONITORED_PID)] is Multiplicity.MULTIPLE
     assert ties[(REGISTRY_PID, NODE_PID)] is Multiplicity.MULTIPLE
-
-
-def test_placed_peer_of():
-    a = p2p_architecture()
-    assert placed_peer_of(a, "localRead") == REGISTRY_PID
-    assert placed_peer_of(a, "mon.interval") == MONITOR_PID
-    with pytest.raises(ArchError):
-        placed_peer_of(a, "nonexistent")
 
 
 def test_is_subpeer():

@@ -56,14 +56,14 @@ def test_chunked_round_trip_fuzz():
 # --- envelopes ------------------------------------------------------------
 
 def test_request_canonical_encoding():
-    req = Request(1, ValueSig("i:Int", ModuleSig("SimpleModule")), b"")
+    req = Request(1, ValueSig("i:Int", ModuleSig("SimpleModule")))
     assert encode_envelope(req) == \
-        b'{"t":"req","id":1,"mod":"SimpleModule","path":[],"val":"i:Int","args":""}'
+        b'{"t":"req","id":1,"mod":"SimpleModule","path":[],"val":"i:Int"}'
 
 
 def test_decode_request_example():
-    data = b'{"t":"req","id":1,"mod":"SimpleModule","path":[],"val":"i:Int","args":""}'
-    assert decode_envelope(data) == Request(1, ValueSig("i:Int", ModuleSig("SimpleModule")), b"")
+    data = b'{"t":"req","id":1,"mod":"SimpleModule","path":[],"val":"i:Int"}'
+    assert decode_envelope(data) == Request(1, ValueSig("i:Int", ModuleSig("SimpleModule")))
 
 
 def test_unknown_variant_rejected():

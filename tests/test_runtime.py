@@ -7,7 +7,7 @@ import pytest
 import helpers
 from locic import runtime, transport
 from locic.arch import PeerId
-from locic.codecs import CodecRegistry
+from locic.codecs import parse_codec
 from locic.runtime import PeerInstance, RemoteRef, StartError, simulate, start
 from locic.sigs import ModuleSig, PeerSig, ValueSig
 from locic.splitter import split
@@ -155,7 +155,8 @@ def test_start_timeout_with_unmet_single_tie(instances):
     assert "MyPeer" in str(exc.value)
 
 
-def test_module_signature_mismatch_rejected(instances):
+def _hello_ack(instances, hello: Hello) -> HelloAck:
+    """The HelloAck a listening SimpleModule instance sends for `hello`."""
     comps = components_for(helpers.SIMPLE_MODULE)
     hub = fresh_hub()
     instance = PeerInstance(comps[PeerId((), "MyPeer")])
@@ -174,38 +175,25 @@ def test_module_signature_mismatch_rejected(instances):
                   on_request=lambda r: Response(r.id, False, error="no"),
                   on_chan_open=lambda e: None, on_closed=lambda r: None)
     ep.start()
-    ep.send(Hello(ModuleSig("SomethingElse"), PeerSig("MyPeer", ModuleSig("SomethingElse"))))
+    ep.send(hello)
     assert got_ack.wait(5)
-    assert acks[0].accepted is False
-    assert "module signature mismatch" in acks[0].reason
     ep.close()
+    return acks[0]
+
+
+def test_module_signature_mismatch_rejected(instances):
+    ack = _hello_ack(instances, Hello(ModuleSig("SomethingElse"),
+                                      PeerSig("MyPeer", ModuleSig("SomethingElse"))))
+    assert ack.accepted is False
+    assert "module signature mismatch" in ack.reason
 
 
 def test_protocol_version_mismatch_rejected(instances):
-    comps = components_for(helpers.SIMPLE_MODULE)
-    hub = fresh_hub()
-    instance = PeerInstance(comps[PeerId((), "MyPeer")])
-    instances.append(instance)
-    instance.listen(hub)
-    acks = []
-    got_ack = threading.Event()
-
-    def on_control(env):
-        if isinstance(env, HelloAck):
-            acks.append(env)
-            got_ack.set()
-
-    ep = Endpoint(connect(hub), opener=True,
-                  on_control=on_control,
-                  on_request=lambda r: Response(r.id, False, error="no"),
-                  on_chan_open=lambda e: None, on_closed=lambda r: None)
-    ep.start()
-    ep.send(Hello(ModuleSig("SimpleModule"), PeerSig("MyPeer", ModuleSig("SimpleModule")),
-                  proto_version=99))
-    assert got_ack.wait(5)
-    assert acks[0].accepted is False
-    assert "version" in acks[0].reason
-    ep.close()
+    for version in (1, 99):
+        ack = _hello_ack(instances, Hello(ModuleSig("SimpleModule"),
+                                          PeerSig("MyPeer", ModuleSig("SimpleModule")),
+                                          proto_version=version))
+        assert ack == HelloAck(False, f"protocol version {version} is not supported (expected 2)")
 
 
 def test_one_directional_tie_admits_untied_side(instances):
@@ -238,13 +226,13 @@ def test_dispatch_not_found_and_failure(instances):
     a = sims[0]
     link = a._links[0]
     unknown = link.endpoint.pull(ValueSig("ghost:Int", ModuleSig("SimpleModule")),
-                                 CodecRegistry().lookup("Int"))
+                                 parse_codec("Int"))
     assert unknown.wait(5)
     assert unknown.state == FAILED
     assert "value not found" in unknown.error
     # j: Future[Int] is placed here but not serializable, so not dispatchable
     j_sig = ValueSig("j:Future[Int]", ModuleSig("SimpleModule"))
-    refused = link.endpoint.pull(j_sig, CodecRegistry().lookup("Int"))
+    refused = link.endpoint.pull(j_sig, parse_codec("Int"))
     assert refused.wait(5)
     assert refused.state == FAILED
 
@@ -338,16 +326,18 @@ def test_fire_and_local_subscribers(instances):
         instance.fire("s", "not an int")
 
 
-def test_remote_stream_push(instances):
-    source = """
-        module M {
-          peer Prod { tie: multiple Cons }
-          peer Cons { tie: single Prod }
+def _mirrored(instances, decls: str, n: int) -> list:
+    """Fire 0..n-1 into Prod's source `s` and return what a started Cons
+    receives on its stream `mirror`, which `decls` declares."""
+    source = f"""
+        module M {{
+          peer Prod {{ tie: multiple Cons }}
+          peer Cons {{ tie: single Prod }}
           source s: Stream[Int] on Prod
-          val mirror: Stream[Int] on Cons = s.asLocal
+          {decls}
           val sync: Future[Int] on Cons = marker.asLocal
           val marker: Int on Prod = 1
-        }
+        }}
     """
     comps = components_for(source)
     hub = fresh_hub()
@@ -360,12 +350,24 @@ def test_remote_stream_push(instances):
     assert cons.slot("sync").wait(5)  # channel attach ordered before this response
     got = []
     cons.slot("mirror").subscribe(got.append)
-    for n in range(20):
-        prod.fire("s", n)
+    for k in range(n):
+        prod.fire("s", k)
     deadline = time.time() + 5
-    while len(got) < 20 and time.time() < deadline:
+    while len(got) < n and time.time() < deadline:
         time.sleep(0.01)
+    return got
+
+
+def test_remote_stream_push(instances):
+    got = _mirrored(instances, "val mirror: Stream[Int] on Cons = s.asLocal", 20)
     assert got == list(range(20))
+
+
+def test_remote_channel_delivers_mapped_tuple_stream(instances):
+    got = _mirrored(instances, """
+          val pairs: Stream[(Int, Str)] on Prod = s.map(n => (n * 3, "é\\"q"))
+          val mirror: Stream[(Int, Str)] on Cons = pairs.asLocal""", 20)
+    assert got == [(n * 3, 'é"q') for n in range(20)]
 
 
 def test_placeholder_read_is_runtime_error(instances):

@@ -1,6 +1,7 @@
 import collections
 import json
 import random
+import re
 
 import pytest
 
@@ -9,12 +10,14 @@ from locic import arch, ast, checker
 from locic.arch import PeerId, is_subpeer
 from locic.ast import Multiplicity
 from locic.checker import FutureT, INT_T
-from locic.codecs import CodecRegistry
+from locic import transport
+from locic.codecs import parse_codec
+from locic.runtime import simulate
 from locic.sigs import ModuleSig, PeerSig, ValueSig
-from locic.splitter import (NOT_FOUND, PULL, STREAM, DispatchFailure,
-                            DispatchSuccess, Evaluate, Placeholder, RemoteCall,
-                            SlotReadError, SplitError, dispatch_entry,
+from locic.splitter import (FORMAT, PULL, STREAM, AccessPlan, ComponentFormatError,
+                            Evaluate, Placeholder, RemoteCall, SplitError,
                             emit_component, peer_sig_of, read_component, split)
+from locic.transmit import FAILED, READY
 
 MYPEER = PeerId((), "MyPeer")
 
@@ -34,10 +37,7 @@ def test_simple_module_component_shape():
     i_plan = dict(pc.slots)["i"]
     assert isinstance(i_plan, Evaluate)
     sig_i = ValueSig("i:Int", ModuleSig("SimpleModule"))
-    assert set(pc.dispatch) == {sig_i}
-    assert pc.dispatch[sig_i].mode == PULL
-    assert pc.dispatch[sig_i].arg_codec == "Unit"
-    assert pc.dispatch[sig_i].result_codec == "Int"
+    assert pc.dispatch == {sig_i: AccessPlan("i", PULL, parse_codec("Int"))}
 
 
 def test_remote_access_rewritten_to_remote_call():
@@ -45,10 +45,11 @@ def test_remote_access_rewritten_to_remote_call():
     j_plan = dict(comps[MYPEER].slots)["j"]
     call = j_plan.body
     assert isinstance(call, RemoteCall)
-    assert call.args == b""
     assert call.value_sig == ValueSig("i:Int", ModuleSig("SimpleModule"))
-    assert call.target_peer == PeerSig("MyPeer", ModuleSig("SimpleModule"))
+    assert call.target_peer_id == MYPEER
     assert call.mult is Multiplicity.SINGLE
+    # the access site holds the very plan the target dispatches
+    assert call.plan is comps[MYPEER].dispatch[call.value_sig]
     assert call.ty == FutureT(INT_T)
 
 
@@ -117,8 +118,7 @@ def test_stream_defs_get_connected_mode():
     """)
     pc = comps[PeerId((), "P")]
     plan = pc.dispatch[ValueSig("s:Stream[Int]", ModuleSig("M"))]
-    assert plan.mode == STREAM
-    assert plan.result_codec == "Int"
+    assert plan == AccessPlan("s", STREAM, parse_codec("Int"))
 
 
 def test_slot_order_equals_source_order():
@@ -291,57 +291,93 @@ def test_distinct_module_paths_give_distinct_peer_sigs():
     assert sig_b.module.path == ("b",)
 
 
-# --- dispatch_entry -----------------------------------------------------
+# --- dispatch entries served by a running peer -------------------------------
 
-def _simple_component():
-    _, comps = split_source(helpers.SIMPLE_MODULE)
-    return comps[MYPEER]
+STREAM_MODULE = """
+    module M {
+      peer P { tie: single P }
+      source s: Stream[Int] on P
+    }
+"""
+
+
+def _served(source, peers, sig, fail_slot=None):
+    """Pull `sig` as Int from the second of two running instances; with
+    `fail_slot`, that slot is first marked failed with "boom"."""
+    _, comps = split_source(source)
+    sims = simulate(comps, peers, timeout=5)
+    try:
+        if fail_slot is not None:
+            def fail():
+                cell = sims[1]._slots[fail_slot]
+                cell.state, cell.error = cell.ERROR, "boom"
+            transport.loop().call(fail)
+        future = sims[0]._links[0].endpoint.pull(sig, parse_codec("Int"))
+        assert future.wait(5)
+        return future
+    finally:
+        for instance in sims:
+            instance.stop()
 
 
 def test_dispatch_entry_success():
-    pc = _simple_component()
-    registry = CodecRegistry()
-    outcome = dispatch_entry(pc, ValueSig("i:Int", ModuleSig("SimpleModule")), b"",
-                             lambda name: {"i": 1}[name], registry)
-    assert outcome == DispatchSuccess(b"1")
+    future = _served(helpers.SIMPLE_MODULE, ["MyPeer", "MyPeer"],
+                     ValueSig("i:Int", ModuleSig("SimpleModule")))
+    assert future.state == READY
+    assert future.value == 1
 
 
 def test_dispatch_entry_not_found():
-    pc = _simple_component()
-    outcome = dispatch_entry(pc, ValueSig("nope:Int", ModuleSig("SimpleModule")), b"",
-                             lambda name: 1, CodecRegistry())
-    assert outcome is NOT_FOUND
-
-
-def test_dispatch_entry_corrupted_args_name_the_codec():
-    pc = _simple_component()
-    outcome = dispatch_entry(pc, ValueSig("i:Int", ModuleSig("SimpleModule")),
-                             b"\xff\xfe\x00garbage", lambda name: 1, CodecRegistry())
-    assert isinstance(outcome, DispatchFailure)
-    assert "Unit" in outcome.error
+    future = _served(helpers.SIMPLE_MODULE, ["MyPeer", "MyPeer"],
+                     ValueSig("nope:Int", ModuleSig("SimpleModule")))
+    assert future.state == FAILED
+    assert future.error == "value not found: nope:Int"
 
 
 def test_dispatch_entry_propagates_slot_read_failure():
-    pc = _simple_component()
-
-    def read_slot(name):
-        raise SlotReadError("value 'i' is unavailable: boom")
-
-    outcome = dispatch_entry(pc, ValueSig("i:Int", ModuleSig("SimpleModule")), b"",
-                             read_slot, CodecRegistry())
-    assert isinstance(outcome, DispatchFailure)
-    assert "boom" in outcome.error
+    future = _served(helpers.SIMPLE_MODULE, ["MyPeer", "MyPeer"],
+                     ValueSig("i:Int", ModuleSig("SimpleModule")), fail_slot="i")
+    assert future.state == FAILED
+    assert future.error == "value 'i' is unavailable: boom"
 
 
 def test_dispatch_entry_rejects_pull_of_stream():
-    _, comps = split_source("""
-        module M {
-          peer P { tie: single P }
-          source s: Stream[Int] on P
-        }
-    """)
-    pc = comps[PeerId((), "P")]
-    outcome = dispatch_entry(pc, ValueSig("s:Stream[Int]", ModuleSig("M")), b"",
-                             lambda name: None, CodecRegistry())
-    assert isinstance(outcome, DispatchFailure)
-    assert "stream" in outcome.error
+    future = _served(STREAM_MODULE, ["P", "P"], ValueSig("s:Stream[Int]", ModuleSig("M")))
+    assert future.state == FAILED
+    assert future.error == "'s:Stream[Int]' is a stream; open a channel to access it"
+
+
+# --- reading component documents -------------------------------------------------
+
+def _simple_document() -> dict:
+    _, comps = split_source(helpers.SIMPLE_MODULE)
+    return json.loads(emit_component(comps[MYPEER]))
+
+
+def _j_call_plan(doc: dict) -> dict:
+    return next(slot for slot in doc["slots"] if slot["name"] == "j")["body"]["plan"]
+
+
+@pytest.mark.parametrize("where, field, value, named", [
+    ("call", "codec", "Float", "Float"),
+    ("call", "codec", "(Int)", "(Int)"),
+    ("call", "mode", "push", "push"),
+    ("dispatch", "codec", "Float", "Float"),
+    ("dispatch", "mode", "push", "push"),
+    ("dispatch", "slot", "ghost", "ghost"),
+])
+def test_read_component_rejects_plans_it_cannot_build(where, field, value, named):
+    doc = _simple_document()
+    plan = _j_call_plan(doc) if where == "call" else doc["dispatch"][0]["plan"]
+    plan[field] = value
+    with pytest.raises(ComponentFormatError, match=re.escape(named)):
+        read_component(json.dumps(doc))
+
+
+def test_read_component_refuses_the_previous_format():
+    doc = _simple_document()
+    doc["format"] = "locic-component/1"
+    with pytest.raises(ComponentFormatError) as exc:
+        read_component(json.dumps(doc))
+    assert "locic-component/1" in str(exc.value)
+    assert FORMAT in str(exc.value) and FORMAT == "locic-component/2"

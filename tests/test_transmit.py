@@ -4,7 +4,7 @@ import time
 import pytest
 
 from locic import transport
-from locic.codecs import CodecRegistry
+from locic.codecs import parse_codec
 from locic.sigs import ModuleSig, ValueSig
 from locic.transmit import (DEFERRED, FAILED, PENDING, READY, Endpoint, FutureSlot,
                             StreamClosed, StreamHandle)
@@ -14,6 +14,7 @@ from locic.wire import Response
 MOD = ModuleSig("M")
 SIG_X = ValueSig("x:Int", MOD)
 SIG_S = ValueSig("s:Stream[Int]", MOD)
+INT = parse_codec("Int")
 
 
 # --- FutureSlot -----------------------------------------------------------
@@ -125,7 +126,6 @@ _counter = [0]
 def endpoint_pair(server_value=1, stream: StreamHandle | None = None):
     """A connected (client, server) endpoint pair; the server answers x:Int
     requests with `server_value` and chan-opens on s:Stream[Int] with `stream`."""
-    registry = CodecRegistry()
     _counter[0] += 1
     hub = f"mem:transmit-{_counter[0]}"
     server_holder = {}
@@ -133,12 +133,12 @@ def endpoint_pair(server_value=1, stream: StreamHandle | None = None):
 
     def on_request(req):
         if req.value == SIG_X:
-            return Response(req.id, True, payload=registry.lookup("Int").serialize(server_value))
+            return Response(req.id, True, payload=INT.serialize(server_value))
         return Response(req.id, False, error=f"value not found: {req.value.canonical}")
 
     def on_chan_open(env):
         if stream is not None and env.value == SIG_S:
-            return stream, registry.lookup("Int")
+            return stream
         return None
 
     def on_connection(conn):
@@ -160,12 +160,12 @@ def endpoint_pair(server_value=1, stream: StreamHandle | None = None):
     client.start()
     assert ready.wait(5)
     listener.close()
-    return client, server_holder["ep"], registry
+    return client, server_holder["ep"]
 
 
 def test_pull_resolves_future():
-    client, server, registry = endpoint_pair(server_value=1)
-    slot = client.pull(SIG_X, registry.lookup("Int"))
+    client, server = endpoint_pair(server_value=1)
+    slot = client.pull(SIG_X, INT)
     assert slot.wait(5)
     assert slot.state == READY
     assert slot.value == 1
@@ -173,8 +173,8 @@ def test_pull_resolves_future():
 
 
 def test_pull_unknown_sig_fails():
-    client, server, registry = endpoint_pair()
-    slot = client.pull(ValueSig("ghost:Int", MOD), registry.lookup("Int"))
+    client, server = endpoint_pair()
+    slot = client.pull(ValueSig("ghost:Int", MOD), INT)
     assert slot.wait(5)
     assert slot.state == FAILED
     assert "value not found" in slot.error
@@ -183,7 +183,7 @@ def test_pull_unknown_sig_fails():
 
 def test_each_pull_sends_a_fresh_request():
     sent = []
-    client, server, registry = endpoint_pair(server_value=7)
+    client, server = endpoint_pair(server_value=7)
     original = client.send
 
     def counting_send(env):
@@ -191,7 +191,7 @@ def test_each_pull_sends_a_fresh_request():
         original(env)
 
     client.send = counting_send
-    slots = [client.pull(SIG_X, registry.lookup("Int")) for _ in range(5)]
+    slots = [client.pull(SIG_X, INT) for _ in range(5)]
     for slot in slots:
         assert slot.wait(5)
         assert slot.value == 7
@@ -202,7 +202,6 @@ def test_each_pull_sends_a_fresh_request():
 
 
 def test_connection_loss_fails_pending_pulls():
-    registry = CodecRegistry()
     _counter[0] += 1
     hub = f"mem:transmit-{_counter[0]}"
     def on_request(req):
@@ -223,7 +222,7 @@ def test_connection_loss_fails_pending_pulls():
                       on_chan_open=lambda e: None, on_closed=lambda r: None)
     client.start()
     listener.close()
-    slots = [client.pull(SIG_X, registry.lookup("Int")) for _ in range(3)]
+    slots = [client.pull(SIG_X, INT) for _ in range(3)]
     client.close()
     for slot in slots:
         assert slot.wait(5)
@@ -232,9 +231,9 @@ def test_connection_loss_fails_pending_pulls():
 
 
 def test_open_stream_receives_emissions_in_order():
-    produced = StreamHandle("Int")
-    client, server, registry = endpoint_pair(stream=produced)
-    handle = client.open_stream(SIG_S, registry.lookup("Int"))
+    produced = StreamHandle(INT)
+    client, server = endpoint_pair(stream=produced)
+    handle = client.open_stream(SIG_S, INT)
     got = []
     handle.subscribe(got.append)
     deadline = time.time() + 5
@@ -248,9 +247,9 @@ def test_open_stream_receives_emissions_in_order():
 
 
 def test_closed_channel_sees_no_emissions():
-    produced = StreamHandle("Int")
-    client, server, registry = endpoint_pair(stream=produced)
-    handle = client.open_stream(SIG_S, registry.lookup("Int"))
+    produced = StreamHandle(INT)
+    client, server = endpoint_pair(stream=produced)
+    handle = client.open_stream(SIG_S, INT)
     deadline = time.time() + 5
     while not produced._subscribers and time.time() < deadline:
         time.sleep(0.01)
@@ -265,25 +264,24 @@ def test_closed_channel_sees_no_emissions():
 
 
 def test_chan_open_refused_closes_handle():
-    client, server, registry = endpoint_pair(stream=None)
-    handle = client.open_stream(SIG_S, registry.lookup("Int"))
+    client, server = endpoint_pair(stream=None)
+    handle = client.open_stream(SIG_S, INT)
     _wait(lambda: handle.closed)
     client.close()
 
 
 def test_two_channels_each_receive_their_own_stream():
-    registry = CodecRegistry()
     _counter[0] += 1
     hub = f"mem:transmit-{_counter[0]}"
-    s1, s2 = StreamHandle("Int"), StreamHandle("Int")
+    s1, s2 = StreamHandle(INT), StreamHandle(INT)
     sig1 = ValueSig("s1:Stream[Int]", MOD)
     sig2 = ValueSig("s2:Stream[Int]", MOD)
 
     def on_chan_open(env):
         if env.value == sig1:
-            return s1, registry.lookup("Int")
+            return s1
         if env.value == sig2:
-            return s2, registry.lookup("Int")
+            return s2
         return None
 
     def on_connection(conn):
@@ -298,8 +296,8 @@ def test_two_channels_each_receive_their_own_stream():
                       on_chan_open=lambda e: None, on_closed=lambda r: None)
     client.start()
     listener.close()
-    h1 = client.open_stream(sig1, registry.lookup("Int"))
-    h2 = client.open_stream(sig2, registry.lookup("Int"))
+    h1 = client.open_stream(sig1, INT)
+    h2 = client.open_stream(sig2, INT)
     got1, got2 = [], []
     h1.subscribe(got1.append)
     h2.subscribe(got2.append)
@@ -314,10 +312,10 @@ def test_two_channels_each_receive_their_own_stream():
 
 
 def test_channel_ids_do_not_collide():
-    client, server, registry = endpoint_pair(stream=StreamHandle("Int"))
-    client.open_stream(SIG_S, registry.lookup("Int"))
+    client, server = endpoint_pair(stream=StreamHandle(INT))
+    client.open_stream(SIG_S, INT)
     client_chans = transport.loop().call(lambda: set(client._local_chans))
-    server.open_stream(SIG_S, registry.lookup("Int"))
+    server.open_stream(SIG_S, INT)
     server_chans = transport.loop().call(lambda: set(server._local_chans))
     assert all(c % 2 == 1 for c in client_chans)
     assert all(c % 2 == 0 for c in server_chans)
@@ -334,9 +332,9 @@ def _wait(predicate, timeout=5.0):
 
 
 def test_n_channels_on_one_stream_all_receive():
-    produced = StreamHandle("Int")
-    client, server, registry = endpoint_pair(stream=produced)
-    handles = [client.open_stream(SIG_S, registry.lookup("Int")) for _ in range(3)]
+    produced = StreamHandle(INT)
+    client, server = endpoint_pair(stream=produced)
+    handles = [client.open_stream(SIG_S, INT) for _ in range(3)]
     logs = [[] for _ in handles]
     for handle, log in zip(handles, logs):
         handle.subscribe(log.append)
@@ -347,7 +345,7 @@ def test_n_channels_on_one_stream_all_receive():
 
 
 def test_emit_with_zero_subscribers_sends_nothing():
-    client, server, registry = endpoint_pair(stream=StreamHandle("Int"))
+    client, server = endpoint_pair(stream=StreamHandle(INT))
     sent = []
     original = server.send
     server.send = lambda env: (sent.append(env), original(env))
@@ -358,10 +356,9 @@ def test_emit_with_zero_subscribers_sends_nothing():
 
 
 def test_raising_subscriber_closes_link_and_fails_pending_futures():
-    registry = CodecRegistry()
     _counter[0] += 1
     hub = f"mem:transmit-{_counter[0]}"
-    produced = StreamHandle("Int")
+    produced = StreamHandle(INT)
     requested = threading.Event()
 
     def on_request(req):
@@ -371,7 +368,7 @@ def test_raising_subscriber_closes_link_and_fails_pending_futures():
     def on_connection(conn):
         Endpoint(conn, opener=False, on_control=lambda e: None,
                  on_request=on_request,
-                 on_chan_open=lambda e: (produced, registry.lookup("Int")),
+                 on_chan_open=lambda e: produced,
                  on_closed=lambda r: None).start()
 
     reasons = []
@@ -389,13 +386,13 @@ def test_raising_subscriber_closes_link_and_fails_pending_futures():
     client.start()
     listener.close()
     try:
-        handle = client.open_stream(SIG_S, registry.lookup("Int"))
+        handle = client.open_stream(SIG_S, INT)
 
         def subscriber(value):
             raise RuntimeError(f"subscriber failed on {value}")
 
         handle.subscribe(subscriber)
-        slot = client.pull(SIG_X, registry.lookup("Int"))
+        slot = client.pull(SIG_X, INT)
         # the server handles the channel-open before the request
         assert requested.wait(5)
         produced.emit(7)
