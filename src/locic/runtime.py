@@ -209,8 +209,8 @@ class PeerInstance:
                        hs: _Handshake) -> Endpoint:
         ep = Endpoint(conn, opener,
                       on_control=lambda env: self._on_control(ep, hs, env),
-                      on_request=lambda req: self._handle_request(ep, req),
-                      on_chan_open=lambda env: self._handle_chan_open(ep, env),
+                      on_request=lambda req: self._handle_request(hs, req),
+                      on_chan_open=lambda env: self._handle_chan_open(hs, env),
                       on_closed=lambda reason: self._on_link_closed(hs, reason))
         hs.endpoint = ep
         ep.start()  # `ep` is bound, so even the first envelope finds it
@@ -471,7 +471,9 @@ class PeerInstance:
 
     # -- serving ------------------------------------------------------------
 
-    def _handle_request(self, ep: Endpoint, req: Request):
+    def _handle_request(self, hs: _Handshake, req: Request):
+        if hs.link is None or not hs.link.live:  # only a live, admitted link is served
+            return Response(req.id, False, error="connection not admitted")
         plan = self.component.dispatch.get(req.value)
         if plan is None:
             return Response(req.id, False, error=f"value not found: {req.value.canonical}")
@@ -480,7 +482,7 @@ class PeerInstance:
                                                   f"open a channel to access it"))
         cell = self._slots[plan.slot]
         if self._defers(cell):
-            cell.waiters.append(lambda: ep.try_send(self._response(req, plan, cell)))
+            cell.waiters.append(lambda: hs.endpoint.try_send(self._response(req, plan, cell)))
             return DEFERRED
         return self._response(req, plan, cell)
 
@@ -498,15 +500,15 @@ class PeerInstance:
         except CodecError as e:
             return Response(req.id, False, error=str(e))
 
-    def _handle_chan_open(self, ep: Endpoint, env: ChanOpen):
+    def _handle_chan_open(self, hs: _Handshake, env: ChanOpen):
         """The evaluated local stream the channel attaches to, None to
         refuse it, or DEFERRED until its slot evaluates."""
         plan = self.component.dispatch.get(env.value)
-        if plan is None or plan.mode != STREAM:
+        if plan is None or plan.mode != STREAM or hs.link is None or not hs.link.live:
             return None
         cell = self._slots[plan.slot]
         if self._defers(cell):
-            cell.waiters.append(lambda: ep.attach(env.chan, self._stream_of(cell)))
+            cell.waiters.append(lambda: hs.endpoint.attach(env.chan, self._stream_of(cell)))
             return DEFERRED
         return self._stream_of(cell)
 

@@ -16,11 +16,13 @@ the value it reaches, so producer and consumer read the one decision.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import ast, checker
-from .arch import Architecture, PeerId, inherited_ties, super_closures
+from .arch import (Architecture, PeerId, inherited_ties, parse_peer_name,
+                   super_closures)
 from .ast import Multiplicity
 from .checker import (FutureT, OptionT, PrimT, RemoteT, SemType, SeqT, StreamT,
                       TupleT, TypedExpr, TypedModule)
@@ -98,31 +100,38 @@ class PeerComponent:
     def super_closure(self, p: PeerId) -> frozenset[PeerId]:
         return self.closures[p]
 
+    @cached_property
+    def peers_by_sig(self) -> dict[PeerSig, PeerId]:
+        """Every peer of the table by its signature, built on first use."""
+        return {entry.sig: pid for pid, entry in self.peer_table.items()}
+
     def peer_for_sig(self, sig: PeerSig) -> PeerId | None:
-        for pid, entry in self.peer_table.items():
-            if entry.sig == sig:
-                return pid
-        return None
+        return self.peers_by_sig.get(sig)
 
 
 # --- signatures and codecs ---------------------------------------------
 
-def module_sig_of(a: Architecture, path: tuple[str, ...]) -> ModuleSig:
+def module_sig_of(module_name: str, includes: Mapping[str, str],
+                  path: tuple[str, ...]) -> ModuleSig:
+    """The module a scope stands for: the root module for (), else the
+    module its include alias names."""
     if path:
-        return ModuleSig(a.includes[path[0]], path)
-    return ModuleSig(a.module_name, ())
+        return ModuleSig(includes[path[0]], path)
+    return ModuleSig(module_name, ())
 
 
 def peer_sig_of(a: Architecture, pid: PeerId) -> PeerSig:
-    return PeerSig(pid.name, module_sig_of(a, pid.path))
+    return PeerSig(pid.name, module_sig_of(a.module_name, a.includes, pid.path))
+
+
+def def_scope(flat_name: str) -> tuple[str, ...]:
+    """The include path of a definition: ("mon",) for "mon.interval"."""
+    return (flat_name.split(".", 1)[0],) if "." in flat_name else ()
 
 
 def value_sig_of(a: Architecture, flat_name: str, decl: ast.DefDecl) -> ValueSig:
-    scope: tuple[str, ...] = ()
-    if "." in flat_name:
-        scope = (flat_name.split(".", 1)[0],)
     canonical = f"{decl.name}:{ast.render_type(decl.surface_type)}"
-    return ValueSig(canonical, module_sig_of(a, scope))
+    return ValueSig(canonical, module_sig_of(a.module_name, a.includes, def_scope(flat_name)))
 
 
 def sem_type_shape(t: SemType) -> Shape | None:
@@ -250,37 +259,19 @@ def split(tm: TypedModule) -> dict[PeerId, PeerComponent]:
 
 
 # --- component documents -------------------------------------------------
+#
+# A document writes no field the reader can rebuild from another one. Peers
+# are dotted ids ("P3", "lib.L0"). Every signature is derived on read, as
+# `split` derives it: a peer's from its id, a value's from the scope of the
+# slot its plan reads, each with `rootModule` and the `includes` map.
 
-def _pid_doc(p: PeerId) -> dict:
-    return {"path": list(p.path), "name": p.name}
-
-
-def _pid_from(doc) -> PeerId:
-    return PeerId(tuple(doc["path"]), doc["name"])
-
-
-def _modsig_doc(m: ModuleSig) -> dict:
-    return {"name": m.name, "path": list(m.path)}
+Modules = Callable[[tuple[str, ...]], ModuleSig]  # scope -> module, while reading
 
 
-def _modsig_from(doc) -> ModuleSig:
-    return ModuleSig(doc["name"], tuple(doc["path"]))
-
-
-def _peersig_doc(s: PeerSig) -> dict:
-    return {"peer": s.peer_name, "module": _modsig_doc(s.module)}
-
-
-def _peersig_from(doc) -> PeerSig:
-    return PeerSig(doc["peer"], _modsig_from(doc["module"]))
-
-
-def _valuesig_doc(s: ValueSig) -> dict:
-    return {"val": s.canonical, "module": _modsig_doc(s.module)}
-
-
-def _valuesig_from(doc) -> ValueSig:
-    return ValueSig(doc["val"], _modsig_from(doc["module"]))
+def _note_module(includes: dict[str, str], m: ModuleSig) -> None:
+    """Record the include alias a written signature's module stands for."""
+    if m.path:
+        includes[m.path[0]] = m.name
 
 
 def _plan_doc(plan: AccessPlan) -> dict:
@@ -297,22 +288,20 @@ def _plan_from(doc) -> AccessPlan:
         raise ComponentFormatError(f"access plan for '{slot}': {e}") from None
 
 
+_ELEM_KINDS = {StreamT: "Stream", FutureT: "Future", OptionT: "Option", SeqT: "Seq"}
+_ELEM_TYPES = {kind: cls for cls, kind in _ELEM_KINDS.items()}
+
+
 def sem_type_to_doc(t: SemType) -> dict:
     if isinstance(t, PrimT):
         return {"k": t.name}
     if isinstance(t, TupleT):
         return {"k": "Tuple", "items": [sem_type_to_doc(i) for i in t.items]}
-    if isinstance(t, StreamT):
-        return {"k": "Stream", "elem": sem_type_to_doc(t.elem)}
-    if isinstance(t, FutureT):
-        return {"k": "Future", "elem": sem_type_to_doc(t.elem)}
-    if isinstance(t, OptionT):
-        return {"k": "Option", "elem": sem_type_to_doc(t.elem)}
-    if isinstance(t, SeqT):
-        return {"k": "Seq", "elem": sem_type_to_doc(t.elem)}
     if isinstance(t, RemoteT):
-        return {"k": "Remote", "peer": _pid_doc(t.peer)}
-    raise TypeError(f"cannot serialize type {t!r}")
+        return {"k": "Remote", "peer": str(t.peer)}
+    if type(t) not in _ELEM_KINDS:
+        raise TypeError(f"cannot serialize type {t!r}")
+    return {"k": _ELEM_KINDS[type(t)], "elem": sem_type_to_doc(t.elem)}
 
 
 def sem_type_from_doc(doc) -> SemType:
@@ -321,20 +310,14 @@ def sem_type_from_doc(doc) -> SemType:
         return PrimT(k)
     if k == "Tuple":
         return TupleT(tuple(sem_type_from_doc(i) for i in doc["items"]))
-    if k == "Stream":
-        return StreamT(sem_type_from_doc(doc["elem"]))
-    if k == "Future":
-        return FutureT(sem_type_from_doc(doc["elem"]))
-    if k == "Option":
-        return OptionT(sem_type_from_doc(doc["elem"]))
-    if k == "Seq":
-        return SeqT(sem_type_from_doc(doc["elem"]))
     if k == "Remote":
-        return RemoteT(_pid_from(doc["peer"]))
-    raise ComponentFormatError(f"unknown type kind '{k}'")
+        return RemoteT(parse_peer_name(doc["peer"]))
+    if k not in _ELEM_TYPES:
+        raise ComponentFormatError(f"unknown type kind '{k}'")
+    return _ELEM_TYPES[k](sem_type_from_doc(doc["elem"]))
 
 
-def expr_to_doc(e: TypedExpr) -> dict:
+def expr_to_doc(e: TypedExpr, includes: dict[str, str]) -> dict:
     if isinstance(e, checker.TIntLit):
         return {"k": "int", "v": e.value}
     if isinstance(e, checker.TBoolLit):
@@ -345,21 +328,22 @@ def expr_to_doc(e: TypedExpr) -> dict:
         return {"k": "ref", "name": e.name, "var": e.is_var,
                 "ty": sem_type_to_doc(e.ty)}
     if isinstance(e, checker.TBinOp):
-        return {"k": "binop", "op": e.op, "l": expr_to_doc(e.left),
-                "r": expr_to_doc(e.right), "ty": sem_type_to_doc(e.ty)}
+        return {"k": "binop", "op": e.op, "l": expr_to_doc(e.left, includes),
+                "r": expr_to_doc(e.right, includes), "ty": sem_type_to_doc(e.ty)}
     if isinstance(e, checker.TTupleExpr):
-        return {"k": "tuple", "items": [expr_to_doc(i) for i in e.items],
+        return {"k": "tuple", "items": [expr_to_doc(i, includes) for i in e.items],
                 "ty": sem_type_to_doc(e.ty)}
     if isinstance(e, checker.TStreamMap):
-        return {"k": "map", "src": expr_to_doc(e.source), "var": e.var,
-                "body": expr_to_doc(e.body), "ty": sem_type_to_doc(e.ty)}
+        return {"k": "map", "src": expr_to_doc(e.source, includes), "var": e.var,
+                "body": expr_to_doc(e.body, includes), "ty": sem_type_to_doc(e.ty)}
     if isinstance(e, checker.TStreamSource):
         return {"k": "source", "ty": sem_type_to_doc(e.ty)}
     if isinstance(e, RemoteCall):
+        _note_module(includes, e.value_sig.module)
         return {
             "k": "remotecall",
-            "val": _valuesig_doc(e.value_sig),
-            "targetId": _pid_doc(e.target_peer_id),
+            "val": e.value_sig.canonical,
+            "target": str(e.target_peer_id),
             "mult": e.mult.keyword,
             "plan": _plan_doc(e.plan),
             "ty": sem_type_to_doc(e.ty),
@@ -367,7 +351,7 @@ def expr_to_doc(e: TypedExpr) -> dict:
     raise TypeError(f"cannot serialize expression {e!r}")
 
 
-def expr_from_doc(doc) -> TypedExpr:
+def expr_from_doc(doc, modules: Modules) -> TypedExpr:
     k = doc["k"]
     if k == "int":
         return checker.TIntLit(doc["v"])
@@ -378,56 +362,59 @@ def expr_from_doc(doc) -> TypedExpr:
     if k == "ref":
         return checker.TRef(doc["name"], doc["var"], sem_type_from_doc(doc["ty"]))
     if k == "binop":
-        return checker.TBinOp(doc["op"], expr_from_doc(doc["l"]),
-                              expr_from_doc(doc["r"]), sem_type_from_doc(doc["ty"]))
+        return checker.TBinOp(doc["op"], expr_from_doc(doc["l"], modules),
+                              expr_from_doc(doc["r"], modules), sem_type_from_doc(doc["ty"]))
     if k == "tuple":
-        return checker.TTupleExpr(tuple(expr_from_doc(i) for i in doc["items"]),
+        return checker.TTupleExpr(tuple(expr_from_doc(i, modules) for i in doc["items"]),
                                   sem_type_from_doc(doc["ty"]))
     if k == "map":
-        return checker.TStreamMap(expr_from_doc(doc["src"]), doc["var"],
-                                  expr_from_doc(doc["body"]), sem_type_from_doc(doc["ty"]))
+        return checker.TStreamMap(expr_from_doc(doc["src"], modules), doc["var"],
+                                  expr_from_doc(doc["body"], modules),
+                                  sem_type_from_doc(doc["ty"]))
     if k == "source":
         return checker.TStreamSource(sem_type_from_doc(doc["ty"]))
     if k == "remotecall":
+        plan = _plan_from(doc["plan"])
         return RemoteCall(
-            _valuesig_from(doc["val"]),
-            _pid_from(doc["targetId"]),
+            ValueSig(doc["val"], modules(def_scope(plan.slot))),
+            parse_peer_name(doc["target"]),
             ast.MULTIPLICITY_BY_KEYWORD[doc["mult"]],
-            _plan_from(doc["plan"]),
+            plan,
             sem_type_from_doc(doc["ty"]),
         )
     raise ComponentFormatError(f"unknown expression kind '{k}'")
 
 
-FORMAT = "locic-component/2"
+FORMAT = "locic-component/3"
 
 
 def emit_component(pc: PeerComponent) -> str:
     """Deterministic document for one component: compact, key-sorted JSON on
     one line plus a newline. `read_component` inverts it."""
+    includes: dict[str, str] = {}  # alias -> module, noted while writing
+    peers = {}
+    for pid, entry in pc.peer_table.items():
+        _note_module(includes, entry.sig.module)
+        peers[str(pid)] = [str(s) for s in entry.supers]
+    dispatch = []
+    for sig, plan in sorted(pc.dispatch.items()):
+        _note_module(includes, sig.module)
+        dispatch.append({"val": sig.canonical, "plan": _plan_doc(plan)})
     doc = {
         "format": FORMAT,
-        "peer": _pid_doc(pc.peer),
-        "sig": _peersig_doc(pc.sig),
-        "rootModule": _modsig_doc(pc.root_module),
-        "peers": [
-            {"id": _pid_doc(pid), "sig": _peersig_doc(entry.sig),
-             "supers": [_pid_doc(s) for s in entry.supers]}
-            for pid, entry in sorted(pc.peer_table.items())
-        ],
-        "ties": [
-            {"peer": _peersig_doc(sig), "mult": mult.keyword}
-            for sig, mult in sorted(pc.tie_table.items())
-        ],
+        "peer": str(pc.peer),
+        "rootModule": pc.root_module.name,
+        "includes": includes,
+        "peers": peers,
+        # keyed by the id each signature was derived from
+        "ties": {str(PeerId(sig.module.path, sig.peer_name)): mult.keyword
+                 for sig, mult in pc.tie_table.items()},
         "slots": [
-            {"name": name, "plan": "placeholder"} if isinstance(plan, Placeholder)
-            else {"name": name, "plan": "eval", "body": expr_to_doc(plan.body)}
+            name if isinstance(plan, Placeholder)
+            else {"name": name, "body": expr_to_doc(plan.body, includes)}
             for name, plan in pc.slots
         ],
-        "dispatch": [
-            {"val": _valuesig_doc(sig), "plan": _plan_doc(plan)}
-            for sig, plan in sorted(pc.dispatch.items())
-        ],
+        "dispatch": dispatch,
     }
     return json.dumps(doc, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
 
@@ -443,35 +430,41 @@ def read_component(text: str) -> PeerComponent:
         raise ComponentFormatError(
             f"component format {doc['format']!r} is not supported (expected {FORMAT!r})")
     try:
-        peer_table = {
-            _pid_from(p["id"]): PeerEntry(_peersig_from(p["sig"]),
-                                          tuple(_pid_from(s) for s in p["supers"]))
-            for p in doc["peers"]
-        }
-        slots: list[tuple[str, InitPlan]] = []
-        for s in doc["slots"]:
-            if s["plan"] == "placeholder":
-                slots.append((s["name"], PLACEHOLDER))
-            else:
-                slots.append((s["name"], Evaluate(expr_from_doc(s["body"]))))
-        dispatch = {_valuesig_from(d["val"]): _plan_from(d["plan"]) for d in doc["dispatch"]}
+        modules: Modules = partial(module_sig_of, doc["rootModule"], doc["includes"])
+        peer_table = {}
+        for name, supers in doc["peers"].items():
+            pid = parse_peer_name(name)
+            peer_table[pid] = PeerEntry(PeerSig(pid.name, modules(pid.path)),
+                                        tuple(parse_peer_name(s) for s in supers))
+        unknown = {s for entry in peer_table.values() for s in entry.supers} - peer_table.keys()
+        if unknown:
+            raise ComponentFormatError(f"unknown super-peer '{min(unknown)}'")
+        slots: list[tuple[str, InitPlan]] = [
+            (s, PLACEHOLDER) if isinstance(s, str)
+            else (s["name"], Evaluate(expr_from_doc(s["body"], modules)))
+            for s in doc["slots"]
+        ]
         names = {name for name, _ in slots}
-        for plan in dispatch.values():
+        dispatch = {}
+        for d in doc["dispatch"]:
+            plan = _plan_from(d["plan"])
             if plan.slot not in names:
                 raise ComponentFormatError(f"dispatch entry for unknown slot '{plan.slot}'")
+            dispatch[ValueSig(d["val"], modules(def_scope(plan.slot)))] = plan
+        peer = parse_peer_name(doc["peer"])
         return PeerComponent(
-            peer=_pid_from(doc["peer"]),
-            sig=_peersig_from(doc["sig"]),
-            root_module=_modsig_from(doc["rootModule"]),
+            peer=peer,
+            sig=peer_table[peer].sig,
+            root_module=modules(()),
             peer_table=peer_table,
             tie_table={
-                _peersig_from(t["peer"]): ast.MULTIPLICITY_BY_KEYWORD[t["mult"]]
-                for t in doc["ties"]
+                peer_table[parse_peer_name(name)].sig: ast.MULTIPLICITY_BY_KEYWORD[mult]
+                for name, mult in doc["ties"].items()
             },
             slots=slots,
             dispatch=dispatch,
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, AttributeError) as e:
         raise ComponentFormatError(f"malformed component document: {e}") from None
 
 

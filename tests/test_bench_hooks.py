@@ -1,7 +1,7 @@
-"""The benchmark's tracer wraps locic's functions from outside; this checks
-that every function it wraps still exists with the shape it calls, and that
-uninstalling puts each original back. The tracer lives in `bench/tracer.py`
-and is loaded from there, unchanged."""
+"""The benchmark drives locic from outside. These tests check that every
+function its tracer wraps still exists with the shape it calls, that
+uninstalling puts each original back, and that the `compile` workload's own
+output checks pass. The benchmark's files are loaded from `bench/`, unchanged."""
 
 import importlib.util
 import threading
@@ -10,14 +10,14 @@ from pathlib import Path
 
 import helpers
 from locic import runtime
-from locic.splitter import split
+from locic.splitter import emit_component, split
 from locic.transmit import READY
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+def _load_bench(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -29,7 +29,7 @@ def _components(sample: str):
 
 
 def test_tracer_hooks_wrap_and_restore():
-    tracing = _load_tracer()
+    tracing = _load_bench("tracer")
     streams, simple = _components("streams.loci"), _components("simple.loci")
     tracer = tracing.Tracer()
     tracer.install()
@@ -69,3 +69,17 @@ def test_tracer_hooks_wrap_and_restore():
     assert counts["transmit.pulls"] == 2
     assert counts["wire.chanmsg_payload_bytes"] == len(b"41")
     assert counts["transport.sends"] >= 1
+
+
+def test_compile_workload_checks_pass():
+    # the tie oracle, the slot marks, byte-stable emit, and read-then-emit,
+    # on generated modules with included peers
+    gen, workloads = _load_bench("gen"), _load_bench("workloads")
+    pool = gen.inputs("compile", 7)["pool"][:4]
+    assert any("include" in expected["source"] for expected in pool)
+    checks = workloads.Checks()
+    for expected in pool:
+        ties, typed, components = workloads.compile_program(expected["source"])
+        texts = {pid: emit_component(pc) for pid, pc in components.items()}
+        workloads.check_module_output(checks, expected, ties, typed, components, texts)
+    assert checks.failed == 0, checks.failures

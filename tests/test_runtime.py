@@ -196,6 +196,108 @@ def test_protocol_version_mismatch_rejected(instances):
         assert ack == HelloAck(False, f"protocol version {version} is not supported (expected 2)")
 
 
+# --- only admitted, live links are served ------------------------------------
+
+OPTIONAL_PAIR = """
+    module M {
+      peer A { tie: optional B }
+      peer B { tie: optional A }
+      val x: Int on A = 5
+      source s: Stream[Int] on A
+    }
+"""
+X_SIG, S_SIG = ValueSig("x:Int", ModuleSig("M")), ValueSig("s:Stream[Int]", ModuleSig("M"))
+
+
+def _raw_endpoint(spec: str) -> Endpoint:
+    """An endpoint that answers no control envelope, so no handshake completes."""
+    ep = Endpoint(connect(spec), opener=True, on_control=lambda env: None,
+                  on_request=lambda r: Response(r.id, False, error="no"),
+                  on_chan_open=lambda e: None, on_closed=lambda r: None)
+    ep.start()
+    return ep
+
+
+def _try_to_read(instance: PeerInstance, ep: Endpoint):
+    """Pull `x` and open a channel to `s` over `ep`, then fire into `s`.
+    Returns the settled pull, the values the channel delivered, and whether
+    the channel was closed."""
+    pulled = ep.pull(X_SIG, parse_codec("Int"))
+    chan = ep.open_stream(S_SIG, parse_codec("Int"))
+    got = []
+    chan.subscribe(got.append)
+    assert pulled.wait(5)
+    instance.fire("s", 1)
+    # the answer to a later pull comes after anything the fire sent
+    assert ep.pull(X_SIG, parse_codec("Int")).wait(5)
+    return pulled, got, chan.closed
+
+
+def test_endpoint_without_hello_reads_nothing(instances):
+    hub = fresh_hub()
+    a = start(components_for(OPTIONAL_PAIR)[PeerId((), "A")], [hub], [], timeout=5)
+    instances.append(a)
+    ep = _raw_endpoint(hub)
+    try:
+        pulled, got, closed = _try_to_read(a, ep)
+    finally:
+        ep.close()
+    assert pulled.state == FAILED and pulled.error == "connection not admitted"
+    assert got == [] and closed
+
+
+def test_endpoint_that_skips_the_final_hello_ack_reads_nothing(instances):
+    # A admits B's hello, but B's link goes live at A only on the final HelloAck
+    comps = components_for(OPTIONAL_PAIR)
+    hub = fresh_hub()
+    a = start(comps[PeerId((), "A")], [hub], [], timeout=5)
+    instances.append(a)
+    b = comps[PeerId((), "B")]
+    ep = _raw_endpoint(hub)
+    try:
+        ep.send(Hello(b.root_module, b.sig))
+        pulled, got, closed = _try_to_read(a, ep)
+    finally:
+        ep.close()
+    assert pulled.state == FAILED and pulled.error == "connection not admitted"
+    assert got == [] and closed
+    assert a.links() == []
+
+
+def test_spoke_refused_by_a_single_tie_reads_nothing(instances):
+    source = """
+        module M {
+          peer Hub { tie: single Spoke }
+          peer Spoke { tie: single Hub }
+          val x: Int on Hub = 5
+          source s: Stream[Int] on Hub
+        }
+    """
+    comps = components_for(source)
+    hub = fresh_hub()
+    hub_instance = PeerInstance(comps[PeerId((), "Hub")])
+    instances.append(hub_instance)
+    hub_instance.listen(hub)
+    first = PeerInstance(comps[PeerId((), "Spoke")])
+    instances.append(first)
+    first.connect(hub, "Hub", timeout=5)
+    hub_instance.activate(5)
+    # a second Spoke says hello and pulls at once, before its refusal arrives
+    spoke = comps[PeerId((), "Spoke")]
+    ep = _raw_endpoint(hub)
+    try:
+        ep.send(Hello(spoke.root_module, spoke.sig))
+        pulled = ep.pull(X_SIG, parse_codec("Int"))
+        chan = ep.open_stream(S_SIG, parse_codec("Int"))
+        assert pulled.wait(5)
+    finally:
+        ep.close()
+    # the refusal closed the connection, which failed the pull and the channel
+    assert pulled.state == FAILED and chan.closed
+    assert hub_instance._wait_live_links(1, 5)
+    assert len(hub_instance.links()) == 1
+
+
 def test_one_directional_tie_admits_untied_side(instances):
     source = """
         module M {
@@ -679,13 +781,13 @@ def _record_arrivals(instance: PeerInstance, monkeypatch) -> dict[str, threading
     handle_request = instance._handle_request
     handle_chan_open = instance._handle_chan_open
 
-    def on_request(ep, req):
-        outcome = handle_request(ep, req)
+    def on_request(hs, req):
+        outcome = handle_request(hs, req)
         arrived["request"].set()
         return outcome
 
-    def on_chan_open(ep, env):
-        outcome = handle_chan_open(ep, env)
+    def on_chan_open(hs, env):
+        outcome = handle_chan_open(hs, env)
         arrived["chan_open"].set()
         return outcome
 

@@ -4,6 +4,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from locic import arch, ast, checker
@@ -205,10 +207,60 @@ def _remote_calls(e):
         yield from _remote_calls(e.body)
 
 
-def test_emit_read_round_trip():
-    tm, comps = split_source(helpers.MONITORING_P2P)
+# an included module with definitions but no peers of its own: its alias
+# reaches the documents only through value signatures
+INCLUDED_DEFS_ONLY = """
+    module Other { peer P { tie: single P } }
+    module Lib { val x: Int on o.P = 1 }
+    module Top {
+      include o: Other
+      include lib: Lib
+      peer T : o.P { tie: single o.P }
+      peer U { tie: single o.P }
+      val y: Future[Int] on T = lib.x.asLocal
+      val z: Future[Int] on U = lib.x.asLocal
+    }
+"""
+
+
+def _assert_documents_round_trip(comps):
     for pc in comps.values():
-        assert read_component(emit_component(pc)) == pc
+        text = emit_component(pc)
+        assert read_component(text) == pc
+        assert emit_component(pc) == text
+        assert emit_component(read_component(text)) == text
+
+
+def test_emit_read_round_trip():
+    for source in (helpers.MONITORING_P2P, INCLUDED_DEFS_ONLY):
+        _assert_documents_round_trip(split_source(source)[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_emit_read_round_trip_on_random_modules(rng):
+    m = helpers.random_checked_module(rng, max_peers=6, max_defs=10)
+    _assert_documents_round_trip(split(_check(m)[2]))
+
+
+def test_document_writes_ids_and_derives_signatures():
+    _, comps = split_source(helpers.MONITORING_P2P)
+    node = comps[PeerId((), "Node")]
+    doc = json.loads(emit_component(node))
+    assert doc["peer"] == "Node" and doc["rootModule"] == "P2P"
+    assert doc["includes"] == {"mon": "Monitoring"}
+    assert doc["peers"] == {"Node": ["mon.Monitored"], "Registry": ["mon.Monitor"],
+                            "mon.Monitor": [], "mon.Monitored": []}
+    assert doc["ties"] == {"Node": "multiple", "Registry": "single", "mon.Monitor": "single"}
+    assert doc["slots"][:2] == ["mon.interval", "localRead"]
+    call = doc["slots"][2]["body"]
+    assert call["val"] == "interval:Int" and call["target"] == "mon.Monitor"
+    # every signature is rebuilt from an id, the root module and the includes
+    back = read_component(emit_component(node))
+    monitoring = ModuleSig("Monitoring", ("mon",))
+    assert back.sig == PeerSig("Node", ModuleSig("P2P"))
+    assert back.peer_table[PeerId(("mon",), "Monitor")].sig == PeerSig("Monitor", monitoring)
+    assert dict(back.slots)["fromNode"].body.value_sig == ValueSig("interval:Int", monitoring)
 
 
 def test_emit_is_one_compact_line():
@@ -220,7 +272,7 @@ def test_emit_is_one_compact_line():
 
 
 def test_read_component_accepts_indented_documents():
-    # documents written by the earlier emitter, which indented by one space
+    # the same document indented, as a person or another tool may write it
     for pc in split_source(helpers.MONITORING_P2P)[1].values():
         text = emit_component(pc)
         indented = json.dumps(json.loads(text), indent=1, sort_keys=True,
@@ -355,7 +407,9 @@ def _simple_document() -> dict:
 
 
 def _j_call_plan(doc: dict) -> dict:
-    return next(slot for slot in doc["slots"] if slot["name"] == "j")["body"]["plan"]
+    # a placeholder slot is its bare name; an evaluated one is {"name", "body"}
+    return next(slot for slot in doc["slots"]
+                if isinstance(slot, dict) and slot["name"] == "j")["body"]["plan"]
 
 
 @pytest.mark.parametrize("where, field, value, named", [
@@ -374,10 +428,43 @@ def test_read_component_rejects_plans_it_cannot_build(where, field, value, named
         read_component(json.dumps(doc))
 
 
-def test_read_component_refuses_the_previous_format():
+def _ghost_super(doc):
+    doc["peers"]["MyPeer"] = ["Ghost"]
+
+
+def _ghost_tie(doc):
+    doc["ties"]["Ghost"] = "single"
+
+
+def _ghost_peer(doc):
+    doc["peer"] = "Ghost"
+
+
+@pytest.mark.parametrize("edit", [_ghost_super, _ghost_tie, _ghost_peer])
+def test_read_component_refuses_peers_missing_from_its_table(edit):
     doc = _simple_document()
-    doc["format"] = "locic-component/1"
-    with pytest.raises(ComponentFormatError) as exc:
+    edit(doc)
+    with pytest.raises(ComponentFormatError, match="Ghost"):
         read_component(json.dumps(doc))
-    assert "locic-component/1" in str(exc.value)
-    assert FORMAT in str(exc.value) and FORMAT == "locic-component/2"
+
+
+# the document the previous format gave for helpers.SIMPLE_MODULE
+SIMPLE_MODULE_V2 = (
+    '{"dispatch":[{"plan":{"codec":"Int","mode":"pull","slot":"i"},"val":{"module":'
+    '{"name":"SimpleModule","path":[]},"val":"i:Int"}}],"format":"locic-component/2",'
+    '"peer":{"name":"MyPeer","path":[]},"peers":[{"id":{"name":"MyPeer","path":[]},'
+    '"sig":{"module":{"name":"SimpleModule","path":[]},"peer":"MyPeer"},"supers":[]}],'
+    '"rootModule":{"name":"SimpleModule","path":[]},"sig":{"module":{"name":"SimpleModule",'
+    '"path":[]},"peer":"MyPeer"},"slots":[{"body":{"k":"int","v":1},"name":"i","plan":"eval"},'
+    '{"body":{"k":"remotecall","mult":"single","plan":{"codec":"Int","mode":"pull","slot":"i"},'
+    '"targetId":{"name":"MyPeer","path":[]},"ty":{"elem":{"k":"Int"},"k":"Future"},"val":'
+    '{"module":{"name":"SimpleModule","path":[]},"val":"i:Int"}},"name":"j","plan":"eval"}],'
+    '"ties":[{"mult":"single","peer":{"module":{"name":"SimpleModule","path":[]},'
+    '"peer":"MyPeer"}}]}\n')
+
+
+def test_read_component_refuses_the_previous_format():
+    with pytest.raises(ComponentFormatError) as exc:
+        read_component(SIMPLE_MODULE_V2)
+    assert "locic-component/2" in str(exc.value)
+    assert FORMAT in str(exc.value) and FORMAT == "locic-component/3"
