@@ -13,9 +13,8 @@ import time
 from pathlib import Path
 
 from . import arch as arch_mod
-from . import checker, parser, runtime, splitter, transport
+from . import checker, parser, runtime, splitter, transmit, transport
 from .diagnostics import Diagnostic, SourceError
-from .transmit import FutureSlot
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -165,43 +164,20 @@ def cmd_run(args) -> int:
         instance.stop()
 
 
-def _print_as_settled(instance: runtime.PeerInstance) -> FutureSlot:
+def _print_as_settled(instance: runtime.PeerInstance) -> transmit.FutureSlot:
     """Print each evaluated slot once its futures settle.
 
     Runs on the event loop, which also runs the settle callbacks, so lines
     print one at a time. Returns a slot that settles once every line is out.
     """
-    names = [n for n in instance.slot_names if instance.slot_state(n) != "placeholder"]
-    all_printed = FutureSlot()
-    left = [len(names)]
-
-    def printed(name: str, text: str) -> None:
-        print(f"{name} = {text}", flush=True)
-        left[0] -= 1
-        if left[0] == 0:
-            all_printed.resolve(None)
-
-    if not names:
-        all_printed.resolve(None)
-    for name in names:
-        if instance.slot_state(name) == "error":
-            printed(name, f"<failed: {instance.slot_error(name)}>")
-            continue
-        value = instance.slot(name)
-        futures = runtime.slot_futures(value)
-        if not futures:
-            printed(name, instance.format_value(value))
-            continue
-        pending = [len(futures)]
-
-        def one_settled(_fut, n=name, v=value, p=pending):
-            p[0] -= 1
-            if p[0] == 0:
-                printed(n, instance.format_value(v))
-
-        for fut in futures:
-            fut.on_settle(one_settled)
-    return all_printed
+    printed = []
+    for name in instance.slot_names:
+        futures = ([] if instance.slot_state(name) == "error"
+                   else runtime.slot_futures(instance.slot(name)))
+        settled = transmit.all_settled(futures)
+        settled.on_settle(lambda _all, n=name: print(instance.slot_line(n), flush=True))
+        printed.append(settled)
+    return transmit.all_settled(printed)
 
 
 def cmd_sim(args) -> int:

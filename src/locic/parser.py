@@ -59,9 +59,9 @@ def tokenize(source: str) -> list[Token]:
                 i += 1
             continue
         pos = Pos(line, col)
-        if c.isdigit():
+        if "0" <= c <= "9":  # ASCII only: str.isdigit also takes "²" and "٣"
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(Token("int", source[i:j], pos))
             col += j - i

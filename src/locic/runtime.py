@@ -1,8 +1,9 @@
 """Peer instance lifecycle.
 
 A peer instance loads one component, establishes connections that are
-validated against the component's tie table during a hello handshake,
-waits until every single tie has its remote, evaluates slots in source
+validated against the component's tie table during a hello handshake
+(closed if it has not completed by its deadline), waits until every single
+tie has its remote, evaluates the slots available on its peer in source
 order, and serves remote dispatch: a request or channel-open looks up the
 access plan of the value it names and reads the plan's slot. Remote-access
 sites in slot bodies produce futures (pull) or stream handles (connected
@@ -34,8 +35,7 @@ from .checker import (StreamT, TBinOp, TBoolLit, TIntLit, TRef, TStreamMap,
                       TStreamSource, TStrLit, TTupleExpr, TypedExpr)
 from .codecs import CodecError
 from .sigs import PeerSig
-from .splitter import (STREAM, AccessPlan, PeerComponent, Placeholder,
-                       RemoteCall, codec_of)
+from .splitter import STREAM, AccessPlan, PeerComponent, RemoteCall, codec_of
 from .transmit import DEFERRED, PENDING, Endpoint, FutureSlot, StreamHandle
 from .transport import on_loop
 from .wire import ChanOpen, Hello, HelloAck, Request, Response
@@ -78,13 +78,21 @@ def slot_futures(value: Any) -> list[FutureSlot]:
 
 
 class _Link:
-    def __init__(self, link_id: int, endpoint: Endpoint, remote_sig: PeerSig,
-                 remote_pid: PeerId, matched: list[PeerId]):
-        self.link_id = link_id
-        self.endpoint = endpoint
-        self.remote_sig = remote_sig
-        self.remote_pid = remote_pid
-        self.matched = matched  # tie-table peers this remote counts toward
+    """One connection, from its first byte. `result` settles to the link once
+    the hello handshake has admitted the remote and the link is live, or
+    fails with the reason, at the latest at the handshake deadline. The
+    remote's identity is filled in when its hello is admitted."""
+
+    def __init__(self, opener: bool, expected: PeerId | None = None):
+        self.opener = opener
+        self.expected = expected
+        self.result = FutureSlot()
+        self.endpoint: Endpoint | None = None
+        self.link_id = 0
+        self.remote_sig: PeerSig | None = None
+        self.remote_pid: PeerId | None = None
+        self.matched: list[PeerId] = []  # tie-table peers this remote counts toward
+        self.admitted = False
         self.live = False
 
     @property
@@ -92,25 +100,15 @@ class _Link:
         return RemoteRef(self.remote_sig, self.link_id)
 
 
-class _Handshake:
-    """One connection's hello exchange; `result` settles to the admitted
-    link or fails with the reason."""
-
-    def __init__(self, opener: bool, expected: PeerId | None = None):
-        self.opener = opener
-        self.expected = expected
-        self.result = FutureSlot()
-        self.link: _Link | None = None
-        self.endpoint: Endpoint | None = None
-
-
 class _SlotCell:
-    PLACEHOLDER, PENDING, READY, ERROR = "placeholder", "pending", "ready", "error"
+    """A slot this peer evaluates."""
 
-    def __init__(self, name: str, plan):
+    PENDING, READY, ERROR = "pending", "ready", "error"
+
+    def __init__(self, name: str, body: TypedExpr):
         self.name = name
-        self.plan = plan
-        self.state = self.PLACEHOLDER if isinstance(plan, Placeholder) else self.PENDING
+        self.body = body
+        self.state = self.PENDING
         self.value: Any = None
         self.error: str | None = None
         self.waiters: list[Callable[[], None]] = []  # deferred responses
@@ -121,22 +119,17 @@ class PeerInstance:
         self.component = component
         self.label = label or str(component.peer)
         self.state = CONFIGURED
-        self._links: list[_Link] = []
+        self._links: list[_Link] = []  # one per open connection, admitted or not
         self._watchers: list[Callable[[], bool]] = []
         self._next_link_id = itertools.count(1)
         self._listeners: list[transport.Listener] = []
+        # in source order; a slot placed on another peer has no cell
         self._slots: dict[str, _SlotCell] = {
-            name: _SlotCell(name, plan) for name, plan in component.slots
+            name: _SlotCell(name, plan.body) for name, plan in component.slots
+            if plan is not None
         }
-        self._slot_order = [name for name, _ in component.slots]
         self._evaluated = False
-        # tie-table entries resolved to peer ids once
-        self._tie_entries: list[tuple[PeerId, Multiplicity]] = []
-        for sig, mult in component.tie_table.items():
-            pid = component.peer_for_sig(sig)
-            if pid is not None:
-                self._tie_entries.append((pid, mult))
-        self._tie_entries.sort()
+        self._tie_entries = sorted(component.tie_table.items())
 
     # -- waiting on the loop ------------------------------------------------
 
@@ -175,29 +168,31 @@ class PeerInstance:
                 timeout: float = DEFAULT_TIMEOUT) -> RemoteRef:
         expected = self._resolve_peer_name(expected_peer) if expected_peer else None
         conn = transport.connect(spec)  # a TCP connect blocks this thread, not the loop
-        hs = _Handshake(opener=True, expected=expected)
-        transmit.run_and_wait(hs.result, self._open_link, conn, hs, timeout=timeout)
-        if hs.result.state == PENDING:
-            transport.loop().call(self._handshake_timed_out, hs)
-        if hs.result.state == transmit.READY:
-            return hs.result.value.ref
-        if hs.result.error == _HANDSHAKE_TIMED_OUT:
+        link = _Link(opener=True, expected=expected)
+        # the handshake deadline settles the result, so the wait needs none
+        transmit.run_and_wait(link.result, self._open_link, conn, link, timeout, timeout=None)
+        if link.result.state == PENDING:  # on the loop thread nothing was waited for
+            transport.loop().call(self._handshake_timed_out, link)
+        if link.result.state == transmit.READY:
+            return link.ref
+        if link.result.error == _HANDSHAKE_TIMED_OUT:
             raise StartError(f"handshake with {spec} timed out")
-        if hs.result.error == _CLOSED_IN_HANDSHAKE:
+        if link.result.error == _CLOSED_IN_HANDSHAKE:
             raise StartError(f"connection to {spec} closed during handshake")
-        raise StartError(f"connection to {spec} rejected: {hs.result.error}")
+        raise StartError(f"connection to {spec} rejected: {link.result.error}")
 
-    def _open_link(self, conn: transport.Connection, hs: _Handshake) -> None:
-        ep = self._make_endpoint(conn, opener=True, hs=hs)
+    def _open_link(self, conn: transport.Connection, link: _Link, timeout: float) -> None:
+        self._make_endpoint(conn, link, timeout)
         try:
-            ep.send(Hello(self.component.root_module, self.component.sig))
+            link.endpoint.send(Hello(self.component.root_module, self.component.sig))
         except transport.ConnectionClosed:
-            hs.result.fail(_CLOSED_IN_HANDSHAKE)
+            link.result.fail(_CLOSED_IN_HANDSHAKE)
 
-    def _handshake_timed_out(self, hs: _Handshake) -> None:
-        if hs.result.state == PENDING:
-            hs.result.fail(_HANDSHAKE_TIMED_OUT)
-            hs.endpoint.close(_HANDSHAKE_TIMED_OUT)
+    def _handshake_timed_out(self, link: _Link) -> None:
+        if link.result.state == PENDING:
+            link.result.fail(_HANDSHAKE_TIMED_OUT)
+            self._drop_link(link)
+            link.endpoint.close(_HANDSHAKE_TIMED_OUT)
 
     def _resolve_peer_name(self, name: str) -> PeerId:
         pid = parse_peer_name(name)
@@ -205,20 +200,22 @@ class PeerInstance:
             raise StartError(f"unknown peer '{name}'")
         return pid
 
-    def _make_endpoint(self, conn: transport.Connection, opener: bool,
-                       hs: _Handshake) -> Endpoint:
-        ep = Endpoint(conn, opener,
-                      on_control=lambda env: self._on_control(ep, hs, env),
-                      on_request=lambda req: self._handle_request(hs, req),
-                      on_chan_open=lambda env: self._handle_chan_open(hs, env),
-                      on_closed=lambda reason: self._on_link_closed(hs, reason))
-        hs.endpoint = ep
-        ep.start()  # `ep` is bound, so even the first envelope finds it
-        return ep
+    def _make_endpoint(self, conn: transport.Connection, link: _Link, timeout: float) -> None:
+        """Start `link`'s endpoint on `conn`, with a handshake deadline."""
+        timer = transport.loop().call_later(timeout, self._handshake_timed_out, link)
+        link.result.on_settle(lambda _result: timer.cancel())
+        link.endpoint = Endpoint(
+            conn, link.opener,
+            on_control=lambda env: self._on_control(link, env),
+            on_request=lambda req: self._handle_request(link, req),
+            on_chan_open=lambda env: self._handle_chan_open(link, env),
+            on_closed=lambda reason: self._on_link_closed(link, reason))
+        self._links.append(link)
+        link.endpoint.start()  # the link holds its endpoint before any envelope arrives
 
     @on_loop
     def _on_inbound(self, conn: transport.Connection) -> None:
-        self._make_endpoint(conn, opener=False, hs=_Handshake(opener=False))
+        self._make_endpoint(conn, _Link(opener=False), DEFAULT_TIMEOUT)
 
     def _validate_hello(self, hello: Hello) -> tuple[PeerId, list[PeerId]] | str:
         """Returns (remote peer id, matched tie entries) or a rejection reason."""
@@ -228,20 +225,24 @@ class PeerInstance:
         if hello.module != self.component.root_module:
             return (f"module signature mismatch: remote compiled from "
                     f"'{hello.module}', local from '{self.component.root_module}'")
-        remote_pid = self.component.peer_for_sig(hello.peer)
-        if remote_pid is None:
+        remote_pid = PeerId(hello.peer.module.path, hello.peer.peer_name)
+        if (remote_pid not in self.component.peer_table
+                or self.component.sig_of(remote_pid) != hello.peer):
             return f"unknown peer signature '{hello.peer}'"
         closure = self.component.super_closure(remote_pid)
-        matched = sorted(pid for pid, _ in self._tie_entries if pid in closure)
+        matched = [pid for pid, _ in self._tie_entries if pid in closure]
         return remote_pid, matched
 
-    def _admit(self, hello: Hello, expected: PeerId | None) -> _Link | str:
+    def _admit(self, link: _Link, hello: Hello) -> str | None:
+        """Admit the remote that said `hello` on `link`; None, or why not."""
+        if link.admitted:
+            return "hello received twice"
         outcome = self._validate_hello(hello)
         if isinstance(outcome, str):
             return outcome
         remote_pid, matched = outcome
-        if expected is not None and expected not in self.component.super_closure(remote_pid):
-            return f"expected a {expected} instance, remote is {remote_pid}"
+        if link.expected is not None and link.expected not in self.component.super_closure(remote_pid):
+            return f"expected a {link.expected} instance, remote is {remote_pid}"
         bounds = {pid: mult for pid, mult in self._tie_entries
                   if mult in (Multiplicity.SINGLE, Multiplicity.OPTIONAL)}
         for pid in matched:
@@ -251,48 +252,46 @@ class PeerInstance:
             if held >= 1:
                 return (f"tie to {pid} is {bounds[pid].keyword}; "
                         f"an instance is already connected")
-        link = _Link(next(self._next_link_id), None, hello.peer, remote_pid, matched)  # type: ignore[arg-type]
-        self._links.append(link)
-        self._changed()
-        return link
+        link.link_id = next(self._next_link_id)
+        link.remote_sig, link.remote_pid, link.matched = hello.peer, remote_pid, matched
+        link.admitted = True
+        return None
 
     def _drop_link(self, link: _Link) -> None:
         if link in self._links:
             self._links.remove(link)
             self._changed()
 
-    def _on_control(self, ep: Endpoint, hs: _Handshake, env) -> None:
+    def _on_control(self, link: _Link, env) -> None:
+        ep = link.endpoint
         if isinstance(env, Hello):
-            admitted = self._admit(env, hs.expected)
-            if isinstance(admitted, str):
-                ep.try_send(HelloAck(False, admitted))
+            refused = self._admit(link, env)
+            if refused is not None:
+                ep.try_send(HelloAck(False, refused))
                 ep.close()
-                hs.result.fail(admitted)
+                link.result.fail(refused)
                 return
-            admitted.endpoint = ep
-            hs.link = admitted
             try:
                 ep.send(HelloAck(True))
-                if not hs.opener:
+                if not link.opener:
                     ep.send(Hello(self.component.root_module, self.component.sig))
             except transport.ConnectionClosed:
-                self._drop_link(admitted)
-                hs.result.fail("connection lost during handshake")
+                self._drop_link(link)
+                link.result.fail("connection lost during handshake")
                 return
-            if hs.opener:
+            if link.opener:
                 # connector admitted the acceptor's hello: handshake complete
-                self._mark_live(admitted)
-                hs.result.resolve(admitted)
+                self._mark_live(link)
+                link.result.resolve(link)
         elif isinstance(env, HelloAck):
             if not env.accepted:
-                if hs.link is not None:
-                    self._drop_link(hs.link)
-                hs.result.fail(env.reason or "rejected")
+                self._drop_link(link)
+                link.result.fail(env.reason or "rejected")
                 ep.close()
                 return
-            if not hs.opener and hs.link is not None:
-                self._mark_live(hs.link)
-                hs.result.resolve(hs.link)
+            if not link.opener and link.admitted:
+                self._mark_live(link)
+                link.result.resolve(link)
 
     def _mark_live(self, link: _Link) -> None:
         link.live = True
@@ -309,10 +308,9 @@ class PeerInstance:
         done = self._await(enough, timeout, lambda done: done.resolve(False))
         return done.state == transmit.READY and done.value
 
-    def _on_link_closed(self, hs: _Handshake, reason: str) -> None:
-        if hs.link is not None:
-            self._drop_link(hs.link)
-        hs.result.fail(f"connection closed: {reason}")
+    def _on_link_closed(self, link: _Link, reason: str) -> None:
+        self._drop_link(link)
+        link.result.fail(f"connection closed: {reason}")
 
     # -- activation -------------------------------------------------------
 
@@ -356,12 +354,9 @@ class PeerInstance:
         if self._evaluated:
             return
         self._evaluated = True
-        for name in self._slot_order:
-            cell = self._slots[name]
-            if cell.state == _SlotCell.PLACEHOLDER:
-                continue
+        for cell in self._slots.values():
             try:
-                cell.value = self._eval(cell.plan.body, {})
+                cell.value = self._eval(cell.body, {})
                 cell.state = _SlotCell.READY
             except EvalError as e:
                 cell.error = str(e)
@@ -380,9 +375,9 @@ class PeerInstance:
     def _read_slot(self, name: str) -> Any:
         cell = self._slots.get(name)
         if cell is None:
+            if name in dict(self.component.slots):
+                raise EvalError(f"value '{name}' is not placed on this peer")
             raise EvalError(f"unknown value '{name}'")
-        if cell.state == _SlotCell.PLACEHOLDER:
-            raise EvalError(f"value '{name}' is not placed on this peer")
         if cell.state == _SlotCell.ERROR:
             raise EvalError(f"value '{name}' failed to initialize: {cell.error}")
         if cell.state != _SlotCell.READY:
@@ -471,8 +466,8 @@ class PeerInstance:
 
     # -- serving ------------------------------------------------------------
 
-    def _handle_request(self, hs: _Handshake, req: Request):
-        if hs.link is None or not hs.link.live:  # only a live, admitted link is served
+    def _handle_request(self, link: _Link, req: Request):
+        if not link.live:  # only a link the handshake admitted and completed is served
             return Response(req.id, False, error="connection not admitted")
         plan = self.component.dispatch.get(req.value)
         if plan is None:
@@ -482,7 +477,7 @@ class PeerInstance:
                                                   f"open a channel to access it"))
         cell = self._slots[plan.slot]
         if self._defers(cell):
-            cell.waiters.append(lambda: hs.endpoint.try_send(self._response(req, plan, cell)))
+            cell.waiters.append(lambda: link.endpoint.try_send(self._response(req, plan, cell)))
             return DEFERRED
         return self._response(req, plan, cell)
 
@@ -500,15 +495,15 @@ class PeerInstance:
         except CodecError as e:
             return Response(req.id, False, error=str(e))
 
-    def _handle_chan_open(self, hs: _Handshake, env: ChanOpen):
+    def _handle_chan_open(self, link: _Link, env: ChanOpen):
         """The evaluated local stream the channel attaches to, None to
         refuse it, or DEFERRED until its slot evaluates."""
         plan = self.component.dispatch.get(env.value)
-        if plan is None or plan.mode != STREAM or hs.link is None or not hs.link.live:
+        if plan is None or plan.mode != STREAM or not link.live:
             return None
         cell = self._slots[plan.slot]
         if self._defers(cell):
-            cell.waiters.append(lambda: hs.endpoint.attach(env.chan, self._stream_of(cell)))
+            cell.waiters.append(lambda: link.endpoint.attach(env.chan, self._stream_of(cell)))
             return DEFERRED
         return self._stream_of(cell)
 
@@ -541,7 +536,8 @@ class PeerInstance:
 
     @property
     def slot_names(self) -> list[str]:
-        return list(self._slot_order)
+        """The slots this peer evaluates, in source order."""
+        return list(self._slots)
 
     @on_loop
     def links(self) -> list[RemoteRef]:
@@ -554,19 +550,9 @@ class PeerInstance:
         def evaluated(done: FutureSlot) -> bool:
             if not self._evaluated and self.state != STOPPED:
                 return False
-            futures = [fut for cell in self._slots.values() if cell.state == _SlotCell.READY
-                       for fut in slot_futures(cell.value) if fut.state == PENDING]
-            left = [len(futures)]
-
-            def one_settled(_fut):
-                left[0] -= 1
-                if left[0] == 0:
-                    done.resolve(True)
-
-            for fut in futures:
-                fut.on_settle(one_settled)
-            if not futures:
-                done.resolve(True)
+            # a cell that failed or never evaluated holds no value, so no futures
+            futures = [fut for cell in self._slots.values() for fut in slot_futures(cell.value)]
+            transmit.all_settled(futures).on_settle(lambda _all: done.resolve(True))
             return True
 
         done = self._await(evaluated, timeout, lambda done: done.resolve(False))
@@ -594,28 +580,23 @@ class PeerInstance:
             return json.dumps(value, ensure_ascii=False)
         return str(value)
 
+    def slot_line(self, name: str) -> str:
+        """`name = value`, or `name = <failed: why>` for a slot that failed."""
+        cell = self._slots[name]
+        if cell.state == _SlotCell.ERROR:
+            return f"{name} = <failed: {cell.error}>"
+        return f"{name} = {self.format_value(cell.value)}"
+
     def settled_lines(self) -> list[str]:
-        lines = []
-        for name in self._slot_order:
-            cell = self._slots[name]
-            if cell.state == _SlotCell.PLACEHOLDER:
-                continue
-            if cell.state == _SlotCell.ERROR:
-                lines.append(f"{name} = <failed: {cell.error}>")
-            else:
-                lines.append(f"{name} = {self.format_value(cell.value)}")
-        return lines
+        return [self.slot_line(name) for name in self._slots]
 
     def slot_report(self) -> list[dict]:
         report = []
-        for name in self._slot_order:
-            cell = self._slots[name]
-            if cell.state == _SlotCell.PLACEHOLDER:
-                continue
+        for cell in self._slots.values():
             if cell.state == _SlotCell.ERROR:
-                report.append({"name": name, "status": "failed", "error": cell.error})
+                report.append({"name": cell.name, "status": "failed", "error": cell.error})
             else:
-                report.append({"name": name, "status": "settled",
+                report.append({"name": cell.name, "status": "settled",
                                "value": self.format_value(cell.value)})
         return report
 
@@ -634,8 +615,7 @@ class PeerInstance:
         for cell in self._slots.values():
             self._answer_waiters(cell)
         for link in list(self._links):
-            if link.endpoint is not None:
-                link.endpoint.close("peer stopped")
+            link.endpoint.close("peer stopped")
         self._changed()
 
 
@@ -689,12 +669,8 @@ def simulate(components: dict[PeerId, PeerComponent], peer_names: list[str],
 
     # tie tables hold declared targets; a tie to a super-peer also covers its
     # sub-peers, so wiring matches over the super-closures of both sides
-    tie_pairs = set()
-    for pid, component in components.items():
-        for sig in component.tie_table:
-            target = component.peer_for_sig(sig)
-            if target is not None:
-                tie_pairs.add((pid, target))
+    tie_pairs = {(pid, target) for pid, component in components.items()
+                 for target in component.tie_table}
 
     def tied(p: PeerId, q: PeerId) -> bool:
         any_component = next(iter(components.values()))

@@ -1,10 +1,10 @@
 """Split a checked module into per-peer components.
 
-Every concrete peer receives a component holding: its signatures and tie
-table, one slot per definition in source order (a placeholder where the
-value is not available on this peer, preserving evaluation order), a
-dispatch table for the values it can serve remotely, and bodies whose
-remote-access sites are rewritten into runtime remote-request calls.
+Every concrete peer receives a component holding: its peer id, the include
+map, the peer and tie tables keyed by peer id, one slot per definition in
+source order (with no body where it is placed on another peer), a dispatch
+table for the values it can serve remotely, and bodies whose remote-access
+sites are rewritten into runtime remote-request calls.
 
 Each definition whose type can be transmitted gets one `AccessPlan`: the
 slot that backs it, whether it is pulled or streamed, and the codec of its
@@ -47,15 +47,6 @@ class Evaluate:
 
 
 @dataclass(frozen=True)
-class Placeholder:
-    pass
-
-
-PLACEHOLDER = Placeholder()
-InitPlan = object  # Evaluate | Placeholder
-
-
-@dataclass(frozen=True)
 class AccessPlan:
     """How one definition is transmitted."""
 
@@ -76,37 +67,30 @@ class RemoteCall(TypedExpr):
     ty: SemType
 
 
-@dataclass(frozen=True)
-class PeerEntry:
-    sig: PeerSig
-    supers: tuple[PeerId, ...]
-
-
 @dataclass
 class PeerComponent:
     peer: PeerId
-    sig: PeerSig
     root_module: ModuleSig
-    peer_table: dict[PeerId, PeerEntry]
-    tie_table: dict[PeerSig, Multiplicity]
-    slots: list[tuple[str, InitPlan]]
+    includes: dict[str, str]  # include alias -> module name
+    peer_table: dict[PeerId, tuple[PeerId, ...]]  # peer -> its super-peers
+    tie_table: dict[PeerId, Multiplicity]
+    slots: list[tuple[str, Evaluate | None]]  # None: placed on another peer
     dispatch: dict[ValueSig, AccessPlan]
 
     @cached_property
     def closures(self) -> dict[PeerId, frozenset[PeerId]]:
         """Every peer's super-closure, built on first use."""
-        return super_closures({pid: entry.supers for pid, entry in self.peer_table.items()})
+        return super_closures(self.peer_table)
 
     def super_closure(self, p: PeerId) -> frozenset[PeerId]:
         return self.closures[p]
 
-    @cached_property
-    def peers_by_sig(self) -> dict[PeerSig, PeerId]:
-        """Every peer of the table by its signature, built on first use."""
-        return {entry.sig: pid for pid, entry in self.peer_table.items()}
+    def sig_of(self, pid: PeerId) -> PeerSig:
+        return PeerSig(pid.name, module_sig_of(self.root_module.name, self.includes, pid.path))
 
-    def peer_for_sig(self, sig: PeerSig) -> PeerId | None:
-        return self.peers_by_sig.get(sig)
+    @property
+    def sig(self) -> PeerSig:
+        return self.sig_of(self.peer)
 
 
 # --- signatures and codecs ---------------------------------------------
@@ -118,10 +102,6 @@ def module_sig_of(module_name: str, includes: Mapping[str, str],
     if path:
         return ModuleSig(includes[path[0]], path)
     return ModuleSig(module_name, ())
-
-
-def peer_sig_of(a: Architecture, pid: PeerId) -> PeerSig:
-    return PeerSig(pid.name, module_sig_of(a.module_name, a.includes, pid.path))
 
 
 def def_scope(flat_name: str) -> tuple[str, ...]:
@@ -225,33 +205,26 @@ def split(tm: TypedModule) -> dict[PeerId, PeerComponent]:
         d.name: _rewrite(d.body, plans, sigs, declared_types) for d in tm.defs
     }
 
-    peer_table = {
-        pid: PeerEntry(peer_sig_of(a, pid), tuple(sorted(a.peers[pid].supers)))
-        for pid in sorted(a.peers)
-    }
+    peer_table = {pid: tuple(sorted(a.peers[pid].supers)) for pid in sorted(a.peers)}
     root = ModuleSig(a.module_name, ())
 
-    # components share the read-only peer table
+    # components share the read-only peer table and include map
     components: dict[PeerId, PeerComponent] = {}
     for pid in sorted(a.peers):
-        tie_table = {
-            peer_table[target].sig: mult
-            for target, mult in inherited_ties(a, pid).items()
-        }
         closure = a.closures[pid]
-        slots: list[tuple[str, InitPlan]] = []
+        slots: list[tuple[str, Evaluate | None]] = []
         dispatch: dict[ValueSig, AccessPlan] = {}
         for d in tm.defs:
             available = d.placed_on in closure
-            slots.append((d.name, Evaluate(rewritten[d.name]) if available else PLACEHOLDER))
+            slots.append((d.name, Evaluate(rewritten[d.name]) if available else None))
             if available and d.name in plans:
                 dispatch[sigs[d.name]] = plans[d.name]
         components[pid] = PeerComponent(
             peer=pid,
-            sig=peer_table[pid].sig,
             root_module=root,
+            includes=a.includes,
             peer_table=peer_table,
-            tie_table=tie_table,
+            tie_table=inherited_ties(a, pid),
             slots=slots,
             dispatch=dispatch,
         )
@@ -261,17 +234,11 @@ def split(tm: TypedModule) -> dict[PeerId, PeerComponent]:
 # --- component documents -------------------------------------------------
 #
 # A document writes no field the reader can rebuild from another one. Peers
-# are dotted ids ("P3", "lib.L0"). Every signature is derived on read, as
-# `split` derives it: a peer's from its id, a value's from the scope of the
-# slot its plan reads, each with `rootModule` and the `includes` map.
+# are dotted ids ("P3", "lib.L0"). No signature is written: a peer's comes
+# from its id (`PeerComponent.sig_of`), a value's from the scope of the slot
+# its plan reads, each with `rootModule` and the `includes` map.
 
 Modules = Callable[[tuple[str, ...]], ModuleSig]  # scope -> module, while reading
-
-
-def _note_module(includes: dict[str, str], m: ModuleSig) -> None:
-    """Record the include alias a written signature's module stands for."""
-    if m.path:
-        includes[m.path[0]] = m.name
 
 
 def _plan_doc(plan: AccessPlan) -> dict:
@@ -317,7 +284,7 @@ def sem_type_from_doc(doc) -> SemType:
     return _ELEM_TYPES[k](sem_type_from_doc(doc["elem"]))
 
 
-def expr_to_doc(e: TypedExpr, includes: dict[str, str]) -> dict:
+def expr_to_doc(e: TypedExpr) -> dict:
     if isinstance(e, checker.TIntLit):
         return {"k": "int", "v": e.value}
     if isinstance(e, checker.TBoolLit):
@@ -328,18 +295,17 @@ def expr_to_doc(e: TypedExpr, includes: dict[str, str]) -> dict:
         return {"k": "ref", "name": e.name, "var": e.is_var,
                 "ty": sem_type_to_doc(e.ty)}
     if isinstance(e, checker.TBinOp):
-        return {"k": "binop", "op": e.op, "l": expr_to_doc(e.left, includes),
-                "r": expr_to_doc(e.right, includes), "ty": sem_type_to_doc(e.ty)}
+        return {"k": "binop", "op": e.op, "l": expr_to_doc(e.left),
+                "r": expr_to_doc(e.right), "ty": sem_type_to_doc(e.ty)}
     if isinstance(e, checker.TTupleExpr):
-        return {"k": "tuple", "items": [expr_to_doc(i, includes) for i in e.items],
+        return {"k": "tuple", "items": [expr_to_doc(i) for i in e.items],
                 "ty": sem_type_to_doc(e.ty)}
     if isinstance(e, checker.TStreamMap):
-        return {"k": "map", "src": expr_to_doc(e.source, includes), "var": e.var,
-                "body": expr_to_doc(e.body, includes), "ty": sem_type_to_doc(e.ty)}
+        return {"k": "map", "src": expr_to_doc(e.source), "var": e.var,
+                "body": expr_to_doc(e.body), "ty": sem_type_to_doc(e.ty)}
     if isinstance(e, checker.TStreamSource):
         return {"k": "source", "ty": sem_type_to_doc(e.ty)}
     if isinstance(e, RemoteCall):
-        _note_module(includes, e.value_sig.module)
         return {
             "k": "remotecall",
             "val": e.value_sig.canonical,
@@ -391,30 +357,19 @@ FORMAT = "locic-component/3"
 def emit_component(pc: PeerComponent) -> str:
     """Deterministic document for one component: compact, key-sorted JSON on
     one line plus a newline. `read_component` inverts it."""
-    includes: dict[str, str] = {}  # alias -> module, noted while writing
-    peers = {}
-    for pid, entry in pc.peer_table.items():
-        _note_module(includes, entry.sig.module)
-        peers[str(pid)] = [str(s) for s in entry.supers]
-    dispatch = []
-    for sig, plan in sorted(pc.dispatch.items()):
-        _note_module(includes, sig.module)
-        dispatch.append({"val": sig.canonical, "plan": _plan_doc(plan)})
     doc = {
         "format": FORMAT,
         "peer": str(pc.peer),
         "rootModule": pc.root_module.name,
-        "includes": includes,
-        "peers": peers,
-        # keyed by the id each signature was derived from
-        "ties": {str(PeerId(sig.module.path, sig.peer_name)): mult.keyword
-                 for sig, mult in pc.tie_table.items()},
+        "includes": pc.includes,
+        "peers": {str(pid): [str(s) for s in supers] for pid, supers in pc.peer_table.items()},
+        "ties": {str(pid): mult.keyword for pid, mult in pc.tie_table.items()},
         "slots": [
-            name if isinstance(plan, Placeholder)
-            else {"name": name, "body": expr_to_doc(plan.body, includes)}
+            name if plan is None else {"name": name, "body": expr_to_doc(plan.body)}
             for name, plan in pc.slots
         ],
-        "dispatch": dispatch,
+        "dispatch": [{"val": sig.canonical, "plan": _plan_doc(plan)}
+                     for sig, plan in sorted(pc.dispatch.items())],
     }
     return json.dumps(doc, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
 
@@ -430,17 +385,22 @@ def read_component(text: str) -> PeerComponent:
         raise ComponentFormatError(
             f"component format {doc['format']!r} is not supported (expected {FORMAT!r})")
     try:
-        modules: Modules = partial(module_sig_of, doc["rootModule"], doc["includes"])
-        peer_table = {}
-        for name, supers in doc["peers"].items():
-            pid = parse_peer_name(name)
-            peer_table[pid] = PeerEntry(PeerSig(pid.name, modules(pid.path)),
-                                        tuple(parse_peer_name(s) for s in supers))
-        unknown = {s for entry in peer_table.values() for s in entry.supers} - peer_table.keys()
+        includes = doc["includes"]
+        modules: Modules = partial(module_sig_of, doc["rootModule"], includes)
+        peer_table = {parse_peer_name(name): tuple(parse_peer_name(s) for s in supers)
+                      for name, supers in doc["peers"].items()}
+        peer = parse_peer_name(doc["peer"])
+        tie_table = {parse_peer_name(name): ast.MULTIPLICITY_BY_KEYWORD[mult]
+                     for name, mult in doc["ties"].items()}
+        named = {peer, *tie_table, *(s for supers in peer_table.values() for s in supers)}
+        unknown = named - peer_table.keys()
         if unknown:
-            raise ComponentFormatError(f"unknown super-peer '{min(unknown)}'")
-        slots: list[tuple[str, InitPlan]] = [
-            (s, PLACEHOLDER) if isinstance(s, str)
+            raise ComponentFormatError(f"peer '{min(unknown)}' is not in the peer table")
+        aliases = {pid.path[0] for pid in peer_table if pid.path} - includes.keys()
+        if aliases:
+            raise ComponentFormatError(f"unknown include alias '{min(aliases)}'")
+        slots: list[tuple[str, Evaluate | None]] = [
+            (s, None) if isinstance(s, str)
             else (s["name"], Evaluate(expr_from_doc(s["body"], modules)))
             for s in doc["slots"]
         ]
@@ -451,16 +411,12 @@ def read_component(text: str) -> PeerComponent:
             if plan.slot not in names:
                 raise ComponentFormatError(f"dispatch entry for unknown slot '{plan.slot}'")
             dispatch[ValueSig(d["val"], modules(def_scope(plan.slot)))] = plan
-        peer = parse_peer_name(doc["peer"])
         return PeerComponent(
             peer=peer,
-            sig=peer_table[peer].sig,
             root_module=modules(()),
+            includes=includes,
             peer_table=peer_table,
-            tie_table={
-                peer_table[parse_peer_name(name)].sig: ast.MULTIPLICITY_BY_KEYWORD[mult]
-                for name, mult in doc["ties"].items()
-            },
+            tie_table=tie_table,
             slots=slots,
             dispatch=dispatch,
         )

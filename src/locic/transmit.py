@@ -95,10 +95,10 @@ class FutureSlot:
         return done.wait(timeout)
 
 
-def run_and_wait(slot: FutureSlot, start: Callable, *args, timeout: float) -> None:
-    """Post start(*args) to the loop and wait up to `timeout` for `slot` to
-    settle. `slot` must be new: nobody else may hold it yet. On the loop
-    thread `start` runs inline and nothing is waited for."""
+def run_and_wait(slot: FutureSlot, start: Callable, *args, timeout: float | None) -> None:
+    """Post start(*args) to the loop and wait up to `timeout` (None: with no
+    limit) for `slot` to settle. `slot` must be new: nobody else may hold it
+    yet. On the loop thread `start` runs inline and nothing is waited for."""
     if transport.on_loop_thread():
         start(*args)
         return
@@ -114,6 +114,25 @@ def run_and_wait(slot: FutureSlot, start: Callable, *args, timeout: float) -> No
 
     transport.loop().post(guarded)
     done.wait(timeout)
+
+
+def all_settled(futures: list[FutureSlot]) -> FutureSlot:
+    """A future that resolves once every one of `futures` has settled, at
+    once if there are none. Call it on the loop."""
+    done = FutureSlot()
+    left = len(futures)
+
+    def one_settled(_fut: FutureSlot) -> None:
+        nonlocal left
+        left -= 1
+        if left == 0:
+            done.resolve(None)
+
+    for fut in futures:
+        fut.on_settle(one_settled)
+    if not futures:
+        done.resolve(None)
+    return done
 
 
 class StreamClosed(Exception):

@@ -19,19 +19,21 @@ the loop's deque; TCP sockets and listeners are registered non-blocking
 with the selector. Other threads hand work to the loop with `Loop.post`
 (which wakes it through a self-pipe) or `Loop.call` (which also waits for
 the result); `on_loop` makes a method run on the loop whichever thread
-calls it. Code running on the loop must never block: a blocking call made
-from a callback would wait for the loop it is holding up.
+calls it, and code on the loop schedules a later call with
+`Loop.call_later`. Code running on the loop must never block: a blocking
+call made from a callback would wait for the loop it is holding up.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import heapq
 import os
 import selectors
 import socket
 import threading
-from dataclasses import dataclass
+import time
 from typing import Callable
 
 from .wire import Framer, ProtocolError, frame
@@ -64,12 +66,29 @@ def _log_failure(what: str, e: BaseException) -> None:
     logging.getLogger(__name__).error(what, exc_info=e)
 
 
+class Timer:
+    """A callback the loop runs at `when` unless it is cancelled first."""
+
+    def __init__(self, when: float, fn: Callable, args: tuple):
+        self.when, self.fn, self.args = when, fn, args
+
+    def __lt__(self, other: "Timer") -> bool:
+        return self.when < other.when
+
+    def cancel(self) -> None:
+        """Drop the callback and what it holds. Call it on the loop."""
+        self.fn = self.args = None
+
+
 class Loop:
-    """A selector and a FIFO of ready callbacks, run on one daemon thread."""
+    """A selector, a FIFO of ready callbacks and a heap of timers, run on
+    one daemon thread."""
 
     def __init__(self):
         self.selector = selectors.DefaultSelector()
         self._ready: collections.deque = collections.deque()
+        self._timers: list[Timer] = []  # a heap by deadline
+        self._compact_at = 64  # heap size at which cancelled timers are dropped
         self._idle = False  # True while the loop may be blocked in select()
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
@@ -110,6 +129,33 @@ class Loop:
             return result
         raise result
 
+    def call_later(self, delay: float, fn: Callable, *args) -> Timer:
+        """Run fn(*args) on the loop in `delay` seconds unless the returned
+        timer is cancelled first. Call it on the loop."""
+        if len(self._timers) >= self._compact_at:
+            self._timers = [t for t in self._timers if t.fn is not None]
+            heapq.heapify(self._timers)
+            self._compact_at = max(64, 2 * len(self._timers))
+        timer = Timer(time.monotonic() + delay, fn, args)
+        heapq.heappush(self._timers, timer)
+        return timer
+
+    def _queue_due_timers(self) -> float | None:
+        """Move every due timer's callback to the ready FIFO; returns the
+        seconds until the next deadline, None if no timer is left."""
+        timers = self._timers
+        while timers:
+            timer = timers[0]
+            if timer.fn is None:
+                heapq.heappop(timers)
+                continue
+            wait = timer.when - time.monotonic()
+            if wait > 0:
+                return wait
+            heapq.heappop(timers)
+            self._ready.append((timer.fn, timer.args))
+        return None
+
     def _drain_wake(self, mask: int) -> None:
         try:
             while os.read(self._wake_r, 4096):
@@ -120,8 +166,9 @@ class Loop:
     def _run(self) -> None:
         ready, popleft, select = self._ready, self._ready.popleft, self.selector.select
         while True:
+            wait = self._queue_due_timers() if self._timers else None
             self._idle = True
-            events = select(0 if ready else None)
+            events = select(0 if ready else wait)
             self._idle = False
             for key, mask in events:
                 try:
@@ -183,21 +230,12 @@ def on_loop(method):
 
 # --- connections ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConnectionInfo:
-    transport: str
-    remote_address: str
-    secure: bool = False
-    authenticated: str | None = None
-
-
 class Connection:
     """Duplex message endpoint. Subclasses implement _start_delivery, _send
     and _close; those and the callbacks run on the loop, except `_send`,
     which may be called from any thread."""
 
-    def __init__(self, info: ConnectionInfo):
-        self.info = info
+    def __init__(self):
         self._on_message: Callable[[bytes], None] | None = None
         self._on_close: Callable[[str], None] | None = None
         self._opened = False
@@ -317,8 +355,8 @@ class MemConnection(Connection):
     """One end of an in-process pair. A send posts the delivery to the loop,
     so the loop's FIFO keeps every connection's order."""
 
-    def __init__(self, hub: str):
-        super().__init__(ConnectionInfo("mem", f"mem:{hub}"))
+    def __init__(self):
+        super().__init__()
         self._loop = loop()
         self._peer: MemConnection | None = None
         self._held: list[bytes] | None = []  # arrived before open(); None once open
@@ -363,7 +401,7 @@ def _mem_connect(name: str) -> Connection:
     on_connection = _mem_hubs.get(name)
     if on_connection is None:
         raise ConnectError(f"no mem hub named '{name}'")
-    a, b = MemConnection(name), MemConnection(name)
+    a, b = MemConnection(), MemConnection()
     a._peer, b._peer = b, a
     run_soon(on_connection, b)
     return a
@@ -376,13 +414,7 @@ class TcpConnection(Connection):
     kernel does not take at once wait in `_out` for the socket to drain."""
 
     def __init__(self, sock: socket.socket):
-        peername = "unknown"
-        try:
-            host, port = sock.getpeername()[:2]
-            peername = f"{host}:{port}"
-        except OSError:
-            pass
-        super().__init__(ConnectionInfo("tcp", f"tcp:{peername}"))
+        super().__init__()
         sock.setblocking(False)
         self._sock = sock
         self._framer = Framer()

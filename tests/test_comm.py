@@ -7,7 +7,7 @@ import pytest
 import helpers
 from locic.sigs import ModuleSig, PeerSig, ValueSig
 from locic.transport import (ConnectError, ConnectionClosed, SpecError,
-                             connect, listen, parse_spec)
+                             connect, listen, loop, parse_spec)
 from locic.wire import (MAX_FRAME_LEN, Framer, Hello, ProtocolError, Request,
                         decode_envelope, encode_envelope, frame)
 
@@ -115,6 +115,33 @@ def test_spec_parsing():
 def test_malformed_specs(spec):
     with pytest.raises(SpecError):
         parse_spec(spec)
+
+
+# --- timers ------------------------------------------------------------------
+
+def test_call_later_runs_due_timers_in_deadline_order_and_skips_cancelled():
+    fired = []
+    done = threading.Event()
+
+    def schedule():
+        loop().call_later(0.05, fired.append, "late")
+        loop().call_later(0, fired.append, "early")
+        loop().call_later(0.01, fired.append, "cancelled").cancel()
+        loop().call_later(0.1, done.set)
+
+    loop().call(schedule)
+    assert done.wait(5)
+    assert fired == ["early", "late"]
+
+
+def test_cancelled_timers_do_not_pile_up():
+    def churn():
+        for _ in range(10_000):
+            loop().call_later(60, print).cancel()
+        return len(loop()._timers)
+
+    # a cancelled timer is dropped long before its deadline comes
+    assert loop().call(churn) < 1_000
 
 
 # --- mem transport -----------------------------------------------------------

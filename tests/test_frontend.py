@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 import helpers
-from locic import ast
+from locic import ast, cli
 from locic.parser import ParseError, parse_module, parse_program, tokenize
 from locic.render import render_module
 
@@ -105,6 +105,15 @@ def test_tokenizer_tracks_lines_and_columns():
     assert (toks[0].pos.line, toks[0].pos.col) == (1, 1)
     assert (toks[1].pos.line, toks[1].pos.col) == (1, 8)
     assert (toks[2].pos.line, toks[2].pos.col) == (2, 3)
+
+
+@pytest.mark.parametrize("literal, col", [("1²", 22), ("٣", 21)])
+def test_check_refuses_non_ascii_digits(tmp_path, capsys, literal, col):
+    path = tmp_path / "digits.loci"
+    path.write_text(f"module M {{\n  peer A {{ }}\n  val x: Int on A = {literal}\n}}\n",
+                    encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}:3:{col} unexpected character {literal[-1]!r}\n"
 
 
 def test_multi_module_program():

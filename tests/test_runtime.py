@@ -1,3 +1,4 @@
+import queue
 import threading
 import time
 from pathlib import Path
@@ -155,30 +156,35 @@ def test_start_timeout_with_unmet_single_tie(instances):
     assert "MyPeer" in str(exc.value)
 
 
-def _hello_ack(instances, hello: Hello) -> HelloAck:
-    """The HelloAck a listening SimpleModule instance sends for `hello`."""
-    comps = components_for(helpers.SIMPLE_MODULE)
+def _hello_ack(instances, hello: Hello, source: str = helpers.SIMPLE_MODULE,
+               peer: str = "MyPeer") -> HelloAck:
+    """The HelloAck a listening `peer` instance of `source` sends for `hello`."""
+    comps = components_for(source)
     hub = fresh_hub()
-    instance = PeerInstance(comps[PeerId((), "MyPeer")])
+    instance = PeerInstance(comps[PeerId((), peer)])
     instances.append(instance)
     instance.listen(hub)
-    acks = []
-    got_ack = threading.Event()
+    ep, acks = _acked_endpoint(hub)
+    ep.send(hello)
+    ack = acks.get(timeout=5)
+    ep.close()
+    return ack
+
+
+def _acked_endpoint(spec: str) -> tuple[Endpoint, queue.Queue]:
+    """An endpoint that answers no control envelope, and the queue of the
+    HelloAcks it receives."""
+    acks: queue.Queue = queue.Queue()
 
     def on_control(env):
         if isinstance(env, HelloAck):
-            acks.append(env)
-            got_ack.set()
+            acks.put(env)
 
-    ep = Endpoint(connect(hub), opener=True,
-                  on_control=on_control,
+    ep = Endpoint(connect(spec), opener=True, on_control=on_control,
                   on_request=lambda r: Response(r.id, False, error="no"),
                   on_chan_open=lambda e: None, on_closed=lambda r: None)
     ep.start()
-    ep.send(hello)
-    assert got_ack.wait(5)
-    ep.close()
-    return acks[0]
+    return ep, acks
 
 
 def test_module_signature_mismatch_rejected(instances):
@@ -196,6 +202,35 @@ def test_protocol_version_mismatch_rejected(instances):
         assert ack == HelloAck(False, f"protocol version {version} is not supported (expected 2)")
 
 
+@pytest.mark.parametrize("peer", [
+    PeerSig("Ghost", ModuleSig("P2P")),
+    PeerSig("Registry", ModuleSig("Monitoring")),
+    # an included peer that names the wrong module for its alias
+    PeerSig("Monitor", ModuleSig("Other", ("mon",))),
+])
+def test_unknown_peer_signature_rejected(instances, peer):
+    ack = _hello_ack(instances, Hello(ModuleSig("P2P"), peer),
+                     source=helpers.MONITORING_P2P, peer="Registry")
+    assert ack == HelloAck(False, f"unknown peer signature '{peer}'")
+
+
+def test_second_hello_on_one_connection_is_refused(instances):
+    comps = components_for(HUB_AND_SPOKES)
+    hub = fresh_hub()
+    hub_instance = PeerInstance(comps[PeerId((), "Hub")])
+    instances.append(hub_instance)
+    hub_instance.listen(hub)
+    spoke = comps[PeerId((), "Spoke")]
+    ep, acks = _acked_endpoint(hub)
+    try:
+        ep.send(Hello(spoke.root_module, spoke.sig))
+        assert acks.get(timeout=5) == HelloAck(True)
+        ep.send(Hello(spoke.root_module, spoke.sig))
+        assert acks.get(timeout=5) == HelloAck(False, "hello received twice")
+    finally:
+        ep.close()
+
+
 # --- only admitted, live links are served ------------------------------------
 
 OPTIONAL_PAIR = """
@@ -211,11 +246,7 @@ X_SIG, S_SIG = ValueSig("x:Int", ModuleSig("M")), ValueSig("s:Stream[Int]", Modu
 
 def _raw_endpoint(spec: str) -> Endpoint:
     """An endpoint that answers no control envelope, so no handshake completes."""
-    ep = Endpoint(connect(spec), opener=True, on_control=lambda env: None,
-                  on_request=lambda r: Response(r.id, False, error="no"),
-                  on_chan_open=lambda e: None, on_closed=lambda r: None)
-    ep.start()
-    return ep
+    return _acked_endpoint(spec)[0]
 
 
 def _try_to_read(instance: PeerInstance, ep: Endpoint):
@@ -262,6 +293,72 @@ def test_endpoint_that_skips_the_final_hello_ack_reads_nothing(instances):
     assert pulled.state == FAILED and pulled.error == "connection not admitted"
     assert got == [] and closed
     assert a.links() == []
+
+
+def test_half_open_handshake_frees_an_optional_tie_at_its_deadline(instances, monkeypatch):
+    # A's handshake deadline, shortened; the refused attempt below fits well within it
+    monkeypatch.setattr(runtime, "DEFAULT_TIMEOUT", 1.0)
+    comps = components_for(OPTIONAL_PAIR)
+    hub = fresh_hub()
+    a = start(comps[PeerId((), "A")], [hub], [], timeout=5)
+    instances.append(a)
+    b = comps[PeerId((), "B")]
+    ep, acks = _acked_endpoint(hub)
+    try:
+        ep.send(Hello(b.root_module, b.sig))  # and never the final HelloAck
+        assert acks.get(timeout=5) == HelloAck(True)
+        with pytest.raises(StartError, match="tie to B is optional"):
+            start(b, [], [(hub, "A")], timeout=5)
+        deadline = time.monotonic() + 5
+        while not ep.conn.closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert ep.conn.closed  # A closed the half-open connection at its deadline
+    finally:
+        ep.close()
+    instances.append(start(b, [], [(hub, "A")], timeout=5))
+    assert a._wait_live_links(1, 5)
+    assert len(a.links()) == 1
+
+
+def test_stop_closes_a_connection_still_in_its_handshake(instances, monkeypatch):
+    monkeypatch.setattr(runtime, "DEFAULT_TIMEOUT", 60.0)  # far past the wait below
+    hub = fresh_hub()
+    a = PeerInstance(components_for(OPTIONAL_PAIR)[PeerId((), "A")])
+    instances.append(a)
+    a.listen(hub)
+    ep = _raw_endpoint(hub)  # says no hello
+    try:
+        a.stop()
+        deadline = time.monotonic() + 5
+        while not ep.conn.closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert ep.conn.closed
+    finally:
+        ep.close()
+
+
+def test_completed_handshakes_hold_no_timer(instances):
+    sims = simulate(components_for(helpers.SIMPLE_MODULE), ["MyPeer", "MyPeer"], timeout=5)
+    instances.extend(sims)
+    # a timer left armed would keep its instance reachable until the deadline
+    armed = transport.loop().call(
+        lambda: [t for t in transport.loop()._timers if t.fn is not None])
+    assert not [t for t in armed if getattr(t.fn, "__self__", None) in sims]
+
+
+def test_connect_times_out_when_the_remote_never_answers(instances):
+    hub = fresh_hub()
+    accepted = []
+    listener = transport.listen(hub, accepted.append)  # never opens what it accepts
+    try:
+        instance = PeerInstance(components_for(helpers.SIMPLE_MODULE)[PeerId((), "MyPeer")])
+        instances.append(instance)
+        began = time.monotonic()
+        with pytest.raises(StartError, match=f"handshake with {hub} timed out"):
+            instance.connect(hub, timeout=0.2)
+        assert time.monotonic() - began < 2
+    finally:
+        listener.close()
 
 
 def test_spoke_refused_by_a_single_tie_reads_nothing(instances):
@@ -677,7 +774,8 @@ def test_sim_with_qualified_peer_names(instances):
     monitor, monitored = sims
     assert monitor.label == "mon.Monitor#1"
     assert monitor.slot("mon.interval") == 5
-    assert monitored.slot_state("mon.interval") == "placeholder"
+    with pytest.raises(runtime.EvalError, match="not placed on this peer"):
+        monitored.slot("mon.interval")
 
 
 def test_sim_wires_sub_peers_via_super_peer_ties(instances):
@@ -708,7 +806,7 @@ class _EagerConnection(transport.Connection):
     before `open()` returns; records what is sent."""
 
     def __init__(self, inbound: list[bytes]):
-        super().__init__(transport.ConnectionInfo("eager", "eager:test"))
+        super().__init__()
         self.inbound = inbound
         self.sent = []
 
@@ -781,13 +879,13 @@ def _record_arrivals(instance: PeerInstance, monkeypatch) -> dict[str, threading
     handle_request = instance._handle_request
     handle_chan_open = instance._handle_chan_open
 
-    def on_request(hs, req):
-        outcome = handle_request(hs, req)
+    def on_request(link, req):
+        outcome = handle_request(link, req)
         arrived["request"].set()
         return outcome
 
-    def on_chan_open(hs, env):
-        outcome = handle_chan_open(hs, env)
+    def on_chan_open(link, env):
+        outcome = handle_chan_open(link, env)
         arrived["chan_open"].set()
         return outcome
 

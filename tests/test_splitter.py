@@ -17,8 +17,8 @@ from locic.codecs import parse_codec
 from locic.runtime import simulate
 from locic.sigs import ModuleSig, PeerSig, ValueSig
 from locic.splitter import (FORMAT, PULL, STREAM, AccessPlan, ComponentFormatError,
-                            Evaluate, Placeholder, RemoteCall, SplitError,
-                            emit_component, peer_sig_of, read_component, split)
+                            Evaluate, RemoteCall, SplitError, emit_component,
+                            read_component, split)
 from locic.transmit import FAILED, READY
 
 MYPEER = PeerId((), "MyPeer")
@@ -34,7 +34,7 @@ def test_simple_module_component_shape():
     assert set(comps) == {MYPEER}
     pc = comps[MYPEER]
     assert pc.sig == PeerSig("MyPeer", ModuleSig("SimpleModule"))
-    assert pc.tie_table == {pc.sig: Multiplicity.SINGLE}
+    assert pc.tie_table == {MYPEER: Multiplicity.SINGLE}
     assert [name for name, _ in pc.slots] == ["i", "j"]
     i_plan = dict(pc.slots)["i"]
     assert isinstance(i_plan, Evaluate)
@@ -66,8 +66,8 @@ def test_placeholder_partition():
     """)
     a, b = comps[PeerId((), "A")], comps[PeerId((), "B")]
     assert isinstance(dict(a.slots)["x"], Evaluate)
-    assert isinstance(dict(a.slots)["y"], Placeholder)
-    assert isinstance(dict(b.slots)["x"], Placeholder)
+    assert dict(a.slots)["y"] is None
+    assert dict(b.slots)["x"] is None
     assert isinstance(dict(b.slots)["y"], Evaluate)
     assert [s.canonical for s in a.dispatch] == ["x:Int"]
     assert [s.canonical for s in b.dispatch] == ["y:Int"]
@@ -86,7 +86,7 @@ def test_sub_peer_receives_super_peer_slots():
     # but Node does not serve it
     node = comps[PeerId((), "Node")]
     assert interval_sig not in node.dispatch
-    assert isinstance(dict(node.slots)["mon.interval"], Placeholder)
+    assert dict(node.slots)["mon.interval"] is None
 
 
 def test_unserializable_remote_target_is_split_error():
@@ -179,7 +179,7 @@ def test_remote_call_rewrite_bijection():
         own_peer_calls = set()
         for pid, pc in comps.items():
             for name, plan in pc.slots:
-                if isinstance(plan, Placeholder) or placements[name] != pid:
+                if plan is None or placements[name] != pid:
                     continue
                 own_peer_calls.update(
                     (name, call.value_sig) for call in _remote_calls(plan.body))
@@ -259,7 +259,7 @@ def test_document_writes_ids_and_derives_signatures():
     back = read_component(emit_component(node))
     monitoring = ModuleSig("Monitoring", ("mon",))
     assert back.sig == PeerSig("Node", ModuleSig("P2P"))
-    assert back.peer_table[PeerId(("mon",), "Monitor")].sig == PeerSig("Monitor", monitoring)
+    assert back.sig_of(PeerId(("mon",), "Monitor")) == PeerSig("Monitor", monitoring)
     assert dict(back.slots)["fromNode"].body.value_sig == ValueSig("interval:Int", monitoring)
 
 
@@ -334,9 +334,10 @@ def test_distinct_module_paths_give_distinct_peer_sigs():
           peer Local : a.P { }
         }
     """
-    _, a, _, tm = helpers.compile_clean(source)
-    sig_a = peer_sig_of(a, PeerId(("a",), "P"))
-    sig_b = peer_sig_of(a, PeerId(("b",), "P"))
+    _, _, _, tm = helpers.compile_clean(source)
+    local = split(tm)[PeerId((), "Local")]
+    sig_a = local.sig_of(PeerId(("a",), "P"))
+    sig_b = local.sig_of(PeerId(("b",), "P"))
     assert sig_a != sig_b
     assert sig_a.peer_name == sig_b.peer_name == "P"
     assert sig_a.module.path == ("a",)
@@ -440,12 +441,32 @@ def _ghost_peer(doc):
     doc["peer"] = "Ghost"
 
 
-@pytest.mark.parametrize("edit", [_ghost_super, _ghost_tie, _ghost_peer])
+def _ghost_alias(doc):
+    doc["peers"]["Ghost.P"] = []
+
+
+@pytest.mark.parametrize("edit", [_ghost_super, _ghost_tie, _ghost_peer, _ghost_alias])
 def test_read_component_refuses_peers_missing_from_its_table(edit):
     doc = _simple_document()
     edit(doc)
     with pytest.raises(ComponentFormatError, match="Ghost"):
         read_component(json.dumps(doc))
+
+
+# the locic-component/3 document for helpers.SIMPLE_MODULE; it must not move
+SIMPLE_MODULE_V3 = (
+    '{"dispatch":[{"plan":{"codec":"Int","mode":"pull","slot":"i"},"val":"i:Int"}],'
+    '"format":"locic-component/3","includes":{},"peer":"MyPeer","peers":{"MyPeer":[]},'
+    '"rootModule":"SimpleModule","slots":[{"body":{"k":"int","v":1},"name":"i"},'
+    '{"body":{"k":"remotecall","mult":"single","plan":{"codec":"Int","mode":"pull",'
+    '"slot":"i"},"target":"MyPeer","ty":{"elem":{"k":"Int"},"k":"Future"},"val":"i:Int"},'
+    '"name":"j"}],"ties":{"MyPeer":"single"}}\n')
+
+
+def test_simple_module_document_is_pinned():
+    _, comps = split_source(helpers.SIMPLE_MODULE)
+    assert emit_component(comps[MYPEER]) == SIMPLE_MODULE_V3
+    assert read_component(SIMPLE_MODULE_V3) == comps[MYPEER]
 
 
 # the document the previous format gave for helpers.SIMPLE_MODULE
