@@ -16,11 +16,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any
+from functools import cached_property
+from typing import Any, Callable
 
 
 class CodecError(Exception):
     pass
+
+
+# the one compact encoder and strict decoder shared by codecs and the wire
+encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+_scan = json.JSONDecoder().raw_decode
 
 
 # Type shapes: "Int" | "Bool" | "Str" | "Unit" | ("tuple", (shape, ...))
@@ -87,27 +93,38 @@ def _to_json_value(shape: Shape, value: Any) -> Any:
     return [_to_json_value(i, v) for i, v in zip(items, value)]
 
 
-def _from_json_value(shape: Shape, value: Any) -> Any:
-    if shape == "Int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise CodecError(f"expected an Int, got {value!r}")
-        return value
-    if shape == "Bool":
-        if not isinstance(value, bool):
-            raise CodecError(f"expected a Bool, got {value!r}")
-        return value
-    if shape == "Str":
-        if not isinstance(value, str):
-            raise CodecError(f"expected a Str, got {value!r}")
-        return value
-    if shape == "Unit":
-        if value is not None:
-            raise CodecError(f"expected Unit, got {value!r}")
-        return None
-    tag, items = shape
-    if not isinstance(value, list) or len(value) != len(items):
-        raise CodecError(f"expected a {shape_id(shape)}, got {value!r}")
-    return tuple(_from_json_value(i, v) for i, v in zip(items, value))
+_PRIMITIVES = {"Int": (int, "an Int"), "Bool": (bool, "a Bool"), "Str": (str, "a Str"),
+               "Unit": (type(None), "Unit")}
+
+
+def _reader(shape: Shape) -> Callable[[Any], Any]:
+    """A function from a parsed JSON document to the value of `shape` it
+    holds; CodecError if it holds none."""
+    if isinstance(shape, str):
+        kind, noun = _PRIMITIVES[shape]
+
+        def read(doc: Any) -> Any:
+            if type(doc) is not kind:
+                raise CodecError(f"expected {noun}, got {doc!r}")
+            return doc
+        return read
+    items = tuple(_reader(i) for i in shape[1])
+    name = shape_id(shape)
+
+    def read_tuple(doc: Any) -> tuple:
+        if type(doc) is not list or len(doc) != len(items):
+            raise CodecError(f"expected a {name}, got {doc!r}")
+        return tuple(read(d) for read, d in zip(items, doc))
+    return read_tuple
+
+
+def decode_json(text: str) -> Any:
+    """The one JSON value `text` holds, with no whitespace around it;
+    JSONDecodeError otherwise."""
+    doc, end = _scan(text)
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return doc
 
 
 @dataclass(frozen=True)
@@ -115,20 +132,29 @@ class Codec:
     id: str
     shape: Shape
 
+    @cached_property
+    def _read(self) -> Callable[[Any], Any]:
+        return _reader(self.shape)
+
     def serialize(self, value: Any) -> bytes:
         doc = _to_json_value(self.shape, value)
-        return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        try:
+            return encode_json(doc).encode("utf-8")
+        except ValueError as e:  # a lone surrogate, or an int too long to print
+            raise CodecError(f"{self.id} codec cannot serialize this value: {e}") from None
 
     def deserialize(self, data: bytes) -> Any:
         try:
-            doc = json.loads(data.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            text = data.decode("utf-8")
+            doc = decode_json(text)
+        except (ValueError, RecursionError) as e:  # also an overlong int, or deep nesting
             raise CodecError(f"codec {self.id}: invalid encoding: {e}") from None
         try:
-            value = _from_json_value(self.shape, doc)
+            value = self._read(doc)
         except CodecError as e:
             raise CodecError(f"codec {self.id}: {e}") from None
-        if self.serialize(value) != data:
+        # the document re-encodes to the bytes it came from only if they were canonical
+        if encode_json(doc) != text:
             raise CodecError(f"codec {self.id}: non-canonical encoding")
         return value
 

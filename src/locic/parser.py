@@ -96,7 +96,8 @@ def tokenize(source: str) -> list[Token]:
                         j += 2
                     elif esc == "u":
                         hexpart = source[j + 2 : j + 6]
-                        if len(hexpart) != 4 or any(h not in "0123456789abcdefABCDEF" for h in hexpart):
+                        if (len(hexpart) != 4 or any(h not in "0123456789abcdefABCDEF" for h in hexpart)
+                                or 0xD800 <= int(hexpart, 16) <= 0xDFFF):  # a lone surrogate
                             err("invalid \\u escape", Pos(line, col + j - i))
                         out.append(chr(int(hexpart, 16)))
                         j += 6

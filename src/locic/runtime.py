@@ -111,6 +111,7 @@ class _SlotCell:
         self.state = self.PENDING
         self.value: Any = None
         self.error: str | None = None
+        self.payload: bytes | None = None  # the READY value, once serialized
         self.waiters: list[Callable[[], None]] = []  # deferred responses
 
 
@@ -490,10 +491,12 @@ class PeerInstance:
         if cell.state != _SlotCell.READY:
             return Response(req.id, False, error=(f"value '{cell.name}' is unavailable: "
                                                   f"{cell.error or 'peer stopped'}"))
-        try:
-            return Response(req.id, True, payload=plan.codec.serialize(cell.value))
-        except CodecError as e:
-            return Response(req.id, False, error=str(e))
+        if cell.payload is None:  # a READY value never changes; serve its bytes again
+            try:
+                cell.payload = plan.codec.serialize(cell.value)
+            except CodecError as e:
+                return Response(req.id, False, error=str(e))
+        return Response(req.id, True, payload=cell.payload)
 
     def _handle_chan_open(self, link: _Link, env: ChanOpen):
         """The evaluated local stream the channel attaches to, None to

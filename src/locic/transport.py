@@ -315,6 +315,11 @@ class Listener:
 
 # --- spec parsing -----------------------------------------------------
 
+def _ascii_digits(text: str) -> bool:
+    """ASCII digits only, and few enough for `int` to read."""
+    return text.isascii() and text.isdigit() and len(text) <= 16
+
+
 def parse_spec(spec: str) -> tuple:
     if spec.startswith("mem:"):
         name = spec[len("mem:"):]
@@ -326,15 +331,14 @@ def parse_spec(spec: str) -> tuple:
         host, sep, port_text = rest.rpartition(":")
         if not sep or not host:
             raise SpecError(f"malformed transport spec '{spec}': expected tcp:HOST:PORT")
-        try:
-            port = int(port_text)
-        except ValueError:
-            raise SpecError(f"malformed transport spec '{spec}': bad port") from None
+        if not _ascii_digits(port_text):
+            raise SpecError(f"malformed transport spec '{spec}': bad port")
+        port = int(port_text)
         if not 0 <= port <= 65535:
             raise SpecError(f"malformed transport spec '{spec}': port out of range")
         parts = host.split(".")
-        if len(parts) == 4 and all(p.isdigit() for p in parts):
-            if any(int(p) > 255 for p in parts):
+        if len(parts) == 4 and all(p.isnumeric() for p in parts):
+            if not all(_ascii_digits(p) and int(p) <= 255 for p in parts):
                 raise SpecError(f"malformed transport spec '{spec}': bad IPv4 address")
         return ("tcp", host, port)
     raise SpecError(f"malformed transport spec '{spec}': unknown transport")

@@ -8,11 +8,12 @@ with binary fields base64-encoded.
 from __future__ import annotations
 
 import base64
-import json
+import functools
 import struct
 from dataclasses import dataclass
 from typing import Union
 
+from .codecs import decode_json, encode_json
 from .sigs import ModuleSig, PeerSig, ValueSig
 
 MAX_FRAME_LEN = 64 * 1024 * 1024
@@ -114,15 +115,29 @@ class ChanClose:
 Envelope = Union[Hello, HelloAck, Request, Response, ChanOpen, ChanMsg, ChanClose]
 
 
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
 def _dumps(doc: dict) -> bytes:
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return encode_json(doc).encode("utf-8")
+
+
+@functools.lru_cache(maxsize=1024)
+def _value_fields(value: ValueSig) -> bytes:
+    """The `"mod","path","val"` members that name `value`, as JSON."""
+    return _dumps({"mod": value.module.name, "path": value.module.path,
+                   "val": value.canonical})[1:-1]
 
 
 def encode_envelope(e: Envelope) -> bytes:
+    # the hot variants are templates: ids are ints and base64 needs no escaping
+    if isinstance(e, Request):
+        return b'{"t":"req","id":%d,%s}' % (e.id, _value_fields(e.value))
+    if isinstance(e, Response) and e.ok:
+        return b'{"t":"res","id":%d,"ok":true,"payload":"%s"}' % (e.id, base64.b64encode(e.payload))
+    if isinstance(e, ChanMsg):
+        return b'{"t":"chanmsg","chan":%d,"payload":"%s"}' % (e.chan, base64.b64encode(e.payload))
+    if isinstance(e, Response):
+        return _dumps({"t": "res", "id": e.id, "ok": False, "error": e.error})
+    if isinstance(e, ChanOpen):
+        return b'{"t":"chanopen","chan":%d,%s}' % (e.chan, _value_fields(e.value))
     if isinstance(e, Hello):
         return _dumps({
             "t": "hello",
@@ -133,94 +148,65 @@ def encode_envelope(e: Envelope) -> bytes:
         })
     if isinstance(e, HelloAck):
         return _dumps({"t": "helloack", "accepted": e.accepted, "reason": e.reason})
-    if isinstance(e, Request):
-        return _dumps({
-            "t": "req", "id": e.id,
-            "mod": e.value.module.name, "path": list(e.value.module.path),
-            "val": e.value.canonical,
-        })
-    if isinstance(e, Response):
-        if e.ok:
-            return _dumps({"t": "res", "id": e.id, "ok": True, "payload": _b64(e.payload)})
-        return _dumps({"t": "res", "id": e.id, "ok": False, "error": e.error})
-    if isinstance(e, ChanOpen):
-        return _dumps({
-            "t": "chanopen", "chan": e.chan,
-            "mod": e.value.module.name, "path": list(e.value.module.path),
-            "val": e.value.canonical,
-        })
-    if isinstance(e, ChanMsg):
-        return _dumps({"t": "chanmsg", "chan": e.chan, "payload": _b64(e.payload)})
     if isinstance(e, ChanClose):
         return _dumps({"t": "chanclose", "chan": e.chan})
     raise TypeError(f"not an envelope: {e!r}")
 
 
-class _Fields:
-    def __init__(self, doc: dict):
-        if not isinstance(doc, dict):
-            raise ProtocolError("envelope is not an object")
-        self.doc = doc
+def _field(doc: dict, name: str, kind: type):
+    """`doc[name]`, which must be a JSON value of exactly type `kind`."""
+    if name not in doc:
+        raise ProtocolError(f"envelope missing field '{name}'")
+    value = doc[name]
+    if type(value) is not kind:
+        raise ProtocolError(f"envelope field '{name}' has the wrong type")
+    return value
 
-    def get(self, name: str, kinds) -> object:
-        if name not in self.doc:
-            raise ProtocolError(f"envelope missing field '{name}'")
-        value = self.doc[name]
-        if not isinstance(value, kinds) or (kinds is int and isinstance(value, bool)):
-            raise ProtocolError(f"envelope field '{name}' has the wrong type")
-        return value
 
-    def int_(self, name: str) -> int:
-        value = self.get(name, int)
-        return value  # type: ignore[return-value]
+def _payload(doc: dict) -> bytes:
+    try:
+        return base64.b64decode(_field(doc, "payload", str), validate=True)
+    except ValueError:  # binascii.Error, or a non-ASCII character
+        raise ProtocolError("envelope field 'payload' is not valid base64") from None
 
-    def str_(self, name: str) -> str:
-        return self.get(name, str)  # type: ignore[return-value]
 
-    def bool_(self, name: str) -> bool:
-        return self.get(name, bool)  # type: ignore[return-value]
+def _module(doc: dict, name: str, path: str) -> ModuleSig:
+    parts = _field(doc, path, list)
+    if not all(type(p) is str for p in parts):
+        raise ProtocolError(f"envelope field '{path}' has the wrong type")
+    return ModuleSig(_field(doc, name, str), tuple(parts))
 
-    def bytes_(self, name: str) -> bytes:
-        raw = self.str_(name)
-        try:
-            return base64.b64decode(raw.encode("ascii"), validate=True)
-        except Exception:
-            raise ProtocolError(f"envelope field '{name}' is not valid base64") from None
 
-    def path(self, name: str) -> tuple[str, ...]:
-        value = self.get(name, list)
-        if not all(isinstance(p, str) for p in value):  # type: ignore[union-attr]
-            raise ProtocolError(f"envelope field '{name}' has the wrong type")
-        return tuple(value)  # type: ignore[arg-type]
+def _value(doc: dict) -> ValueSig:
+    return ValueSig(_field(doc, "val", str), _module(doc, "mod", "path"))
 
 
 def decode_envelope(data: bytes) -> Envelope:
+    """The envelope `data` holds: exactly one JSON object, with no
+    whitespace around it."""
     try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        doc = decode_json(data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # also an overlong int, or deep nesting
         raise ProtocolError(f"malformed envelope: {e}") from None
-    f = _Fields(doc)
-    t = f.str_("t")
-    if t == "hello":
-        return Hello(
-            module=ModuleSig(f.str_("mod"), f.path("path")),
-            peer=PeerSig(f.str_("peer"), ModuleSig(f.str_("peerMod"), f.path("peerPath"))),
-            proto_version=f.int_("ver"),
-        )
-    if t == "helloack":
-        return HelloAck(f.bool_("accepted"), f.str_("reason"))
-    if t == "req":
-        sig = ValueSig(f.str_("val"), ModuleSig(f.str_("mod"), f.path("path")))
-        return Request(f.int_("id"), sig)
+    if type(doc) is not dict:
+        raise ProtocolError("envelope is not an object")
+    t = _field(doc, "t", str)
     if t == "res":
-        if f.bool_("ok"):
-            return Response(f.int_("id"), True, payload=f.bytes_("payload"))
-        return Response(f.int_("id"), False, error=f.str_("error"))
-    if t == "chanopen":
-        sig = ValueSig(f.str_("val"), ModuleSig(f.str_("mod"), f.path("path")))
-        return ChanOpen(f.int_("chan"), sig)
+        if _field(doc, "ok", bool):
+            return Response(_field(doc, "id", int), True, payload=_payload(doc))
+        return Response(_field(doc, "id", int), False, error=_field(doc, "error", str))
+    if t == "req":
+        return Request(_field(doc, "id", int), _value(doc))
     if t == "chanmsg":
-        return ChanMsg(f.int_("chan"), f.bytes_("payload"))
+        return ChanMsg(_field(doc, "chan", int), _payload(doc))
+    if t == "chanopen":
+        return ChanOpen(_field(doc, "chan", int), _value(doc))
     if t == "chanclose":
-        return ChanClose(f.int_("chan"))
+        return ChanClose(_field(doc, "chan", int))
+    if t == "hello":
+        return Hello(module=_module(doc, "mod", "path"),
+                     peer=PeerSig(_field(doc, "peer", str), _module(doc, "peerMod", "peerPath")),
+                     proto_version=_field(doc, "ver", int))
+    if t == "helloack":
+        return HelloAck(_field(doc, "accepted", bool), _field(doc, "reason", str))
     raise ProtocolError(f"unknown envelope variant '{t}'")

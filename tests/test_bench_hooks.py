@@ -1,9 +1,10 @@
 """The benchmark drives locic from outside. These tests check that every
 function its tracer wraps still exists with the shape it calls, that
-uninstalling puts each original back, and that the `compile` workload's own
-output checks pass. The benchmark's files are loaded from `bench/`, unchanged."""
+uninstalling puts each original back, and that each workload's own output
+checks pass. The benchmark's files are loaded from `bench/`, unchanged."""
 
 import importlib.util
+import json
 import threading
 import time
 from pathlib import Path
@@ -82,4 +83,24 @@ def test_compile_workload_checks_pass():
         ties, typed, components = workloads.compile_program(expected["source"])
         texts = {pid: emit_component(pc) for pid, pc in components.items()}
         workloads.check_module_output(checks, expected, ties, typed, components, texts)
+    assert checks.failed == 0, checks.failures
+
+
+def test_runtime_workloads_run_without_failures():
+    # a few settle sessions and one stream round over mem; the inputs pass
+    # through JSON as they do on their way from bench/run.py
+    gen, workloads = _load_bench("gen"), _load_bench("workloads")
+    checks = workloads.Checks()
+    settle = workloads.Settle(json.loads(json.dumps(gen.inputs("settle", 101))))
+    settle.setup()
+    result = settle.run(0.1, checks)
+    settle.teardown()
+    assert result["attempted"] >= 1 and result["failed"] == 0
+    stream = workloads.Stream(json.loads(json.dumps(gen.inputs("stream", 501))))
+    stream.setup()
+    try:
+        result = stream.run(0.05, checks)  # a round, once started, runs whole
+    finally:
+        stream.teardown()
+    assert result["attempted"] >= len(stream.messages) and result["failed"] == 0
     assert checks.failed == 0, checks.failures

@@ -206,6 +206,14 @@ def test_run_unknown_peer_is_runtime_failure(simple_file, capsys):
     assert main(["run", simple_file, "--peer", "Ghost", "--settle-exit"]) == 3
 
 
+def test_run_refuses_a_non_ascii_digit_in_a_listen_spec():
+    proc = _run_cli(["run", str(SRC_DIR.parent / "samples" / "simple.loci"), "--peer", "MyPeer",
+                     "--listen", "tcp:1.2.3.\u00b2:80"])
+    _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 3
+    assert "malformed transport spec" in err and "Traceback" not in err
+
+
 def test_sim_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "lonely.loci"
     path.write_text("""

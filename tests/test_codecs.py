@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,40 @@ def test_type_mismatch_is_decode_error():
         parse_codec("Str").deserialize(b"[]")
     with pytest.raises(CodecError):
         parse_codec("(Int, Str)").deserialize(b"[1]")
+
+
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("leaf, good, bad", [("Int", b"1", b"true"), ("Bool", b"true", b"1")])
+def test_reader_refuses_bools_for_ints_and_ints_for_bools_at_every_depth(depth, leaf, good, bad):
+    codec_id, wrap = leaf, b"%s"
+    for level in range(depth):  # the leaf sits first, then last, in each tuple
+        codec_id = f"({codec_id}, Str)" if level % 2 else f"(Unit, {codec_id})"
+        wrap = (b'[%s,"s"]' if level % 2 else b"[null,%s]").replace(b"%s", wrap)
+    c = parse_codec(codec_id)
+    assert c.serialize(c.deserialize(wrap % good)) == wrap % good
+    with pytest.raises(CodecError, match=f"expected an? {leaf}"):
+        c.deserialize(wrap % bad)
+
+
+def test_lone_surrogates_are_codec_errors():
+    with pytest.raises(CodecError, match="cannot serialize"):
+        parse_codec("Str").serialize("a\ud800b")
+    with pytest.raises(CodecError, match="cannot serialize"):
+        parse_codec("(Int, Str)").serialize((1, "\udfff"))
+    with pytest.raises(CodecError, match="non-canonical"):
+        parse_codec("Str").deserialize(b'"\\ud800"')
+
+
+def test_an_int_too_long_to_print_is_a_codec_error():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        with pytest.raises(CodecError, match="cannot serialize"):
+            parse_codec("Int").serialize(10**5000)
+        with pytest.raises(CodecError, match="invalid encoding"):
+            parse_codec("Int").deserialize(b"1" * 5001)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_non_canonical_encodings_rejected():

@@ -1,15 +1,20 @@
+import base64
+import json
 import random
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
+from locic.codecs import CodecError, parse_codec
 from locic.sigs import ModuleSig, PeerSig, ValueSig
 from locic.transport import (ConnectError, ConnectionClosed, SpecError,
                              connect, listen, loop, parse_spec)
-from locic.wire import (MAX_FRAME_LEN, Framer, Hello, ProtocolError, Request,
-                        decode_envelope, encode_envelope, frame)
+from locic.wire import (MAX_FRAME_LEN, ChanMsg, ChanOpen, Framer, Hello, ProtocolError,
+                        Request, Response, decode_envelope, encode_envelope, frame)
 
 
 # --- framing ------------------------------------------------------------
@@ -59,6 +64,63 @@ def test_request_canonical_encoding():
     req = Request(1, ValueSig("i:Int", ModuleSig("SimpleModule")))
     assert encode_envelope(req) == \
         b'{"t":"req","id":1,"mod":"SimpleModule","path":[],"val":"i:Int"}'
+
+
+def test_response_and_chanmsg_canonical_encoding():
+    assert encode_envelope(Response(3, True, payload=b'[1,"a"]')) == \
+        b'{"t":"res","id":3,"ok":true,"payload":"WzEsImEiXQ=="}'
+    assert encode_envelope(ChanMsg(2, b"41")) == b'{"t":"chanmsg","chan":2,"payload":"NDE="}'
+
+
+@st.composite
+def _hot_envelopes(draw):
+    """A Request, ok Response, ChanMsg or ChanOpen, with the dict that is
+    its canonical JSON form."""
+    ident = draw(st.integers(0, 2**63))
+    kind = draw(st.sampled_from(["req", "res", "chanmsg", "chanopen"]))
+    if kind in ("res", "chanmsg"):
+        payload = draw(st.binary(max_size=64))
+        text = base64.b64encode(payload).decode("ascii")
+        if kind == "res":
+            return Response(ident, True, payload=payload), \
+                {"t": "res", "id": ident, "ok": True, "payload": text}
+        return ChanMsg(ident, payload), {"t": "chanmsg", "chan": ident, "payload": text}
+    # any text but lone surrogates: quotes, backslashes, controls, non-ASCII
+    name, val = draw(st.text()), draw(st.text())
+    path = draw(st.lists(st.text(), max_size=3))
+    value = ValueSig(val, ModuleSig(name, tuple(path)))
+    fields = {"mod": name, "path": path, "val": val}
+    if kind == "req":
+        return Request(ident, value), {"t": "req", "id": ident, **fields}
+    return ChanOpen(ident, value), {"t": "chanopen", "chan": ident, **fields}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hot_envelopes())
+def test_templated_envelopes_match_the_generic_encoding(case):
+    env, doc = case
+    data = encode_envelope(env)
+    assert data == json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode()
+    assert decode_envelope(data) == env
+
+
+@pytest.mark.parametrize("pad", [b" ", b"\n", b"\t", b"\r"])
+def test_whitespace_around_an_envelope_or_a_payload_is_refused(pad):
+    data = encode_envelope(Request(1, ValueSig("i:Int", ModuleSig("M"))))
+    for padded in (pad + data, data + pad):
+        with pytest.raises(ProtocolError, match="malformed envelope"):
+            decode_envelope(padded)
+    for padded in (pad + b"42", b"42" + pad):
+        with pytest.raises(CodecError):
+            parse_codec("Int").deserialize(padded)
+
+
+def test_json_nested_too_deep_to_parse_is_a_decode_error():
+    data = b"[" * 100_000
+    with pytest.raises(ProtocolError, match="malformed envelope"):
+        decode_envelope(data)
+    with pytest.raises(CodecError, match="invalid encoding"):
+        parse_codec("Int").deserialize(data)
 
 
 def test_decode_request_example():
@@ -111,6 +173,14 @@ def test_spec_parsing():
     "tcp:nohost",
     "mem:",
     "carrier-pigeon:coop",
+    # a port or IPv4 part is ASCII digits only
+    "tcp:127.0.0.1:+80",
+    "tcp:127.0.0.1: 80",
+    "tcp:127.0.0.1:8_0",
+    "tcp:127.0.0.1:\u0668\u0660",
+    "tcp:1.2.3.\u00b2:80",
+    "tcp:1.2.3.\u0668:80",
+    "tcp:1.2.3." + "9" * 5000 + ":80",  # too long for int() to read
 ])
 def test_malformed_specs(spec):
     with pytest.raises(SpecError):

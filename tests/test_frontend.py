@@ -116,6 +116,19 @@ def test_check_refuses_non_ascii_digits(tmp_path, capsys, literal, col):
     assert capsys.readouterr().err == f"{path}:3:{col} unexpected character {literal[-1]!r}\n"
 
 
+@pytest.mark.parametrize("escape", ["\\ud800", "\\uDBFF", "\\udc00", "\\uDFFF"])
+def test_check_refuses_lone_surrogate_escapes(tmp_path, capsys, escape):
+    path = tmp_path / "surrogate.loci"
+    path.write_text(f'module M {{\n  peer A {{ }}\n  val s: Str on A = "a{escape}b"\n}}\n',
+                    encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == f"{path}:3:23 invalid \\u escape\n"
+
+
+def test_escapes_next_to_the_surrogate_range_are_characters():
+    assert tokenize('"\\ud7ff\\ue000"')[0].text == "\ud7ff\ue000"
+
+
 def test_multi_module_program():
     mods = parse_program(helpers.MONITORING_P2P)
     assert [m.name for m in mods] == ["Monitoring", "P2P"]

@@ -8,7 +8,7 @@ import pytest
 import helpers
 from locic import runtime, transport
 from locic.arch import PeerId
-from locic.codecs import parse_codec
+from locic.codecs import Codec, CodecError, parse_codec
 from locic.runtime import PeerInstance, RemoteRef, StartError, simulate, start
 from locic.sigs import ModuleSig, PeerSig, ValueSig
 from locic.splitter import split
@@ -434,6 +434,51 @@ def test_dispatch_not_found_and_failure(instances):
     refused = link.endpoint.pull(j_sig, parse_codec("Int"))
     assert refused.wait(5)
     assert refused.state == FAILED
+
+
+PULLED_TWICE = """
+    module M {
+      peer Hub { tie: multiple Spoke }
+      peer Spoke { tie: single Hub }
+      val v: (Int, Str) on Hub = (7, "x")
+      val got: Future[(Int, Str)] on Spoke = v.asLocal
+    }
+"""
+
+
+def _counted_serialize(monkeypatch, fail: bool) -> list:
+    calls = []
+    original = Codec.serialize
+
+    def serialize(codec, value):
+        calls.append(value)
+        if fail:
+            raise CodecError("cannot serialize")
+        return original(codec, value)
+
+    monkeypatch.setattr(Codec, "serialize", serialize)
+    return calls
+
+
+def test_a_value_pulled_by_two_remotes_is_serialized_once(instances, monkeypatch):
+    calls = _counted_serialize(monkeypatch, fail=False)
+    sims = simulate(components_for(PULLED_TWICE), ["Hub", "Spoke", "Spoke"], timeout=5)
+    instances.extend(sims)
+    for spoke in sims[1:]:
+        got = spoke.slot("got")
+        assert got.wait(5) and got.value == (7, "x")
+    assert calls == [(7, "x")]
+
+
+def test_a_failed_serialize_fails_every_request_and_is_not_kept(instances, monkeypatch):
+    calls = _counted_serialize(monkeypatch, fail=True)
+    sims = simulate(components_for(PULLED_TWICE), ["Hub", "Spoke", "Spoke"], timeout=5)
+    instances.extend(sims)
+    for spoke in sims[1:]:
+        got = spoke.slot("got")
+        assert got.wait(5) and got.state == FAILED and got.error == "cannot serialize"
+    assert calls == [(7, "x"), (7, "x")]
+    assert sims[0]._slots["v"].payload is None
 
 
 def test_stop_fails_pending_futures(instances):
