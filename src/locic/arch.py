@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import ast
 from .ast import Multiplicity
@@ -19,9 +20,10 @@ class ArchError(SourceError):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class PeerId:
-    """Globally unique peer identity: include path (at most one level) + name."""
+class PeerId(NamedTuple):
+    """Globally unique peer identity: include path (at most one level) + name.
+
+    A tuple, so hashing, equality and (path, name) ordering run in C."""
 
     path: tuple[str, ...]
     name: str

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     """1-based line/column position. (0, 0) means unknown."""
 
     line: int

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from . import ast
 from .diagnostics import Diagnostic, Pos, SourceError
@@ -18,11 +19,8 @@ KEYWORDS = {
     "asLocal", "asLocalFromAll",
 }
 
-PUNCT = ("=>", "==", "{", "}", "(", ")", "[", "]", ":", ",", ".", "=", "+", "-", "*", "<")
 
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'int' | 'str' | keyword or punct literal | 'eof'
     text: str
     pos: Pos
@@ -32,93 +30,71 @@ class Token:
         return int(self.text)
 
 
+# A string literal up to its closing quote, or up to its first fault.
+_STRING = re.compile(r'"(?:[^"\\\n]|\\[nrt"\\]|\\u(?![dD][89a-fA-F])[0-9a-fA-F]{4})*')
+
+# One match per token or comment, with the blanks before it; only trailing
+# blanks match nothing. A faulty string literal falls to `bad`.
+_TOKEN = re.compile(r"""[ \t\r]*(?:
+    (?P<int>[0-9]+)  # ASCII only: \d also takes "٣"
+    | (?P<word>\w+)
+    | (?P<punct>=>|==|[{}()\[\]:,.=+\-*<])
+    | (?P<comment>\#.*)
+    | (?P<str>%s")
+    | (?P<bad>[^ \t\r]))
+""" % _STRING.pattern, re.VERBOSE)
+
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_ESCAPE = re.compile(r"\\(?:u(....)|(.))")
+
+
+def _unescape(m: re.Match) -> str:
+    return chr(int(m[1], 16)) if m[1] else _ESCAPES[m[2]]
+
+
+def _string_error(text: str, i: int, line: int) -> ParseError:
+    """The first fault of the string literal opening at text[i], where
+    `text` is its line plus the newline that follows it, if any."""
+    j = _STRING.match(text, i).end()
+    if text[j : j + 1] == "\\" and j + 1 < len(text):  # an escape it cannot read
+        esc = text[j + 1]
+        message = "invalid \\u escape" if esc == "u" else f"invalid escape '\\{esc}'"
+        return ParseError([Diagnostic(Pos(line, j + 1), message)])
+    return ParseError([Diagnostic(Pos(line, i + 1), "unterminated string literal")])
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def err(msg: str, pos: Pos):
-        raise ParseError([Diagnostic(pos, msg)])
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        pos = Pos(line, col)
-        if "0" <= c <= "9":  # ASCII only: str.isdigit also takes "²" and "٣"
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            tokens.append(Token("int", source[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, pos))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            out: list[str] = []
-            while True:
-                if j >= n or source[j] == "\n":
-                    err("unterminated string literal", pos)
-                ch = source[j]
-                if ch == '"':
-                    j += 1
-                    break
-                if ch == "\\":
-                    if j + 1 >= n:
-                        err("unterminated string literal", pos)
-                    esc = source[j + 1]
-                    if esc in _ESCAPES:
-                        out.append(_ESCAPES[esc])
-                        j += 2
-                    elif esc == "u":
-                        hexpart = source[j + 2 : j + 6]
-                        if (len(hexpart) != 4 or any(h not in "0123456789abcdefABCDEF" for h in hexpart)
-                                or 0xD800 <= int(hexpart, 16) <= 0xDFFF):  # a lone surrogate
-                            err("invalid \\u escape", Pos(line, col + j - i))
-                        out.append(chr(int(hexpart, 16)))
-                        j += 6
-                    else:
-                        err(f"invalid escape '\\{esc}'", Pos(line, col + j - i))
+    append = tokens.append
+    new = tuple.__new__  # skips the NamedTuple constructors' Python frames
+    lines = source.split("\n")
+    for line, text in enumerate(lines, 1):
+        end = len(text)  # the end-of-input column stops at a trailing comment
+        for m in _TOKEN.finditer(text):
+            kind = m.lastgroup
+            word = m[kind]
+            col = m.end() - len(word) + 1
+            if kind == "word":
+                # \w is str.isalnum() or "_"; a word must start alphabetic
+                if not (word[0].isalpha() or word[0] == "_"):
+                    kind = "bad"
                 else:
-                    out.append(ch)
-                    j += 1
-            tokens.append(Token("str", "".join(out), pos))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token(p, p, pos))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            err(f"unexpected character {c!r}", pos)
-    tokens.append(Token("eof", "", Pos(line, col)))
+                    kind = word if word in KEYWORDS else "ident"
+            elif kind == "punct":
+                kind = word
+            elif kind == "str":
+                word = word[1:-1]
+                if "\\" in word:
+                    word = _ESCAPE.sub(_unescape, word)
+            elif kind == "comment":
+                end = col - 1
+                continue
+            if kind == "bad":
+                if word == '"':
+                    raise _string_error(text + "\n" if line < len(lines) else text, col - 1, line)
+                raise ParseError([Diagnostic(Pos(line, col), f"unexpected character {word[0]!r}")])
+            append(new(Token, (kind, word, new(Pos, (line, col)))))
+    append(Token("eof", "", Pos(line, end + 1)))
     return tokens
 
 

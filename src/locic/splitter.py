@@ -43,7 +43,15 @@ PULL, STREAM = "pull", "stream"
 
 @dataclass(frozen=True)
 class Evaluate:
+    """A slot this peer evaluates; one per definition, shared by every
+    component that holds it."""
+
     body: TypedExpr
+
+    @cached_property
+    def body_json(self) -> str:
+        """The body's document as JSON, encoded once for all its components."""
+        return _encode(expr_to_doc(self.body))
 
 
 @dataclass(frozen=True)
@@ -201,14 +209,14 @@ def split(tm: TypedModule) -> dict[PeerId, PeerComponent]:
             continue
 
     declared_types = {d.name: d.declared_type for d in tm.defs}
-    rewritten = {
-        d.name: _rewrite(d.body, plans, sigs, declared_types) for d in tm.defs
+    evaluates = {
+        d.name: Evaluate(_rewrite(d.body, plans, sigs, declared_types)) for d in tm.defs
     }
 
     peer_table = {pid: tuple(sorted(a.peers[pid].supers)) for pid in sorted(a.peers)}
     root = ModuleSig(a.module_name, ())
 
-    # components share the read-only peer table and include map
+    # components share the read-only peer table, include map and evaluated bodies
     components: dict[PeerId, PeerComponent] = {}
     for pid in sorted(a.peers):
         closure = a.closures[pid]
@@ -216,7 +224,7 @@ def split(tm: TypedModule) -> dict[PeerId, PeerComponent]:
         dispatch: dict[ValueSig, AccessPlan] = {}
         for d in tm.defs:
             available = d.placed_on in closure
-            slots.append((d.name, Evaluate(rewritten[d.name]) if available else None))
+            slots.append((d.name, evaluates[d.name] if available else None))
             if available and d.name in plans:
                 dispatch[sigs[d.name]] = plans[d.name]
         components[pid] = PeerComponent(
@@ -354,24 +362,30 @@ def expr_from_doc(doc, modules: Modules) -> TypedExpr:
 FORMAT = "locic-component/3"
 
 
+_encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode
+
+
 def emit_component(pc: PeerComponent) -> str:
     """Deterministic document for one component: compact, key-sorted JSON on
-    one line plus a newline. `read_component` inverts it."""
-    doc = {
-        "format": FORMAT,
-        "peer": str(pc.peer),
-        "rootModule": pc.root_module.name,
-        "includes": pc.includes,
-        "peers": {str(pid): [str(s) for s in supers] for pid, supers in pc.peer_table.items()},
-        "ties": {str(pid): mult.keyword for pid, mult in pc.tie_table.items()},
-        "slots": [
-            name if plan is None else {"name": name, "body": expr_to_doc(plan.body)}
-            for name, plan in pc.slots
-        ],
-        "dispatch": [{"val": sig.canonical, "plan": _plan_doc(plan)}
-                     for sig, plan in sorted(pc.dispatch.items())],
-    }
-    return json.dumps(doc, sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+    one line plus a newline. `read_component` inverts it.
+
+    The keys are written in sorted order by hand, so that each evaluated
+    body is spliced in as the text its `Evaluate` encoded once."""
+    slots = ",".join(
+        _encode(name) if ev is None else '{"body":%s,"name":%s}' % (ev.body_json, _encode(name))
+        for name, ev in pc.slots)
+    return ('{"dispatch":%s,"format":"%s","includes":%s,"peer":%s,"peers":%s,'
+            '"rootModule":%s,"slots":[%s],"ties":%s}\n') % (
+        _encode([{"val": sig.canonical, "plan": _plan_doc(plan)}
+                 for sig, plan in sorted(pc.dispatch.items())]),
+        FORMAT,
+        _encode(pc.includes),
+        _encode(str(pc.peer)),
+        _encode({str(pid): [str(s) for s in supers] for pid, supers in pc.peer_table.items()}),
+        _encode(pc.root_module.name),
+        slots,
+        _encode({str(pid): mult.keyword for pid, mult in pc.tie_table.items()}),
+    )
 
 
 def read_component(text: str) -> PeerComponent:

@@ -183,9 +183,12 @@ def _value(doc: dict) -> ValueSig:
 
 def decode_envelope(data: bytes) -> Envelope:
     """The envelope `data` holds: exactly one JSON object, with no
-    whitespace around it."""
+    whitespace around it and every string valid Unicode."""
     try:
-        doc = decode_json(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        doc = decode_json(text)
+        if "\\u" in text:  # a \u escape can name a lone surrogate, which UTF-8 cannot carry
+            encode_json(doc).encode("utf-8")
     except (ValueError, RecursionError) as e:  # also an overlong int, or deep nesting
         raise ProtocolError(f"malformed envelope: {e}") from None
     if type(doc) is not dict:

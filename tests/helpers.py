@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import string
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from locic import arch, ast, checker, parser
 from locic.ast import Multiplicity
+from locic.diagnostics import Diagnostic, Pos
 from locic.parser import KEYWORDS
 from locic.sigs import ModuleSig, PeerSig, ValueSig
 from locic.wire import (ChanClose, ChanMsg, ChanOpen, Hello, HelloAck, Request,
@@ -53,6 +56,17 @@ def compile_clean(source: str):
     main, a, t, tm = compile_source(source)
     assert not tm.diagnostics, [d.message for d in tm.diagnostics]
     return main, a, t, tm
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_bench(name: str):
+    """A module of the benchmark, loaded from `bench/` unchanged."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # --- hypothesis strategies for surface ASTs -----------------------------
@@ -199,6 +213,101 @@ def oracle_effective_ties(m: ast.SurfaceModule) -> dict[tuple[str, str], Multipl
             if mults:
                 table[(left, right)] = min(mults)
     return table
+
+
+# --- reference tokenizer -----------------------------------------------------
+
+_PUNCT = ("=>", "==", "{", "}", "(", ")", "[", "]", ":", ",", ".", "=", "+", "-", "*", "<")
+_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+
+
+def reference_tokenize(source: str) -> list[parser.Token]:
+    """The character-loop tokenizer `parser.tokenize` replaced, kept as the
+    oracle for its tokens, positions and diagnostics."""
+    tokens: list[parser.Token] = []
+    line, col = 1, 1
+    i, n = 0, len(source)
+
+    def err(msg: str, pos: Pos):
+        raise parser.ParseError([Diagnostic(pos, msg)])
+
+    while i < n:
+        c = source[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and source[i] != "\n":
+                i += 1
+            continue
+        pos = Pos(line, col)
+        if "0" <= c <= "9":
+            j = i
+            while j < n and "0" <= source[j] <= "9":
+                j += 1
+            tokens.append(parser.Token("int", source[i:j], pos))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            word = source[i:j]
+            kind = word if word in KEYWORDS else "ident"
+            tokens.append(parser.Token(kind, word, pos))
+            col += j - i
+            i = j
+            continue
+        if c == '"':
+            j = i + 1
+            out: list[str] = []
+            while True:
+                if j >= n or source[j] == "\n":
+                    err("unterminated string literal", pos)
+                ch = source[j]
+                if ch == '"':
+                    j += 1
+                    break
+                if ch == "\\":
+                    if j + 1 >= n:
+                        err("unterminated string literal", pos)
+                    esc = source[j + 1]
+                    if esc in _ESCAPES:
+                        out.append(_ESCAPES[esc])
+                        j += 2
+                    elif esc == "u":
+                        hexpart = source[j + 2 : j + 6]
+                        if (len(hexpart) != 4 or any(h not in "0123456789abcdefABCDEF" for h in hexpart)
+                                or 0xD800 <= int(hexpart, 16) <= 0xDFFF):
+                            err("invalid \\u escape", Pos(line, col + j - i))
+                        out.append(chr(int(hexpart, 16)))
+                        j += 6
+                    else:
+                        err(f"invalid escape '\\{esc}'", Pos(line, col + j - i))
+                else:
+                    out.append(ch)
+                    j += 1
+            tokens.append(parser.Token("str", "".join(out), pos))
+            col += j - i
+            i = j
+            continue
+        for p in _PUNCT:
+            if source.startswith(p, i):
+                tokens.append(parser.Token(p, p, pos))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            err(f"unexpected character {c!r}", pos)
+    tokens.append(parser.Token("eof", "", Pos(line, col)))
+    return tokens
 
 
 # --- random well-typed modules (serializable defs, optional remote reads) --

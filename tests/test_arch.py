@@ -1,17 +1,37 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import helpers
 from locic import parser
 from locic.arch import (ArchError, PeerId, effective_ties, is_subpeer,
                         parse_peer_name, resolve_architecture)
 from locic.ast import Multiplicity
+from locic.diagnostics import Pos
+from locic.parser import Token
 
 REGISTRY_PID = PeerId((), "Registry")
 NODE_PID = PeerId((), "Node")
 MONITOR_PID = PeerId(("mon",), "Monitor")
 MONITORED_PID = PeerId(("mon",), "Monitored")
+
+
+@given(st.lists(st.tuples(st.lists(st.sampled_from(["", "a", "mon", "é"]), max_size=2).map(tuple),
+                          st.sampled_from(["", "A", "a", "B", "Node", "é"]))))
+def test_peer_ids_sort_as_path_name_pairs(pairs):
+    assert sorted(PeerId(path, name) for path, name in pairs) == sorted(pairs)
+
+
+@pytest.mark.parametrize("value, field", [
+    (PeerId(("mon",), "Monitor"), "name"), (PeerId((), "A"), "path"),
+    (Pos(1, 2), "line"), (Pos(1, 2), "col"),
+    (Token("int", "1", Pos(1, 1)), "kind"), (Token("int", "1", Pos(1, 1)), "pos"),
+])
+def test_identities_and_positions_are_immutable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
 
 
 def p2p_architecture():

@@ -3,34 +3,23 @@ function its tracer wraps still exists with the shape it calls, that
 uninstalling puts each original back, and that each workload's own output
 checks pass. The benchmark's files are loaded from `bench/`, unchanged."""
 
-import importlib.util
 import json
 import threading
 import time
-from pathlib import Path
 
 import helpers
 from locic import runtime
 from locic.splitter import emit_component, split
 from locic.transmit import READY
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _load_bench(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def _components(sample: str):
-    _, _, _, tm = helpers.compile_clean((ROOT / "samples" / sample).read_text())
+    _, _, _, tm = helpers.compile_clean((helpers.ROOT / "samples" / sample).read_text())
     return split(tm)
 
 
 def test_tracer_hooks_wrap_and_restore():
-    tracing = _load_bench("tracer")
+    tracing = helpers.load_bench("tracer")
     streams, simple = _components("streams.loci"), _components("simple.loci")
     tracer = tracing.Tracer()
     tracer.install()
@@ -75,7 +64,7 @@ def test_tracer_hooks_wrap_and_restore():
 def test_compile_workload_checks_pass():
     # the tie oracle, the slot marks, byte-stable emit, and read-then-emit,
     # on generated modules with included peers
-    gen, workloads = _load_bench("gen"), _load_bench("workloads")
+    gen, workloads = helpers.load_bench("gen"), helpers.load_bench("workloads")
     pool = gen.inputs("compile", 7)["pool"][:4]
     assert any("include" in expected["source"] for expected in pool)
     checks = workloads.Checks()
@@ -89,7 +78,7 @@ def test_compile_workload_checks_pass():
 def test_runtime_workloads_run_without_failures():
     # a few settle sessions and one stream round over mem; the inputs pass
     # through JSON as they do on their way from bench/run.py
-    gen, workloads = _load_bench("gen"), _load_bench("workloads")
+    gen, workloads = helpers.load_bench("gen"), helpers.load_bench("workloads")
     checks = workloads.Checks()
     settle = workloads.Settle(json.loads(json.dumps(gen.inputs("settle", 101))))
     settle.setup()

@@ -155,6 +155,44 @@ def test_sim_composition_module(tmp_path, capsys):
     assert "[Node#1] fromNode = 5" in out
 
 
+SAMPLE_SIM_PEERS = {"simple.loci": "MyPeer,MyPeer", "p2p.loci": "Registry,Node,Node",
+                    "streams.loci": "Sensor,Display,Display"}
+CLI_GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_samples.json"
+
+
+def sample_outputs(run, out_dir: Path) -> dict:
+    """Exit code, stdout and stderr of check, arch, split and sim on every
+    sample, run from the repository root; `run(argv)` returns all three."""
+    outputs = {}
+    for sample, peers in SAMPLE_SIM_PEERS.items():
+        path = f"samples/{sample}"
+        split_dir = out_dir / sample
+        for name, argv in {
+            "check": ["check", path], "check json": ["check", path, "--format", "json"],
+            "arch": ["arch", path], "arch json": ["arch", path, "--format", "json"],
+            "split": ["split", path, "--out", str(split_dir)],
+            "sim": ["sim", path, "--peers", peers, "--timeout", "5"],
+            "sim json": ["sim", path, "--peers", peers, "--timeout", "5", "--format", "json"],
+        }.items():
+            code, out, err = run(argv)
+            outputs[f"{sample} {name}"] = [code, out.replace(str(out_dir), "OUT"), err]
+        for doc in sorted(split_dir.iterdir()):
+            outputs[f"{sample} split {doc.name}"] = doc.read_text(encoding="utf-8")
+    return outputs
+
+
+def test_sample_outputs_match_the_recorded_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(SRC_DIR.parent)
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    recorded = json.loads(CLI_GOLDEN.read_text(encoding="utf-8"))
+    assert sample_outputs(run, tmp_path) == recorded
+
+
 def _run_cli(args, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC_DIR)

@@ -13,7 +13,8 @@ from locic.codecs import CodecError, parse_codec
 from locic.sigs import ModuleSig, PeerSig, ValueSig
 from locic.transport import (ConnectError, ConnectionClosed, SpecError,
                              connect, listen, loop, parse_spec)
-from locic.wire import (MAX_FRAME_LEN, ChanMsg, ChanOpen, Framer, Hello, ProtocolError,
+from locic.wire import (MAX_FRAME_LEN, ChanMsg, ChanOpen, Framer, Hello, HelloAck,
+                        ProtocolError,
                         Request, Response, decode_envelope, encode_envelope, frame)
 
 
@@ -126,6 +127,23 @@ def test_json_nested_too_deep_to_parse_is_a_decode_error():
 def test_decode_request_example():
     data = b'{"t":"req","id":1,"mod":"SimpleModule","path":[],"val":"i:Int"}'
     assert decode_envelope(data) == Request(1, ValueSig("i:Int", ModuleSig("SimpleModule")))
+
+
+@pytest.mark.parametrize("data", [
+    b'{"t":"req","id":99,"mod":"SimpleModule","path":[],"val":"\\ud800"}',
+    b'{"t":"helloack","accepted":false,"reason":"no \\udfff"}',
+    b'{"t":"chanopen","chan":1,"mod":"M\\uDBFF","path":[],"val":"s:Stream[Int]"}',
+    b'{"t":"chanclose","chan":1,"x\\ud83d":0}',  # in a key the decoder ignores
+    b'{"t":"res","id":1,"ok":false,"error":"\\ude00\\ud83d"}',  # a pair in the wrong order
+])
+def test_lone_surrogate_escape_is_refused(data):
+    with pytest.raises(ProtocolError, match="malformed envelope"):
+        decode_envelope(data)
+
+
+def test_escaped_surrogate_pair_is_one_character():
+    data = b'{"t":"helloack","accepted":false,"reason":"\\ud83d\\ude00"}'
+    assert decode_envelope(data) == HelloAck(False, "\U0001F600")
 
 
 def test_unknown_variant_rejected():

@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from locic import ast, cli
+from locic.diagnostics import Pos
 from locic.parser import ParseError, parse_module, parse_program, tokenize
 from locic.render import render_module
 
@@ -127,6 +129,39 @@ def test_check_refuses_lone_surrogate_escapes(tmp_path, capsys, escape):
 
 def test_escapes_next_to_the_surrogate_range_are_characters():
     assert tokenize('"\\ud7ff\\ue000"')[0].text == "\ud7ff\ue000"
+
+
+def _tokens_or_diagnostics(tokenize_fn, source):
+    try:
+        return [(t.kind, t.text, t.pos) for t in tokenize_fn(source)]
+    except ParseError as e:
+        return [(d.pos, d.message) for d in e.diagnostics]
+
+
+# pieces of .loci text, and the characters the tokenizer must refuse or treat specially
+_LOCI_PIECES = st.sampled_from([
+    "module", "val", "asLocal", "x", "_a1", "é", "x²", "12", "0", "²", "٣", "½",
+    " ", "\t", "\r", "\n", "#", "# c", "\x0b", "\xa0", "$", "\ud800",
+    '"', '"ab"', "\\", "\\n", "\\t", "\\q", '\\"', "\\\\", "\\u", "\\u00e9", "\\u12",
+    "\\ud800", "\\uDFFF", "\\ud7ff", "\\uE000", "\\ud83d\\ude00", "u", "D8", "00", "g",
+    "=>", "==", "=", ">", "{", "}", "(", ")", "[", "]", ":", ",", ".", "+", "-", "*", "<",
+])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(), st.lists(_LOCI_PIECES, max_size=40).map("".join)))
+def test_tokenizer_matches_the_reference_loop(source):
+    assert (_tokens_or_diagnostics(tokenize, source)
+            == _tokens_or_diagnostics(helpers.reference_tokenize, source))
+
+
+@pytest.mark.parametrize("source, pos", [
+    ("#", Pos(1, 1)), ("a #c", Pos(1, 3)), ("a\n  b # c", Pos(2, 5)),
+    ("# c\n", Pos(2, 1)), ("a  ", Pos(1, 4)),
+])
+def test_end_of_input_column_stops_at_a_trailing_comment(source, pos):
+    assert tokenize(source)[-1] == ("eof", "", pos)
+    assert helpers.reference_tokenize(source)[-1] == ("eof", "", pos)
 
 
 def test_multi_module_program():

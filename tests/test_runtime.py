@@ -231,6 +231,49 @@ def test_second_hello_on_one_connection_is_refused(instances):
         ep.close()
 
 
+def test_lone_surrogate_request_closes_only_the_probing_link(instances, monkeypatch):
+    logged = []
+    monkeypatch.setattr(transport, "_log_failure", lambda what, e: logged.append(what))
+    reasons = []
+    on_link_closed = PeerInstance._on_link_closed
+
+    def record(self, link, reason):
+        reasons.append((self.label, reason))
+        on_link_closed(self, link, reason)
+
+    monkeypatch.setattr(PeerInstance, "_on_link_closed", record)
+    source = (helpers.ROOT / "samples" / "simple.loci").read_text()
+    comp = components_for(source)[PeerId((), "MyPeer")]
+    hub = fresh_hub()
+    a = PeerInstance(comp, label="a")
+    instances.append(a)
+    a.listen(hub)
+    b = PeerInstance(comp, label="b")
+    instances.append(b)
+    b.connect(hub, "MyPeer", timeout=5)
+    assert a._wait_live_links(1, 5)
+    a.activate(5)
+    b.activate(5)
+    assert a.wait_settled(5) and b.wait_settled(5)
+
+    b._links[0].endpoint.conn.send(
+        b'{"t":"req","id":99,"mod":"SimpleModule","path":[],"val":"\\ud800"}')
+    deadline = time.monotonic() + 5
+    while (a.links() or b.links()) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert a.links() == [] and b.links() == []
+    reasons = dict(reasons)
+    assert reasons.keys() == {"a", "b"}
+    assert reasons["a"].startswith("protocol error: malformed envelope")
+    assert logged == []
+
+    # a well-formed pull from a new link is still served
+    c = start(comp, [], [(hub, "MyPeer")], timeout=5, label="c")
+    instances.append(c)
+    assert c.wait_settled(5)
+    assert c.slot("j").state == READY and c.slot("j").value == 1
+
+
 # --- only admitted, live links are served ------------------------------------
 
 OPTIONAL_PAIR = """

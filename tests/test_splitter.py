@@ -17,8 +17,8 @@ from locic.codecs import parse_codec
 from locic.runtime import simulate
 from locic.sigs import ModuleSig, PeerSig, ValueSig
 from locic.splitter import (FORMAT, PULL, STREAM, AccessPlan, ComponentFormatError,
-                            Evaluate, RemoteCall, SplitError, emit_component,
-                            read_component, split)
+                            Evaluate, PeerComponent, RemoteCall, SplitError,
+                            emit_component, expr_to_doc, read_component, split)
 from locic.transmit import FAILED, READY
 
 MYPEER = PeerId((), "MyPeer")
@@ -323,6 +323,45 @@ def test_emit_deterministic():
     first = {pid: emit_component(pc) for pid, pc in split_source(helpers.MONITORING_P2P)[1].items()}
     second = {pid: emit_component(pc) for pid, pc in split_source(helpers.MONITORING_P2P)[1].items()}
     assert first == second
+
+
+def _document(pc: PeerComponent) -> dict:
+    """The whole document as one dict, which `emit_component` must encode
+    as `json.dumps` would."""
+    return {
+        "format": FORMAT,
+        "peer": str(pc.peer),
+        "rootModule": pc.root_module.name,
+        "includes": pc.includes,
+        "peers": {str(pid): [str(s) for s in supers] for pid, supers in pc.peer_table.items()},
+        "ties": {str(pid): mult.keyword for pid, mult in pc.tie_table.items()},
+        "slots": [name if ev is None else {"name": name, "body": expr_to_doc(ev.body)}
+                  for name, ev in pc.slots],
+        "dispatch": [{"val": sig.canonical,
+                      "plan": {"slot": plan.slot, "mode": plan.mode, "codec": plan.codec.id}}
+                     for sig, plan in sorted(pc.dispatch.items())],
+    }
+
+
+def test_emit_template_matches_the_generic_encoding():
+    sources = [(helpers.ROOT / "samples" / name).read_text()
+               for name in ("simple.loci", "p2p.loci", "streams.loci")]
+    sources += [m["source"] for m in helpers.load_bench("gen").compile_pool(7)]
+    shared = 0
+    for source in sources:
+        comps = split_source(source)[1]
+        held = collections.defaultdict(list)
+        for pc in comps.values():
+            assert emit_component(pc) == json.dumps(
+                _document(pc), sort_keys=True, ensure_ascii=False, separators=(",", ":")) + "\n"
+            for name, ev in pc.slots:
+                if ev is not None:
+                    held[name].append(ev)
+        # components that evaluate one definition hold its one Evaluate
+        for evs in held.values():
+            assert all(ev is evs[0] for ev in evs)
+            shared += len(evs) > 1
+    assert shared
 
 
 def test_distinct_module_paths_give_distinct_peer_sigs():
