@@ -8,12 +8,13 @@ targeting a peer or its super-peers, and keep the most specific multiplicity
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from . import ast
 from .ast import Multiplicity
 from .diagnostics import Diagnostic, SourceError
+from .records import record
 
 
 class ArchError(SourceError):
@@ -32,13 +33,13 @@ class PeerId(NamedTuple):
         return ".".join(self.path + (self.name,))
 
 
-@dataclass
+@record
 class PeerInfo:
     supers: tuple[PeerId, ...]
     declared_ties: dict[PeerId, Multiplicity]
 
 
-@dataclass(frozen=True)
+@record
 class FlatDef:
     """A definition after include flattening; `include` is the alias it came from."""
 
@@ -47,19 +48,19 @@ class FlatDef:
     decl: ast.DefDecl
 
 
-@dataclass
+@record
 class Architecture:
     module_name: str
     peers: dict[PeerId, PeerInfo]
     placements: dict[str, PeerId]
     def_order: list[str]
     defs: list[FlatDef]
-    includes: dict[str, str] = field(default_factory=dict)  # alias -> module name
-    # every peer's super-closure, built once from `peers`
-    closures: dict[PeerId, frozenset[PeerId]] = field(init=False, repr=False, compare=False)
+    includes: dict[str, str]  # alias -> module name
 
-    def __post_init__(self) -> None:
-        self.closures = super_closures({p: info.supers for p, info in self.peers.items()})
+    @cached_property
+    def closures(self) -> dict[PeerId, frozenset[PeerId]]:
+        """Every peer's super-closure, built once from `peers`."""
+        return super_closures({p: info.supers for p, info in self.peers.items()})
 
     def super_closure(self, p: PeerId) -> frozenset[PeerId]:
         """p together with all transitive super-peers."""

@@ -7,9 +7,9 @@ excluded from equality so that parse/render round-trips compare equal.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 from .diagnostics import UNKNOWN_POS, Pos
+from .records import record, uncompared
 
 
 class Multiplicity(enum.IntEnum):
@@ -27,13 +27,13 @@ class Multiplicity(enum.IntEnum):
 MULTIPLICITY_BY_KEYWORD = {m.keyword: m for m in Multiplicity}
 
 
-@dataclass(frozen=True)
+@record
 class PeerRef:
     """Reference to a peer, optionally qualified by an include alias."""
 
     qualifier: str | None
     name: str
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
     def __str__(self) -> str:
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
@@ -41,42 +41,41 @@ class PeerRef:
 
 # --- types ------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TypeExpr:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TPrim(TypeExpr):
     name: str  # Int | Bool | Str | Unit
 
 
-@dataclass(frozen=True)
+@record
 class TTuple(TypeExpr):
     items: tuple[TypeExpr, ...]  # at least 2
 
 
-@dataclass(frozen=True)
+@record
 class TStream(TypeExpr):
     elem: TypeExpr
 
 
-@dataclass(frozen=True)
+@record
 class TFuture(TypeExpr):
     elem: TypeExpr
 
 
-@dataclass(frozen=True)
+@record
 class TOption(TypeExpr):
     elem: TypeExpr
 
 
-@dataclass(frozen=True)
+@record
 class TSeq(TypeExpr):
     elem: TypeExpr
 
 
-@dataclass(frozen=True)
+@record
 class TRemote(TypeExpr):
     peer: PeerRef
 
@@ -107,34 +106,33 @@ def render_type(t: TypeExpr) -> str:
 
 # --- expressions ------------------------------------------------------
 
-@dataclass(frozen=True)
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class IntLit(Expr):
     value: int
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
 
-@dataclass(frozen=True)
+@record
 class BoolLit(Expr):
     value: bool
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
 
-@dataclass(frozen=True)
+@record
 class StrLit(Expr):
     value: str
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
 
-@dataclass(frozen=True)
+@record
 class Ref(Expr):
     qualifier: str | None
     name: str
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
     def __str__(self) -> str:
         return f"{self.qualifier}.{self.name}" if self.qualifier else self.name
@@ -143,55 +141,55 @@ class Ref(Expr):
 BINOPS = ("+", "-", "*", "<", "==")
 
 
-@dataclass(frozen=True)
+@record
 class BinOp(Expr):
     op: str  # one of BINOPS
     left: Expr
     right: Expr
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
 
-@dataclass(frozen=True)
+@record
 class TupleExpr(Expr):
     items: tuple[Expr, ...]  # at least 2
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
 
-@dataclass(frozen=True)
+@record
 class AsLocal(Expr):
     target: Ref
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
 
-@dataclass(frozen=True)
+@record
 class AsLocalFromAll(Expr):
     target: Ref
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
 
-@dataclass(frozen=True)
+@record
 class StreamMap(Expr):
     source: Ref
     var: str
     body: Expr
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
 
 # --- declarations -----------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class IncludeDecl:
     alias: str
     module_name: str
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
 
-@dataclass(frozen=True)
+@record
 class PeerDecl:
     name: str
     supers: tuple[PeerRef, ...]
     ties: tuple[tuple[Multiplicity, PeerRef], ...]
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
 
 class DefKind(enum.Enum):
@@ -199,17 +197,17 @@ class DefKind(enum.Enum):
     STREAM_SOURCE = "source"
 
 
-@dataclass(frozen=True)
+@record
 class DefDecl:
     name: str
     kind: DefKind
     surface_type: TypeExpr
     placed_on: PeerRef
     body: Expr | None  # None only for stream sources
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
 
-@dataclass(frozen=True)
+@record
 class SurfaceModule:
     """One multitier module; defs keep their source order."""
 
@@ -217,4 +215,4 @@ class SurfaceModule:
     includes: tuple[IncludeDecl, ...]
     peers: tuple[PeerDecl, ...]
     defs: tuple[DefDecl, ...]
-    pos: Pos = field(default=UNKNOWN_POS, compare=False)
+    pos: Pos = uncompared(UNKNOWN_POS)

@@ -10,22 +10,20 @@ values placed elsewhere are rejected; remote access must be explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import ast
 from .arch import Architecture, EffectiveTies, FlatDef, PeerId, is_subpeer
 from .ast import Multiplicity
 from .diagnostics import UNKNOWN_POS, Diagnostic, Pos
+from .records import record, uncompared
 
 
 # --- semantic types ---------------------------------------------------
 
-@dataclass(frozen=True)
 class SemType:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PrimT(SemType):
     name: str
 
@@ -33,7 +31,7 @@ class PrimT(SemType):
         return self.name
 
 
-@dataclass(frozen=True)
+@record
 class TupleT(SemType):
     items: tuple[SemType, ...]
 
@@ -41,7 +39,7 @@ class TupleT(SemType):
         return "(" + ", ".join(str(i) for i in self.items) + ")"
 
 
-@dataclass(frozen=True)
+@record
 class StreamT(SemType):
     elem: SemType
 
@@ -49,7 +47,7 @@ class StreamT(SemType):
         return f"Stream[{self.elem}]"
 
 
-@dataclass(frozen=True)
+@record
 class FutureT(SemType):
     elem: SemType
 
@@ -57,7 +55,7 @@ class FutureT(SemType):
         return f"Future[{self.elem}]"
 
 
-@dataclass(frozen=True)
+@record
 class OptionT(SemType):
     elem: SemType
 
@@ -65,7 +63,7 @@ class OptionT(SemType):
         return f"Option[{self.elem}]"
 
 
-@dataclass(frozen=True)
+@record
 class SeqT(SemType):
     elem: SemType
 
@@ -73,7 +71,7 @@ class SeqT(SemType):
         return f"Seq[{self.elem}]"
 
 
-@dataclass(frozen=True)
+@record
 class RemoteT(SemType):
     peer: PeerId
 
@@ -81,7 +79,7 @@ class RemoteT(SemType):
         return f"Remote[{self.peer}]"
 
 
-@dataclass(frozen=True)
+@record
 class ErrorT(SemType):
     """Poison type: suppresses follow-up diagnostics."""
 
@@ -143,37 +141,36 @@ def type_remote_access(target: SemType, mult: Multiplicity, target_peer: PeerId,
 
 # --- typed expressions ------------------------------------------------
 
-@dataclass(frozen=True)
 class TypedExpr:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class TIntLit(TypedExpr):
     value: int
     ty: SemType = INT_T
 
 
-@dataclass(frozen=True)
+@record
 class TBoolLit(TypedExpr):
     value: bool
     ty: SemType = BOOL_T
 
 
-@dataclass(frozen=True)
+@record
 class TStrLit(TypedExpr):
     value: str
     ty: SemType = STR_T
 
 
-@dataclass(frozen=True)
+@record
 class TRef(TypedExpr):
     name: str  # qualified definition name, or a lambda variable
     is_var: bool
     ty: SemType
 
 
-@dataclass(frozen=True)
+@record
 class TBinOp(TypedExpr):
     op: str
     left: TypedExpr
@@ -181,13 +178,13 @@ class TBinOp(TypedExpr):
     ty: SemType
 
 
-@dataclass(frozen=True)
+@record
 class TTupleExpr(TypedExpr):
     items: tuple[TypedExpr, ...]
     ty: SemType
 
 
-@dataclass(frozen=True)
+@record
 class TRemoteAccess(TypedExpr):
     """An asLocal / asLocalFromAll site, before splitting rewrites it."""
 
@@ -200,7 +197,7 @@ class TRemoteAccess(TypedExpr):
     ty: SemType
 
 
-@dataclass(frozen=True)
+@record
 class TStreamMap(TypedExpr):
     source: TypedExpr
     var: str
@@ -208,24 +205,24 @@ class TStreamMap(TypedExpr):
     ty: SemType
 
 
-@dataclass(frozen=True)
+@record
 class TStreamSource(TypedExpr):
     """Body of a `source` definition: a fresh locally-fired stream."""
 
     ty: SemType
 
 
-@dataclass(frozen=True)
+@record
 class TypedDef:
     name: str
     placed_on: PeerId
     declared_type: SemType
     body: TypedExpr
     kind: ast.DefKind
-    pos: Pos = field(compare=False, default=UNKNOWN_POS)
+    pos: Pos = uncompared(UNKNOWN_POS)
 
 
-@dataclass(frozen=True)
+@record
 class RemoteAccessRecord:
     site_id: str
     target: str
@@ -234,7 +231,7 @@ class RemoteAccessRecord:
     mult: Multiplicity
 
 
-@dataclass
+@record
 class TypedModule:
     arch: Architecture
     ties: EffectiveTies

@@ -15,9 +15,10 @@ while a peer runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable
+
+from .records import record
 
 
 class CodecError(Exception):
@@ -127,7 +128,7 @@ def decode_json(text: str) -> Any:
     return doc
 
 
-@dataclass(frozen=True)
+@record
 class Codec:
     id: str
     shape: Shape

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
+
+from .records import record
 
 
 class Pos(NamedTuple):
@@ -16,7 +17,7 @@ class Pos(NamedTuple):
 UNKNOWN_POS = Pos(0, 0)
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     pos: Pos
     message: str

@@ -322,7 +322,10 @@ class _Parser:
         tok = self.cur
         if tok.kind == "int":
             self.advance()
-            return ast.IntLit(tok.int_value, pos=tok.pos)
+            try:
+                return ast.IntLit(tok.int_value, pos=tok.pos)
+            except ValueError:  # more digits than int() converts
+                raise ParseError([Diagnostic(tok.pos, "integer literal is too long")]) from None
         if tok.kind in ("true", "false"):
             self.advance()
             return ast.BoolLit(tok.kind == "true", pos=tok.pos)

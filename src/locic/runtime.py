@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import transmit, transport, wire
@@ -34,6 +33,7 @@ from .ast import Multiplicity
 from .checker import (StreamT, TBinOp, TBoolLit, TIntLit, TRef, TStreamMap,
                       TStreamSource, TStrLit, TTupleExpr, TypedExpr)
 from .codecs import CodecError
+from .records import record
 from .sigs import PeerSig
 from .splitter import STREAM, AccessPlan, PeerComponent, RemoteCall, codec_of
 from .transmit import DEFERRED, PENDING, Endpoint, FutureSlot, StreamHandle
@@ -57,7 +57,7 @@ class EvalError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class RemoteRef:
     """Identity of one connected remote instance."""
 

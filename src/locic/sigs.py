@@ -1,16 +1,16 @@
 """Stable identities used for dispatch and connection setup.
 
 Signatures are pure functions of source names: recompiling identical source
-yields identical signatures.
+yields identical signatures. They are tuples, so hashing, equality and
+ordering run in C; no dict or set mixes kinds of signature.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class ModuleSig:
+class ModuleSig(NamedTuple):
     name: str
     path: tuple[str, ...] = ()
 
@@ -18,8 +18,7 @@ class ModuleSig:
         return ".".join(self.path + (self.name,)) if self.path else self.name
 
 
-@dataclass(frozen=True, order=True)
-class PeerSig:
+class PeerSig(NamedTuple):
     peer_name: str
     module: ModuleSig
 
@@ -27,8 +26,7 @@ class PeerSig:
         return f"{self.peer_name}@{self.module}"
 
 
-@dataclass(frozen=True, order=True)
-class ValueSig:
+class ValueSig(NamedTuple):
     canonical: str  # "name:Type", e.g. "i:Int"
     module: ModuleSig
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 from . import ast, checker
@@ -27,6 +26,7 @@ from .ast import Multiplicity
 from .checker import (FutureT, OptionT, PrimT, RemoteT, SemType, SeqT, StreamT,
                       TupleT, TypedExpr, TypedModule)
 from .codecs import Codec, CodecError, Shape, parse_codec, shape_id
+from .records import record
 from .sigs import ModuleSig, PeerSig, ValueSig
 
 
@@ -41,7 +41,7 @@ class ComponentFormatError(Exception):
 PULL, STREAM = "pull", "stream"
 
 
-@dataclass(frozen=True)
+@record
 class Evaluate:
     """A slot this peer evaluates; one per definition, shared by every
     component that holds it."""
@@ -54,7 +54,7 @@ class Evaluate:
         return _encode(expr_to_doc(self.body))
 
 
-@dataclass(frozen=True)
+@record
 class AccessPlan:
     """How one definition is transmitted."""
 
@@ -63,7 +63,7 @@ class AccessPlan:
     codec: Codec  # of the value, or of each element of a stream
 
 
-@dataclass(frozen=True)
+@record
 class RemoteCall(TypedExpr):
     """A rewritten remote-access site: the value's signature, the peer that
     serves it, and its access plan there."""
@@ -75,7 +75,7 @@ class RemoteCall(TypedExpr):
     ty: SemType
 
 
-@dataclass
+@record
 class PeerComponent:
     peer: PeerId
     root_module: ModuleSig

@@ -10,10 +10,10 @@ from __future__ import annotations
 import base64
 import functools
 import struct
-from dataclasses import dataclass
 from typing import Union
 
 from .codecs import decode_json, encode_json
+from .records import record
 from .sigs import ModuleSig, PeerSig, ValueSig
 
 MAX_FRAME_LEN = 64 * 1024 * 1024
@@ -68,26 +68,26 @@ def unframe(data: bytes) -> list[bytes]:
 
 # --- envelopes --------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Hello:
     module: ModuleSig
     peer: PeerSig
     proto_version: int = PROTO_VERSION
 
 
-@dataclass(frozen=True)
+@record
 class HelloAck:
     accepted: bool
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Request:
     id: int
     value: ValueSig
 
 
-@dataclass(frozen=True)
+@record
 class Response:
     id: int
     ok: bool
@@ -95,19 +95,19 @@ class Response:
     error: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class ChanOpen:
     chan: int
     value: ValueSig
 
 
-@dataclass(frozen=True)
+@record
 class ChanMsg:
     chan: int
     payload: bytes
 
 
-@dataclass(frozen=True)
+@record
 class ChanClose:
     chan: int
 

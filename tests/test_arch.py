@@ -5,12 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from locic import parser
+from locic import ast, checker, parser, splitter, wire
 from locic.arch import (ArchError, PeerId, effective_ties, is_subpeer,
                         parse_peer_name, resolve_architecture)
 from locic.ast import Multiplicity
 from locic.diagnostics import Pos
 from locic.parser import Token
+from locic.sigs import ModuleSig, ValueSig
 
 REGISTRY_PID = PeerId((), "Registry")
 NODE_PID = PeerId((), "Node")
@@ -24,14 +25,25 @@ def test_peer_ids_sort_as_path_name_pairs(pairs):
     assert sorted(PeerId(path, name) for path, name in pairs) == sorted(pairs)
 
 
+_, SIMPLE_ARCH, _, SIMPLE_TYPED = helpers.compile_clean(helpers.SIMPLE_MODULE)
+(SIMPLE_COMPONENT,) = splitter.split(SIMPLE_TYPED).values()
+VALUE_SIG = ValueSig("i:Int", ModuleSig("M"))
+
+
 @pytest.mark.parametrize("value, field", [
     (PeerId(("mon",), "Monitor"), "name"), (PeerId((), "A"), "path"),
     (Pos(1, 2), "line"), (Pos(1, 2), "col"),
     (Token("int", "1", Pos(1, 1)), "kind"), (Token("int", "1", Pos(1, 1)), "pos"),
+    (ModuleSig("M", ("a",)), "path"), (VALUE_SIG, "module"),
+    (ast.IntLit(1, Pos(1, 1)), "pos"), (checker.TupleT((checker.INT_T, checker.STR_T)), "items"),
+    (wire.Request(1, VALUE_SIG), "id"), (next(iter(SIMPLE_COMPONENT.dispatch.values())), "codec"),
+    (SIMPLE_ARCH, "peers"), (SIMPLE_COMPONENT, "slots"),
 ])
 def test_identities_and_positions_are_immutable(value, field):
     with pytest.raises(AttributeError):
         setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        delattr(value, field)
 
 
 def p2p_architecture():

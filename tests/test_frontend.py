@@ -118,6 +118,20 @@ def test_check_refuses_non_ascii_digits(tmp_path, capsys, literal, col):
     assert capsys.readouterr().err == f"{path}:3:{col} unexpected character {literal[-1]!r}\n"
 
 
+@pytest.mark.parametrize("digits, code", [(4300, 0), (4301, 1)])
+def test_check_reports_an_overlong_int_literal(tmp_path, capsys, digits, code):
+    # 4,300 digits is the most that int() converts from text by default
+    path = tmp_path / "long.loci"
+    path.write_text(f"module M {{\n  peer A {{ }}\n  val x: Int on A = {'9' * digits}\n}}\n",
+                    encoding="utf-8")
+    assert cli.main(["check", str(path)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert (out, err) == ("ok\n", "")
+    else:
+        assert err == f"{path}:3:21 integer literal is too long\n"
+
+
 @pytest.mark.parametrize("escape", ["\\ud800", "\\uDBFF", "\\udc00", "\\uDFFF"])
 def test_check_refuses_lone_surrogate_escapes(tmp_path, capsys, escape):
     path = tmp_path / "surrogate.loci"
