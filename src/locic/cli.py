@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from . import arch as arch_mod
@@ -98,20 +97,23 @@ def cmd_arch(args) -> int:
 
 
 def _split_checked(args):
-    _, _, _, typed = compile_file(args.file)
-    if typed.diagnostics:
-        raise SourceError(typed.diagnostics)
-    return typed, splitter.split(typed)
+    """The components of the checked module, or EXIT_CHECK once the errors
+    that stop it are reported."""
+    try:
+        _, _, _, typed = compile_file(args.file)
+        if typed.diagnostics:
+            raise SourceError(typed.diagnostics)
+        return splitter.split(typed)
+    except SourceError as e:
+        _print_diagnostics(e.diagnostics, args.file, "text")
+    except splitter.SplitError as e:
+        print(f"{args.file}: {e}", file=sys.stderr)
+    return EXIT_CHECK
 
 
 def cmd_split(args) -> int:
-    try:
-        _, components = _split_checked(args)
-    except SourceError as e:
-        _print_diagnostics(e.diagnostics, args.file, "text")
-        return EXIT_CHECK
-    except splitter.SplitError as e:
-        print(f"{args.file}: {e}", file=sys.stderr)
+    components = _split_checked(args)
+    if components == EXIT_CHECK:
         return EXIT_CHECK
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -124,15 +126,9 @@ def cmd_split(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        _, components = _split_checked(args)
-    except SourceError as e:
-        _print_diagnostics(e.diagnostics, args.file, "text")
+    components = _split_checked(args)
+    if components == EXIT_CHECK:
         return EXIT_CHECK
-    except splitter.SplitError as e:
-        print(f"{args.file}: {e}", file=sys.stderr)
-        return EXIT_CHECK
-
     pid = arch_mod.parse_peer_name(args.peer)
     if pid not in components:
         print(f"unknown peer '{args.peer}'", file=sys.stderr)
@@ -151,13 +147,14 @@ def cmd_run(args) -> int:
         print(f"start failed: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    printed = transport.loop().call(_print_as_settled, instance)
+    loop = transport.loop()
+    printed = loop.call(_print_as_settled, instance)
     try:
         if args.settle_exit:
-            printed.wait(args.timeout)
-            return EXIT_OK
-        while True:
-            time.sleep(0.5)
+            loop.run_until(printed, args.timeout)
+        else:
+            loop.run_until(transmit.FutureSlot())  # never settles: serve until interrupted
+        return EXIT_OK
     except KeyboardInterrupt:
         return EXIT_OK
     finally:
@@ -181,13 +178,8 @@ def _print_as_settled(instance: runtime.PeerInstance) -> transmit.FutureSlot:
 
 
 def cmd_sim(args) -> int:
-    try:
-        _, components = _split_checked(args)
-    except SourceError as e:
-        _print_diagnostics(e.diagnostics, args.file, "text")
-        return EXIT_CHECK
-    except splitter.SplitError as e:
-        print(f"{args.file}: {e}", file=sys.stderr)
+    components = _split_checked(args)
+    if components == EXIT_CHECK:
         return EXIT_CHECK
     peer_names = [p for p in args.peers.split(",") if p]
     if not peer_names:

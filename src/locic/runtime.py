@@ -13,18 +13,19 @@ Every instance in a process runs on the transport's one event loop, so an
 instance starts no thread and holds no lock. A request or channel-open for
 a slot that is not evaluated yet is a deferred response: it waits in the
 slot's cell, is answered as soon as the slot evaluates, and fails with
-"peer stopped" if the instance stops first. `connect`, `activate`,
-`wait_settled` and `simulate` hand their work to the loop and wait for one
-completion; the other public methods run on the loop whichever thread calls
-them. A blocking call made from a callback on the loop cannot wait, so it
-times out at once.
+"peer stopped" if the instance stops first. `connect`, `activate` and
+`wait_settled` run their work on the loop and then wait for one completion
+(`Loop.run_until`): while no other thread drives the loop, the calling
+thread drives it, so `simulate` runs every instance on its caller's thread.
+The other public methods run on the loop whichever thread calls them. A
+blocking call made from a callback on the loop cannot wait, so it times out
+at once.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import time
 from typing import Any, Callable
 
 from . import transmit, transport, wire
@@ -130,32 +131,32 @@ class PeerInstance:
             if plan is not None
         }
         self._evaluated = False
+        self._gather: dict[PeerId, list[_Link]] = {}  # see _links_for
         self._tie_entries = sorted(component.tie_table.items())
 
     # -- waiting on the loop ------------------------------------------------
 
-    def _until(self, check: Callable[[], bool]) -> None:
-        """Run `check` now and after every change to links, evaluation or
-        state, until it returns True."""
-        if not check():
-            self._watchers.append(check)
-
     def _changed(self) -> None:
+        self._gather.clear()
         if self._watchers:
             watchers, self._watchers = self._watchers, []
             self._watchers = [w for w in watchers if not w()] + self._watchers
 
-    def _await(self, check: Callable[[FutureSlot], bool], timeout: float,
-               expire: Callable[[FutureSlot], None]) -> FutureSlot:
-        """Run check(done) on the loop now and after every change until it
-        returns True; wait up to `timeout` for it to settle `done`, and
-        failing that settle it with expire(done) on the loop."""
-        done = FutureSlot()
-        transmit.run_and_wait(done, self._until,
-                              lambda: done.state != PENDING or check(done), timeout=timeout)
-        if done.state == PENDING:
-            transport.loop().call(expire, done)
-        return done
+    def _await(self, check: Callable[[], bool], timeout: float) -> bool:
+        """Run check() on the loop now and after every change to links,
+        evaluation or state, until it returns True or `timeout` passes;
+        returns whether it did."""
+        done, loop = FutureSlot(), transport.loop()
+
+        def watch() -> bool:
+            if not done.done() and check():
+                done.resolve(True)
+            return done.done()
+
+        loop.call(lambda: watch() or self._watchers.append(watch))
+        if not loop.run_until(done, timeout):
+            loop.call(done.resolve, False)
+        return done.value
 
     # -- connection management ------------------------------------------
 
@@ -168,12 +169,11 @@ class PeerInstance:
     def connect(self, spec: str, expected_peer: str | None = None,
                 timeout: float = DEFAULT_TIMEOUT) -> RemoteRef:
         expected = self._resolve_peer_name(expected_peer) if expected_peer else None
-        conn = transport.connect(spec)  # a TCP connect blocks this thread, not the loop
-        link = _Link(opener=True, expected=expected)
+        link, loop = _Link(opener=True, expected=expected), transport.loop()
+        loop.call(self._open_link, spec, link, timeout)
         # the handshake deadline settles the result, so the wait needs none
-        transmit.run_and_wait(link.result, self._open_link, conn, link, timeout, timeout=None)
-        if link.result.state == PENDING:  # on the loop thread nothing was waited for
-            transport.loop().call(self._handshake_timed_out, link)
+        if not loop.run_until(link.result):  # on the loop thread nothing is waited for
+            loop.call(self._handshake_timed_out, link)
         if link.result.state == transmit.READY:
             return link.ref
         if link.result.error == _HANDSHAKE_TIMED_OUT:
@@ -182,8 +182,8 @@ class PeerInstance:
             raise StartError(f"connection to {spec} closed during handshake")
         raise StartError(f"connection to {spec} rejected: {link.result.error}")
 
-    def _open_link(self, conn: transport.Connection, link: _Link, timeout: float) -> None:
-        self._make_endpoint(conn, link, timeout)
+    def _open_link(self, spec: str, link: _Link, timeout: float) -> None:
+        self._make_endpoint(transport.connect(spec), link, timeout)
         try:
             link.endpoint.send(Hello(self.component.root_module, self.component.sig))
         except transport.ConnectionClosed:
@@ -191,8 +191,7 @@ class PeerInstance:
 
     def _handshake_timed_out(self, link: _Link) -> None:
         if link.result.state == PENDING:
-            link.result.fail(_HANDSHAKE_TIMED_OUT)
-            self._drop_link(link)
+            self._drop_link(link, _HANDSHAKE_TIMED_OUT)
             link.endpoint.close(_HANDSHAKE_TIMED_OUT)
 
     def _resolve_peer_name(self, name: str) -> PeerId:
@@ -247,10 +246,7 @@ class PeerInstance:
         bounds = {pid: mult for pid, mult in self._tie_entries
                   if mult in (Multiplicity.SINGLE, Multiplicity.OPTIONAL)}
         for pid in matched:
-            if pid not in bounds:
-                continue
-            held = sum(1 for link in self._links if pid in link.matched)
-            if held >= 1:
+            if pid in bounds and any(pid in other.matched for other in self._links):
                 return (f"tie to {pid} is {bounds[pid].keyword}; "
                         f"an instance is already connected")
         link.link_id = next(self._next_link_id)
@@ -258,10 +254,12 @@ class PeerInstance:
         link.admitted = True
         return None
 
-    def _drop_link(self, link: _Link) -> None:
+    def _drop_link(self, link: _Link, failure: str) -> None:
+        """Forget `link`; its handshake, if still open, fails with `failure`."""
         if link in self._links:
             self._links.remove(link)
             self._changed()
+        link.result.fail(failure)
 
     def _on_control(self, link: _Link, env) -> None:
         ep = link.endpoint
@@ -277,81 +275,59 @@ class PeerInstance:
                 if not link.opener:
                     ep.send(Hello(self.component.root_module, self.component.sig))
             except transport.ConnectionClosed:
-                self._drop_link(link)
-                link.result.fail("connection lost during handshake")
+                self._drop_link(link, "connection lost during handshake")
                 return
-            if link.opener:
-                # connector admitted the acceptor's hello: handshake complete
+            if link.opener:  # connector admitted the acceptor's hello: handshake complete
                 self._mark_live(link)
-                link.result.resolve(link)
         elif isinstance(env, HelloAck):
             if not env.accepted:
-                self._drop_link(link)
-                link.result.fail(env.reason or "rejected")
+                self._drop_link(link, env.reason or "rejected")
                 ep.close()
-                return
-            if not link.opener and link.admitted:
+            elif not link.opener and link.admitted:
                 self._mark_live(link)
-                link.result.resolve(link)
 
     def _mark_live(self, link: _Link) -> None:
         link.live = True
         self._changed()
+        link.result.resolve(link)
 
     def _wait_live_links(self, count: int, timeout: float) -> bool:
         """Wait until at least `count` links are live at this end."""
-        def enough(done: FutureSlot) -> bool:
-            if sum(1 for link in self._links if link.live) < count:
-                return False
-            done.resolve(True)
-            return True
-
-        done = self._await(enough, timeout, lambda done: done.resolve(False))
-        return done.state == transmit.READY and done.value
+        return self._await(lambda: sum(1 for link in self._links if link.live) >= count,
+                           timeout)
 
     def _on_link_closed(self, link: _Link, reason: str) -> None:
-        self._drop_link(link)
-        link.result.fail(f"connection closed: {reason}")
+        self._drop_link(link, f"connection closed: {reason}")
 
     # -- activation -------------------------------------------------------
 
     def _unmet_single_ties(self) -> list[PeerId]:
-        unmet = []
-        for pid, mult in self._tie_entries:
-            if mult is not Multiplicity.SINGLE:
-                continue
-            live = sum(1 for link in self._links if link.live and pid in link.matched)
-            if live != 1:
-                unmet.append(pid)
-        return unmet
+        return [pid for pid, mult in self._tie_entries if mult is Multiplicity.SINGLE
+                and sum(1 for link in self._links if link.live and pid in link.matched) != 1]
 
     def activate(self, timeout: float = DEFAULT_TIMEOUT) -> None:
         """Wait for single ties, then evaluate slots in order and serve dispatch."""
         if self.state == STOPPED:
             raise StartError("instance is stopped")
 
-        def ties_met(done: FutureSlot) -> bool:
+        def ties_met() -> bool:
             if self.state == STOPPED:
-                done.fail("stopped while connecting")
-            elif self._unmet_single_ties():
+                return True
+            if self._unmet_single_ties():
                 self.state = CONNECTING
                 return False
-            else:
-                self.state = RUNNING
-                self.evaluate_slots()
-                done.resolve(None)
+            self.state = RUNNING
+            self.evaluate_slots()
             return True
 
-        def timed_out(done: FutureSlot) -> None:
-            unmet = ", ".join(str(p) for p in self._unmet_single_ties())
-            done.fail(f"timed out waiting for single ties to: {unmet}")
+        if not self._await(ties_met, timeout):
+            unmet = ", ".join(str(p) for p in transport.loop().call(self._unmet_single_ties))
+            raise StartError(f"timed out waiting for single ties to: {unmet}")
+        if not self._evaluated:
+            raise StartError("stopped while connecting")
 
-        done = self._await(ties_met, timeout, timed_out)
-        if done.state == transmit.FAILED:
-            raise StartError(done.error)
-
-    @on_loop
     def evaluate_slots(self) -> None:
+        """Evaluate every slot in source order. Call it on the loop."""
         if self._evaluated:
             return
         self._evaluated = True
@@ -386,10 +362,15 @@ class PeerInstance:
         return cell.value
 
     def _links_for(self, target: PeerId) -> list[_Link]:
-        return sorted(
-            (link for link in self._links
-             if link.live and target in self.component.super_closure(link.remote_pid)),
-            key=lambda link: link.link_id)
+        """The live links to instances of `target`, by link id; kept until a
+        link goes live or drops, so one evaluation finds each target's once."""
+        links = self._gather.get(target)
+        if links is None:
+            links = self._gather[target] = sorted(
+                (link for link in self._links
+                 if link.live and target in self.component.super_closure(link.remote_pid)),
+                key=lambda link: link.link_id)
+        return links
 
     def _eval(self, e: TypedExpr, env: dict[str, Any]) -> Any:
         if isinstance(e, (TIntLit, TBoolLit, TStrLit)):
@@ -550,16 +531,14 @@ class PeerInstance:
 
     def wait_settled(self, timeout: float = DEFAULT_TIMEOUT) -> bool:
         """Wait until every pull future in evaluated slots reaches a terminal state."""
-        def evaluated(done: FutureSlot) -> bool:
-            if not self._evaluated and self.state != STOPPED:
-                return False
-            # a cell that failed or never evaluated holds no value, so no futures
-            futures = [fut for cell in self._slots.values() for fut in slot_futures(cell.value)]
-            transmit.all_settled(futures).on_settle(lambda _all: done.resolve(True))
-            return True
-
-        done = self._await(evaluated, timeout, lambda done: done.resolve(False))
-        return done.state == transmit.READY and done.value
+        loop = transport.loop()
+        deadline = loop.clock() + timeout
+        if not self._await(lambda: self._evaluated or self.state == STOPPED, timeout):
+            return False
+        # a cell that failed or never evaluated holds no value, so no futures
+        settled = loop.call(lambda: transmit.all_settled(
+            [fut for cell in self._slots.values() for fut in slot_futures(cell.value)]))
+        return loop.run_until(settled, max(deadline - loop.clock(), 0))
 
     def format_value(self, value: Any) -> str:
         if isinstance(value, FutureSlot):
@@ -581,7 +560,12 @@ class PeerInstance:
             return "true" if value else "false"
         if isinstance(value, str):
             return json.dumps(value, ensure_ascii=False)
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # an Int past the interpreter's int-to-str digit limit
+            import decimal  # only such an Int pays for the import
+
+            return format(decimal.Decimal(value), "f")
 
     def slot_line(self, name: str) -> str:
         """`name = value`, or `name = <failed: why>` for a slot that failed."""
@@ -594,14 +578,10 @@ class PeerInstance:
         return [self.slot_line(name) for name in self._slots]
 
     def slot_report(self) -> list[dict]:
-        report = []
-        for cell in self._slots.values():
-            if cell.state == _SlotCell.ERROR:
-                report.append({"name": cell.name, "status": "failed", "error": cell.error})
-            else:
-                report.append({"name": cell.name, "status": "settled",
-                               "value": self.format_value(cell.value)})
-        return report
+        return [{"name": cell.name, "status": "failed", "error": cell.error}
+                if cell.state == _SlotCell.ERROR else
+                {"name": cell.name, "status": "settled", "value": self.format_value(cell.value)}
+                for cell in self._slots.values()]
 
     # -- shutdown ---------------------------------------------------------------
 
@@ -663,24 +643,19 @@ def simulate(components: dict[PeerId, PeerComponent], peer_names: list[str],
             raise StartError(f"unknown peer '{name}'")
         pids.append(pid)
 
-    counters: dict[PeerId, int] = {}
-    instances: list[PeerInstance] = []
-    for pid in pids:
-        counters[pid] = counters.get(pid, 0) + 1
-        label = f"{pid}#{counters[pid]}"
-        instances.append(PeerInstance(components[pid], label=label))
+    instances = [PeerInstance(components[pid], label=f"{pid}#{pids[:k + 1].count(pid)}")
+                 for k, pid in enumerate(pids)]
 
     # tie tables hold declared targets; a tie to a super-peer also covers its
     # sub-peers, so wiring matches over the super-closures of both sides
     tie_pairs = {(pid, target) for pid, component in components.items()
                  for target in component.tie_table}
 
+    closure = next(iter(components.values())).super_closure
+
     def tied(p: PeerId, q: PeerId) -> bool:
-        any_component = next(iter(components.values()))
-        closure_p = any_component.super_closure(p)
-        closure_q = any_component.super_closure(q)
         return any((a, b) in tie_pairs or (b, a) in tie_pairs
-                   for a in closure_p for b in closure_q)
+                   for a in closure(p) for b in closure(q))
 
     try:
         for idx, instance in enumerate(instances):
@@ -694,9 +669,10 @@ def simulate(components: dict[PeerId, PeerComponent], peer_names: list[str],
                     wired[j] += 1
         # `connect` returns once the connecting end is live; the accepting end
         # goes live on the final HelloAck, and no instance may evaluate before
-        deadline = time.monotonic() + timeout
+        clock = transport.loop().clock
+        deadline = clock() + timeout
         for instance, count in zip(instances, wired):
-            if not instance._wait_live_links(count, max(deadline - time.monotonic(), 0)):
+            if not instance._wait_live_links(count, max(deadline - clock(), 0)):
                 raise StartError(f"{instance.label}: timed out waiting for its links")
         for instance in instances:
             try:

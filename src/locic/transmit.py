@@ -12,14 +12,15 @@ returns `DEFERRED` and answers with `Endpoint.send` or `Endpoint.attach`
 once it can, without holding up the connection meanwhile.
 
 Every object here lives on the transport's event loop and holds no lock:
-its state changes only on the loop thread. The public methods that change
-state are `transport.on_loop`, so a call from another thread is handed to
-the loop; `FutureSlot.wait` is the one way for another thread to block.
+its state changes only on the thread driving the loop. The public methods
+that change state are `transport.on_loop`, so a call from any other thread
+runs on the loop (`Loop.call`). `FutureSlot.wait` is the one way to block:
+it drives the loop until the slot settles, or waits for the thread that
+drives it (`Loop.run_until`).
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable
 
 from . import transport
@@ -85,35 +86,12 @@ class FutureSlot:
         else:
             cb(self)
 
+    def done(self) -> bool:
+        return self._state != PENDING
+
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until settled. On the loop thread nothing can settle while
-        it waits, so there it only reports whether the slot has settled."""
-        if self._state != PENDING or transport.on_loop_thread():
-            return self._state != PENDING
-        done = threading.Event()
-        transport.loop().post(self.on_settle, lambda _slot: done.set())
-        return done.wait(timeout)
-
-
-def run_and_wait(slot: FutureSlot, start: Callable, *args, timeout: float | None) -> None:
-    """Post start(*args) to the loop and wait up to `timeout` (None: with no
-    limit) for `slot` to settle. `slot` must be new: nobody else may hold it
-    yet. On the loop thread `start` runs inline and nothing is waited for."""
-    if transport.on_loop_thread():
-        start(*args)
-        return
-    done = threading.Event()
-    slot._callbacks.append(lambda _slot: done.set())
-
-    def guarded():
-        try:
-            start(*args)
-        except Exception as e:
-            slot.fail(f"{type(e).__name__}: {e}")
-            raise
-
-    transport.loop().post(guarded)
-    done.wait(timeout)
+        """Block until settled (`Loop.run_until`); returns whether it settled."""
+        return transport.loop().run_until(self, timeout)
 
 
 def all_settled(futures: list[FutureSlot]) -> FutureSlot:
@@ -331,11 +309,10 @@ class Endpoint:
         except CodecError as e:
             slot.fail(str(e))
 
-    @on_loop
     def attach(self, chan: int, handle: StreamHandle | None) -> None:
         """Answer the remote's channel-open `chan`: forward every emission of
         `handle` from now on, or refuse the channel when there is no handle
-        or its elements cannot be transmitted."""
+        or its elements cannot be transmitted. Call it on the loop."""
         if self._closed:
             return
         if handle is None or handle.codec is None:
@@ -384,16 +361,13 @@ class Endpoint:
         if self._closed:
             return
         self._closed = True
-        pending = list(self._pending.values())
-        self._pending.clear()
-        chans = list(self._local_chans.values())
-        self._local_chans.clear()
-        forwards = list(self._forwards.values())
-        self._forwards.clear()
-        for slot, _ in pending:
+        pending, self._pending = self._pending, {}
+        chans, self._local_chans = self._local_chans, {}
+        forwards, self._forwards = self._forwards, {}
+        for slot, _ in pending.values():
             slot.fail("connection lost")
-        for handle in chans:
+        for handle in chans.values():
             handle.close()
-        for unsub in forwards:
+        for unsub in forwards.values():
             unsub()
         self._on_closed(reason)

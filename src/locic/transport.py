@@ -11,17 +11,16 @@ messages arriving earlier are held (mem) or left in the socket (tcp).
 An exception raised by the receive callback closes the connection with a
 "handler error: ..." reason instead of stopping delivery silently.
 
-Threading model: one event loop per process (`loop()`, a `selectors`
-selector plus a FIFO deque of callbacks) runs on a single daemon thread,
-started on first use. It drives every listener and connection, and every
-receive and close callback runs on it. A mem send appends the delivery to
-the loop's deque; TCP sockets and listeners are registered non-blocking
-with the selector. Other threads hand work to the loop with `Loop.post`
-(which wakes it through a self-pipe) or `Loop.call` (which also waits for
-the result); `on_loop` makes a method run on the loop whichever thread
-calls it, and code on the loop schedules a later call with
-`Loop.call_later`. Code running on the loop must never block: a blocking
-call made from a callback would wait for the loop it is holding up.
+Threading model: one event loop per process (`loop()`: a `selectors`
+selector, a FIFO deque of callbacks and a heap of timers) drives every
+listener and connection and runs every callback. The thread that needs the
+loop drives it (`Loop.call`, `Loop.run_until`, `on_loop`); a call made while
+another thread drives is posted to that thread (`Loop.post`, which wakes it
+through a self-pipe) and waits. Work left when a thread gives the loop back
+(a ready callback, a live timer, a registered socket) passes to a daemon
+thread, started on first need. A mem send is an append to the deque; TCP
+sockets are non-blocking, but a TCP connect blocks the driving thread. A
+callback must never block: it would hold up the loop that runs it.
 """
 
 from __future__ import annotations
@@ -81,36 +80,52 @@ class Timer:
 
 
 class Loop:
-    """A selector, a FIFO of ready callbacks and a heap of timers, run on
-    one daemon thread."""
+    """A selector, a FIFO of ready callbacks and a heap of timers, driven by
+    the thread that needs them or else by a daemon thread."""
 
     def __init__(self):
+        self.clock = time.monotonic  # what timers and deadlines are measured by
         self.selector = selectors.DefaultSelector()
         self._ready: collections.deque = collections.deque()
         self._timers: list[Timer] = []  # a heap by deadline
         self._compact_at = 64  # heap size at which cancelled timers are dropped
-        self._idle = False  # True while the loop may be blocked in select()
+        self._idle = False  # True while the driver may be blocked in select()
+        self._owner: int | None = None  # the ident of the thread driving the loop
+        self._lock = threading.Lock()  # guards taking the loop and giving it back
+        self._daemon: threading.Thread | None = None
+        self._daemon_go = threading.Semaphore(0)  # released when the daemon is to drive
         self._wake_r, self._wake_w = os.pipe()
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
         self.selector.register(self._wake_r, selectors.EVENT_READ, self._drain_wake)
-        self.thread = threading.Thread(target=self._run, name="locic-loop", daemon=True)
 
     def post(self, fn: Callable, *args) -> None:
         """Run fn(*args) on the loop after everything posted before it.
         Safe from any thread."""
         self._ready.append((fn, args))
-        if self._idle:
-            try:
-                os.write(self._wake_w, b"\0")
-            except BlockingIOError:
-                pass  # the pipe is full, so the loop is being woken anyway
+        if self._owner == threading.get_ident():
+            return
+        with self._lock:  # so that a driver giving the loop back sees fn
+            if self._owner is None:
+                self._hand_over()
+            elif self._idle:
+                try:
+                    os.write(self._wake_w, b"\0")
+                except BlockingIOError:
+                    pass  # the pipe is full, so the driver is being woken anyway
 
     def call(self, fn: Callable, *args):
-        """Run fn(*args) on the loop and return its result or raise its
-        exception. From the loop thread itself fn runs inline."""
-        if threading.get_ident() == _loop_thread_id:
+        """Run fn(*args) on the loop; return its result or raise its error.
+        When nobody drives, this thread takes the loop for fn and for what fn
+        makes ready; when another thread drives, fn is posted to it and
+        waited for."""
+        if self._owner == threading.get_ident():
             return fn(*args)
+        if self._take():
+            try:
+                return fn(*args)
+            finally:
+                self._drive(lambda: True)
         done = threading.Lock()
         done.acquire()
         box: list = []
@@ -129,6 +144,20 @@ class Loop:
             return result
         raise result
 
+    def run_until(self, future, timeout: float | None = None) -> bool:
+        """Wait up to `timeout` seconds (None: no limit) for `future` (with
+        `done()` and `on_settle(cb)`, as `transmit.FutureSlot`) to settle,
+        driving the loop meanwhile when nobody else does; returns whether it
+        settled. On the driving thread itself it only reports."""
+        if future.done() or self._owner == threading.get_ident():
+            return future.done()
+        if self._take():
+            self._drive(future.done, None if timeout is None else self.clock() + timeout)
+            return future.done()
+        settled = threading.Event()
+        self.post(future.on_settle, lambda _future: settled.set())
+        return settled.wait(timeout)
+
     def call_later(self, delay: float, fn: Callable, *args) -> Timer:
         """Run fn(*args) on the loop in `delay` seconds unless the returned
         timer is cancelled first. Call it on the loop."""
@@ -136,9 +165,81 @@ class Loop:
             self._timers = [t for t in self._timers if t.fn is not None]
             heapq.heapify(self._timers)
             self._compact_at = max(64, 2 * len(self._timers))
-        timer = Timer(time.monotonic() + delay, fn, args)
+        timer = Timer(self.clock() + delay, fn, args)
         heapq.heappush(self._timers, timer)
         return timer
+
+    # -- who drives --
+
+    def _take(self) -> bool:
+        with self._lock:  # this thread drives from now on, if nobody does
+            if self._owner is not None:
+                return False
+            self._owner = threading.get_ident()
+            return True
+
+    def _busy(self) -> bool:
+        """Whether a ready callback, a live timer or a socket besides the wake
+        pipe is left. Ask it as the driver, or under the lock."""
+        timers = self._timers
+        while timers and timers[0].fn is None:
+            heapq.heappop(timers)
+        return bool(self._ready or timers or len(self.selector.get_map()) > 1)
+
+    def _hand_over(self) -> None:
+        """Make the daemon the driver. Call it under the lock, undriven."""
+        if self._daemon is None:
+            self._daemon = threading.Thread(target=self._daemon_main, name="locic-loop",
+                                            daemon=True)
+            self._daemon.start()
+        self._owner = self._daemon.ident
+        self._daemon_go.release()
+
+    def _daemon_main(self) -> None:
+        while True:
+            self._daemon_go.acquire()
+            self._drive(lambda: not self._busy())
+
+    # -- driving --
+
+    def _drive(self, done: Callable[[], bool], deadline: float | None = None) -> None:
+        """Run the loop on this thread, which has taken it, until done() holds
+        and no callback is ready, or until `deadline` passes with none ready;
+        then give the loop back, to the daemon if work is left."""
+        ready, select, run_next = self._ready, self.selector.select, self._run_next
+        try:
+            while ready or not done():
+                wait = self._queue_due_timers() if self._timers else None
+                if deadline is not None and not ready:
+                    left = deadline - self.clock()
+                    if left <= 0:
+                        break
+                    wait = left if wait is None else min(wait, left)
+                self._idle = True
+                events = select(0 if ready else wait)
+                self._idle = False
+                for key, mask in events:
+                    try:
+                        key.data(mask)
+                    except Exception as e:
+                        _log_failure("event loop I/O callback failed", e)
+                budget = _BATCH
+                while ready and budget:
+                    budget -= 1
+                    run_next()
+        finally:
+            with self._lock:
+                self._owner = None
+                if self._busy():
+                    self._hand_over()
+
+    def _run_next(self) -> None:
+        """Run the next ready callback, first in first out: the loop's one choice."""
+        fn, args = self._ready.popleft()
+        try:
+            fn(*args)
+        except Exception as e:
+            _log_failure("event loop callback failed", e)
 
     def _queue_due_timers(self) -> float | None:
         """Move every due timer's callback to the ready FIFO; returns the
@@ -149,7 +250,7 @@ class Loop:
             if timer.fn is None:
                 heapq.heappop(timers)
                 continue
-            wait = timer.when - time.monotonic()
+            wait = timer.when - self.clock()
             if wait > 0:
                 return wait
             heapq.heappop(timers)
@@ -163,65 +264,27 @@ class Loop:
         except BlockingIOError:
             pass
 
-    def _run(self) -> None:
-        ready, popleft, select = self._ready, self._ready.popleft, self.selector.select
-        while True:
-            wait = self._queue_due_timers() if self._timers else None
-            self._idle = True
-            events = select(0 if ready else wait)
-            self._idle = False
-            for key, mask in events:
-                try:
-                    key.data(mask)
-                except Exception as e:
-                    _log_failure("event loop I/O callback failed", e)
-            budget = _BATCH
-            while ready and budget:
-                budget -= 1
-                fn, args = popleft()
-                try:
-                    fn(*args)
-                except Exception as e:
-                    _log_failure("event loop callback failed", e)
-
 
 _loop: Loop | None = None
-_loop_thread_id: int | None = None
-_loop_start_lock = threading.Lock()
+_loop_made = threading.Lock()
 
 
 def loop() -> Loop:
-    """The process's event loop; started on first use."""
-    global _loop, _loop_thread_id
+    """The process's event loop, made on first use."""
+    global _loop
     if _loop is None:
-        with _loop_start_lock:
+        with _loop_made:
             if _loop is None:
-                new = Loop()
-                new.thread.start()
-                _loop_thread_id = new.thread.ident
-                _loop = new
+                _loop = Loop()
     return _loop
 
 
-def on_loop_thread() -> bool:
-    return threading.get_ident() == _loop_thread_id
-
-
-def run_soon(fn: Callable, *args) -> None:
-    """Run fn(*args) now when on the loop thread, else post it to the loop."""
-    if threading.get_ident() == _loop_thread_id:
-        fn(*args)
-    else:
-        loop().post(fn, *args)
-
-
 def on_loop(method):
-    """Decorator: the method always runs on the loop thread; a call from any
-    other thread is handed over and waits for the result."""
+    """Decorator: the method always runs on the loop (`Loop.call`)."""
 
     @functools.wraps(method)
     def wrapper(*args, **kwargs):
-        if threading.get_ident() == _loop_thread_id:
+        if _loop is not None and _loop._owner == threading.get_ident():
             return method(*args, **kwargs)
         return loop().call(functools.partial(method, *args, **kwargs))
 
@@ -242,15 +305,13 @@ class Connection:
         self._closed = False
         self._close_fired = False
 
+    @on_loop
     def open(self, on_message: Callable[[bytes], None],
              on_close: Callable[[str], None]) -> None:
         """Attach handlers and start delivery. Must be called exactly once."""
         if self._opened:
             raise CommError("connection already opened")
         self._opened = True
-        run_soon(self._open, on_message, on_close)
-
-    def _open(self, on_message, on_close) -> None:
         self._on_message = on_message
         self._on_close = on_close
         self._start_delivery()
@@ -270,7 +331,7 @@ class Connection:
         if self._closed:
             return
         self._closed = True  # sends fail from here on, whichever thread asks
-        run_soon(self._close, reason)
+        loop().call(self._close, reason)
 
     def _deliver(self, data: bytes) -> None:
         """Hand one message to the receive callback; a raising callback
@@ -394,11 +455,7 @@ class MemConnection(Connection):
 def _mem_listen(name: str, on_connection) -> Listener:
     if _mem_hubs.setdefault(name, on_connection) is not on_connection:
         raise ConnectError(f"mem hub '{name}' is already bound")
-
-    def close():
-        _mem_hubs.pop(name, None)
-
-    return Listener(f"mem:{name}", close)
+    return Listener(f"mem:{name}", lambda: _mem_hubs.pop(name, None))
 
 
 def _mem_connect(name: str) -> Connection:
@@ -407,7 +464,7 @@ def _mem_connect(name: str) -> Connection:
         raise ConnectError(f"no mem hub named '{name}'")
     a, b = MemConnection(), MemConnection()
     a._peer, b._peer = b, a
-    run_soon(on_connection, b)
+    loop().call(on_connection, b)
     return a
 
 
@@ -469,10 +526,9 @@ class TcpConnection(Connection):
                 break
             self._deliver(payload)
 
+    @on_loop
     def _send(self, data: bytes) -> None:
-        run_soon(self._write, frame(data))
-
-    def _write(self, framed: bytes) -> None:
+        framed = frame(data)
         if self._sock.fileno() < 0:
             return  # released; a send made just before close() still goes out
         if not self._out:
@@ -558,7 +614,7 @@ def _tcp_listen(host: str, port: int, on_connection) -> Listener:
 
 
 def _tcp_connect(host: str, port: int) -> Connection:
-    # a blocking connect, so it runs on the calling thread, never on the loop
+    # a blocking connect: the thread driving the loop waits for the kernel
     try:
         sock = socket.create_connection((host, port), timeout=10)
     except OSError as e:

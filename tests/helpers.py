@@ -143,16 +143,20 @@ def type_exprs(names=idents()):
     return st.recursive(st.one_of(prim, remote), extend, max_leaves=6)
 
 
+# built once: a strategy built inside a draw is built again for every example
+IDENTS, EXPRS, TYPE_EXPRS = idents(), exprs(), type_exprs()
+
+
 @st.composite
 def surface_modules(draw):
     """Structurally valid modules (names unique); not semantically checked."""
-    names = draw(st.lists(idents(), min_size=1, max_size=10, unique=True))
+    names = draw(st.lists(IDENTS, min_size=1, max_size=10, unique=True))
     module_name = names[0]
     member_names = names[1:]
     random_split = draw(st.integers(min_value=0, max_value=len(member_names)))
     peer_names, def_names = member_names[:random_split], member_names[random_split:]
 
-    any_name = idents()
+    any_name = IDENTS
     peers = []
     for name in peer_names:
         supers = draw(st.lists(_peer_refs(any_name), max_size=2))
@@ -165,10 +169,10 @@ def surface_modules(draw):
         placed = draw(_peer_refs(any_name))
         if draw(st.booleans()):
             defs.append(ast.DefDecl(name, ast.DefKind.STREAM_SOURCE,
-                                    ast.TStream(draw(type_exprs())), placed, None))
+                                    ast.TStream(draw(TYPE_EXPRS)), placed, None))
         else:
-            defs.append(ast.DefDecl(name, ast.DefKind.VAL, draw(type_exprs()),
-                                    placed, draw(exprs())))
+            defs.append(ast.DefDecl(name, ast.DefKind.VAL, draw(TYPE_EXPRS),
+                                    placed, draw(EXPRS)))
     return ast.SurfaceModule(module_name, (), tuple(peers), tuple(defs))
 
 

@@ -252,6 +252,19 @@ def test_run_refuses_a_non_ascii_digit_in_a_listen_spec():
     assert "malformed transport spec" in err and "Traceback" not in err
 
 
+def test_sim_prints_every_digit_of_an_int_past_the_str_limit(tmp_path, capsys):
+    nines = "9" * 3000
+    path = tmp_path / "big.loci"
+    path.write_text(f"module Big {{\n  peer A {{ tie: single A }}\n"
+                    f"  val x: Int on A = {nines} * {nines}\n}}\n", encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    assert main(["sim", str(path), "--peers", "A,A"]) == 0
+    assert sys.get_int_max_str_digits() == limit  # the process-wide limit is left alone
+    # (10**3000 - 1)**2 == 10**6000 - 2 * 10**3000 + 1: 6,000 digits, past the limit
+    square = "9" * 2999 + "8" + "0" * 2999 + "1"
+    assert capsys.readouterr().out.splitlines() == [f"[A#1] x = {square}", f"[A#2] x = {square}"]
+
+
 def test_sim_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "lonely.loci"
     path.write_text("""

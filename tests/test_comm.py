@@ -1,6 +1,7 @@
 import base64
 import json
 import random
+import sys
 import threading
 import time
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import helpers
 from locic.codecs import CodecError, parse_codec
 from locic.sigs import ModuleSig, PeerSig, ValueSig
-from locic.transport import (ConnectError, ConnectionClosed, SpecError,
+from locic.transport import (ConnectError, ConnectionClosed, Loop, SpecError,
                              connect, listen, loop, parse_spec)
 from locic.wire import (MAX_FRAME_LEN, ChanMsg, ChanOpen, Framer, Hello, HelloAck,
                         ProtocolError,
@@ -230,6 +231,153 @@ def test_cancelled_timers_do_not_pile_up():
 
     # a cancelled timer is dropped long before its deadline comes
     assert loop().call(churn) < 1_000
+
+
+# --- who drives the loop ---------------------------------------------------------
+
+class _SettlesOnSecondLook:
+    """A future whose `done()` answers False once. The second call comes
+    from the driver checking whether it may stop: it runs `hook`, then
+    answers True."""
+
+    def __init__(self, hook):
+        self.hook, self.calls = hook, 0
+
+    def done(self) -> bool:
+        self.calls += 1
+        if self.calls == 2:
+            self.hook()
+        return self.calls > 1
+
+    def on_settle(self, cb) -> None:
+        cb(self)
+
+
+def _post_from_another_thread(lp: Loop, ran: threading.Event) -> threading.Thread:
+    thread = threading.Thread(target=lp.post, args=(ran.set,))
+    thread.start()
+    return thread
+
+
+# These tests drive loops of their own, which no earlier test can have left
+# with work for a daemon thread to drive.
+
+def test_a_post_made_while_the_driver_stops_still_runs():
+    # the whole post, its look at who drives included, lands after the
+    # driver's last look at the ready callbacks and before it gives the loop
+    # back: giving it back must find the callback and hand it over
+    lp = Loop()
+    ran = threading.Event()
+    posters = []
+
+    def post_and_wait():
+        posters.append(_post_from_another_thread(lp, ran))
+        posters[0].join(5)
+
+    driver = threading.Thread(target=lp.run_until, args=(_SettlesOnSecondLook(post_and_wait), 5))
+    driver.start()
+    driver.join(5)
+    assert not driver.is_alive() and posters and not posters[0].is_alive()
+    assert ran.wait(5)
+
+
+def test_a_post_that_lands_while_the_driver_gives_the_loop_back_still_runs(monkeypatch):
+    # the post appends its callback while the driver, holding the lock, asks
+    # whether work is left, and takes the lock only once the driver let go
+    lp = Loop()
+    ran = threading.Event()
+    busy = lp._busy
+    hooked = []
+
+    def busy_once_posted():
+        if not hooked and threading.current_thread() is driver:
+            hooked.append(_post_from_another_thread(lp, ran))
+            deadline = time.monotonic() + 5
+            while not lp._ready and time.monotonic() < deadline:
+                time.sleep(0.001)
+        return busy()
+
+    monkeypatch.setattr(lp, "_busy", busy_once_posted)
+    driver = threading.Thread(target=lp.call, args=(lambda: None,))
+    driver.start()
+    driver.join(5)
+    assert not driver.is_alive() and hooked
+    hooked[0].join(5)
+    assert not hooked[0].is_alive()
+    assert ran.wait(5)
+
+
+def test_the_driver_runs_a_call_inline_and_a_second_thread_waits_for_it():
+    lp = Loop()
+    inside = threading.Event()
+    release = threading.Event()
+    seen = []
+
+    def hold():
+        seen.append(("driver", threading.get_ident() == lp._owner))
+        inside.set()
+        release.wait(5)
+        return "held"
+
+    driver_result = []
+    driver = threading.Thread(target=lambda: driver_result.append(lp.call(hold)))
+    driver.start()
+    assert inside.wait(5)
+    waiter_result = []
+    waiter = threading.Thread(target=lambda: waiter_result.append(
+        lp.call(lambda: threading.get_ident() == lp._owner)))
+    waiter.start()
+    deadline = time.monotonic() + 5
+    while not lp._ready and time.monotonic() < deadline:
+        time.sleep(0.001)
+    release.set()
+    driver.join(5)
+    waiter.join(5)
+    assert not driver.is_alive() and not waiter.is_alive()
+    # the waiter's function ran on the loop, but not on the waiter's thread
+    assert seen == [("driver", True)] and driver_result == ["held"]
+    assert waiter_result == [True]
+
+
+def test_threads_calling_and_posting_at_once_lose_no_callback_and_never_overlap():
+    # more threads than cores take the loop, post to it and wait on it, with
+    # thread switches forced often; a callback that ran twice, never, or at
+    # the same time as another would break the count or the overlap check
+    lp = Loop()
+    state = {"running": False, "overlaps": 0, "ran": 0}
+    per_thread = 300
+
+    def step():
+        if state["running"]:
+            state["overlaps"] += 1
+        state["running"] = True
+        ran = state["ran"]
+        time.sleep(0)  # lets another thread in, were it to run callbacks too
+        state["ran"] = ran + 1
+        state["running"] = False
+
+    def work():
+        for n in range(per_thread):
+            if n % 2:
+                lp.call(step)
+            else:
+                lp.post(step)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    deadline = time.monotonic() + 10
+    while state["ran"] < 4 * per_thread and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert state == {"running": False, "overlaps": 0, "ran": 4 * per_thread}
 
 
 # --- mem transport -----------------------------------------------------------

@@ -1,4 +1,8 @@
+import json
+import os
 import queue
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -11,7 +15,7 @@ from locic.arch import PeerId
 from locic.codecs import Codec, CodecError, parse_codec
 from locic.runtime import PeerInstance, RemoteRef, StartError, simulate, start
 from locic.sigs import ModuleSig, PeerSig, ValueSig
-from locic.splitter import split
+from locic.splitter import PeerComponent, split
 from locic.transmit import FAILED, READY, Endpoint
 from locic.transport import connect
 from locic.wire import Hello, HelloAck, Response, decode_envelope, encode_envelope
@@ -93,6 +97,54 @@ def test_single_tie_rejects_second_remote(instances):
     # arrives, which may be after `first.connect` returned
     assert hub_instance._wait_live_links(1, 5)
     assert len(hub_instance.links()) == 1
+
+
+def test_two_threads_activating_at_once_share_the_loop(instances, monkeypatch):
+    # both threads call activate together; the one that evaluates first holds
+    # the loop until the other has posted its work to it
+    comps = components_for(helpers.SIMPLE_MODULE)
+    hub = fresh_hub()
+    a = PeerInstance(comps[PeerId((), "MyPeer")], label="a")
+    b = PeerInstance(comps[PeerId((), "MyPeer")], label="b")
+    instances.extend([a, b])
+    a.listen(hub)
+    b.connect(hub, "MyPeer", timeout=5)
+    assert a._wait_live_links(1, 5)
+    lp = transport.loop()
+    assert lp._owner is None  # so the first thread to activate takes the loop
+    evaluate = PeerInstance.evaluate_slots
+    held = []
+
+    def evaluate_once_the_other_posted(self):
+        if not held:
+            held.append(self.label)
+            deadline = time.monotonic() + 5
+            while not lp._ready and time.monotonic() < deadline:
+                time.sleep(0.001)
+            held.append(bool(lp._ready))
+        evaluate(self)
+
+    monkeypatch.setattr(PeerInstance, "evaluate_slots", evaluate_once_the_other_posted)
+    barrier = threading.Barrier(2)
+    errors = []
+
+    def activate(instance):
+        barrier.wait()
+        try:
+            instance.activate(5)
+        except Exception as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=activate, args=(i,)) for i in (a, b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and len(held) == 2 and held[1]  # the other thread did post
+    for instance in (a, b):
+        assert instance.wait_settled(5)
+        assert instance.slot("j").value == 1
 
 
 def test_optional_tie_zero_remotes_gives_absent_option(instances):
@@ -1076,6 +1128,83 @@ def test_p2p_sim_starts_at_most_the_loop_thread(instances, monkeypatch):
     assert left <= {"locic-loop"}
     nodes = sims[1:]
     assert all(node.slot("fromNode").value == 5 for node in nodes)
+
+
+_NO_THREAD_SCRIPT = """
+import json, sys, threading
+import helpers
+from locic import runtime, transport
+from locic.splitter import split
+
+components = split(helpers.compile_clean(open(sys.argv[1], encoding="utf-8").read())[3])
+started, foreign_posts = [], []
+thread_start, post = threading.Thread.start, transport.Loop.post
+
+def counting_start(thread):
+    started.append(thread.name)
+    thread_start(thread)
+
+def counting_post(loop, fn, *args):
+    if loop._owner != threading.get_ident():
+        foreign_posts.append(repr(fn))
+    post(loop, fn, *args)
+
+threading.Thread.start, transport.Loop.post = counting_start, counting_post
+sims = runtime.simulate(components, ["Registry"] + ["Node"] * 19, timeout=10)
+for instance in sims:
+    instance.stop()
+print(json.dumps({"started": started, "foreign_posts": foreign_posts,
+                  "threads": threading.active_count(),
+                  "settled": all(n.slot("fromNode").value == 5 for n in sims[1:])}))
+"""
+
+
+def test_simulate_starts_no_thread_and_posts_nothing_across_threads():
+    # in a fresh interpreter, where no loop thread that an earlier test
+    # started can stand in for one this simulation starts
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run([sys.executable, "-c", _NO_THREAD_SCRIPT, str(P2P_SAMPLE)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"started": [], "foreign_posts": [],
+                                       "threads": 1, "settled": True}
+
+
+def test_gathers_list_remotes_by_link_id_and_find_them_once(instances, monkeypatch):
+    source = """
+        module M {
+          peer Registry { tie: multiple Node }
+          peer Node { tie: single Registry }
+          val i: Int on Node = 10
+          val first: Seq[(Remote[Node], Future[Int])] on Registry = i.asLocalFromAll
+          val second: Seq[(Remote[Node], Future[Int])] on Registry = i.asLocalFromAll
+        }
+    """
+    evaluating, looked_up = [], []
+    evaluate, super_closure = PeerInstance.evaluate_slots, PeerComponent.super_closure
+
+    def counted_evaluate(self):
+        evaluating.append(self.component.peer.name)
+        evaluate(self)
+        evaluating.pop()
+
+    def counted_closure(self, p):
+        if evaluating[-1:] == ["Registry"]:
+            looked_up.append(p)
+        return super_closure(self, p)
+
+    monkeypatch.setattr(PeerInstance, "evaluate_slots", counted_evaluate)
+    monkeypatch.setattr(PeerComponent, "super_closure", counted_closure)
+    sims = simulate(components_for(source), ["Node", "Registry", "Node", "Node"], timeout=5)
+    instances.extend(sims)
+    first, second = sims[1].slot("first"), sims[1].slot("second")
+    ids = [ref.link_id for ref, _ in first]
+    assert len(ids) == 3 and ids == sorted(ids)
+    assert [ref for ref, _ in second] == [ref for ref, _ in first]
+    assert all(fut.value == 10 for _, fut in first + second)
+    # both gathers read one look-up of the live links: one closure per link
+    assert len(looked_up) == 3
 
 
 def test_p2p_sim_with_100_nodes_settles(instances):
