@@ -94,16 +94,18 @@ def parse_peer_name(name: str) -> PeerId:
 EffectiveTies = dict  # (PeerId, PeerId) -> Multiplicity
 
 
-def _resolve_ref(ref: ast.PeerRef, known: set[PeerId], scope: str | None,
-                 diags: list[Diagnostic]) -> PeerId | None:
-    """Resolve a peer reference. `scope` is the include alias the reference
+def peer_id_of(ref: ast.PeerRef, scope: str | None) -> PeerId:
+    """The peer a reference names. `scope` is the include alias the reference
     appears in (None for the top-level module)."""
     if ref.qualifier is not None:
-        pid = PeerId((ref.qualifier,), ref.name)
-    elif scope is not None:
-        pid = PeerId((scope,), ref.name)
-    else:
-        pid = PeerId((), ref.name)
+        return PeerId((ref.qualifier,), ref.name)
+    return PeerId((scope,) if scope is not None else (), ref.name)
+
+
+def _resolve_ref(ref: ast.PeerRef, known: set[PeerId], scope: str | None,
+                 diags: list[Diagnostic]) -> PeerId | None:
+    """Resolve a peer reference, or report it unknown."""
+    pid = peer_id_of(ref, scope)
     if pid not in known:
         diags.append(Diagnostic(ref.pos, f"unknown peer '{ref}'"))
         return None

@@ -40,6 +40,10 @@ class PeerRef:
 
 
 # --- types ------------------------------------------------------------
+#
+# The one type language: the parser builds these nodes, the checker types
+# with them, and the codecs are built from them. `str(t)` is a type's one
+# text, in diagnostics, value signatures and codec ids alike.
 
 class TypeExpr:
     pass
@@ -49,59 +53,61 @@ class TypeExpr:
 class TPrim(TypeExpr):
     name: str  # Int | Bool | Str | Unit
 
+    def __str__(self) -> str:
+        return self.name
+
 
 @record
 class TTuple(TypeExpr):
     items: tuple[TypeExpr, ...]  # at least 2
 
+    def __str__(self) -> str:
+        return "(" + ", ".join(str(i) for i in self.items) + ")"
 
-@record
-class TStream(TypeExpr):
+
+class TElem(TypeExpr):
+    """A type constructor over one element type, printed `Kind[elem]`."""
+
     elem: TypeExpr
 
-
-@record
-class TFuture(TypeExpr):
-    elem: TypeExpr
-
-
-@record
-class TOption(TypeExpr):
-    elem: TypeExpr
+    def __str__(self) -> str:
+        return f"{self.kind}[{self.elem}]"
 
 
 @record
-class TSeq(TypeExpr):
-    elem: TypeExpr
+class TStream(TElem):
+    kind = "Stream"
+
+
+@record
+class TFuture(TElem):
+    kind = "Future"
+
+
+@record
+class TOption(TElem):
+    kind = "Option"
+
+
+@record
+class TSeq(TElem):
+    kind = "Seq"
 
 
 @record
 class TRemote(TypeExpr):
     peer: PeerRef
 
+    def __str__(self) -> str:
+        return f"Remote[{self.peer}]"
+
 
 INT = TPrim("Int")
 BOOL = TPrim("Bool")
 STR = TPrim("Str")
 UNIT = TPrim("Unit")
-
-
-def render_type(t: TypeExpr) -> str:
-    if isinstance(t, TPrim):
-        return t.name
-    if isinstance(t, TTuple):
-        return "(" + ", ".join(render_type(i) for i in t.items) + ")"
-    if isinstance(t, TStream):
-        return f"Stream[{render_type(t.elem)}]"
-    if isinstance(t, TFuture):
-        return f"Future[{render_type(t.elem)}]"
-    if isinstance(t, TOption):
-        return f"Option[{render_type(t.elem)}]"
-    if isinstance(t, TSeq):
-        return f"Seq[{render_type(t.elem)}]"
-    if isinstance(t, TRemote):
-        return f"Remote[{t.peer}]"
-    raise TypeError(f"unknown type node {t!r}")
+PRIMS = {t.name: t for t in (INT, BOOL, STR, UNIT)}
+ELEM_TYPES = {c.kind: c for c in (TStream, TFuture, TOption, TSeq)}
 
 
 # --- expressions ------------------------------------------------------

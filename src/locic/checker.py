@@ -11,68 +11,19 @@ values placed elsewhere are rejected; remote access must be explicit.
 from __future__ import annotations
 
 from . import ast
-from .arch import Architecture, EffectiveTies, FlatDef, PeerId, is_subpeer
+from .arch import Architecture, EffectiveTies, FlatDef, PeerId, peer_id_of
 from .ast import Multiplicity
 from .diagnostics import UNKNOWN_POS, Diagnostic, Pos
 from .records import record, uncompared
 
 
 # --- semantic types ---------------------------------------------------
-
-class SemType:
-    pass
-
-
-@record
-class PrimT(SemType):
-    name: str
-
-    def __str__(self) -> str:
-        return self.name
-
+#
+# The checker types with the AST's type nodes. Only a resolved remote
+# reference (which names a `PeerId`) and the poison type are its own.
 
 @record
-class TupleT(SemType):
-    items: tuple[SemType, ...]
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(i) for i in self.items) + ")"
-
-
-@record
-class StreamT(SemType):
-    elem: SemType
-
-    def __str__(self) -> str:
-        return f"Stream[{self.elem}]"
-
-
-@record
-class FutureT(SemType):
-    elem: SemType
-
-    def __str__(self) -> str:
-        return f"Future[{self.elem}]"
-
-
-@record
-class OptionT(SemType):
-    elem: SemType
-
-    def __str__(self) -> str:
-        return f"Option[{self.elem}]"
-
-
-@record
-class SeqT(SemType):
-    elem: SemType
-
-    def __str__(self) -> str:
-        return f"Seq[{self.elem}]"
-
-
-@record
-class RemoteT(SemType):
+class RemoteT(ast.TypeExpr):
     peer: PeerId
 
     def __str__(self) -> str:
@@ -80,30 +31,26 @@ class RemoteT(SemType):
 
 
 @record
-class ErrorT(SemType):
+class ErrorT(ast.TypeExpr):
     """Poison type: suppresses follow-up diagnostics."""
 
     def __str__(self) -> str:
         return "<error>"
 
 
-INT_T = PrimT("Int")
-BOOL_T = PrimT("Bool")
-STR_T = PrimT("Str")
-UNIT_T = PrimT("Unit")
 ERROR_T = ErrorT()
 
 
-def pair_of(a: SemType, b: SemType) -> TupleT:
+def pair_of(a: ast.TypeExpr, b: ast.TypeExpr) -> ast.TTuple:
     """The pair shape used by asLocalFromAll results; identical to a 2-tuple."""
-    return TupleT((a, b))
+    return ast.TTuple((a, b))
 
 
-def is_plain_data(t: SemType) -> bool:
+def is_plain_data(t: ast.TypeExpr) -> bool:
     """Types that denote transferable data values (no streams, futures, remotes)."""
-    if isinstance(t, PrimT):
+    if isinstance(t, ast.TPrim):
         return True
-    if isinstance(t, TupleT):
+    if isinstance(t, ast.TTuple):
         return all(is_plain_data(i) for i in t.items)
     return False
 
@@ -112,14 +59,14 @@ class RemoteAccessShapeError(Exception):
     pass
 
 
-def type_remote_access(target: SemType, mult: Multiplicity, target_peer: PeerId,
-                       from_all: bool = False) -> SemType:
+def type_remote_access(target: ast.TypeExpr, mult: Multiplicity, target_peer: PeerId,
+                       from_all: bool = False) -> ast.TypeExpr:
     """Local type of a remote access, as a function of the target type and tie multiplicity.
 
     asLocal covers single and optional ties; asLocalFromAll covers multiple ties.
     Streams are remote-accessible over single ties only and keep their type.
     """
-    if isinstance(target, StreamT):
+    if isinstance(target, ast.TStream):
         if from_all:
             raise RemoteAccessShapeError("asLocalFromAll cannot be applied to a stream")
         if mult is not Multiplicity.SINGLE:
@@ -130,13 +77,13 @@ def type_remote_access(target: SemType, mult: Multiplicity, target_peer: PeerId,
         if not from_all:
             raise RemoteAccessShapeError(
                 "asLocal cannot be used over a multiple tie; use asLocalFromAll")
-        return SeqT(pair_of(RemoteT(target_peer), FutureT(target)))
+        return ast.TSeq(pair_of(RemoteT(target_peer), ast.TFuture(target)))
     if from_all:
         raise RemoteAccessShapeError(
             f"asLocalFromAll requires a multiple tie (found {mult.keyword})")
     if mult is Multiplicity.SINGLE:
-        return FutureT(target)
-    return OptionT(FutureT(target))
+        return ast.TFuture(target)
+    return ast.TOption(ast.TFuture(target))
 
 
 # --- typed expressions ------------------------------------------------
@@ -148,26 +95,26 @@ class TypedExpr:
 @record
 class TIntLit(TypedExpr):
     value: int
-    ty: SemType = INT_T
+    ty: ast.TypeExpr = ast.INT
 
 
 @record
 class TBoolLit(TypedExpr):
     value: bool
-    ty: SemType = BOOL_T
+    ty: ast.TypeExpr = ast.BOOL
 
 
 @record
 class TStrLit(TypedExpr):
     value: str
-    ty: SemType = STR_T
+    ty: ast.TypeExpr = ast.STR
 
 
 @record
 class TRef(TypedExpr):
     name: str  # qualified definition name, or a lambda variable
     is_var: bool
-    ty: SemType
+    ty: ast.TypeExpr
 
 
 @record
@@ -175,13 +122,13 @@ class TBinOp(TypedExpr):
     op: str
     left: TypedExpr
     right: TypedExpr
-    ty: SemType
+    ty: ast.TypeExpr
 
 
 @record
 class TTupleExpr(TypedExpr):
     items: tuple[TypedExpr, ...]
-    ty: SemType
+    ty: ast.TypeExpr
 
 
 @record
@@ -194,7 +141,7 @@ class TRemoteAccess(TypedExpr):
     to_peer: PeerId
     mult: Multiplicity
     from_all: bool
-    ty: SemType
+    ty: ast.TypeExpr
 
 
 @record
@@ -202,21 +149,21 @@ class TStreamMap(TypedExpr):
     source: TypedExpr
     var: str
     body: TypedExpr
-    ty: SemType
+    ty: ast.TypeExpr
 
 
 @record
 class TStreamSource(TypedExpr):
     """Body of a `source` definition: a fresh locally-fired stream."""
 
-    ty: SemType
+    ty: ast.TypeExpr
 
 
 @record
 class TypedDef:
     name: str
     placed_on: PeerId
-    declared_type: SemType
+    declared_type: ast.TypeExpr
     body: TypedExpr
     kind: ast.DefKind
     pos: Pos = uncompared(UNKNOWN_POS)
@@ -253,7 +200,7 @@ class _DefChecker:
         self.peer = peer
         self.scope = flat.include
         self.site_count = 0
-        self.vars: dict[str, SemType] = {}
+        self.vars: dict[str, ast.TypeExpr] = {}
 
     def diag(self, pos: Pos, message: str) -> None:
         self.m.diagnostics.append(Diagnostic(pos, message, peer=str(self.peer)))
@@ -280,7 +227,7 @@ class _DefChecker:
             items = tuple(self.check(i) for i in e.items)
             if any(isinstance(i.ty, ErrorT) for i in items):
                 return TTupleExpr(items, ERROR_T)
-            return TTupleExpr(items, TupleT(tuple(i.ty for i in items)))
+            return TTupleExpr(items, ast.TTuple(tuple(i.ty for i in items)))
         if isinstance(e, ast.AsLocal):
             return self.check_remote(e.target, e.pos, from_all=False)
         if isinstance(e, ast.AsLocalFromAll):
@@ -310,17 +257,17 @@ class _DefChecker:
         if isinstance(left.ty, ErrorT) or isinstance(right.ty, ErrorT):
             return TBinOp(e.op, left, right, ERROR_T)
         if e.op in ("+", "-", "*", "<"):
-            if left.ty != INT_T or right.ty != INT_T:
+            if left.ty != ast.INT or right.ty != ast.INT:
                 self.diag(e.pos, f"operator '{e.op}' requires Int operands "
                                  f"(found {left.ty} and {right.ty})")
                 return TBinOp(e.op, left, right, ERROR_T)
-            return TBinOp(e.op, left, right, BOOL_T if e.op == "<" else INT_T)
+            return TBinOp(e.op, left, right, ast.BOOL if e.op == "<" else ast.INT)
         # equality
         if left.ty != right.ty or not is_plain_data(left.ty):
             self.diag(e.pos, f"operator '==' requires two data values of the same type "
                              f"(found {left.ty} and {right.ty})")
             return TBinOp(e.op, left, right, ERROR_T)
-        return TBinOp(e.op, left, right, BOOL_T)
+        return TBinOp(e.op, left, right, ast.BOOL)
 
     def check_remote(self, target_ref: ast.Ref, pos: Pos, from_all: bool) -> TypedExpr:
         name = self.qualify(target_ref)
@@ -348,7 +295,7 @@ class _DefChecker:
         source = self.check_ref(e.source)
         if isinstance(source.ty, ErrorT):
             return TStreamMap(source, e.var, TRef(e.var, True, ERROR_T), ERROR_T)
-        if not isinstance(source.ty, StreamT):
+        if not isinstance(source.ty, ast.TStream):
             self.diag(e.pos, f"'.map' requires a stream (found {source.ty})")
             return TStreamMap(source, e.var, TRef(e.var, True, ERROR_T), ERROR_T)
         outer = self.vars.get(e.var)
@@ -358,7 +305,7 @@ class _DefChecker:
             del self.vars[e.var]
         else:
             self.vars[e.var] = outer
-        ty = ERROR_T if isinstance(body.ty, ErrorT) else StreamT(body.ty)
+        ty = ERROR_T if isinstance(body.ty, ErrorT) else ast.TStream(body.ty)
         return TStreamMap(source, e.var, body, ty)
 
 
@@ -368,36 +315,26 @@ class _ModuleContext:
         self.ties = ties
         self.diagnostics: list[Diagnostic] = []
         self.remote_accesses: list[RemoteAccessRecord] = []
-        self.def_types: dict[str, tuple[SemType, PeerId]] = {}
+        self.def_types: dict[str, tuple[ast.TypeExpr, PeerId]] = {}
 
 
 def resolve_type(t: ast.TypeExpr, arch: Architecture, scope: str | None,
-                 diags: list[Diagnostic], peer: str | None = None) -> SemType:
-    if isinstance(t, ast.TPrim):
-        return PrimT(t.name)
-    if isinstance(t, ast.TTuple):
-        return TupleT(tuple(resolve_type(i, arch, scope, diags, peer) for i in t.items))
-    if isinstance(t, ast.TStream):
-        return StreamT(resolve_type(t.elem, arch, scope, diags, peer))
-    if isinstance(t, ast.TFuture):
-        return FutureT(resolve_type(t.elem, arch, scope, diags, peer))
-    if isinstance(t, ast.TOption):
-        return OptionT(resolve_type(t.elem, arch, scope, diags, peer))
-    if isinstance(t, ast.TSeq):
-        return SeqT(resolve_type(t.elem, arch, scope, diags, peer))
+                 diags: list[Diagnostic], peer: str | None = None) -> ast.TypeExpr:
+    """The checker's type for a surface type: each remote reference resolved
+    to its peer. A type that holds none is returned as it is."""
     if isinstance(t, ast.TRemote):
-        ref = t.peer
-        if ref.qualifier is not None:
-            pid = PeerId((ref.qualifier,), ref.name)
-        elif scope is not None:
-            pid = PeerId((scope,), ref.name)
-        else:
-            pid = PeerId((), ref.name)
+        pid = peer_id_of(t.peer, scope)
         if pid not in arch.peers:
-            diags.append(Diagnostic(ref.pos, f"unknown peer '{ref}' in type", peer=peer))
+            diags.append(Diagnostic(t.peer.pos, f"unknown peer '{t.peer}' in type", peer=peer))
             return ERROR_T
         return RemoteT(pid)
-    raise TypeError(f"unknown type node {t!r}")
+    if isinstance(t, ast.TTuple):
+        items = tuple(resolve_type(i, arch, scope, diags, peer) for i in t.items)
+        return t if items == t.items else ast.TTuple(items)
+    if isinstance(t, ast.TElem):
+        elem = resolve_type(t.elem, arch, scope, diags, peer)
+        return t if elem is t.elem else type(t)(elem)
+    return t
 
 
 def check_module(m: ast.SurfaceModule, a: Architecture, t: EffectiveTies) -> TypedModule:
@@ -420,7 +357,7 @@ def check_module(m: ast.SurfaceModule, a: Architecture, t: EffectiveTies) -> Typ
         declared, _ = ctx.def_types[flat.name]
         decl = flat.decl
         if decl.kind is ast.DefKind.STREAM_SOURCE:
-            if not isinstance(declared, StreamT) and not isinstance(declared, ErrorT):
+            if not isinstance(declared, ast.TStream) and not isinstance(declared, ErrorT):
                 ctx.diagnostics.append(Diagnostic(
                     decl.pos, f"source definition must have a stream type (found {declared})",
                     peer=str(peer)))
@@ -439,7 +376,3 @@ def check_module(m: ast.SurfaceModule, a: Architecture, t: EffectiveTies) -> Typ
 
     return TypedModule(a, t, typed_defs, ctx.remote_accesses, ctx.diagnostics)
 
-
-def local_access_rule(a: Architecture, body_peer: PeerId, target_peer: PeerId) -> bool:
-    """A bare reference is legal iff the target's peer is the body's peer or a super-peer."""
-    return is_subpeer(a, body_peer, target_peer)

@@ -1,7 +1,9 @@
 """Command-line driver: check, arch, split, run, sim.
 
 Exit codes: 0 ok, 1 check/split error, 2 usage error, 3 runtime failure.
-Diagnostics go to stderr; data output goes to stdout.
+Diagnostics go to stderr; data output goes to stdout. Only `run` and `sim`
+import the runtime, which is most of the import time: `check`, `arch` and
+`split` load no transport.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import arch as arch_mod
-from . import checker, parser, runtime, splitter, transmit, transport
+from . import checker, parser, splitter
 from .diagnostics import Diagnostic, SourceError
 
 EXIT_OK = 0
@@ -126,6 +128,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from . import runtime, transmit, transport
     components = _split_checked(args)
     if components == EXIT_CHECK:
         return EXIT_CHECK
@@ -140,18 +143,21 @@ def cmd_run(args) -> int:
             print(f"--connect needs SPEC=PEER, got '{spec}'", file=sys.stderr)
             return EXIT_USAGE
         connects.append((target, peer))
+    timeout = runtime.DEFAULT_TIMEOUT if args.timeout is None else args.timeout
     try:
         instance = runtime.start(components[pid], args.listen or [], connects,
-                                 timeout=args.timeout)
+                                 timeout=timeout)
     except (runtime.StartError, transport.CommError) as e:
         print(f"start failed: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt:  # `start` has stopped the half-started instance
+        return EXIT_OK
 
     loop = transport.loop()
     printed = loop.call(_print_as_settled, instance)
     try:
         if args.settle_exit:
-            loop.run_until(printed, args.timeout)
+            loop.run_until(printed, timeout)
         else:
             loop.run_until(transmit.FutureSlot())  # never settles: serve until interrupted
         return EXIT_OK
@@ -167,6 +173,7 @@ def _print_as_settled(instance: runtime.PeerInstance) -> transmit.FutureSlot:
     Runs on the event loop, which also runs the settle callbacks, so lines
     print one at a time. Returns a slot that settles once every line is out.
     """
+    from . import runtime, transmit
     printed = []
     for name in instance.slot_names:
         futures = ([] if instance.slot_state(name) == "error"
@@ -178,6 +185,7 @@ def _print_as_settled(instance: runtime.PeerInstance) -> transmit.FutureSlot:
 
 
 def cmd_sim(args) -> int:
+    from . import runtime, transport
     components = _split_checked(args)
     if components == EXIT_CHECK:
         return EXIT_CHECK
@@ -185,13 +193,14 @@ def cmd_sim(args) -> int:
     if not peer_names:
         print("--peers needs at least one peer name", file=sys.stderr)
         return EXIT_USAGE
+    timeout = runtime.DEFAULT_TIMEOUT if args.timeout is None else args.timeout
     try:
-        instances = runtime.simulate(components, peer_names, timeout=args.timeout)
+        instances = runtime.simulate(components, peer_names, timeout=timeout)
     except (runtime.StartError, transport.CommError) as e:
         print(f"sim failed: {e}", file=sys.stderr)
         return EXIT_RUNTIME
     try:
-        settled = all(i.wait_settled(args.timeout) for i in instances)
+        settled = all(i.wait_settled(timeout) for i in instances)
         if args.format == "json":
             doc = [{"peer": i.label, "slots": i.slot_report()} for i in instances]
             print(json.dumps(doc, indent=1, sort_keys=True, ensure_ascii=False))
@@ -229,7 +238,7 @@ def build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--peer", required=True)
     p.add_argument("--listen", action="append", metavar="SPEC")
     p.add_argument("--connect", action="append", metavar="SPEC=PEER")
-    p.add_argument("--timeout", type=float, default=runtime.DEFAULT_TIMEOUT)
+    p.add_argument("--timeout", type=float)  # default: runtime.DEFAULT_TIMEOUT
     p.add_argument("--settle-exit", action="store_true",
                    help="exit once all slots have settled (useful for scripting)")
     p.set_defaults(fn=cmd_run)
@@ -237,7 +246,7 @@ def build_argparser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="run several peers in-process on the mem transport")
     p.add_argument("file")
     p.add_argument("--peers", required=True, metavar="NAME[,NAME...]")
-    p.add_argument("--timeout", type=float, default=runtime.DEFAULT_TIMEOUT)
+    p.add_argument("--timeout", type=float)  # default: runtime.DEFAULT_TIMEOUT
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_sim)
     return ap

@@ -1,15 +1,17 @@
 """Value serialization.
 
-Each codec converts between one value type and its canonical JSON bytes.
-Serialization is total for well-typed values; deserialization is strict:
-bytes decode successfully only if they are exactly the canonical encoding
-of some value of the codec's type, so corrupted input is either rejected
-or re-encodes to itself.
+A codec is built from a data type: a primitive (`ast.TPrim`) or a tuple of
+data types (`ast.TTuple`). It converts between the values of that type and
+their canonical JSON bytes. Serialization is total for well-typed values;
+deserialization is strict: bytes decode successfully only if they are
+exactly the canonical encoding of some value of the codec's type, so
+corrupted input is either rejected or re-encodes to itself. One walk of the
+type compiles the codec's writer and its reader, on the codec's first use.
 
-A codec's id names its type: `Int`, `Bool`, `Str`, `Unit`, or a tuple such
-as `(Int, (Str, Bool))`. `parse_codec` builds the codec an id names. The
-splitter builds each access plan's codec once, so nothing looks codecs up
-while a peer runs.
+A codec's id is its type's text (`str(ty)`): `Int`, `Bool`, `Str`, `Unit`,
+or a tuple such as `(Int, (Str, Bool))`. `parse_codec` parses an id back
+into the same type nodes. The splitter builds each access plan's codec
+once, so nothing looks codecs up while a peer runs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 from functools import cached_property
 from typing import Any, Callable
 
+from . import ast
 from .records import record
 
 
@@ -30,31 +33,13 @@ encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 _scan = json.JSONDecoder().raw_decode
 
 
-# Type shapes: "Int" | "Bool" | "Str" | "Unit" | ("tuple", (shape, ...))
-Shape = Any
-
-
-def shape_id(shape: Shape) -> str:
-    if isinstance(shape, str):
-        return shape
-    tag, items = shape
-    return "(" + ", ".join(shape_id(i) for i in items) + ")"
-
-
-def parse_shape(codec_id: str) -> Shape:
-    shape, rest = _parse_shape(codec_id)
-    if rest:
-        raise CodecError(f"unknown codec '{codec_id}'")
-    return shape
-
-
-def _parse_shape(s: str) -> tuple[Shape, str]:
+def _parse_type(s: str) -> tuple[ast.TypeExpr, str]:
     s = s.lstrip()
     if s.startswith("("):
         rest = s[1:]
         items = []
         while True:
-            item, rest = _parse_shape(rest)
+            item, rest = _parse_type(rest)
             items.append(item)
             rest = rest.lstrip()
             if rest.startswith(","):
@@ -63,60 +48,51 @@ def _parse_shape(s: str) -> tuple[Shape, str]:
             if rest.startswith(")"):
                 if len(items) < 2:
                     raise CodecError(f"malformed tuple codec id near '{s}'")
-                return ("tuple", tuple(items)), rest[1:]
+                return ast.TTuple(tuple(items)), rest[1:]
             raise CodecError(f"malformed codec id near '{s}'")
-    for prim in ("Int", "Bool", "Str", "Unit"):
-        if s.startswith(prim):
-            return prim, s[len(prim):]
+    for name, prim in ast.PRIMS.items():
+        if s.startswith(name):
+            return prim, s[len(name):]
     raise CodecError(f"unknown codec '{s}'")
 
 
-def _to_json_value(shape: Shape, value: Any) -> Any:
-    if shape == "Int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise CodecError(f"Int codec cannot serialize {value!r}")
-        return value
-    if shape == "Bool":
-        if not isinstance(value, bool):
-            raise CodecError(f"Bool codec cannot serialize {value!r}")
-        return value
-    if shape == "Str":
-        if not isinstance(value, str):
-            raise CodecError(f"Str codec cannot serialize {value!r}")
-        return value
-    if shape == "Unit":
-        if value is not None:
-            raise CodecError(f"Unit codec cannot serialize {value!r}")
-        return None
-    tag, items = shape
-    if not isinstance(value, tuple) or len(value) != len(items):
-        raise CodecError(f"{shape_id(shape)} codec cannot serialize {value!r}")
-    return [_to_json_value(i, v) for i, v in zip(items, value)]
+# a primitive's Python type, the types its writer also refuses, and its noun
+_PRIMITIVES = {"Int": (int, bool, "an Int"), "Bool": (bool, (), "a Bool"),
+               "Str": (str, (), "a Str"), "Unit": (type(None), (), "Unit")}
+
+Writer = Callable[[Any], Any]  # a value -> the JSON document it encodes to
+Reader = Callable[[Any], Any]  # a parsed JSON document -> the value it holds
 
 
-_PRIMITIVES = {"Int": (int, "an Int"), "Bool": (bool, "a Bool"), "Str": (str, "a Str"),
-               "Unit": (type(None), "Unit")}
+def _compile(ty: ast.TypeExpr) -> tuple[Writer, Reader]:
+    """The writer and the reader of a data type; each raises CodecError on
+    what the type does not hold."""
+    if isinstance(ty, ast.TPrim):
+        kind, refused, noun = _PRIMITIVES[ty.name]
 
-
-def _reader(shape: Shape) -> Callable[[Any], Any]:
-    """A function from a parsed JSON document to the value of `shape` it
-    holds; CodecError if it holds none."""
-    if isinstance(shape, str):
-        kind, noun = _PRIMITIVES[shape]
+        def write(value: Any) -> Any:
+            if not isinstance(value, kind) or isinstance(value, refused):
+                raise CodecError(f"{ty} codec cannot serialize {value!r}")
+            return value
 
         def read(doc: Any) -> Any:
             if type(doc) is not kind:
                 raise CodecError(f"expected {noun}, got {doc!r}")
             return doc
-        return read
-    items = tuple(_reader(i) for i in shape[1])
-    name = shape_id(shape)
+        return write, read
+    writers, readers = zip(*map(_compile, ty.items))
+    size = len(writers)
+
+    def write_tuple(value: Any) -> list:
+        if not isinstance(value, tuple) or len(value) != size:
+            raise CodecError(f"{ty} codec cannot serialize {value!r}")
+        return [write(v) for write, v in zip(writers, value)]
 
     def read_tuple(doc: Any) -> tuple:
-        if type(doc) is not list or len(doc) != len(items):
-            raise CodecError(f"expected a {name}, got {doc!r}")
-        return tuple(read(d) for read, d in zip(items, doc))
-    return read_tuple
+        if type(doc) is not list or len(doc) != size:
+            raise CodecError(f"expected a {ty}, got {doc!r}")
+        return tuple(read(d) for read, d in zip(readers, doc))
+    return write_tuple, read_tuple
 
 
 def decode_json(text: str) -> Any:
@@ -130,15 +106,21 @@ def decode_json(text: str) -> Any:
 
 @record
 class Codec:
-    id: str
-    shape: Shape
+    """The codec of one data type."""
+
+    ty: ast.TypeExpr
 
     @cached_property
-    def _read(self) -> Callable[[Any], Any]:
-        return _reader(self.shape)
+    def id(self) -> str:
+        return str(self.ty)
+
+    @cached_property
+    def _coders(self) -> tuple[Writer, Reader]:
+        """The writer and the reader, compiled on first use."""
+        return _compile(self.ty)
 
     def serialize(self, value: Any) -> bytes:
-        doc = _to_json_value(self.shape, value)
+        doc = self._coders[0](value)
         try:
             return encode_json(doc).encode("utf-8")
         except ValueError as e:  # a lone surrogate, or an int too long to print
@@ -151,7 +133,7 @@ class Codec:
         except (ValueError, RecursionError) as e:  # also an overlong int, or deep nesting
             raise CodecError(f"codec {self.id}: invalid encoding: {e}") from None
         try:
-            value = self._read(doc)
+            value = self._coders[1](doc)
         except CodecError as e:
             raise CodecError(f"codec {self.id}: {e}") from None
         # the document re-encodes to the bytes it came from only if they were canonical
@@ -164,5 +146,7 @@ def parse_codec(codec_id: str) -> Codec:
     """The codec `codec_id` names; CodecError if it names none."""
     if not isinstance(codec_id, str):
         raise CodecError(f"unknown codec {codec_id!r}")
-    shape = parse_shape(codec_id)
-    return Codec(shape_id(shape), shape)
+    ty, rest = _parse_type(codec_id)
+    if rest:
+        raise CodecError(f"unknown codec '{codec_id}'")
+    return Codec(ty)

@@ -249,14 +249,13 @@ class _Parser:
             return ast.TTuple(tuple(items))
         tok = self.expect("ident")
         name = tok.text
-        if name in ("Int", "Bool", "Str", "Unit"):
-            return ast.TPrim(name)
-        if name in ("Stream", "Future", "Option", "Seq"):
+        if name in ast.PRIMS:
+            return ast.PRIMS[name]
+        if name in ast.ELEM_TYPES:
             self.expect("[")
             elem = self.type_expr()
             self.expect("]")
-            ctor = {"Stream": ast.TStream, "Future": ast.TFuture, "Option": ast.TOption, "Seq": ast.TSeq}[name]
-            return ctor(elem)
+            return ast.ELEM_TYPES[name](elem)
         if name == "Remote":
             self.expect("[")
             peer = self.peer_ref()

@@ -28,11 +28,11 @@ import itertools
 import json
 from typing import Any, Callable
 
-from . import transmit, transport, wire
+from . import ast, transmit, transport, wire
 from .arch import PeerId, parse_peer_name
 from .ast import Multiplicity
-from .checker import (StreamT, TBinOp, TBoolLit, TIntLit, TRef, TStreamMap,
-                      TStreamSource, TStrLit, TTupleExpr, TypedExpr)
+from .checker import (TBinOp, TBoolLit, TIntLit, TRef, TStreamMap, TStreamSource,
+                      TStrLit, TTupleExpr, TypedExpr)
 from .codecs import CodecError
 from .records import record
 from .sigs import PeerSig
@@ -403,7 +403,7 @@ class PeerInstance:
 
     @staticmethod
     def _fresh_stream(ty) -> StreamHandle:
-        return StreamHandle(codec_of(ty.elem) if isinstance(ty, StreamT) else None)
+        return StreamHandle(codec_of(ty.elem) if isinstance(ty, ast.TStream) else None)
 
     def _eval_stream_map(self, e: TStreamMap, env: dict[str, Any]) -> StreamHandle:
         source = self._eval(e.source, env)
@@ -614,7 +614,7 @@ def start(component: PeerComponent, listen_specs: list[str],
         for spec, expected in connect_specs:
             instance.connect(spec, expected, timeout)
         instance.activate(timeout)
-    except (transport.CommError, StartError):
+    except BaseException:  # also an interrupt: nothing half-started stays bound
         instance.stop()
         raise
     return instance

@@ -23,9 +23,8 @@ from . import ast, checker
 from .arch import (Architecture, PeerId, inherited_ties, parse_peer_name,
                    super_closures)
 from .ast import Multiplicity
-from .checker import (FutureT, OptionT, PrimT, RemoteT, SemType, SeqT, StreamT,
-                      TupleT, TypedExpr, TypedModule)
-from .codecs import Codec, CodecError, Shape, parse_codec, shape_id
+from .checker import RemoteT, TypedExpr, TypedModule, is_plain_data
+from .codecs import Codec, CodecError, parse_codec
 from .records import record
 from .sigs import ModuleSig, PeerSig, ValueSig
 
@@ -72,7 +71,7 @@ class RemoteCall(TypedExpr):
     target_peer_id: PeerId
     mult: Multiplicity
     plan: AccessPlan
-    ty: SemType
+    ty: ast.TypeExpr
 
 
 @record
@@ -118,46 +117,33 @@ def def_scope(flat_name: str) -> tuple[str, ...]:
 
 
 def value_sig_of(a: Architecture, flat_name: str, decl: ast.DefDecl) -> ValueSig:
-    canonical = f"{decl.name}:{ast.render_type(decl.surface_type)}"
+    canonical = f"{decl.name}:{decl.surface_type}"
     return ValueSig(canonical, module_sig_of(a.module_name, a.includes, def_scope(flat_name)))
 
 
-def sem_type_shape(t: SemType) -> Shape | None:
-    """Codec shape for a data type, or None if the type is not serializable."""
-    if isinstance(t, PrimT):
-        return t.name
-    if isinstance(t, TupleT):
-        items = [sem_type_shape(i) for i in t.items]
-        if any(i is None for i in items):
-            return None
-        return ("tuple", tuple(items))
-    return None
-
-
-def innermost_uncodable(t: SemType) -> SemType | None:
-    children: tuple[SemType, ...] = ()
-    if isinstance(t, TupleT):
+def innermost_uncodable(t: ast.TypeExpr) -> ast.TypeExpr | None:
+    children: tuple[ast.TypeExpr, ...] = ()
+    if isinstance(t, ast.TTuple):
         children = t.items
-    elif isinstance(t, (StreamT, FutureT, OptionT, SeqT)):
+    elif isinstance(t, ast.TElem):
         children = (t.elem,)
     for child in children:
         found = innermost_uncodable(child)
         if found is not None:
             return found
-    if isinstance(t, (PrimT, TupleT)):
+    if isinstance(t, (ast.TPrim, ast.TTuple)):
         return None
     return t
 
 
-def codec_of(t: SemType) -> Codec | None:
+def codec_of(t: ast.TypeExpr) -> Codec | None:
     """The codec for a data type, or None if the type is not serializable."""
-    shape = sem_type_shape(t)
-    return None if shape is None else Codec(shape_id(shape), shape)
+    return Codec(t) if is_plain_data(t) else None
 
 
-def access_plan(def_name: str, declared: SemType) -> AccessPlan:
+def access_plan(def_name: str, declared: ast.TypeExpr) -> AccessPlan:
     """The plan for remote access to a definition, or SplitError."""
-    stream = isinstance(declared, StreamT)
+    stream = isinstance(declared, ast.TStream)
     codec = codec_of(declared.elem if stream else declared)
     if codec is None:
         bad = innermost_uncodable(declared)
@@ -171,7 +157,7 @@ def access_plan(def_name: str, declared: SemType) -> AccessPlan:
 
 def _rewrite(e: TypedExpr, plans: dict[str, AccessPlan],
              sigs: dict[str, ValueSig],
-             declared: dict[str, SemType]) -> TypedExpr:
+             declared: dict[str, ast.TypeExpr]) -> TypedExpr:
     if isinstance(e, checker.TRemoteAccess):
         if e.target not in plans:
             # raises, naming the definition and its innermost uncodable type
@@ -263,33 +249,29 @@ def _plan_from(doc) -> AccessPlan:
         raise ComponentFormatError(f"access plan for '{slot}': {e}") from None
 
 
-_ELEM_KINDS = {StreamT: "Stream", FutureT: "Future", OptionT: "Option", SeqT: "Seq"}
-_ELEM_TYPES = {kind: cls for cls, kind in _ELEM_KINDS.items()}
-
-
-def sem_type_to_doc(t: SemType) -> dict:
-    if isinstance(t, PrimT):
+def type_to_doc(t: ast.TypeExpr) -> dict:
+    if isinstance(t, ast.TPrim):
         return {"k": t.name}
-    if isinstance(t, TupleT):
-        return {"k": "Tuple", "items": [sem_type_to_doc(i) for i in t.items]}
+    if isinstance(t, ast.TTuple):
+        return {"k": "Tuple", "items": [type_to_doc(i) for i in t.items]}
     if isinstance(t, RemoteT):
         return {"k": "Remote", "peer": str(t.peer)}
-    if type(t) not in _ELEM_KINDS:
+    if not isinstance(t, ast.TElem):
         raise TypeError(f"cannot serialize type {t!r}")
-    return {"k": _ELEM_KINDS[type(t)], "elem": sem_type_to_doc(t.elem)}
+    return {"k": t.kind, "elem": type_to_doc(t.elem)}
 
 
-def sem_type_from_doc(doc) -> SemType:
+def type_from_doc(doc) -> ast.TypeExpr:
     k = doc["k"]
-    if k in ("Int", "Bool", "Str", "Unit"):
-        return PrimT(k)
+    if k in ast.PRIMS:
+        return ast.PRIMS[k]
     if k == "Tuple":
-        return TupleT(tuple(sem_type_from_doc(i) for i in doc["items"]))
+        return ast.TTuple(tuple(type_from_doc(i) for i in doc["items"]))
     if k == "Remote":
         return RemoteT(parse_peer_name(doc["peer"]))
-    if k not in _ELEM_TYPES:
+    if k not in ast.ELEM_TYPES:
         raise ComponentFormatError(f"unknown type kind '{k}'")
-    return _ELEM_TYPES[k](sem_type_from_doc(doc["elem"]))
+    return ast.ELEM_TYPES[k](type_from_doc(doc["elem"]))
 
 
 def expr_to_doc(e: TypedExpr) -> dict:
@@ -301,18 +283,18 @@ def expr_to_doc(e: TypedExpr) -> dict:
         return {"k": "str", "v": e.value}
     if isinstance(e, checker.TRef):
         return {"k": "ref", "name": e.name, "var": e.is_var,
-                "ty": sem_type_to_doc(e.ty)}
+                "ty": type_to_doc(e.ty)}
     if isinstance(e, checker.TBinOp):
         return {"k": "binop", "op": e.op, "l": expr_to_doc(e.left),
-                "r": expr_to_doc(e.right), "ty": sem_type_to_doc(e.ty)}
+                "r": expr_to_doc(e.right), "ty": type_to_doc(e.ty)}
     if isinstance(e, checker.TTupleExpr):
         return {"k": "tuple", "items": [expr_to_doc(i) for i in e.items],
-                "ty": sem_type_to_doc(e.ty)}
+                "ty": type_to_doc(e.ty)}
     if isinstance(e, checker.TStreamMap):
         return {"k": "map", "src": expr_to_doc(e.source), "var": e.var,
-                "body": expr_to_doc(e.body), "ty": sem_type_to_doc(e.ty)}
+                "body": expr_to_doc(e.body), "ty": type_to_doc(e.ty)}
     if isinstance(e, checker.TStreamSource):
-        return {"k": "source", "ty": sem_type_to_doc(e.ty)}
+        return {"k": "source", "ty": type_to_doc(e.ty)}
     if isinstance(e, RemoteCall):
         return {
             "k": "remotecall",
@@ -320,7 +302,7 @@ def expr_to_doc(e: TypedExpr) -> dict:
             "target": str(e.target_peer_id),
             "mult": e.mult.keyword,
             "plan": _plan_doc(e.plan),
-            "ty": sem_type_to_doc(e.ty),
+            "ty": type_to_doc(e.ty),
         }
     raise TypeError(f"cannot serialize expression {e!r}")
 
@@ -334,19 +316,19 @@ def expr_from_doc(doc, modules: Modules) -> TypedExpr:
     if k == "str":
         return checker.TStrLit(doc["v"])
     if k == "ref":
-        return checker.TRef(doc["name"], doc["var"], sem_type_from_doc(doc["ty"]))
+        return checker.TRef(doc["name"], doc["var"], type_from_doc(doc["ty"]))
     if k == "binop":
         return checker.TBinOp(doc["op"], expr_from_doc(doc["l"], modules),
-                              expr_from_doc(doc["r"], modules), sem_type_from_doc(doc["ty"]))
+                              expr_from_doc(doc["r"], modules), type_from_doc(doc["ty"]))
     if k == "tuple":
         return checker.TTupleExpr(tuple(expr_from_doc(i, modules) for i in doc["items"]),
-                                  sem_type_from_doc(doc["ty"]))
+                                  type_from_doc(doc["ty"]))
     if k == "map":
         return checker.TStreamMap(expr_from_doc(doc["src"], modules), doc["var"],
                                   expr_from_doc(doc["body"], modules),
-                                  sem_type_from_doc(doc["ty"]))
+                                  type_from_doc(doc["ty"]))
     if k == "source":
-        return checker.TStreamSource(sem_type_from_doc(doc["ty"]))
+        return checker.TStreamSource(type_from_doc(doc["ty"]))
     if k == "remotecall":
         plan = _plan_from(doc["plan"])
         return RemoteCall(
@@ -354,7 +336,7 @@ def expr_from_doc(doc, modules: Modules) -> TypedExpr:
             parse_peer_name(doc["target"]),
             ast.MULTIPLICITY_BY_KEYWORD[doc["mult"]],
             plan,
-            sem_type_from_doc(doc["ty"]),
+            type_from_doc(doc["ty"]),
         )
     raise ComponentFormatError(f"unknown expression kind '{k}'")
 

@@ -126,13 +126,19 @@ def exprs(names=idents()):
     return st.recursive(st.one_of(_literal_exprs(), ref), extend, max_leaves=12)
 
 
+def _tuple_types(children):
+    return st.lists(children, min_size=2, max_size=3).map(lambda items: ast.TTuple(tuple(items)))
+
+
+_PRIM_TYPES = st.sampled_from(("Int", "Bool", "Str", "Unit")).map(ast.TPrim)
+
+
 def type_exprs(names=idents()):
-    prim = st.sampled_from(("Int", "Bool", "Str", "Unit")).map(ast.TPrim)
+    prim = _PRIM_TYPES
 
     def extend(children):
         return st.one_of(
-            st.lists(children, min_size=2, max_size=3).map(
-                lambda items: ast.TTuple(tuple(items))),
+            _tuple_types(children),
             children.map(ast.TStream),
             children.map(ast.TFuture),
             children.map(ast.TOption),
@@ -145,6 +151,8 @@ def type_exprs(names=idents()):
 
 # built once: a strategy built inside a draw is built again for every example
 IDENTS, EXPRS, TYPE_EXPRS = idents(), exprs(), type_exprs()
+# TYPE_EXPRS rarely draws a type made of primitives and tuples alone
+DATA_TYPE_EXPRS = st.recursive(_PRIM_TYPES, _tuple_types, max_leaves=6)
 
 
 @st.composite

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import ast
+from locic import ast
 
 # Expression precedence levels, matching the parser.
 _CMP, _ADD, _MUL, _POSTFIX = 0, 1, 2, 3
@@ -69,7 +69,7 @@ def render_module(m: ast.SurfaceModule) -> str:
             head += f" {{ tie: {ties} }}"
         lines.append(head)
     for d in m.defs:
-        ty = ast.render_type(d.surface_type)
+        ty = str(d.surface_type)
         if d.kind is ast.DefKind.STREAM_SOURCE:
             lines.append(f"  source {d.name}: {ty} on {d.placed_on}")
         else:

@@ -13,16 +13,15 @@ from contextlib import redirect_stdout
 import pytest
 
 import helpers
-from locic import cli
+from locic import ast, cli
 from locic.arch import PeerId, effective_ties, is_subpeer, resolve_architecture
 from locic.ast import Multiplicity
-from locic.checker import (BOOL_T, INT_T, STR_T, FutureT, OptionT,
-                           RemoteAccessShapeError, RemoteT, SeqT, StreamT,
-                           TupleT, check_module, pair_of, type_remote_access)
+from locic.checker import (RemoteAccessShapeError, RemoteT, check_module, pair_of,
+                           type_remote_access)
 from locic.codecs import CodecError, parse_codec
 from locic.runtime import PeerInstance, StartError, start
 from locic.sigs import ModuleSig, ValueSig
-from locic.splitter import Evaluate, emit_component, sem_type_shape, split
+from locic.splitter import Evaluate, codec_of, emit_component, split
 from locic.transmit import READY
 from locic.wire import Framer, decode_envelope, encode_envelope, frame
 
@@ -67,12 +66,12 @@ def test_criterion_1_simple_module_end_to_end(tmp_path):
               "multiplicities; wrong accessor names rejected")
 def test_criterion_2_typing_table():
     peer = PeerId((), "R")
-    for target in (INT_T, BOOL_T, STR_T, TupleT((INT_T, STR_T))):
-        assert type_remote_access(target, Multiplicity.SINGLE, peer) == FutureT(target)
+    for target in (ast.INT, ast.BOOL, ast.STR, ast.TTuple((ast.INT, ast.STR))):
+        assert type_remote_access(target, Multiplicity.SINGLE, peer) == ast.TFuture(target)
         assert type_remote_access(target, Multiplicity.OPTIONAL, peer) == \
-            OptionT(FutureT(target))
+            ast.TOption(ast.TFuture(target))
         assert type_remote_access(target, Multiplicity.MULTIPLE, peer, from_all=True) == \
-            SeqT(pair_of(RemoteT(peer), FutureT(target)))
+            ast.TSeq(pair_of(RemoteT(peer), ast.TFuture(target)))
         with pytest.raises(RemoteAccessShapeError):
             type_remote_access(target, Multiplicity.MULTIPLE, peer, from_all=False)
         with pytest.raises(RemoteAccessShapeError):
@@ -347,7 +346,7 @@ def test_criterion_10_split_shape():
         placements = {d.name: d.placed_on for d in tm.defs}
         transmittable = {
             d.name for d in tm.defs
-            if sem_type_shape(d.declared_type.elem if isinstance(d.declared_type, StreamT)
+            if codec_of(d.declared_type.elem if isinstance(d.declared_type, ast.TStream)
                               else d.declared_type) is not None
         }
         for pid, pc in split(tm).items():

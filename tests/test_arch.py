@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from locic import ast, checker, parser, splitter, wire
+from locic import ast, parser, splitter, wire
 from locic.arch import (ArchError, PeerId, effective_ties, is_subpeer,
                         parse_peer_name, resolve_architecture)
 from locic.ast import Multiplicity
@@ -35,7 +35,7 @@ VALUE_SIG = ValueSig("i:Int", ModuleSig("M"))
     (Pos(1, 2), "line"), (Pos(1, 2), "col"),
     (Token("int", "1", Pos(1, 1)), "kind"), (Token("int", "1", Pos(1, 1)), "pos"),
     (ModuleSig("M", ("a",)), "path"), (VALUE_SIG, "module"),
-    (ast.IntLit(1, Pos(1, 1)), "pos"), (checker.TupleT((checker.INT_T, checker.STR_T)), "items"),
+    (ast.IntLit(1, Pos(1, 1)), "pos"), (ast.TTuple((ast.INT, ast.STR)), "items"),
     (wire.Request(1, VALUE_SIG), "id"), (next(iter(SIMPLE_COMPONENT.dispatch.values())), "codec"),
     (SIMPLE_ARCH, "peers"), (SIMPLE_COMPONENT, "slots"),
 ])

@@ -1,12 +1,11 @@
 import pytest
 
 import helpers
-from locic.arch import PeerId, effective_ties, resolve_architecture
+from locic import ast
+from locic.arch import PeerId, effective_ties, is_subpeer, resolve_architecture
 from locic.ast import Multiplicity
-from locic.checker import (BOOL_T, INT_T, STR_T, FutureT, OptionT,
-                           RemoteAccessShapeError, RemoteT, SeqT, StreamT,
-                           TRemoteAccess, TupleT, check_module, pair_of,
-                           type_remote_access)
+from locic.checker import (RemoteAccessShapeError, RemoteT, TRemoteAccess, check_module,
+                           pair_of, type_remote_access)
 
 R = PeerId((), "R")
 
@@ -23,30 +22,30 @@ def messages(tm):
 # --- the access-shape table --------------------------------------------
 
 def test_single_tie_yields_future():
-    assert type_remote_access(INT_T, Multiplicity.SINGLE, R) == FutureT(INT_T)
+    assert type_remote_access(ast.INT, Multiplicity.SINGLE, R) == ast.TFuture(ast.INT)
 
 
 def test_optional_tie_yields_optional_future():
-    assert type_remote_access(INT_T, Multiplicity.OPTIONAL, R) == OptionT(FutureT(INT_T))
+    assert type_remote_access(ast.INT, Multiplicity.OPTIONAL, R) == ast.TOption(ast.TFuture(ast.INT))
 
 
 def test_multiple_tie_yields_remote_pairs():
-    got = type_remote_access(INT_T, Multiplicity.MULTIPLE, R, from_all=True)
-    assert got == SeqT(pair_of(RemoteT(R), FutureT(INT_T)))
+    got = type_remote_access(ast.INT, Multiplicity.MULTIPLE, R, from_all=True)
+    assert got == ast.TSeq(pair_of(RemoteT(R), ast.TFuture(ast.INT)))
 
 
 def test_stream_over_single_tie_stays_a_stream():
-    assert type_remote_access(StreamT(INT_T), Multiplicity.SINGLE, R) == StreamT(INT_T)
+    assert type_remote_access(ast.TStream(ast.INT), Multiplicity.SINGLE, R) == ast.TStream(ast.INT)
 
 
 def test_stream_over_optional_or_multiple_rejected():
     with pytest.raises(RemoteAccessShapeError):
-        type_remote_access(StreamT(INT_T), Multiplicity.OPTIONAL, R)
+        type_remote_access(ast.TStream(ast.INT), Multiplicity.OPTIONAL, R)
     with pytest.raises(RemoteAccessShapeError):
-        type_remote_access(StreamT(INT_T), Multiplicity.MULTIPLE, R, from_all=True)
+        type_remote_access(ast.TStream(ast.INT), Multiplicity.MULTIPLE, R, from_all=True)
 
 
-@pytest.mark.parametrize("target", [INT_T, BOOL_T, STR_T, TupleT((INT_T, STR_T))])
+@pytest.mark.parametrize("target", [ast.INT, ast.BOOL, ast.STR, ast.TTuple((ast.INT, ast.STR))])
 def test_accessor_names_are_mandatory(target):
     with pytest.raises(RemoteAccessShapeError):
         type_remote_access(target, Multiplicity.MULTIPLE, R, from_all=False)
@@ -55,12 +54,12 @@ def test_accessor_names_are_mandatory(target):
             type_remote_access(target, mult, R, from_all=True)
 
 
-@pytest.mark.parametrize("target", [INT_T, BOOL_T, STR_T, TupleT((INT_T, STR_T))])
+@pytest.mark.parametrize("target", [ast.INT, ast.BOOL, ast.STR, ast.TTuple((ast.INT, ast.STR))])
 def test_access_shape_depends_only_on_type_and_multiplicity(target):
-    assert type_remote_access(target, Multiplicity.SINGLE, R) == FutureT(target)
-    assert type_remote_access(target, Multiplicity.OPTIONAL, R) == OptionT(FutureT(target))
+    assert type_remote_access(target, Multiplicity.SINGLE, R) == ast.TFuture(target)
+    assert type_remote_access(target, Multiplicity.OPTIONAL, R) == ast.TOption(ast.TFuture(target))
     assert type_remote_access(target, Multiplicity.MULTIPLE, R, from_all=True) == \
-        SeqT(pair_of(RemoteT(R), FutureT(target)))
+        ast.TSeq(pair_of(RemoteT(R), ast.TFuture(target)))
 
 
 # --- whole-module checking ----------------------------------------------
@@ -69,7 +68,7 @@ def test_simple_module_accepts():
     tm = check_source(helpers.SIMPLE_MODULE)
     assert tm.diagnostics == []
     j = next(d for d in tm.defs if d.name == "j")
-    assert j.declared_type == FutureT(INT_T)
+    assert j.declared_type == ast.TFuture(ast.INT)
     assert isinstance(j.body, TRemoteAccess)
     assert j.body.mult is Multiplicity.SINGLE
 
@@ -105,7 +104,7 @@ def test_super_peer_values_readable_locally():
     tm = check_source(helpers.MONITORING_P2P)
     assert tm.diagnostics == []
     local_read = next(d for d in tm.defs if d.name == "localRead")
-    assert local_read.declared_type == INT_T
+    assert local_read.declared_type == ast.INT
 
 
 def test_wrong_accessor_for_multiplicity():
@@ -153,7 +152,7 @@ def test_multiple_access_types_as_pair_sequence():
     """)
     assert tm.diagnostics == []
     xs = next(d for d in tm.defs if d.name == "xs")
-    assert xs.declared_type == SeqT(TupleT((RemoteT(PeerId((), "Leaf")), FutureT(INT_T))))
+    assert xs.declared_type == ast.TSeq(ast.TTuple((RemoteT(PeerId((), "Leaf")), ast.TFuture(ast.INT))))
 
 
 def test_stream_source_and_map_typing():
@@ -293,7 +292,6 @@ def test_stream_access_requires_single_tie_in_module():
 
 
 def test_local_access_rule():
-    from locic.checker import local_access_rule
     from locic.parser import parse_program
 
     mods = parse_program(helpers.MONITORING_P2P)
@@ -301,7 +299,7 @@ def test_local_access_rule():
     registry = PeerId((), "Registry")
     node = PeerId((), "Node")
     monitor = PeerId(("mon",), "Monitor")
-    assert local_access_rule(a, registry, monitor)       # super-peer value
-    assert local_access_rule(a, registry, registry)      # own value
-    assert not local_access_rule(a, node, registry)      # needs asLocal
-    assert not local_access_rule(a, monitor, registry)   # supers don't see subs
+    assert is_subpeer(a, registry, monitor)       # super-peer value
+    assert is_subpeer(a, registry, registry)      # own value
+    assert not is_subpeer(a, node, registry)      # needs asLocal
+    assert not is_subpeer(a, monitor, registry)   # supers don't see subs

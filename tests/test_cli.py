@@ -244,6 +244,19 @@ def test_run_unknown_peer_is_runtime_failure(simple_file, capsys):
     assert main(["run", simple_file, "--peer", "Ghost", "--settle-exit"]) == 3
 
 
+def test_an_interrupt_while_run_starts_exits_quietly_and_unbinds(simple_file, capsys,
+                                                                 monkeypatch):
+    from locic import runtime, transport
+
+    def interrupted(instance, timeout=None):
+        raise KeyboardInterrupt  # Ctrl-C while the peer waits for its single tie
+
+    monkeypatch.setattr(runtime.PeerInstance, "activate", interrupted)
+    assert main(["run", simple_file, "--peer", "MyPeer", "--listen", "mem:cli-interrupt"]) == 0
+    assert capsys.readouterr().err == ""
+    transport.listen("mem:cli-interrupt", lambda conn: None).close()  # the hub is free again
+
+
 def test_run_refuses_a_non_ascii_digit_in_a_listen_spec():
     proc = _run_cli(["run", str(SRC_DIR.parent / "samples" / "simple.loci"), "--peer", "MyPeer",
                      "--listen", "tcp:1.2.3.\u00b2:80"])

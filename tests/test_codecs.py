@@ -1,11 +1,15 @@
 import random
+import re
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locic.codecs import CodecError, parse_codec, parse_shape, shape_id
+import helpers
+from locic import ast
+from locic.codecs import CodecError, parse_codec
+from locic.splitter import codec_of
 
 
 def test_int_codec_examples():
@@ -95,6 +99,22 @@ def test_serialize_type_mismatch_raises():
         parse_codec("Int").serialize(True)  # bools are not ints
 
 
+@pytest.mark.parametrize("codec_id, value, message", [
+    ("Int", True, "Int codec cannot serialize True"),
+    ("Bool", 1, "Bool codec cannot serialize 1"),
+    ("Str", b"x", "Str codec cannot serialize b'x'"),
+    ("Unit", 0, "Unit codec cannot serialize 0"),
+    ("(Int, Str)", (1,), "(Int, Str) codec cannot serialize (1,)"),
+    ("(Int, Str)", [1, "a"], "(Int, Str) codec cannot serialize [1, 'a']"),
+    ("(Int, Str)", (1, 2), "Str codec cannot serialize 2"),
+    # a refusal inside a tuple names the innermost type that refused
+    ("((Int, Str), Bool)", ((1,), True), "(Int, Str) codec cannot serialize (1,)"),
+])
+def test_writer_refusal_texts(codec_id, value, message):
+    with pytest.raises(CodecError, match=f"^{re.escape(message)}$"):
+        parse_codec(codec_id).serialize(value)
+
+
 def test_unknown_codec_id():
     with pytest.raises(CodecError):
         parse_codec("Float")
@@ -104,15 +124,31 @@ def test_unknown_codec_id():
         parse_codec(3)
 
 
-def test_shape_id_round_trip():
+def test_codec_id_round_trip():
     for codec_id in ("Int", "Bool", "Str", "Unit", "(Int, Str)", "((Int, Int), (Str, Bool))"):
-        assert shape_id(parse_shape(codec_id)) == codec_id
+        codec = parse_codec(codec_id)
+        assert codec.id == str(codec.ty) == codec_id
+        assert parse_codec(codec.id) == codec
+    assert parse_codec("((Int, Str), Bool)").ty == \
+        ast.TTuple((ast.TTuple((ast.INT, ast.STR)), ast.BOOL))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(helpers.TYPE_EXPRS, helpers.DATA_TYPE_EXPRS))
+def test_a_codec_is_built_from_exactly_the_plain_data_types(ty):
+    codec = codec_of(ty)
+    # primitives and tuples are the only types whose text has no `[`
+    if "[" not in str(ty):
+        assert codec == parse_codec(str(ty))
+        assert codec.id == str(ty)
+    else:
+        assert codec is None
 
 
 def test_builtin_codecs():
     for codec_id in ("Int", "Bool", "Str", "Unit"):
         assert parse_codec(codec_id).id == codec_id
-    # an id is normalized to the form shape_id writes
+    # an id is normalized to the text of its type
     assert parse_codec("( Int,Str)").id == "(Int, Str)"
 
 

@@ -6,7 +6,7 @@ import helpers
 from locic import ast, cli
 from locic.diagnostics import Pos
 from locic.parser import ParseError, parse_module, parse_program, tokenize
-from locic.render import render_module
+from render import render_module
 
 
 def test_parse_simple_module():

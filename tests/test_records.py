@@ -40,16 +40,19 @@ def test_record_contract():
     (component,) = splitter.split(typed).values()
     evaluate = next(plan for _, plan in component.slots if plan is not None)
     codec = parse_codec("(Int, Str)")
-    for owner, name in ((codec, "_read"), (evaluate, "body_json"),
+    for owner, name in ((codec, "_coders"), (evaluate, "body_json"),
                         (arch, "closures"), (component, "closures")):
         assert getattr(owner, name) is getattr(owner, name)
 
 
 def test_importing_the_cli_skips_dataclasses_and_inspect():
-    # building value classes with `dataclasses` cost ~75 ms per process start
+    # building value classes with `dataclasses` cost ~75 ms per process start,
+    # and the runtime with its transport is most of what is left: `check`,
+    # `arch` and `split` do not load it
     env = dict(os.environ, PYTHONPATH=str(helpers.ROOT / "src"))
+    unwanted = {"dataclasses", "inspect", "locic.transport", "socket", "selectors"}
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, locic.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         f"import sys, locic.cli; print(sorted({unwanted!r} & set(sys.modules)))"],
         capture_output=True, text=True, env=env, timeout=60, check=True).stdout
     assert out == "[]\n"

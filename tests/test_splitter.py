@@ -11,7 +11,6 @@ import helpers
 from locic import arch, ast, checker
 from locic.arch import PeerId, is_subpeer
 from locic.ast import Multiplicity
-from locic.checker import FutureT, INT_T
 from locic import transport
 from locic.codecs import parse_codec
 from locic.runtime import simulate
@@ -52,7 +51,7 @@ def test_remote_access_rewritten_to_remote_call():
     assert call.mult is Multiplicity.SINGLE
     # the access site holds the very plan the target dispatches
     assert call.plan is comps[MYPEER].dispatch[call.value_sig]
-    assert call.ty == FutureT(INT_T)
+    assert call.ty == ast.TFuture(ast.INT)
 
 
 def test_placeholder_partition():
@@ -144,11 +143,10 @@ def _check(m):
 
 
 def _transmittable(declared) -> bool:
-    from locic.checker import StreamT
-    from locic.splitter import sem_type_shape
+    from locic.splitter import codec_of
 
-    payload = declared.elem if isinstance(declared, StreamT) else declared
-    return sem_type_shape(payload) is not None
+    payload = declared.elem if isinstance(declared, ast.TStream) else declared
+    return codec_of(payload) is not None
 
 
 def test_dispatch_completeness_bijection():
