@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from json.encoder import c_encode_basestring, c_make_encoder
+from json.scanner import c_make_scanner
 from typing import Any, Callable
 
 from . import ast
@@ -28,9 +30,34 @@ class CodecError(Exception):
     pass
 
 
-# the one compact encoder and strict decoder shared by codecs and the wire
-encode_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
-_scan = json.JSONDecoder().raw_decode
+# The one compact encoder and strict decoder shared by codecs and the wire,
+# built once from CPython's C accelerator (`_json`). They have the settings
+# of `json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)` and
+# `json.JSONDecoder()`, without the Python wrappers that those classes run,
+# and that build a new C encoder, on every call. The encoder keeps no
+# circular-reference markers: every document encoded here is a tree, built
+# afresh by a codec's writer or by `wire` from immutable fields, or parsed
+# from JSON text, so none can hold itself. (A cyclic one would end in a
+# RecursionError, not a crash.)
+_encode = c_make_encoder(None, json.JSONEncoder().default, c_encode_basestring, None,
+                         ":", ",", False, False, True)
+_scan = c_make_scanner(json.JSONDecoder())
+
+
+def encode_json(doc: Any) -> str:
+    """The compact JSON text of `doc`: ValueError for an int too long to
+    print, TypeError for a value JSON has no form for."""
+    return "".join(_encode(doc, 0))
+
+
+def scan_json(text: str) -> tuple[Any, int]:
+    """The JSON value at the start of `text` and the index just past it;
+    JSONDecodeError if none starts there, RecursionError if it nests too
+    deep."""
+    try:
+        return _scan(text, 0)
+    except StopIteration as e:  # the scanner's "no value starts here"
+        raise json.JSONDecodeError("Expecting value", text, e.value) from None
 
 
 def _parse_type(s: str) -> tuple[ast.TypeExpr, str]:
@@ -98,7 +125,7 @@ def _compile(ty: ast.TypeExpr) -> tuple[Writer, Reader]:
 def decode_json(text: str) -> Any:
     """The one JSON value `text` holds, with no whitespace around it;
     JSONDecodeError otherwise."""
-    doc, end = _scan(text)
+    doc, end = scan_json(text)
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
     return doc

@@ -1,23 +1,25 @@
 """Wire protocol: length-prefixed frames carrying canonical-JSON envelopes.
 
-Frames are a 4-byte big-endian unsigned payload length followed by the
-payload; envelopes are JSON objects whose `t` field names the variant,
-with binary fields base64-encoded.
+A frame is a 4-byte big-endian unsigned length followed by that many bytes,
+one envelope. An envelope starts with its header, a compact JSON object
+whose `t` field names the variant. An ok `res` and a `chanmsg` carry a
+value: its payload bytes (the codec's canonical JSON) follow the header
+raw, up to the end of the frame, as in `{"t":"chanmsg","chan":2}41`. Every
+other variant is its header alone.
 """
 
 from __future__ import annotations
 
-import base64
 import functools
 import struct
 from typing import Union
 
-from .codecs import decode_json, encode_json
+from .codecs import encode_json, scan_json
 from .records import record
 from .sigs import ModuleSig, PeerSig, ValueSig
 
 MAX_FRAME_LEN = 64 * 1024 * 1024
-PROTO_VERSION = 2
+PROTO_VERSION = 3
 
 
 class ProtocolError(Exception):
@@ -127,13 +129,13 @@ def _value_fields(value: ValueSig) -> bytes:
 
 
 def encode_envelope(e: Envelope) -> bytes:
-    # the hot variants are templates: ids are ints and base64 needs no escaping
+    # the hot variants are templates: ids are ints, and a payload follows its header raw
     if isinstance(e, Request):
         return b'{"t":"req","id":%d,%s}' % (e.id, _value_fields(e.value))
     if isinstance(e, Response) and e.ok:
-        return b'{"t":"res","id":%d,"ok":true,"payload":"%s"}' % (e.id, base64.b64encode(e.payload))
+        return b'{"t":"res","id":%d,"ok":true}%s' % (e.id, e.payload)
     if isinstance(e, ChanMsg):
-        return b'{"t":"chanmsg","chan":%d,"payload":"%s"}' % (e.chan, base64.b64encode(e.payload))
+        return b'{"t":"chanmsg","chan":%d}%s' % (e.chan, e.payload)
     if isinstance(e, Response):
         return _dumps({"t": "res", "id": e.id, "ok": False, "error": e.error})
     if isinstance(e, ChanOpen):
@@ -163,11 +165,11 @@ def _field(doc: dict, name: str, kind: type):
     return value
 
 
-def _payload(doc: dict) -> bytes:
-    try:
-        return base64.b64decode(_field(doc, "payload", str), validate=True)
-    except ValueError:  # binascii.Error, or a non-ASCII character
-        raise ProtocolError("envelope field 'payload' is not valid base64") from None
+def _payload(tail: bytes) -> bytes:
+    """The payload: the bytes after the header, which must be some."""
+    if not tail:
+        raise ProtocolError("envelope missing its payload")
+    return tail
 
 
 def _module(doc: dict, name: str, path: str) -> ModuleSig:
@@ -182,26 +184,35 @@ def _value(doc: dict) -> ValueSig:
 
 
 def decode_envelope(data: bytes) -> Envelope:
-    """The envelope `data` holds: exactly one JSON object, with no
-    whitespace around it and every string valid Unicode."""
+    """The envelope `data` holds: a header, one JSON object with no
+    whitespace before it, in valid UTF-8 and with every string valid
+    Unicode; then the payload for a variant that carries one, and nothing
+    for any other. The payload may be any bytes but none: its codec judges
+    them."""
     try:
-        text = data.decode("utf-8")
-        doc = decode_json(text)
-        if "\\u" in text:  # a \u escape can name a lone surrogate, which UTF-8 cannot carry
+        # an undecodable byte becomes a lone surrogate, so a payload may hold any byte
+        text = data.decode("utf-8", "surrogateescape")
+        doc, end = scan_json(text)
+        # strict UTF-8 refuses such a surrogate in the header, and gives its length in bytes
+        size = end if text.isascii() else len(text[:end].encode("utf-8"))
+        if text.find("\\u", 0, end) != -1:  # a \u escape can name a lone surrogate too
             encode_json(doc).encode("utf-8")
     except (ValueError, RecursionError) as e:  # also an overlong int, or deep nesting
         raise ProtocolError(f"malformed envelope: {e}") from None
     if type(doc) is not dict:
         raise ProtocolError("envelope is not an object")
+    tail = data[size:]
     t = _field(doc, "t", str)
+    if t == "res" and _field(doc, "ok", bool):
+        return Response(_field(doc, "id", int), True, payload=_payload(tail))
+    if t == "chanmsg":
+        return ChanMsg(_field(doc, "chan", int), _payload(tail))
+    if tail:
+        raise ProtocolError(f"malformed envelope: {len(tail)} bytes after a '{t}' header")
     if t == "res":
-        if _field(doc, "ok", bool):
-            return Response(_field(doc, "id", int), True, payload=_payload(doc))
         return Response(_field(doc, "id", int), False, error=_field(doc, "error", str))
     if t == "req":
         return Request(_field(doc, "id", int), _value(doc))
-    if t == "chanmsg":
-        return ChanMsg(_field(doc, "chan", int), _payload(doc))
     if t == "chanopen":
         return ChanOpen(_field(doc, "chan", int), _value(doc))
     if t == "chanclose":

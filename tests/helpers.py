@@ -418,10 +418,10 @@ def random_envelope(rng: random.Random):
     if kind == 3:
         if rng.random() < 0.5:
             return Response(rng.randint(0, 2**63), True,
-                            payload=rng.randbytes(rng.randint(0, 64)))
+                            payload=rng.randbytes(rng.randint(1, 64)))
         return Response(rng.randint(0, 2**63), False, error="boom " * rng.randint(0, 3))
     if kind == 4:
         return ChanOpen(rng.randint(0, 2**31), value)
     if kind == 5:
-        return ChanMsg(rng.randint(0, 2**31), rng.randbytes(rng.randint(0, 64)))
+        return ChanMsg(rng.randint(0, 2**31), rng.randbytes(rng.randint(1, 64)))
     return ChanClose(rng.randint(0, 2**31))

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 from locic import ast
-from locic.codecs import CodecError, parse_codec
+from locic.codecs import CodecError, decode_json, encode_json, parse_codec
 from locic.splitter import codec_of
 
 
@@ -81,6 +82,61 @@ def test_an_int_too_long_to_print_is_a_codec_error():
             parse_codec("Int").deserialize(b"1" * 5001)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# --- the JSON kernel ---------------------------------------------------------
+
+def _outcome(fn, arg):
+    """What `fn(arg)` gives: its result, or the type of what it raised."""
+    try:
+        return fn(arg)
+    except (ValueError, TypeError, RecursionError) as e:
+        return type(e)
+
+
+def _stdlib_dumps(doc):
+    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
+
+
+# controls, quotes, backslashes, non-ASCII and lone surrogates, among any text
+_texts = st.text(st.sampled_from('\x00\x1f\x7f"\\/é☃\U0001F600\ud800\udfff') | st.characters(),
+                 max_size=8)
+# around the 4,300 digits past which CPython refuses to print an int
+_long_ints = st.builds(lambda digits, sign: sign * (10**digits - 1),
+                       st.integers(4_295, 4_305), st.sampled_from([1, -1]))
+_json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | _long_ints | _texts,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_texts, inner, max_size=3),
+    max_leaves=12)
+
+
+_LEAF_CODECS = {int: parse_codec("Int"), str: parse_codec("Str")}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_docs)
+def test_the_json_kernel_encodes_and_decodes_as_the_stdlib_does(doc):
+    text = _outcome(encode_json, doc)
+    assert text == _outcome(_stdlib_dumps, doc)
+    if isinstance(text, str):
+        assert _outcome(decode_json, text) == _outcome(json.loads, text)
+    codec = _LEAF_CODECS.get(type(doc))
+    if codec is not None:
+        # a lone surrogate, or an int too long to print, is a CodecError
+        want = _outcome(lambda d: _stdlib_dumps(d).encode("utf-8"), doc)
+        try:
+            assert codec.serialize(doc) == want
+        except CodecError:
+            assert not isinstance(want, bytes)
+
+
+def test_the_json_kernel_fails_on_deep_nesting_as_the_stdlib_does():
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    assert _outcome(encode_json, deep) is _outcome(_stdlib_dumps, deep) is RecursionError
+    text = "[" * 100_000
+    assert _outcome(decode_json, text) is _outcome(json.loads, text) is RecursionError
 
 
 def test_non_canonical_encodings_rejected():

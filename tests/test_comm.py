@@ -1,4 +1,3 @@
-import base64
 import json
 import random
 import sys
@@ -12,11 +11,12 @@ from hypothesis import strategies as st
 import helpers
 from locic.codecs import CodecError, parse_codec
 from locic.sigs import ModuleSig, PeerSig, ValueSig
+from locic.transmit import FAILED, READY, Endpoint, FutureSlot, StreamHandle
 from locic.transport import (ConnectError, ConnectionClosed, Loop, SpecError,
                              connect, listen, loop, parse_spec)
-from locic.wire import (MAX_FRAME_LEN, ChanMsg, ChanOpen, Framer, Hello, HelloAck,
-                        ProtocolError,
-                        Request, Response, decode_envelope, encode_envelope, frame)
+from locic.wire import (MAX_FRAME_LEN, ChanClose, ChanMsg, ChanOpen, Framer, Hello,
+                        HelloAck, ProtocolError, Request, Response, decode_envelope,
+                        encode_envelope, frame)
 
 
 # --- framing ------------------------------------------------------------
@@ -69,41 +69,78 @@ def test_request_canonical_encoding():
 
 
 def test_response_and_chanmsg_canonical_encoding():
+    # the payload follows the header raw: not base64, not quoted
     assert encode_envelope(Response(3, True, payload=b'[1,"a"]')) == \
-        b'{"t":"res","id":3,"ok":true,"payload":"WzEsImEiXQ=="}'
-    assert encode_envelope(ChanMsg(2, b"41")) == b'{"t":"chanmsg","chan":2,"payload":"NDE="}'
+        b'{"t":"res","id":3,"ok":true}[1,"a"]'
+    assert encode_envelope(ChanMsg(2, b"41")) == b'{"t":"chanmsg","chan":2}41'
 
 
 @st.composite
 def _hot_envelopes(draw):
     """A Request, ok Response, ChanMsg or ChanOpen, with the dict that is
-    its canonical JSON form."""
+    the canonical JSON form of its header, and its payload (b"" for none)."""
     ident = draw(st.integers(0, 2**63))
     kind = draw(st.sampled_from(["req", "res", "chanmsg", "chanopen"]))
     if kind in ("res", "chanmsg"):
-        payload = draw(st.binary(max_size=64))
-        text = base64.b64encode(payload).decode("ascii")
+        payload = draw(st.binary(min_size=1, max_size=64))
         if kind == "res":
             return Response(ident, True, payload=payload), \
-                {"t": "res", "id": ident, "ok": True, "payload": text}
-        return ChanMsg(ident, payload), {"t": "chanmsg", "chan": ident, "payload": text}
+                {"t": "res", "id": ident, "ok": True}, payload
+        return ChanMsg(ident, payload), {"t": "chanmsg", "chan": ident}, payload
     # any text but lone surrogates: quotes, backslashes, controls, non-ASCII
     name, val = draw(st.text()), draw(st.text())
     path = draw(st.lists(st.text(), max_size=3))
     value = ValueSig(val, ModuleSig(name, tuple(path)))
     fields = {"mod": name, "path": path, "val": val}
     if kind == "req":
-        return Request(ident, value), {"t": "req", "id": ident, **fields}
-    return ChanOpen(ident, value), {"t": "chanopen", "chan": ident, **fields}
+        return Request(ident, value), {"t": "req", "id": ident, **fields}, b""
+    return ChanOpen(ident, value), {"t": "chanopen", "chan": ident, **fields}, b""
 
 
 @settings(max_examples=300, deadline=None)
 @given(_hot_envelopes())
 def test_templated_envelopes_match_the_generic_encoding(case):
-    env, doc = case
+    env, header, payload = case
     data = encode_envelope(env)
-    assert data == json.dumps(doc, separators=(",", ":"), ensure_ascii=False).encode()
+    assert data == json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode() + payload
     assert decode_envelope(data) == env
+
+
+@pytest.mark.parametrize("payload", [b"\xff", b"\x80\x00\xfe", b'"\xed\xa0\x80"', b"\xc3", b"}{"])
+def test_a_payload_may_be_any_bytes(payload):
+    # undecodable bytes, an encoded surrogate, a cut sequence: the codec judges them
+    for env in (Response(7, True, payload=payload), ChanMsg(4, payload)):
+        assert decode_envelope(encode_envelope(env)) == env
+
+
+@pytest.mark.parametrize("data", [b'{"t":"res","id":1,"ok":true}', b'{"t":"chanmsg","chan":1}'])
+def test_an_empty_payload_is_refused(data):
+    with pytest.raises(ProtocolError, match="missing its payload"):
+        decode_envelope(data)
+
+
+@pytest.mark.parametrize("env", [
+    Request(1, ValueSig("i:Int", ModuleSig("M"))),
+    ChanOpen(3, ValueSig("s:Stream[Int]", ModuleSig("M"))),
+    HelloAck(True),
+    Response(1, False, error="boom"),
+    ChanClose(3),
+])
+@pytest.mark.parametrize("tail", [b"4", b"\xff", b"{}"])
+def test_bytes_after_a_variant_without_a_payload_are_refused(env, tail):
+    with pytest.raises(ProtocolError, match="malformed envelope"):
+        decode_envelope(encode_envelope(env) + tail)
+
+
+@pytest.mark.parametrize("data", [
+    b'{"t":"helloack","accepted":false,"reason":"\xff"}',
+    b'{"t":"chanmsg","chan":1,"x":"\xc3"}41',  # a cut sequence, before a payload
+    b'{"t":"res","id":1,"ok":true,"\xed\xa0\x80":0}1',  # an encoded surrogate
+    b'{"t":"chanclose"\xff,"chan":1}',
+])
+def test_invalid_utf8_in_the_header_is_refused(data):
+    with pytest.raises(ProtocolError, match="malformed envelope"):
+        decode_envelope(data)
 
 
 @pytest.mark.parametrize("pad", [b" ", b"\n", b"\t", b"\r"])
@@ -161,6 +198,8 @@ def test_missing_field_rejected():
         decode_envelope(b"not json")
     with pytest.raises(ProtocolError):
         decode_envelope(b'{"t":"chanmsg","chan":1,"payload":"@@@"}')
+    with pytest.raises(ProtocolError):  # a header missing its id, before a payload
+        decode_envelope(b'{"t":"res","ok":true}42')
 
 
 def test_envelope_generator_round_trip():
@@ -614,3 +653,91 @@ def test_send_just_before_close_is_delivered(spec):
     finally:
         server.close()
         listener.close()
+
+
+# --- payload bytes in a live session -------------------------------------------
+
+VALUE_SIG = ValueSig("x:Int", ModuleSig("M"))
+STREAM_SIG = ValueSig("s:Stream[Int]", ModuleSig("M"))
+
+
+class _RawCodec:
+    """Passes payload bytes through as they are, whatever they hold."""
+
+    id = "raw"
+
+    def serialize(self, value: bytes) -> bytes:
+        return value
+
+    def deserialize(self, data: bytes) -> bytes:
+        return data
+
+
+def _session(spec, payload: bytes):
+    """A (client, server stream) pair of endpoints over `spec`. The server
+    answers every pull with `payload` and attaches every channel to the
+    returned stream, whose elements go out as their raw bytes."""
+    listener, client_conn, server_conn = _pair(spec)
+    stream = StreamHandle(_RawCodec())
+
+    def endpoint(conn, opener, on_request, on_chan_open):
+        ep = Endpoint(conn, opener, on_control=lambda env: None, on_request=on_request,
+                      on_chan_open=on_chan_open, on_closed=lambda reason: None)
+        ep.start()
+        return ep
+
+    endpoint(server_conn, False, lambda req: Response(req.id, True, payload=payload),
+             lambda env: stream)
+    client = endpoint(client_conn, True, lambda req: Response(req.id, False, error="no"),
+                      lambda env: None)
+    listener.close()
+    return client, stream
+
+
+def _first(handle: StreamHandle) -> tuple[FutureSlot, list]:
+    """A future of the first element `handle` delivers, and the list of all."""
+    first, got = FutureSlot(), []
+
+    def seen(value):
+        got.append(value)
+        first.resolve(value)
+
+    handle.subscribe(seen)
+    return first, got
+
+
+@pytest.mark.parametrize("spec", ["mem:hub-raw-payload", "tcp:127.0.0.1:0"])
+def test_non_utf8_payload_bytes_cross_a_live_session_intact(spec):
+    odd = b"\xff\x00\xfe\"\xed\xa0\x80\x80"
+    client, stream = _session(spec, odd)
+    try:
+        received = client.open_stream(STREAM_SIG, _RawCodec())
+        first, got = _first(received)
+        pulled = client.pull(VALUE_SIG, _RawCodec())  # answered after the channel attached
+        assert pulled.wait(5) and pulled.state == READY and pulled.value == odd
+        stream.emit(odd[::-1])
+        stream.emit(odd)
+        assert first.wait(5) and first.value == odd[::-1]
+        deadline = time.monotonic() + 5
+        while len(got) < 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert got == [odd[::-1], odd] and not client.conn.closed
+    finally:
+        client.close()
+
+
+@pytest.mark.parametrize("pad", [b" ", b"\n"])
+def test_whitespace_between_header_and_payload_is_refused_by_the_codec(pad):
+    # the frame is well formed; its payload is not the canonical bytes of an Int
+    client, stream = _session("mem:hub-padded-payload", pad + b"42")
+    try:
+        received = client.open_stream(STREAM_SIG, parse_codec("Int"))
+        first, got = _first(received)
+        pulled = client.pull(VALUE_SIG, parse_codec("Int"))
+        assert pulled.wait(5) and pulled.state == FAILED
+        assert "codec Int: invalid encoding" in pulled.error
+        stream.emit(pad + b"42")  # dropped by the codec
+        stream.emit(b"43")
+        assert first.wait(5) and got == [43] and not client.conn.closed
+    finally:
+        client.close()

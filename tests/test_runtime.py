@@ -247,11 +247,12 @@ def test_module_signature_mismatch_rejected(instances):
 
 
 def test_protocol_version_mismatch_rejected(instances):
-    for version in (1, 99):
+    # a PROTO 2 peer's hello has the same layout, so it too is refused by name
+    for version in (1, 2, 99):
         ack = _hello_ack(instances, Hello(ModuleSig("SimpleModule"),
                                           PeerSig("MyPeer", ModuleSig("SimpleModule")),
                                           proto_version=version))
-        assert ack == HelloAck(False, f"protocol version {version} is not supported (expected 2)")
+        assert ack == HelloAck(False, f"protocol version {version} is not supported (expected 3)")
 
 
 @pytest.mark.parametrize("peer", [
