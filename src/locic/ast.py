@@ -110,6 +110,18 @@ PRIMS = {t.name: t for t in (INT, BOOL, STR, UNIT)}
 ELEM_TYPES = {c.kind: c for c in (TStream, TFuture, TOption, TSeq)}
 
 
+def non_data_part(t: TypeExpr) -> TypeExpr | None:
+    """The innermost part of `t` that is not data, or None if `t` is data.
+    Data is a primitive or a tuple of data: the types that have a codec and
+    that `==` compares."""
+    children = t.items if isinstance(t, TTuple) else (t.elem,) if isinstance(t, TElem) else ()
+    for child in children:
+        found = non_data_part(child)
+        if found is not None:
+            return found
+    return None if isinstance(t, (TPrim, TTuple)) else t
+
+
 # --- expressions ------------------------------------------------------
 
 class Expr:

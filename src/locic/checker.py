@@ -46,15 +46,6 @@ def pair_of(a: ast.TypeExpr, b: ast.TypeExpr) -> ast.TTuple:
     return ast.TTuple((a, b))
 
 
-def is_plain_data(t: ast.TypeExpr) -> bool:
-    """Types that denote transferable data values (no streams, futures, remotes)."""
-    if isinstance(t, ast.TPrim):
-        return True
-    if isinstance(t, ast.TTuple):
-        return all(is_plain_data(i) for i in t.items)
-    return False
-
-
 class RemoteAccessShapeError(Exception):
     pass
 
@@ -135,12 +126,9 @@ class TTupleExpr(TypedExpr):
 class TRemoteAccess(TypedExpr):
     """An asLocal / asLocalFromAll site, before splitting rewrites it."""
 
-    site_id: str
     target: str  # qualified definition name
-    from_peer: PeerId
     to_peer: PeerId
     mult: Multiplicity
-    from_all: bool
     ty: ast.TypeExpr
 
 
@@ -170,25 +158,11 @@ class TypedDef:
 
 
 @record
-class RemoteAccessRecord:
-    site_id: str
-    target: str
-    from_peer: PeerId
-    to_peer: PeerId
-    mult: Multiplicity
-
-
-@record
 class TypedModule:
     arch: Architecture
     ties: EffectiveTies
     defs: list[TypedDef]
-    remote_accesses: list[RemoteAccessRecord]
     diagnostics: list[Diagnostic]
-
-    @property
-    def ok(self) -> bool:
-        return not self.diagnostics
 
 
 # --- the checker ------------------------------------------------------
@@ -196,10 +170,8 @@ class TypedModule:
 class _DefChecker:
     def __init__(self, module: "_ModuleContext", flat: FlatDef, peer: PeerId):
         self.m = module
-        self.flat = flat
         self.peer = peer
         self.scope = flat.include
-        self.site_count = 0
         self.vars: dict[str, ast.TypeExpr] = {}
 
     def diag(self, pos: Pos, message: str) -> None:
@@ -263,7 +235,7 @@ class _DefChecker:
                 return TBinOp(e.op, left, right, ERROR_T)
             return TBinOp(e.op, left, right, ast.BOOL if e.op == "<" else ast.INT)
         # equality
-        if left.ty != right.ty or not is_plain_data(left.ty):
+        if left.ty != right.ty or ast.non_data_part(left.ty) is not None:
             self.diag(e.pos, f"operator '==' requires two data values of the same type "
                              f"(found {left.ty} and {right.ty})")
             return TBinOp(e.op, left, right, ERROR_T)
@@ -285,11 +257,7 @@ class _DefChecker:
         except RemoteAccessShapeError as err:
             self.diag(pos, str(err))
             return TRef(name, False, ERROR_T)
-        self.site_count += 1
-        site_id = f"{self.flat.name}#{self.site_count}"
-        self.m.remote_accesses.append(
-            RemoteAccessRecord(site_id, name, self.peer, target_peer, mult))
-        return TRemoteAccess(site_id, name, self.peer, target_peer, mult, from_all, ty)
+        return TRemoteAccess(name, target_peer, mult, ty)
 
     def check_stream_map(self, e: ast.StreamMap) -> TypedExpr:
         source = self.check_ref(e.source)
@@ -314,7 +282,6 @@ class _ModuleContext:
         self.arch = arch
         self.ties = ties
         self.diagnostics: list[Diagnostic] = []
-        self.remote_accesses: list[RemoteAccessRecord] = []
         self.def_types: dict[str, tuple[ast.TypeExpr, PeerId]] = {}
 
 
@@ -374,5 +341,5 @@ def check_module(m: ast.SurfaceModule, a: Architecture, t: EffectiveTies) -> Typ
                     peer=str(peer)))
         typed_defs.append(TypedDef(flat.name, peer, declared, body, decl.kind, pos=decl.pos))
 
-    return TypedModule(a, t, typed_defs, ctx.remote_accesses, ctx.diagnostics)
+    return TypedModule(a, t, typed_defs, ctx.diagnostics)
 

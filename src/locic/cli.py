@@ -118,12 +118,16 @@ def cmd_split(args) -> int:
     if components == EXIT_CHECK:
         return EXIT_CHECK
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for pid in sorted(components):
-        pc = components[pid]
-        target = out / splitter.component_filename(pc)
-        target.write_text(splitter.emit_component(pc), encoding="utf-8")
-        print(target)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for pid in sorted(components):
+            pc = components[pid]
+            target = out / splitter.component_filename(pc)
+            target.write_text(splitter.emit_component(pc), encoding="utf-8")
+            print(target)
+    except OSError as e:  # say, --out names a file
+        print(f"cannot write {e.filename or out}: {e.strerror or e}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 
@@ -157,9 +161,8 @@ def cmd_run(args) -> int:
     printed = loop.call(_print_as_settled, instance)
     try:
         if args.settle_exit:
-            loop.run_until(printed, timeout)
-        else:
-            loop.run_until(transmit.FutureSlot())  # never settles: serve until interrupted
+            return EXIT_OK if loop.run_until(printed, timeout) else EXIT_RUNTIME
+        loop.run_until(transmit.FutureSlot())  # never settles: serve until interrupted
         return EXIT_OK
     except KeyboardInterrupt:
         return EXIT_OK
@@ -172,14 +175,20 @@ def _print_as_settled(instance: runtime.PeerInstance) -> transmit.FutureSlot:
 
     Runs on the event loop, which also runs the settle callbacks, so lines
     print one at a time. Returns a slot that settles once every line is out.
+    A future that fails because the instance stopped prints nothing.
     """
     from . import runtime, transmit
+
+    def print_line(name: str) -> None:
+        if instance.state != runtime.STOPPED:
+            print(instance.slot_line(name), flush=True)
+
     printed = []
     for name in instance.slot_names:
         futures = ([] if instance.slot_state(name) == "error"
                    else runtime.slot_futures(instance.slot(name)))
         settled = transmit.all_settled(futures)
-        settled.on_settle(lambda _all, n=name: print(instance.slot_line(n), flush=True))
+        settled.on_settle(lambda _all, n=name: print_line(n))
         printed.append(settled)
     return transmit.all_settled(printed)
 

@@ -9,8 +9,9 @@ corrupted input is either rejected or re-encodes to itself. One walk of the
 type compiles the codec's writer and its reader, on the codec's first use.
 
 A codec's id is its type's text (`str(ty)`): `Int`, `Bool`, `Str`, `Unit`,
-or a tuple such as `(Int, (Str, Bool))`. `parse_codec` parses an id back
-into the same type nodes. The splitter builds each access plan's codec
+or a tuple such as `(Int, (Str, Bool))`. `parse_codec` reads an id back with
+the language's own type grammar (`parser.parse_type`) and accepts only a
+data type's canonical text. The splitter builds each access plan's codec
 once, so nothing looks codecs up while a peer runs.
 """
 
@@ -58,29 +59,6 @@ def scan_json(text: str) -> tuple[Any, int]:
         return _scan(text, 0)
     except StopIteration as e:  # the scanner's "no value starts here"
         raise json.JSONDecodeError("Expecting value", text, e.value) from None
-
-
-def _parse_type(s: str) -> tuple[ast.TypeExpr, str]:
-    s = s.lstrip()
-    if s.startswith("("):
-        rest = s[1:]
-        items = []
-        while True:
-            item, rest = _parse_type(rest)
-            items.append(item)
-            rest = rest.lstrip()
-            if rest.startswith(","):
-                rest = rest[1:]
-                continue
-            if rest.startswith(")"):
-                if len(items) < 2:
-                    raise CodecError(f"malformed tuple codec id near '{s}'")
-                return ast.TTuple(tuple(items)), rest[1:]
-            raise CodecError(f"malformed codec id near '{s}'")
-    for name, prim in ast.PRIMS.items():
-        if s.startswith(name):
-            return prim, s[len(name):]
-    raise CodecError(f"unknown codec '{s}'")
 
 
 # a primitive's Python type, the types its writer also refuses, and its noun
@@ -170,10 +148,16 @@ class Codec:
 
 
 def parse_codec(codec_id: str) -> Codec:
-    """The codec `codec_id` names; CodecError if it names none."""
+    """The codec of the data type whose text is exactly `codec_id`, read by
+    the language's type grammar; CodecError for any other id."""
+    from . import parser  # imported on first call, so `import locic.runtime` loads no parser
+
     if not isinstance(codec_id, str):
         raise CodecError(f"unknown codec {codec_id!r}")
-    ty, rest = _parse_type(codec_id)
-    if rest:
+    try:
+        ty = parser.parse_type(codec_id)
+    except (parser.ParseError, RecursionError):
+        ty = None
+    if ty is None or str(ty) != codec_id or ast.non_data_part(ty) is not None:
         raise CodecError(f"unknown codec '{codec_id}'")
     return Codec(ty)

@@ -367,6 +367,14 @@ def parse_program(source: str) -> list[ast.SurfaceModule]:
     return modules
 
 
+def parse_type(text: str) -> ast.TypeExpr:
+    """Parse one type expression and nothing after it."""
+    p = _Parser(tokenize(text))
+    ty = p.type_expr()
+    p.expect("eof")
+    return ty
+
+
 def parse_module(source: str) -> ast.SurfaceModule:
     """Parse a source containing exactly one module."""
     modules = parse_program(source)

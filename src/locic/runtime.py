@@ -229,9 +229,7 @@ class PeerInstance:
         if (remote_pid not in self.component.peer_table
                 or self.component.sig_of(remote_pid) != hello.peer):
             return f"unknown peer signature '{hello.peer}'"
-        closure = self.component.super_closure(remote_pid)
-        matched = [pid for pid, _ in self._tie_entries if pid in closure]
-        return remote_pid, matched
+        return remote_pid, self.component.ties_to(remote_pid)
 
     def _admit(self, link: _Link, hello: Hello) -> str | None:
         """Admit the remote that said `hello` on `link`; None, or why not."""
@@ -646,24 +644,14 @@ def simulate(components: dict[PeerId, PeerComponent], peer_names: list[str],
     instances = [PeerInstance(components[pid], label=f"{pid}#{pids[:k + 1].count(pid)}")
                  for k, pid in enumerate(pids)]
 
-    # tie tables hold declared targets; a tie to a super-peer also covers its
-    # sub-peers, so wiring matches over the super-closures of both sides
-    tie_pairs = {(pid, target) for pid, component in components.items()
-                 for target in component.tie_table}
-
-    closure = next(iter(components.values())).super_closure
-
-    def tied(p: PeerId, q: PeerId) -> bool:
-        return any((a, b) in tie_pairs or (b, a) in tie_pairs
-                   for a in closure(p) for b in closure(q))
-
     try:
         for idx, instance in enumerate(instances):
             instance.listen(f"mem:sim{token}-{idx}")
         wired = [0] * len(instances)
         for j in range(len(instances)):
             for i in range(j):
-                if tied(pids[i], pids[j]):
+                # wired where either end's admission would count the other
+                if components[pids[i]].ties_to(pids[j]) or components[pids[j]].ties_to(pids[i]):
                     instances[j].connect(f"mem:sim{token}-{i}", str(pids[i]), timeout)
                     wired[i] += 1
                     wired[j] += 1

@@ -23,7 +23,7 @@ from . import ast, checker
 from .arch import (Architecture, PeerId, inherited_ties, parse_peer_name,
                    super_closures)
 from .ast import Multiplicity
-from .checker import RemoteT, TypedExpr, TypedModule, is_plain_data
+from .checker import RemoteT, TypedExpr, TypedModule
 from .codecs import Codec, CodecError, parse_codec
 from .records import record
 from .sigs import ModuleSig, PeerSig, ValueSig
@@ -92,6 +92,12 @@ class PeerComponent:
     def super_closure(self, p: PeerId) -> frozenset[PeerId]:
         return self.closures[p]
 
+    def ties_to(self, remote: PeerId) -> list[PeerId]:
+        """The tie-table entries, in order, that an instance of `remote`
+        counts toward: the ties to it or to one of its super-peers."""
+        closure = self.closures[remote]
+        return [pid for pid in sorted(self.tie_table) if pid in closure]
+
     def sig_of(self, pid: PeerId) -> PeerSig:
         return PeerSig(pid.name, module_sig_of(self.root_module.name, self.includes, pid.path))
 
@@ -121,36 +127,21 @@ def value_sig_of(a: Architecture, flat_name: str, decl: ast.DefDecl) -> ValueSig
     return ValueSig(canonical, module_sig_of(a.module_name, a.includes, def_scope(flat_name)))
 
 
-def innermost_uncodable(t: ast.TypeExpr) -> ast.TypeExpr | None:
-    children: tuple[ast.TypeExpr, ...] = ()
-    if isinstance(t, ast.TTuple):
-        children = t.items
-    elif isinstance(t, ast.TElem):
-        children = (t.elem,)
-    for child in children:
-        found = innermost_uncodable(child)
-        if found is not None:
-            return found
-    if isinstance(t, (ast.TPrim, ast.TTuple)):
-        return None
-    return t
-
-
 def codec_of(t: ast.TypeExpr) -> Codec | None:
     """The codec for a data type, or None if the type is not serializable."""
-    return Codec(t) if is_plain_data(t) else None
+    return Codec(t) if ast.non_data_part(t) is None else None
 
 
 def access_plan(def_name: str, declared: ast.TypeExpr) -> AccessPlan:
     """The plan for remote access to a definition, or SplitError."""
     stream = isinstance(declared, ast.TStream)
-    codec = codec_of(declared.elem if stream else declared)
-    if codec is None:
-        bad = innermost_uncodable(declared)
+    payload = declared.elem if stream else declared
+    bad = ast.non_data_part(payload)
+    if bad is not None:
         raise SplitError(
             f"definition '{def_name}': type {declared} is not serializable "
             f"(no codec for {bad})")
-    return AccessPlan(def_name, STREAM if stream else PULL, codec)
+    return AccessPlan(def_name, STREAM if stream else PULL, Codec(payload))
 
 
 # --- splitting ----------------------------------------------------------
@@ -160,7 +151,7 @@ def _rewrite(e: TypedExpr, plans: dict[str, AccessPlan],
              declared: dict[str, ast.TypeExpr]) -> TypedExpr:
     if isinstance(e, checker.TRemoteAccess):
         if e.target not in plans:
-            # raises, naming the definition and its innermost uncodable type
+            # raises, naming the definition and the innermost part that is not data
             access_plan(e.target, declared[e.target])
         return RemoteCall(sigs[e.target], e.to_peer, e.mult, plans[e.target], e.ty)
     if isinstance(e, checker.TBinOp):

@@ -322,6 +322,29 @@ def reference_tokenize(source: str) -> list[parser.Token]:
     return tokens
 
 
+# --- walking typed bodies ----------------------------------------------------
+
+def sites(e, kind):
+    """Every node of class `kind` in a typed expression, in source order."""
+    if isinstance(e, kind):
+        yield e
+    elif isinstance(e, checker.TBinOp):
+        yield from sites(e.left, kind)
+        yield from sites(e.right, kind)
+    elif isinstance(e, checker.TTupleExpr):
+        for i in e.items:
+            yield from sites(i, kind)
+    elif isinstance(e, checker.TStreamMap):
+        yield from sites(e.source, kind)
+        yield from sites(e.body, kind)
+
+
+def remote_accesses(tm):
+    """(accessing definition, access) for every remote access in the typed
+    bodies of a checked module, in source order."""
+    return [(d, access) for d in tm.defs for access in sites(d.body, checker.TRemoteAccess)]
+
+
 # --- random well-typed modules (serializable defs, optional remote reads) --
 
 _DATA_TYPES = [ast.INT, ast.BOOL, ast.STR,
@@ -400,6 +423,20 @@ def random_checked_module(rng: random.Random, max_peers: int = 4,
             placed.append((name, on, t, ast.DefKind.VAL))
         defs.append(decl)
     return ast.SurfaceModule(base.name, (), base.peers, tuple(defs))
+
+
+# --- the former wiring rule of `runtime.simulate` --------------------------
+
+def reference_tied(components, p, q) -> bool:
+    """Whether `simulate` wired instances of peers `p` and `q`, by its rule
+    before admission and wiring shared `PeerComponent.ties_to`: some tie
+    declared by any peer joins a member of one super-closure to a member of
+    the other."""
+    tie_pairs = {(pid, target) for pid, component in components.items()
+                 for target in component.tie_table}
+    closure = next(iter(components.values())).super_closure
+    return any((a, b) in tie_pairs or (b, a) in tie_pairs
+               for a in closure(p) for b in closure(q))
 
 
 # --- envelope generator ---------------------------------------------------

@@ -251,13 +251,13 @@ def test_checking_is_order_independent():
 
 
 def test_every_remote_access_is_recorded():
+    # the typed bodies are the one record of remote accesses
     tm = check_source(helpers.MONITORING_P2P)
-    assert len(tm.remote_accesses) == 1
-    rec = tm.remote_accesses[0]
-    assert rec.target == "mon.interval"
-    assert rec.from_peer == PeerId((), "Node")
-    assert rec.to_peer == PeerId(("mon",), "Monitor")
-    assert rec.mult is Multiplicity.SINGLE
+    ((d, access),) = helpers.remote_accesses(tm)
+    assert access.target == "mon.interval"
+    assert d.placed_on == PeerId((), "Node")
+    assert access.to_peer == PeerId(("mon",), "Monitor")
+    assert access.mult is Multiplicity.SINGLE
 
 
 def test_accepted_accesses_always_have_ties():
@@ -270,9 +270,9 @@ def test_accepted_accesses_always_have_ties():
         ties = effective_ties(a)
         tm = check_module(m, a, ties)
         assert tm.diagnostics == []
-        for rec in tm.remote_accesses:
-            assert (rec.from_peer, rec.to_peer) in ties
-            assert ties[(rec.from_peer, rec.to_peer)] == rec.mult
+        for d, access in helpers.remote_accesses(tm):
+            assert (d.placed_on, access.to_peer) in ties
+            assert ties[(d.placed_on, access.to_peer)] == access.mult
 
 
 def test_stream_access_requires_single_tie_in_module():

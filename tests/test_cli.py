@@ -129,6 +129,14 @@ def test_split_reports_check_errors(bad_file, tmp_path, capsys):
     assert main(["split", bad_file, "--out", str(tmp_path / "x")]) == 1
 
 
+def test_split_into_a_path_that_names_a_file_is_a_usage_error(simple_file, tmp_path, capsys):
+    taken = tmp_path / "taken.md"
+    taken.write_text("kept", encoding="utf-8")
+    assert main(["split", simple_file, "--out", str(taken)]) == 2
+    assert capsys.readouterr() == ("", f"cannot write {taken}: File exists\n")
+    assert taken.read_text(encoding="utf-8") == "kept"
+
+
 def test_sim_simple_module(simple_file, capsys):
     assert main(["sim", simple_file, "--peers", "MyPeer,MyPeer", "--timeout", "5"]) == 0
     out = capsys.readouterr().out
@@ -242,6 +250,36 @@ def _free_port() -> int:
 
 def test_run_unknown_peer_is_runtime_failure(simple_file, capsys):
     assert main(["run", simple_file, "--peer", "Ghost", "--settle-exit"]) == 3
+
+
+def test_run_settle_exit_fails_when_slots_do_not_settle_in_time(tmp_path, capsys):
+    # the server accepts the client but never evaluates, so the pull stays deferred
+    from locic import runtime, splitter
+
+    source = """
+module Pair {
+  peer Server { tie: multiple Client }
+  peer Client { tie: single Server }
+  val answer: Int on Server = 42
+  val fetched: Future[Int] on Client = answer.asLocal
+}
+"""
+    path = tmp_path / "pair.loci"
+    path.write_text(source, encoding="utf-8")
+    _, _, _, typed = helpers.compile_clean(source)
+    (server_component,) = [pc for pid, pc in splitter.split(typed).items()
+                           if pid.name == "Server"]
+    server = runtime.PeerInstance(server_component)
+    server.listen("mem:cli-settle-exit")
+    try:
+        began = time.monotonic()
+        assert main(["run", str(path), "--peer", "Client", "--connect",
+                     "mem:cli-settle-exit=Server", "--timeout", "0.5", "--settle-exit"]) == 3
+        assert time.monotonic() - began < 5
+    finally:
+        server.stop()
+    # the pull the client abandons at its deadline prints no line
+    assert capsys.readouterr() == ("", "")
 
 
 def test_an_interrupt_while_run_starts_exits_quietly_and_unbinds(simple_file, capsys,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 from locic import ast
-from locic.codecs import CodecError, decode_json, encode_json, parse_codec
+from locic.codecs import Codec, CodecError, decode_json, encode_json, parse_codec
 from locic.splitter import codec_of
 
 
@@ -195,17 +195,28 @@ def test_a_codec_is_built_from_exactly_the_plain_data_types(ty):
     codec = codec_of(ty)
     # primitives and tuples are the only types whose text has no `[`
     if "[" not in str(ty):
-        assert codec == parse_codec(str(ty))
+        assert codec == parse_codec(str(ty)) == Codec(ty)
         assert codec.id == str(ty)
     else:
         assert codec is None
+        with pytest.raises(CodecError):
+            parse_codec(str(ty))
+
+
+# An id is a type's text in the language's own grammar, but only a data
+# type's, and only its one canonical text: another spacing names no codec.
+@pytest.mark.parametrize("codec_id", ["Float", "(Int)", "3", "", "Int # c", "Int\n",
+                                      "Stream[Int]", "Remote[P]", "Future[Int]",
+                                      "(Int,Str)", "( Int , Str )", " Int", "( Int,Str)"])
+def test_a_codec_id_that_is_not_a_data_types_text_is_refused(codec_id):
+    with pytest.raises(CodecError) as refused:
+        parse_codec(codec_id)
+    assert str(refused.value) == f"unknown codec '{codec_id}'"
 
 
 def test_builtin_codecs():
     for codec_id in ("Int", "Bool", "Str", "Unit"):
         assert parse_codec(codec_id).id == codec_id
-    # an id is normalized to the text of its type
-    assert parse_codec("( Int,Str)").id == "(Int, Str)"
 
 
 values_by_codec = {

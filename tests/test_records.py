@@ -49,12 +49,14 @@ def test_importing_the_cli_skips_dataclasses_and_inspect():
     # building value classes with `dataclasses` cost ~75 ms per process start,
     # and the runtime with its transport is most of what is left: `check`,
     # `arch` and `split` do not load it. The runtime itself carries payloads
-    # raw, so it does not load `base64`.
+    # raw, so it does not load `base64`, and it reads no codec id, so it does
+    # not load the parser that `codecs.parse_codec` imports when it is called.
     env = dict(os.environ, PYTHONPATH=str(helpers.ROOT / "src"))
-    unwanted = {"dataclasses", "inspect", "locic.transport", "socket", "selectors"}
-    out = subprocess.run(
-        [sys.executable, "-c",
-         f"import sys, locic.cli; print(sorted({unwanted!r} & set(sys.modules))); "
-         "import locic.runtime; print('base64' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60, check=True).stdout
-    assert out == "[]\nFalse\n"
+    for imported, unwanted in (
+            ("locic.cli", {"dataclasses", "inspect", "locic.transport", "socket", "selectors"}),
+            ("locic.runtime", {"dataclasses", "inspect", "base64", "locic.parser"})):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys, {imported}; print(sorted({unwanted!r} & set(sys.modules)))"],
+            capture_output=True, text=True, env=env, timeout=60, check=True).stdout
+        assert out == "[]\n", imported

@@ -940,6 +940,47 @@ def test_sim_wires_sub_peers_via_super_peer_ties(instances):
     assert y.value == 8
 
 
+def test_admission_and_sim_wiring_share_the_former_wiring_rule():
+    # `simulate` wires a pair where either end's `ties_to` counts the other,
+    # the rule admission applies; it agrees with simulate's former own rule
+    import random
+
+    from locic import arch, checker
+
+    components = [components_for((helpers.ROOT / "samples" / name).read_text())
+                  for name in ("simple.loci", "streams.loci", "p2p.loci")]
+    rng = random.Random(59)
+    for _ in range(150):
+        m = helpers.random_checked_module(rng)
+        a = arch.resolve_architecture(m, {})
+        components.append(split(checker.check_module(m, a, arch.effective_ties(a))))
+    pairs = 0
+    for comps in components:
+        for p in comps:
+            for q in comps:
+                wired = bool(comps[p].ties_to(q) or comps[q].ties_to(p))
+                assert wired == helpers.reference_tied(comps, p, q), (p, q)
+                pairs += 1
+    assert pairs > 1000
+
+
+@pytest.mark.parametrize("order", [["A", "B"], ["B", "A"]])
+def test_sim_wires_a_tie_declared_by_either_end(instances, order):
+    comps = components_for("""
+        module M {
+          peer A { tie: single B }
+          peer B { }
+          val x: Int on B = 3
+          val y: Future[Int] on A = x.asLocal
+        }
+    """)
+    sims = simulate(comps, order, timeout=5)
+    instances.extend(sims)
+    a = next(i for i in sims if i.label == "A#1")
+    assert a.slot("y").value == 3
+    assert [len(i.links()) for i in sims] == [1, 1]
+
+
 # --- start-up orderings forced deterministically -------------------------------
 
 class _EagerConnection(transport.Connection):

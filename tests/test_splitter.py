@@ -180,29 +180,12 @@ def test_remote_call_rewrite_bijection():
                 if plan is None or placements[name] != pid:
                     continue
                 own_peer_calls.update(
-                    (name, call.value_sig) for call in _remote_calls(plan.body))
+                    (name, call.value_sig) for call in helpers.sites(plan.body, RemoteCall))
         expected = set()
-        for rec in tm.remote_accesses:
-            target_decl = next(f.decl for f in a.defs if f.name == rec.target)
-            expected.add((rec.site_id.split("#")[0],
-                          value_sig_of(a, rec.target, target_decl)))
+        for d, access in helpers.remote_accesses(tm):
+            target_decl = next(f.decl for f in a.defs if f.name == access.target)
+            expected.add((d.name, value_sig_of(a, access.target, target_decl)))
         assert own_peer_calls == expected
-
-
-def _remote_calls(e):
-    from locic import checker
-
-    if isinstance(e, RemoteCall):
-        yield e
-    elif isinstance(e, checker.TBinOp):
-        yield from _remote_calls(e.left)
-        yield from _remote_calls(e.right)
-    elif isinstance(e, checker.TTupleExpr):
-        for i in e.items:
-            yield from _remote_calls(i)
-    elif isinstance(e, checker.TStreamMap):
-        yield from _remote_calls(e.source)
-        yield from _remote_calls(e.body)
 
 
 # an included module with definitions but no peers of its own: its alias
