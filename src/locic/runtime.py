@@ -79,9 +79,9 @@ def slot_futures(value: Any) -> list[FutureSlot]:
 
 
 class _Link:
-    """One connection, from its first byte. `result` settles to the link once
-    the hello handshake has admitted the remote and the link is live, or
-    fails with the reason, at the latest at the handshake deadline. The
+    """One connection, from its first byte. `result` resolves once the hello
+    handshake has admitted the remote and the link is live, or fails with
+    the reason, at the latest at the handshake deadline. The
     remote's identity is filled in when its hello is admitted."""
 
     def __init__(self, opener: bool, expected: PeerId | None = None):
@@ -287,7 +287,7 @@ class PeerInstance:
     def _mark_live(self, link: _Link) -> None:
         link.live = True
         self._changed()
-        link.result.resolve(link)
+        link.result.resolve(None)
 
     def _wait_live_links(self, count: int, timeout: float) -> bool:
         """Wait until at least `count` links are live at this end."""

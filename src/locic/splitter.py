@@ -364,7 +364,7 @@ def emit_component(pc: PeerComponent) -> str:
 def read_component(text: str) -> PeerComponent:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # also nesting too deep to parse
         raise ComponentFormatError(f"not a component document: {e}") from None
     if not isinstance(doc, dict) or "format" not in doc:
         raise ComponentFormatError("not a component document")
@@ -407,7 +407,7 @@ def read_component(text: str) -> PeerComponent:
             slots=slots,
             dispatch=dispatch,
         )
-    except (KeyError, TypeError, AttributeError) as e:
+    except (KeyError, TypeError, AttributeError, RecursionError) as e:
         raise ComponentFormatError(f"malformed component document: {e}") from None
 
 

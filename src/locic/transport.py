@@ -9,7 +9,7 @@ Both yield `Connection` objects: bidirectional, FIFO per connection, with
 sequential receive callbacks. Delivery starts when `open()` is called;
 messages arriving earlier are held (mem) or left in the socket (tcp).
 An exception raised by the receive callback closes the connection with a
-"handler error: ..." reason instead of stopping delivery silently.
+"handler error: ..." reason and delivers nothing after it.
 
 Threading model: one event loop per process (`loop()`: a `selectors`
 selector, a FIFO deque of callbacks and a heap of timers) drives every
@@ -17,10 +17,18 @@ listener and connection and runs every callback. The thread that needs the
 loop drives it (`Loop.call`, `Loop.run_until`, `on_loop`); a call made while
 another thread drives is posted to that thread (`Loop.post`, which wakes it
 through a self-pipe) and waits. Work left when a thread gives the loop back
-(a ready callback, a live timer, a registered socket) passes to a daemon
-thread, started on first need. A mem send is an append to the deque; TCP
-sockets are non-blocking, but a TCP connect blocks the driving thread. A
-callback must never block: it would hold up the loop that runs it.
+(a ready callback, a live timer, a registered socket, an unsent batch)
+passes to a daemon thread, started on first need. TCP sockets are
+non-blocking, but a TCP connect blocks the driving thread. A callback must
+never block: it would hold up the loop that runs it.
+
+Batching: a send made on the driving thread joins its connection's batch
+for the current loop turn, and the loop flushes every batch at the end of
+the turn (Nagle's idea, RFC 896, with the turn in place of a timer). A mem
+batch reaches the peer as one loop callback; a TCP batch leaves in one
+`sock.send` of all its frames. A send from any other thread is posted to
+the loop, which adds it to the batch there. Closing a connection flushes
+its batch first, so the peer gets every message sent before the close.
 """
 
 from __future__ import annotations
@@ -87,6 +95,7 @@ class Loop:
         self.clock = time.monotonic  # what timers and deadlines are measured by
         self.selector = selectors.DefaultSelector()
         self._ready: collections.deque = collections.deque()
+        self._dirty: list[Connection] = []  # connections with a batch to flush this turn
         self._timers: list[Timer] = []  # a heap by deadline
         self._compact_at = 64  # heap size at which cancelled timers are dropped
         self._idle = False  # True while the driver may be blocked in select()
@@ -98,6 +107,7 @@ class Loop:
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
         self.selector.register(self._wake_r, selectors.EVENT_READ, self._drain_wake)
+        self._watched = self.selector.get_map()  # a live view; the wake pipe is one entry
 
     def post(self, fn: Callable, *args) -> None:
         """Run fn(*args) on the loop after everything posted before it.
@@ -179,12 +189,12 @@ class Loop:
             return True
 
     def _busy(self) -> bool:
-        """Whether a ready callback, a live timer or a socket besides the wake
-        pipe is left. Ask it as the driver, or under the lock."""
+        """Whether a ready callback, an unsent batch, a live timer or a socket
+        besides the wake pipe is left. Ask it as the driver, or under the lock."""
         timers = self._timers
         while timers and timers[0].fn is None:
             heapq.heappop(timers)
-        return bool(self._ready or timers or len(self.selector.get_map()) > 1)
+        return bool(self._ready or self._dirty or timers or len(self._watched) > 1)
 
     def _hand_over(self) -> None:
         """Make the daemon the driver. Call it under the lock, undriven."""
@@ -205,24 +215,32 @@ class Loop:
     def _drive(self, done: Callable[[], bool], deadline: float | None = None) -> None:
         """Run the loop on this thread, which has taken it, until done() holds
         and no callback is ready, or until `deadline` passes with none ready;
-        then give the loop back, to the daemon if work is left."""
-        ready, select, run_next = self._ready, self.selector.select, self._run_next
+        then give the loop back, to the daemon if work is left. A turn looks
+        at the selector (unless callbacks are ready and no socket is watched),
+        runs the ready callbacks and flushes the batches they filled."""
+        ready, select, run_next, watched = (self._ready, self.selector.select,
+                                            self._run_next, self._watched)
         try:
-            while ready or not done():
+            while True:
+                if self._dirty:
+                    self._flush()
+                if not ready and done():
+                    break
                 wait = self._queue_due_timers() if self._timers else None
                 if deadline is not None and not ready:
                     left = deadline - self.clock()
                     if left <= 0:
                         break
                     wait = left if wait is None else min(wait, left)
-                self._idle = True
-                events = select(0 if ready else wait)
-                self._idle = False
-                for key, mask in events:
-                    try:
-                        key.data(mask)
-                    except Exception as e:
-                        _log_failure("event loop I/O callback failed", e)
+                if not ready or len(watched) > 1:
+                    self._idle = True
+                    events = select(0 if ready else wait)
+                    self._idle = False
+                    for key, mask in events:
+                        try:
+                            key.data(mask)
+                        except Exception as e:
+                            _log_failure("event loop I/O callback failed", e)
                 budget = _BATCH
                 while ready and budget:
                     budget -= 1
@@ -240,6 +258,15 @@ class Loop:
             fn(*args)
         except Exception as e:
             _log_failure("event loop callback failed", e)
+
+    def _flush(self) -> None:
+        """Send every batch filled since the last flush, the end of a turn."""
+        dirty, self._dirty = self._dirty, []
+        for conn in dirty:
+            try:
+                conn._flush_batch()
+            except Exception as e:
+                _log_failure("event loop flush failed", e)
 
     def _queue_due_timers(self) -> float | None:
         """Move every due timer's callback to the ready FIFO; returns the
@@ -279,6 +306,14 @@ def loop() -> Loop:
     return _loop
 
 
+def driving() -> bool:
+    """Whether the calling thread drives the loop. A method that the loop
+    calls far more often than any other thread asks this and hands a call
+    from another thread over (`Loop.call`) itself, without `on_loop`'s
+    wrapper."""
+    return _loop is not None and _loop._owner == threading.get_ident()
+
+
 def on_loop(method):
     """Decorator: the method always runs on the loop (`Loop.call`)."""
 
@@ -295,15 +330,17 @@ def on_loop(method):
 
 class Connection:
     """Duplex message endpoint. Subclasses implement _start_delivery, _send
-    and _close; those and the callbacks run on the loop, except `_send`,
-    which may be called from any thread."""
+    and _close, and may implement _prepare; those and the callbacks run on
+    the loop, except `_prepare`, which runs in the sending thread."""
 
     def __init__(self):
+        self._loop = loop()
         self._on_message: Callable[[bytes], None] | None = None
         self._on_close: Callable[[str], None] | None = None
         self._opened = False
         self._closed = False
         self._close_fired = False
+        self._batch: list[bytes] | None = None  # this turn's sends, once there is one
 
     @on_loop
     def open(self, on_message: Callable[[bytes], None],
@@ -323,39 +360,70 @@ class Connection:
         return self._closed
 
     def send(self, data: bytes) -> None:
+        """Send one message: it joins this loop turn's batch, posted there
+        when the calling thread does not drive the loop."""
         if self._closed:
             raise ConnectionClosed("connection is closed")
-        self._send(data)
+        data = self._prepare(data)
+        if self._loop._owner == threading.get_ident():
+            self._queue(data)
+        else:
+            self._loop.post(self._queue, data)
+
+    def _queue(self, data: bytes) -> None:
+        batch = self._batch
+        if batch is None:
+            self._batch = [data]
+            self._loop._dirty.append(self)
+        else:
+            batch.append(data)
+
+    def _flush_batch(self) -> None:
+        batch, self._batch = self._batch, None
+        if batch is not None:
+            self._send(batch)
 
     def close(self, reason: str = "closed locally") -> None:
         if self._closed:
             return
         self._closed = True  # sends fail from here on, whichever thread asks
-        loop().call(self._close, reason)
+        self._loop.call(self._close, reason)
 
-    def _deliver(self, data: bytes) -> None:
-        """Hand one message to the receive callback; a raising callback
-        closes the connection."""
-        try:
-            self._on_message(data)
-        except Exception as e:
-            reason = _handler_error(e)
-            self.close(reason)
-            self._fire_close(reason)
+    def _deliver(self, messages) -> None:
+        """Hand `messages` to the receive callback in order, until the
+        connection closes; a raising callback closes it."""
+        on_message = self._on_message
+        for data in messages:
+            if self._closed:
+                return
+            try:
+                on_message(data)
+            except Exception as e:
+                reason = _handler_error(e)
+                self.close(reason)
+                self._fire_close(reason)
 
     def _fire_close(self, reason: str) -> None:
-        """Run the close callback once; an unopened connection runs it on open."""
+        """Run the close callback once, then drop both callbacks; an unopened
+        connection runs it on open."""
         self._closed = True
         if self._close_fired or self._on_close is None:
             return
         self._close_fired = True
-        self._on_close(reason)
+        on_close, self._on_close, self._on_message = self._on_close, None, None
+        on_close(reason)
 
     # subclass hooks
     def _start_delivery(self) -> None:
         raise NotImplementedError
 
-    def _send(self, data: bytes) -> None:
+    def _prepare(self, data: bytes) -> bytes:
+        """What the batch holds for message `data`, by default the message
+        itself; raises in the sender if it cannot be sent."""
+        return data
+
+    def _send(self, batch: list[bytes]) -> None:
+        """Send a flushed batch, in order."""
         raise NotImplementedError
 
     def _close(self, reason: str) -> None:
@@ -417,38 +485,40 @@ _mem_hubs: dict[str, Callable[["Connection"], None]] = {}
 
 
 class MemConnection(Connection):
-    """One end of an in-process pair. A send posts the delivery to the loop,
-    so the loop's FIFO keeps every connection's order."""
+    """One end of an in-process pair. A flushed batch is posted to the loop
+    as one delivery, so the loop's FIFO keeps every connection's order."""
 
     def __init__(self):
         super().__init__()
-        self._loop = loop()
-        self._peer: MemConnection | None = None
+        self._peer: MemConnection | None = None  # None once closed
         self._held: list[bytes] | None = []  # arrived before open(); None once open
 
     def _start_delivery(self) -> None:
         held, self._held = self._held, None
-        for data in held:
-            if self._closed:
-                break
-            self._deliver(data)
+        self._deliver(held)
 
-    def _receive(self, data: bytes) -> None:
+    def _receive(self, batch: list[bytes]) -> None:
         if self._held is not None:
-            self._held.append(data)
-        elif not self._closed:
-            self._deliver(data)
+            self._held += batch
+        else:
+            self._deliver(batch)
 
-    def _send(self, data: bytes) -> None:
+    def _prepare(self, data: bytes) -> bytes:
         peer = self._peer
         if peer is None or peer._closed:
             raise ConnectionClosed("peer is closed")
-        self._loop.post(peer._receive, bytes(data))
+        return bytes(data)
+
+    def _send(self, batch: list[bytes]) -> None:
+        if self._peer is not None:
+            self._loop.post(self._peer._receive, batch)
 
     def _close(self, reason: str) -> None:
-        if self._peer is not None:
+        self._flush_batch()
+        peer, self._peer = self._peer, None
+        if peer is not None:
             # after every message already sent, the peer learns of the close
-            self._loop.post(self._peer._fire_close, "connection closed")
+            self._loop.post(peer._fire_close, "connection closed")
         self._loop.post(self._fire_close, reason)
 
 
@@ -487,7 +557,7 @@ class TcpConnection(Connection):
                  (selectors.EVENT_WRITE if self._out else 0)
         if events == self._events:
             return
-        selector = loop().selector
+        selector = self._loop.selector
         if not events:
             selector.unregister(self._sock)
         elif not self._events:
@@ -506,6 +576,9 @@ class TcpConnection(Connection):
         if mask & selectors.EVENT_READ and not self._closed:
             self._read()
 
+    def _prepare(self, data: bytes) -> bytes:
+        return frame(data)
+
     def _read(self) -> None:
         try:
             data = self._sock.recv(65536)
@@ -521,16 +594,12 @@ class TcpConnection(Connection):
         except ProtocolError as e:
             self._lost(f"protocol error: {e}")
             return
-        for payload in payloads:
-            if self._closed:
-                break
-            self._deliver(payload)
+        self._deliver(payloads)
 
-    @on_loop
-    def _send(self, data: bytes) -> None:
-        framed = frame(data)
+    def _send(self, batch: list[bytes]) -> None:
         if self._sock.fileno() < 0:
             return  # released; a send made just before close() still goes out
+        framed = batch[0] if len(batch) == 1 else b"".join(batch)
         if not self._out:
             try:
                 sent = self._sock.send(framed)
@@ -563,7 +632,7 @@ class TcpConnection(Connection):
 
     def _release(self) -> None:
         if self._events:
-            loop().selector.unregister(self._sock)
+            self._loop.selector.unregister(self._sock)
             self._events = 0
         if self._sock.fileno() >= 0:
             try:
@@ -573,13 +642,14 @@ class TcpConnection(Connection):
             self._sock.close()
 
     def _close(self, reason: str) -> None:
+        self._flush_batch()
         if self._out:  # one last try for what the kernel has not taken yet
             try:
                 self._sock.send(self._out)
             except OSError:
                 pass
         self._release()
-        loop().post(self._fire_close, reason)
+        self._loop.post(self._fire_close, reason)
 
 
 def _tcp_listen(host: str, port: int, on_connection) -> Listener:

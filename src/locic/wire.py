@@ -6,6 +6,14 @@ whose `t` field names the variant. An ok `res` and a `chanmsg` carry a
 value: its payload bytes (the codec's canonical JSON) follow the header
 raw, up to the end of the frame, as in `{"t":"chanmsg","chan":2}41`. Every
 other variant is its header alone.
+
+The hot variants (`req`, an ok `res`, `chanopen` and `chanmsg`) are written
+from byte templates, and `decode_envelope` reads a frame that matches its
+template exactly by slicing: the id must be canonical digits, and the value
+part of a `req` or `chanopen` must be one the general decoder has already
+read from a canonical frame (a bounded map of them is kept). Any other
+frame goes to the general decoder, so both paths accept the same frames and
+refuse the rest with the same errors.
 """
 
 from __future__ import annotations
@@ -128,18 +136,24 @@ def _value_fields(value: ValueSig) -> bytes:
                    "val": value.canonical})[1:-1]
 
 
+# the templates of the hot variants: ids are ints, and a payload follows its header raw
+_REQ = b'{"t":"req","id":%d,%s}'
+_RES = b'{"t":"res","id":%d,"ok":true}%s'
+_CHANOPEN = b'{"t":"chanopen","chan":%d,%s}'
+_CHANMSG = b'{"t":"chanmsg","chan":%d}%s'
+
+
 def encode_envelope(e: Envelope) -> bytes:
-    # the hot variants are templates: ids are ints, and a payload follows its header raw
     if isinstance(e, Request):
-        return b'{"t":"req","id":%d,%s}' % (e.id, _value_fields(e.value))
+        return _REQ % (e.id, _value_fields(e.value))
     if isinstance(e, Response) and e.ok:
-        return b'{"t":"res","id":%d,"ok":true}%s' % (e.id, e.payload)
+        return _RES % (e.id, e.payload)
     if isinstance(e, ChanMsg):
-        return b'{"t":"chanmsg","chan":%d}%s' % (e.chan, e.payload)
+        return _CHANMSG % (e.chan, e.payload)
     if isinstance(e, Response):
         return _dumps({"t": "res", "id": e.id, "ok": False, "error": e.error})
     if isinstance(e, ChanOpen):
-        return b'{"t":"chanopen","chan":%d,%s}' % (e.chan, _value_fields(e.value))
+        return _CHANOPEN % (e.chan, _value_fields(e.value))
     if isinstance(e, Hello):
         return _dumps({
             "t": "hello",
@@ -183,12 +197,71 @@ def _value(doc: dict) -> ValueSig:
     return ValueSig(_field(doc, "val", str), _module(doc, "mod", "path"))
 
 
+# the value parts (`"mod":…,"path":…,"val":…}`) of canonical req and
+# chanopen frames the general decoder has read, and the values they name;
+# bounded, as a remote can send any number of them
+_VALUE_PARTS: dict[bytes, ValueSig] = {}
+_MAX_VALUE_PARTS = 1024
+
+
+def _canonical_id(digits: bytes) -> int | None:
+    """The int that `digits` writes in canonical form: ASCII digits, no sign,
+    no leading zero, at most 16 of them; None for anything else."""
+    if digits.isdigit() and len(digits) <= 16 and (digits[0] != 48 or len(digits) == 1):
+        return int(digits)
+    return None
+
+
 def decode_envelope(data: bytes) -> Envelope:
     """The envelope `data` holds: a header, one JSON object with no
     whitespace before it, in valid UTF-8 and with every string valid
     Unicode; then the payload for a variant that carries one, and nothing
     for any other. The payload may be any bytes but none: its codec judges
-    them."""
+    them. A frame that is exactly a hot variant's template is read by
+    slicing; every other frame by `_decode_json_envelope`."""
+    head = data[:16]
+    if head == b'{"t":"res","id":':
+        end = data.find(b",", 16, 33)
+        if end > 0 and data.startswith(b',"ok":true}', end) and len(data) > end + 11:
+            rid = _canonical_id(data[16:end])
+            if rid is not None:
+                return Response(rid, True, data[end + 11:])
+    elif head == b'{"t":"chanmsg","':
+        end = data.find(b"}", 22, 39)
+        if end > 0 and data.startswith(b'chan":', 16) and len(data) > end + 1:
+            chan = _canonical_id(data[22:end])
+            if chan is not None:
+                return ChanMsg(chan, data[end + 1:])
+    elif head == b'{"t":"req","id":':
+        end = data.find(b",", 16, 33)
+        if end > 0:
+            value = _VALUE_PARTS.get(data[end + 1:])
+            rid = _canonical_id(data[16:end])
+            if value is not None and rid is not None:
+                return Request(rid, value)
+    elif head == b'{"t":"chanopen",':
+        end = data.find(b",", 23, 40)
+        if end > 0 and data.startswith(b'"chan":', 16):
+            value = _VALUE_PARTS.get(data[end + 1:])
+            chan = _canonical_id(data[23:end])
+            if value is not None and chan is not None:
+                return ChanOpen(chan, value)
+    return _decode_json_envelope(data)
+
+
+def _learn(data: bytes, template: bytes, n: int, value: ValueSig) -> None:
+    """Remember the value part of `data` if it is the canonical frame of
+    `template` for (`n`, `value`). A full map starts again empty, so it
+    fills with the values in use."""
+    fields = _value_fields(value)
+    if data == template % (n, fields):
+        if len(_VALUE_PARTS) >= _MAX_VALUE_PARTS:
+            _VALUE_PARTS.clear()
+        _VALUE_PARTS[fields + b"}"] = value
+
+
+def _decode_json_envelope(data: bytes) -> Envelope:
+    """`decode_envelope` for any frame: the header parsed as JSON."""
     try:
         # an undecodable byte becomes a lone surrogate, so a payload may hold any byte
         text = data.decode("utf-8", "surrogateescape")
@@ -212,9 +285,13 @@ def decode_envelope(data: bytes) -> Envelope:
     if t == "res":
         return Response(_field(doc, "id", int), False, error=_field(doc, "error", str))
     if t == "req":
-        return Request(_field(doc, "id", int), _value(doc))
+        env = Request(_field(doc, "id", int), _value(doc))
+        _learn(data, _REQ, env.id, env.value)
+        return env
     if t == "chanopen":
-        return ChanOpen(_field(doc, "chan", int), _value(doc))
+        env = ChanOpen(_field(doc, "chan", int), _value(doc))
+        _learn(data, _CHANOPEN, env.chan, env.value)
+        return env
     if t == "chanclose":
         return ChanClose(_field(doc, "chan", int))
     if t == "hello":

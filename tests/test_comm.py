@@ -1,4 +1,5 @@
 import json
+import queue
 import random
 import sys
 import threading
@@ -14,6 +15,7 @@ from locic.sigs import ModuleSig, PeerSig, ValueSig
 from locic.transmit import FAILED, READY, Endpoint, FutureSlot, StreamHandle
 from locic.transport import (ConnectError, ConnectionClosed, Loop, SpecError,
                              connect, listen, loop, parse_spec)
+from locic import wire
 from locic.wire import (MAX_FRAME_LEN, ChanClose, ChanMsg, ChanOpen, Framer, Hello,
                         HelloAck, ProtocolError, Request, Response, decode_envelope,
                         encode_envelope, frame)
@@ -104,6 +106,100 @@ def test_templated_envelopes_match_the_generic_encoding(case):
     data = encode_envelope(env)
     assert data == json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode() + payload
     assert decode_envelope(data) == env
+
+
+def _outcome(decode, data: bytes):
+    try:
+        return "ok", decode(data)
+    except ProtocolError as e:
+        return "error", str(e)
+
+
+_IDS = st.one_of(st.integers(0, 10**16 - 1).map(b"%d".__mod__), st.integers(0, 10**17).flatmap(
+    lambda n: st.sampled_from([
+        b"-%d" % n, b"+%d" % n, b"0%d" % n, b"%d" % (n + 10**16),  # 17 digits
+        b" %d" % n, b"%d " % n, b"%d.0" % n, b"%de0" % n, b"",
+    ])))
+
+
+@st.composite
+def _value_parts(draw):
+    """The value part of a req or chanopen frame (from `"mod"` to the
+    closing brace): canonical, or written some other way JSON allows."""
+    fields = {"mod": draw(st.sampled_from(["M", "Settle", "é", "a\nb"])),
+              "path": draw(st.lists(st.sampled_from(["a", "lib", "\x00"]), max_size=2)),
+              "val": draw(st.sampled_from(["x:Int", "h1:(Int, Str)", "s:Stream[Int]", "\ud800"]))}
+    canonical = json.dumps(fields, separators=(",", ":"), ensure_ascii=False)[1:]
+    form = draw(st.sampled_from(["canonical"] * 3 + ["spaced", "reordered", "duplicate",
+                                                       "escaped"]))
+    if form == "spaced":
+        return json.dumps(fields, ensure_ascii=False)[1:].encode("utf-8", "surrogatepass")
+    if form == "reordered":
+        back = dict(reversed(list(fields.items())))
+        return json.dumps(back, separators=(",", ":"), ensure_ascii=False)[1:].encode(
+            "utf-8", "surrogatepass")
+    if form == "duplicate":
+        canonical = canonical[:-1] + ',"val":"y:Int"}'
+    if form == "escaped":
+        return json.dumps(fields, separators=(",", ":"))[1:].encode()  # every non-ASCII as \\u
+    return canonical.encode("utf-8", "surrogatepass")
+
+
+@st.composite
+def _hot_frames(draw):
+    """A frame of a hot variant, as its template writes it or changed a
+    little: a non-canonical id, value part or payload, then maybe one byte
+    inserted, deleted or replaced."""
+    ident = draw(_IDS)
+    kind = draw(st.sampled_from(["req", "res", "chanmsg", "chanopen"]))
+    if kind in ("res", "chanmsg"):
+        head = b'{"t":"res","id":%s,"ok":true}' if kind == "res" else b'{"t":"chanmsg","chan":%s}'
+        data = head % ident + draw(st.one_of(st.binary(min_size=1, max_size=8), st.just(b"")))
+    else:
+        head = b'{"t":"req","id":%s,' if kind == "req" else b'{"t":"chanopen","chan":%s,'
+        tail = draw(st.sampled_from([b"", b"", b"", b"4", b" ", b"\xff"]))
+        data = head % ident + draw(_value_parts()) + tail
+    edit = draw(st.sampled_from(["none"] * 3 + ["insert", "delete", "replace"]))
+    if edit != "none" and data:
+        at = draw(st.integers(0, len(data) - 1))
+        byte = bytes([draw(st.integers(0, 255))])
+        data = {"insert": data[:at] + byte + data[at:], "delete": data[:at] + data[at + 1:],
+                "replace": data[:at] + byte + data[at + 1:]}[edit]
+    return data
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_hot_frames())
+def test_template_reading_of_hot_frames_matches_the_json_decoder(data):
+    expected = _outcome(helpers.reference_decode_envelope, data)
+    # twice: the first read may teach the decoder a value part the second reads by template
+    assert _outcome(decode_envelope, data) == expected
+    assert _outcome(decode_envelope, data) == expected
+
+
+def test_canonical_hot_frames_are_read_without_parsing_json(monkeypatch):
+    value = ValueSig("h1:(Int, Str)", ModuleSig("Settle", ("lib",)))
+    envs = [Request(12, value), ChanOpen(9_999_999_999_999_999, value),
+            Response(0, True, payload=b'[1,"x"]'), ChanMsg(7, b"}")]
+    frames = [encode_envelope(env) for env in envs]
+    for data in frames:
+        decode_envelope(data)  # a req or chanopen value part is learned here
+
+    def parse(data):
+        raise AssertionError(f"parsed as JSON: {data!r}")
+
+    monkeypatch.setattr(wire, "_decode_json_envelope", parse)
+    assert [decode_envelope(data) for data in frames] == envs
+
+
+def test_the_map_of_learned_value_parts_stays_bounded(monkeypatch):
+    monkeypatch.setattr(wire, "_VALUE_PARTS", {})
+    monkeypatch.setattr(wire, "_MAX_VALUE_PARTS", 2)
+    for n in range(5):
+        env = Request(n, ValueSig(f"v{n}:Int", ModuleSig("M")))
+        assert decode_envelope(encode_envelope(env)) == env
+        assert len(wire._VALUE_PARTS) <= 2
+    assert list(wire._VALUE_PARTS.values()) == [ValueSig("v4:Int", ModuleSig("M"))]
 
 
 @pytest.mark.parametrize("payload", [b"\xff", b"\x80\x00\xfe", b'"\xed\xa0\x80"', b"\xc3", b"}{"])
@@ -424,15 +520,18 @@ def test_threads_calling_and_posting_at_once_lose_no_callback_and_never_overlap(
 class Collector:
     def __init__(self):
         self.messages = []
+        self.events = []  # messages and the close, in the order they came
         self.closed = threading.Event()
         self.got = threading.Condition()
 
     def on_message(self, data):
         with self.got:
             self.messages.append(data)
+            self.events.append(("message", data))
             self.got.notify_all()
 
     def on_close(self, reason):
+        self.events.append(("close", reason))
         self.closed.set()
 
     def wait_count(self, n, timeout=5.0):
@@ -741,3 +840,102 @@ def test_whitespace_between_header_and_payload_is_refused_by_the_codec(pad):
         assert first.wait(5) and got == [43] and not client.conn.closed
     finally:
         client.close()
+
+
+# --- per-turn batches, with the interleaving forced ------------------------------
+
+@pytest.mark.parametrize("spec", ["mem:hub-batch-close", "tcp:127.0.0.1:0"])
+def test_sends_on_two_connections_in_one_turn_then_close_arrive_in_order(spec):
+    accepted = queue.Queue()
+    listener = listen(spec, accepted.put)
+    a1, a2 = connect(listener.address), connect(listener.address)
+    b1, b2 = accepted.get(timeout=5), accepted.get(timeout=5)
+    try:
+        ends = {b1: Collector(), b2: Collector()}
+        for conn in (a1, a2):
+            conn.open(lambda data: None, lambda reason: None)
+        for conn, rx in ends.items():
+            conn.open(rx.on_message, rx.on_close)
+
+        def one_turn():  # every send joins a batch; both closes flush theirs first
+            for n in range(5):
+                a1.send(b"one %d" % n)
+                a2.send(b"two %d" % n)
+            a1.close()
+            a2.close()
+
+        loop().call(one_turn)
+        for conn, rx in ends.items():
+            assert rx.closed.wait(5)
+        assert ends[b1].events == [("message", b"one %d" % n) for n in range(5)] + \
+            [("close", "connection closed")]
+        assert ends[b2].events == [("message", b"two %d" % n) for n in range(5)] + \
+            [("close", "connection closed")]
+    finally:
+        for conn in (b1, b2):
+            conn.close()
+        listener.close()
+
+
+@pytest.mark.parametrize("spec", ["mem:hub-batch-raise", "tcp:127.0.0.1:0"])
+def test_a_handler_that_raises_mid_batch_closes_and_delivers_nothing_after(spec):
+    listener, client, server = _pair(spec)
+    try:
+        got, rx = [], Collector()
+
+        def on_message(data):
+            got.append(data)
+            if data == b"m1":
+                raise ValueError("cannot handle m1")
+
+        server.open(on_message, rx.on_close)
+        client_rx = Collector()
+        client.open(client_rx.on_message, client_rx.on_close)
+        loop().call(lambda: [client.send(b"m%d" % n) for n in range(4)])  # one batch
+        assert rx.closed.wait(5) and client_rx.closed.wait(5)
+        assert got == [b"m0", b"m1"]
+        assert rx.events == [("close", "handler error: ValueError: cannot handle m1")]
+        assert server.closed
+    finally:
+        client.close()
+        server.close()
+        listener.close()
+
+
+@pytest.mark.parametrize("spec", ["mem:hub-batch-threads", "tcp:127.0.0.1:0"])
+def test_sends_from_many_threads_lose_nothing_and_keep_each_threads_order(spec):
+    # more threads than cores send on one connection while the loop batches,
+    # with thread switches forced often; a lost or reordered send breaks the check
+    listener, client, server = _pair(spec)
+    per_thread, threads_n = 300, 4
+    rx = Collector()
+    try:
+        server.open(rx.on_message, rx.on_close)
+        client.open(lambda data: None, lambda reason: None)
+
+        def work(t):
+            for n in range(per_thread):
+                if n % 3:
+                    client.send(b"%d %d" % (t, n))
+                else:  # also from the thread driving the loop, into the batch itself
+                    loop().call(client.send, b"%d %d" % (t, n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert rx.wait_count(per_thread * threads_n, timeout=10)
+        seen = [tuple(map(int, m.split())) for m in rx.messages]
+        for t in range(threads_n):
+            assert [n for s, n in seen if s == t] == list(range(per_thread))
+    finally:
+        client.close()
+        server.close()
+        listener.close()

@@ -1,6 +1,8 @@
+import gc
 import json
 import os
 import queue
+import socket
 import subprocess
 import sys
 import threading
@@ -996,8 +998,8 @@ class _EagerConnection(transport.Connection):
         for data in self.inbound:
             self._on_message(data)
 
-    def _send(self, data: bytes) -> None:
-        self.sent.append(decode_envelope(data))
+    def _send(self, batch: list[bytes]) -> None:
+        self.sent += map(decode_envelope, batch)
 
     def _close(self, reason: str) -> None:
         self._fire_close(reason)
@@ -1259,3 +1261,71 @@ def test_p2p_sim_with_100_nodes_settles(instances):
     assert all(len(node.links()) == 99 for node in nodes)
     values = [node.slot("fromNode") for node in nodes]
     assert all(fut.state == READY and fut.value == 5 for fut in values)
+
+
+# --- per-turn batches -------------------------------------------------------------
+
+def _settle_shape():
+    """The benchmark's `settle` module (a hub, two spokes, 32 values each
+    spoke pulls) and its peers in order."""
+    inputs = helpers.load_bench("gen").settle_module(101)
+    return components_for(inputs["source"]), inputs["peers"]
+
+
+def test_a_settle_session_makes_few_mem_delivery_batches(instances, monkeypatch):
+    # each batch is one loop callback at the receiving end: the pulls a
+    # spoke makes while evaluating, and the answers to them, travel together
+    components, peers = _settle_shape()
+    receive = transport.MemConnection._receive
+    batches = []
+
+    def counted(conn, batch):
+        batches.append(len(batch))
+        receive(conn, batch)
+
+    monkeypatch.setattr(transport.MemConnection, "_receive", counted)
+    sims = simulate(components, peers, timeout=5)
+    instances.extend(sims)
+    assert sum(batches) == 140  # the frames of a session, as before batching
+    assert len(batches) <= 16
+
+
+def test_pulls_made_in_one_evaluation_leave_in_one_tcp_send_per_connection(instances,
+                                                                             monkeypatch):
+    components, _ = _settle_shape()
+    hub = start(components[PeerId((), "Hub")], ["tcp:127.0.0.1:0"], [], timeout=5)
+    instances.append(hub)
+    address = hub._listeners[0].address
+    send = socket.socket.send
+    requests: dict[int, list[int]] = {}  # socket -> request frames per send
+
+    def counted(sock, data, *flags):
+        frames = bytes(data).count(b'{"t":"req"')
+        if frames:
+            requests.setdefault(sock.fileno(), []).append(frames)
+        return send(sock, data, *flags)
+
+    monkeypatch.setattr(socket.socket, "send", counted)
+    spokes = [start(components[PeerId((), "Spoke")], [], [(address, "Hub")], timeout=5)
+              for _ in range(2)]
+    instances.extend(spokes)
+    for spoke in spokes:
+        assert spoke.wait_settled(5)
+        assert all(spoke.slot(f"p{i}").state == READY for i in range(32))
+    assert sorted(requests.values()) == [[32], [32]]
+
+
+def test_a_stopped_session_is_freed_by_reference_counting():
+    # nothing a session leaves behind is held in a reference cycle, so it goes
+    # as soon as the last reference does, with the cycle collector switched off
+    components, peers = _settle_shape()
+    gc.collect()
+    gc.disable()
+    try:
+        sims = simulate(components, peers, timeout=5)
+        for instance in sims:
+            instance.stop()
+        del sims, instance
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -473,6 +473,21 @@ def test_read_component_refuses_peers_missing_from_its_table(edit):
         read_component(json.dumps(doc))
 
 
+def test_read_component_refuses_a_slot_body_nested_too_deep():
+    # 3,000 tuple nodes, one inside the next, around the literal body of `i`
+    node = '{"k":"tuple","ty":{"k":"Tuple","items":[{"k":"Int"}]},"items":['
+    text = SIMPLE_MODULE_V3.replace('{"k":"int","v":1}',
+                                    node * 3_000 + '{"k":"int","v":1}' + "]}" * 3_000, 1)
+    with pytest.raises(ComponentFormatError):
+        read_component(text)
+
+
+def test_read_component_refuses_slots_nested_too_deep():
+    text = SIMPLE_MODULE_V3.replace('"slots":[', '"slots":[' + "[" * 100_000 + "]" * 100_000 + ",", 1)
+    with pytest.raises(ComponentFormatError, match="not a component document"):
+        read_component(text)
+
+
 # the locic-component/3 document for helpers.SIMPLE_MODULE; it must not move
 SIMPLE_MODULE_V3 = (
     '{"dispatch":[{"plan":{"codec":"Int","mode":"pull","slot":"i"},"val":"i:Int"}],'
