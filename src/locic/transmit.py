@@ -12,15 +12,11 @@ returns `DEFERRED` and answers with `Endpoint.send` or `Endpoint.attach`
 once it can, without holding up the connection meanwhile.
 
 Every object here lives on the transport's event loop and holds no lock:
-its state changes only on the thread driving the loop. A call from any
-other thread to a public method that changes state is handed over to the
-loop (`Loop.call`). Most such methods are `transport.on_loop`. The ones the
-loop itself calls for every message or pull (`FutureSlot.resolve`, `fail`
-and `on_settle`, `StreamHandle.emit`, `Endpoint.pull` and `open_stream`)
-ask `transport.driving()` instead, so a call on the loop pays for no
-wrapper.
-`FutureSlot.wait` is the one way to block: it drives the loop until the slot
-settles, or waits for the thread that drives it (`Loop.run_until`).
+its state changes only on the thread driving the loop. The public methods
+that change state are `transport.on_loop`, so a call from any other thread
+runs on the loop (`Loop.call`). `FutureSlot.wait` is the one way to block:
+it drives the loop until the slot settles, or waits for the thread that
+drives it (`Loop.run_until`).
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from typing import Any, Callable
 
 from . import transport
 from .codecs import Codec, CodecError
-from .transport import Connection, ConnectionClosed, driving, on_loop
+from .transport import Connection, ConnectionClosed, on_loop
 from .wire import (ChanClose, ChanMsg, ChanOpen, Envelope, Hello, HelloAck,
                    ProtocolError, Request, Response, decode_envelope,
                    encode_envelope)
@@ -65,10 +61,8 @@ class FutureSlot:
             raise ValueError(f"future is {self._state}, not failed")
         return self._error  # type: ignore[return-value]
 
+    @on_loop
     def _settle(self, state: str, value: Any, error: str | None) -> None:
-        if not driving():
-            transport.loop().call(self._settle, state, value, error)
-            return
         if self._state != PENDING:
             return
         self._value = value
@@ -84,11 +78,9 @@ class FutureSlot:
     def fail(self, error: str) -> None:
         self._settle(FAILED, None, error)
 
+    @on_loop
     def on_settle(self, cb: Callable[["FutureSlot"], None]) -> None:
         """Run cb exactly once when settled; immediately if already settled."""
-        if not driving():
-            transport.loop().call(self.on_settle, cb)
-            return
         if self._state == PENDING:
             self._callbacks.append(cb)
         else:
@@ -158,11 +150,10 @@ class StreamHandle:
         else:
             self._close_callbacks.append(cb)
 
+    @on_loop
     def emit(self, value: Any, payload: bytes | None = None) -> None:
         """Deliver `value` to every subscriber. `payload`, when given, is the
         value already serialized with `codec`; `encoded` reuses it."""
-        if not driving():
-            return transport.loop().call(self.emit, value, payload)
         if self._closed:
             raise StreamClosed("stream is closed")
         self._encoded = None if payload is None else (value, payload)
@@ -238,10 +229,9 @@ class Endpoint:
         except ConnectionClosed:
             pass
 
+    @on_loop
     def pull(self, sig, codec: Codec) -> FutureSlot:
         """Request the remote value once; a fresh request per call."""
-        if not driving():
-            return transport.loop().call(self.pull, sig, codec)
         slot = FutureSlot()
         if self._closed:
             slot.fail("connection lost")
@@ -256,10 +246,9 @@ class Endpoint:
             slot.fail("connection lost")
         return slot
 
+    @on_loop
     def open_stream(self, sig, codec: Codec) -> StreamHandle:
         """Open a typed channel; emissions from the remote stream arrive in order."""
-        if not driving():
-            return transport.loop().call(self.open_stream, sig, codec)
         handle = StreamHandle(codec)
         if self._closed:
             handle.close()

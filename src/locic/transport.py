@@ -306,14 +306,6 @@ def loop() -> Loop:
     return _loop
 
 
-def driving() -> bool:
-    """Whether the calling thread drives the loop. A method that the loop
-    calls far more often than any other thread asks this and hands a call
-    from another thread over (`Loop.call`) itself, without `on_loop`'s
-    wrapper."""
-    return _loop is not None and _loop._owner == threading.get_ident()
-
-
 def on_loop(method):
     """Decorator: the method always runs on the loop (`Loop.call`)."""
 

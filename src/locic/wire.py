@@ -10,8 +10,8 @@ other variant is its header alone.
 The hot variants (`req`, an ok `res`, `chanopen` and `chanmsg`) are written
 from byte templates, and `decode_envelope` reads a frame that matches its
 template exactly by slicing: the id must be canonical digits, and the value
-part of a `req` or `chanopen` must be one the general decoder has already
-read from a canonical frame (a bounded map of them is kept). Any other
+part of a `req` or `chanopen` must name a value the general decoder has
+already read from a short frame (a bounded map of them is kept). Any other
 frame goes to the general decoder, so both paths accept the same frames and
 refuse the rest with the same errors.
 """
@@ -136,24 +136,18 @@ def _value_fields(value: ValueSig) -> bytes:
                    "val": value.canonical})[1:-1]
 
 
-# the templates of the hot variants: ids are ints, and a payload follows its header raw
-_REQ = b'{"t":"req","id":%d,%s}'
-_RES = b'{"t":"res","id":%d,"ok":true}%s'
-_CHANOPEN = b'{"t":"chanopen","chan":%d,%s}'
-_CHANMSG = b'{"t":"chanmsg","chan":%d}%s'
-
-
 def encode_envelope(e: Envelope) -> bytes:
+    # the hot variants are templates: ids are ints, and a payload follows its header raw
     if isinstance(e, Request):
-        return _REQ % (e.id, _value_fields(e.value))
+        return b'{"t":"req","id":%d,%s}' % (e.id, _value_fields(e.value))
     if isinstance(e, Response) and e.ok:
-        return _RES % (e.id, e.payload)
+        return b'{"t":"res","id":%d,"ok":true}%s' % (e.id, e.payload)
     if isinstance(e, ChanMsg):
-        return _CHANMSG % (e.chan, e.payload)
+        return b'{"t":"chanmsg","chan":%d}%s' % (e.chan, e.payload)
     if isinstance(e, Response):
         return _dumps({"t": "res", "id": e.id, "ok": False, "error": e.error})
     if isinstance(e, ChanOpen):
-        return _CHANOPEN % (e.chan, _value_fields(e.value))
+        return b'{"t":"chanopen","chan":%d,%s}' % (e.chan, _value_fields(e.value))
     if isinstance(e, Hello):
         return _dumps({
             "t": "hello",
@@ -197,11 +191,13 @@ def _value(doc: dict) -> ValueSig:
     return ValueSig(_field(doc, "val", str), _module(doc, "mod", "path"))
 
 
-# the value parts (`"mod":…,"path":…,"val":…}`) of canonical req and
-# chanopen frames the general decoder has read, and the values they name;
-# bounded, as a remote can send any number of them
+# the canonical value parts (`"mod":…,"path":…,"val":…}`) of the values the
+# general decoder has read in req and chanopen frames. A remote can send any
+# number of frames of any size, so the map holds at most 1,024 of them, each
+# read from a frame of at most 256 bytes: under 1 MB.
 _VALUE_PARTS: dict[bytes, ValueSig] = {}
 _MAX_VALUE_PARTS = 1024
+_MAX_LEARNED_FRAME = 256
 
 
 def _canonical_id(digits: bytes) -> int | None:
@@ -249,15 +245,14 @@ def decode_envelope(data: bytes) -> Envelope:
     return _decode_json_envelope(data)
 
 
-def _learn(data: bytes, template: bytes, n: int, value: ValueSig) -> None:
-    """Remember the value part of `data` if it is the canonical frame of
-    `template` for (`n`, `value`). A full map starts again empty, so it
+def _learn(data: bytes, value: ValueSig) -> None:
+    """Remember the canonical value part that names `value`, if the frame
+    `data` it was read from is short. A full map starts again empty, so it
     fills with the values in use."""
-    fields = _value_fields(value)
-    if data == template % (n, fields):
+    if len(data) <= _MAX_LEARNED_FRAME:
         if len(_VALUE_PARTS) >= _MAX_VALUE_PARTS:
             _VALUE_PARTS.clear()
-        _VALUE_PARTS[fields + b"}"] = value
+        _VALUE_PARTS[_value_fields(value) + b"}"] = value
 
 
 def _decode_json_envelope(data: bytes) -> Envelope:
@@ -286,11 +281,11 @@ def _decode_json_envelope(data: bytes) -> Envelope:
         return Response(_field(doc, "id", int), False, error=_field(doc, "error", str))
     if t == "req":
         env = Request(_field(doc, "id", int), _value(doc))
-        _learn(data, _REQ, env.id, env.value)
+        _learn(data, env.value)
         return env
     if t == "chanopen":
         env = ChanOpen(_field(doc, "chan", int), _value(doc))
-        _learn(data, _CHANOPEN, env.chan, env.value)
+        _learn(data, env.value)
         return env
     if t == "chanclose":
         return ChanClose(_field(doc, "chan", int))

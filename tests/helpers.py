@@ -14,9 +14,8 @@ from locic.ast import Multiplicity
 from locic.diagnostics import Diagnostic, Pos
 from locic.parser import KEYWORDS
 from locic.sigs import ModuleSig, PeerSig, ValueSig
-from locic.codecs import encode_json, scan_json
-from locic.wire import (ChanClose, ChanMsg, ChanOpen, Hello, HelloAck, ProtocolError,
-                        Request, Response)
+from locic.wire import (ChanClose, ChanMsg, ChanOpen, Hello, HelloAck, Request,
+                        Response)
 
 SIMPLE_MODULE = """\
 module SimpleModule {
@@ -438,72 +437,6 @@ def reference_tied(components, p, q) -> bool:
     closure = next(iter(components.values())).super_closure
     return any((a, b) in tie_pairs or (b, a) in tie_pairs
                for a in closure(p) for b in closure(q))
-
-
-# --- the envelope decoder before hot frames were read by template -------------
-
-def _field(doc: dict, name: str, kind: type):
-    if name not in doc:
-        raise ProtocolError(f"envelope missing field '{name}'")
-    value = doc[name]
-    if type(value) is not kind:
-        raise ProtocolError(f"envelope field '{name}' has the wrong type")
-    return value
-
-
-def _payload(tail: bytes) -> bytes:
-    if not tail:
-        raise ProtocolError("envelope missing its payload")
-    return tail
-
-
-def _module(doc: dict, name: str, path: str) -> ModuleSig:
-    parts = _field(doc, path, list)
-    if not all(type(p) is str for p in parts):
-        raise ProtocolError(f"envelope field '{path}' has the wrong type")
-    return ModuleSig(_field(doc, name, str), tuple(parts))
-
-
-def _value(doc: dict) -> ValueSig:
-    return ValueSig(_field(doc, "val", str), _module(doc, "mod", "path"))
-
-
-def reference_decode_envelope(data: bytes):
-    """`wire.decode_envelope` as it was when every frame's header was parsed
-    as JSON: an oracle for the template reading of hot frames."""
-    try:
-        text = data.decode("utf-8", "surrogateescape")
-        doc, end = scan_json(text)
-        size = end if text.isascii() else len(text[:end].encode("utf-8"))
-        if text.find("\\u", 0, end) != -1:
-            encode_json(doc).encode("utf-8")
-    except (ValueError, RecursionError) as e:
-        raise ProtocolError(f"malformed envelope: {e}") from None
-    if type(doc) is not dict:
-        raise ProtocolError("envelope is not an object")
-    tail = data[size:]
-    t = _field(doc, "t", str)
-    if t == "res" and _field(doc, "ok", bool):
-        return Response(_field(doc, "id", int), True, payload=_payload(tail))
-    if t == "chanmsg":
-        return ChanMsg(_field(doc, "chan", int), _payload(tail))
-    if tail:
-        raise ProtocolError(f"malformed envelope: {len(tail)} bytes after a '{t}' header")
-    if t == "res":
-        return Response(_field(doc, "id", int), False, error=_field(doc, "error", str))
-    if t == "req":
-        return Request(_field(doc, "id", int), _value(doc))
-    if t == "chanopen":
-        return ChanOpen(_field(doc, "chan", int), _value(doc))
-    if t == "chanclose":
-        return ChanClose(_field(doc, "chan", int))
-    if t == "hello":
-        return Hello(module=_module(doc, "mod", "path"),
-                     peer=PeerSig(_field(doc, "peer", str), _module(doc, "peerMod", "peerPath")),
-                     proto_version=_field(doc, "ver", int))
-    if t == "helloack":
-        return HelloAck(_field(doc, "accepted", bool), _field(doc, "reason", str))
-    raise ProtocolError(f"unknown envelope variant '{t}'")
 
 
 # --- envelope generator ---------------------------------------------------
