@@ -133,6 +133,7 @@ class PeerInstance:
         self._evaluated = False
         self._gather: dict[PeerId, list[_Link]] = {}  # see _links_for
         self._tie_entries = sorted(component.tie_table.items())
+        self._served = wire.value_parts(component.dispatch)
 
     # -- waiting on the loop ------------------------------------------------
 
@@ -209,7 +210,8 @@ class PeerInstance:
             on_control=lambda env: self._on_control(link, env),
             on_request=lambda req: self._handle_request(link, req),
             on_chan_open=lambda env: self._handle_chan_open(link, env),
-            on_closed=lambda reason: self._on_link_closed(link, reason))
+            on_closed=lambda reason: self._on_link_closed(link, reason),
+            served=self._served)
         self._links.append(link)
         link.endpoint.start()  # the link holds its endpoint before any envelope arrives
 
@@ -512,9 +514,6 @@ class PeerInstance:
 
     def slot_state(self, name: str) -> str:
         return self._slots[name].state
-
-    def slot_error(self, name: str) -> str | None:
-        return self._slots[name].error
 
     @property
     def slot_names(self) -> list[str]:

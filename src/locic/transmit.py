@@ -25,6 +25,7 @@ from typing import Any, Callable
 
 from . import transport
 from .codecs import Codec, CodecError
+from .sigs import ValueSig
 from .transport import Connection, ConnectionClosed, on_loop
 from .wire import (ChanClose, ChanMsg, ChanOpen, Envelope, Hello, HelloAck,
                    ProtocolError, Request, Response, decode_envelope,
@@ -193,20 +194,23 @@ class Endpoint:
     to `on_chan_open` (which returns the local stream, None to refuse, or
     `DEFERRED` and calls `attach` later). No envelope is
     delivered before `start()`, so the owner can finish wiring its handlers
-    first.
+    first. `served` is the owner's served-value table (`wire.value_parts`),
+    by which requests and channel-opens for its values are read.
     """
 
     def __init__(self, conn: Connection, opener: bool,
                  on_control: Callable[[Envelope], None],
                  on_request: Callable[[Request], Response],
                  on_chan_open: Callable[[ChanOpen], "StreamHandle | None"],
-                 on_closed: Callable[[str], None]):
+                 on_closed: Callable[[str], None],
+                 served: dict[bytes, ValueSig] = {}):
         self.conn = conn
         self.opener = opener
         self._on_control = on_control
         self._on_request = on_request
         self._on_chan_open = on_chan_open
         self._on_closed = on_closed
+        self._served = served
         self._next_request_id = 1
         self._next_chan_id = 1 if opener else 2
         self._pending: dict[int, tuple[FutureSlot, Codec]] = {}
@@ -275,7 +279,7 @@ class Endpoint:
 
     def _on_bytes(self, data: bytes) -> None:
         try:
-            env = decode_envelope(data)
+            env = decode_envelope(data, self._served)
         except ProtocolError as e:
             self.conn.close(f"protocol error: {e}")
             return

@@ -10,17 +10,17 @@ other variant is its header alone.
 The hot variants (`req`, an ok `res`, `chanopen` and `chanmsg`) are written
 from byte templates, and `decode_envelope` reads a frame that matches its
 template exactly by slicing: the id must be canonical digits, and the value
-part of a `req` or `chanopen` must name a value the general decoder has
-already read from a short frame (a bounded map of them is kept). Any other
-frame goes to the general decoder, so both paths accept the same frames and
-refuse the rest with the same errors.
+part of a `req` or `chanopen` must be in the receiver's served-value table
+(`value_parts`), which holds the values it can be asked for. Any other frame
+goes to the general decoder, so both paths accept the same frames and refuse
+the rest with the same errors.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-from typing import Union
+from typing import Iterable, Union
 
 from .codecs import encode_json, scan_json
 from .records import record
@@ -61,19 +61,6 @@ class Framer:
                 return out
             out.append(bytes(self._buf[4 : 4 + length]))
             del self._buf[: 4 + length]
-
-    @property
-    def pending(self) -> int:
-        return len(self._buf)
-
-
-def unframe(data: bytes) -> list[bytes]:
-    """One-shot unframing of whole frames; use Framer for streamed input."""
-    framer = Framer()
-    out = framer.feed(data)
-    if framer.pending:
-        raise ProtocolError(f"{framer.pending} trailing bytes after the last frame")
-    return out
 
 
 # --- envelopes --------------------------------------------------------
@@ -136,6 +123,12 @@ def _value_fields(value: ValueSig) -> bytes:
                    "val": value.canonical})[1:-1]
 
 
+def value_parts(values: Iterable[ValueSig]) -> dict[bytes, ValueSig]:
+    """The served-value table: the canonical value part (`"mod":…,"path":…,
+    "val":…}`) of a req or chanopen frame that names each of `values`."""
+    return {_value_fields(v) + b"}": v for v in values}
+
+
 def encode_envelope(e: Envelope) -> bytes:
     # the hot variants are templates: ids are ints, and a payload follows its header raw
     if isinstance(e, Request):
@@ -191,15 +184,6 @@ def _value(doc: dict) -> ValueSig:
     return ValueSig(_field(doc, "val", str), _module(doc, "mod", "path"))
 
 
-# the canonical value parts (`"mod":…,"path":…,"val":…}`) of the values the
-# general decoder has read in req and chanopen frames. A remote can send any
-# number of frames of any size, so the map holds at most 1,024 of them, each
-# read from a frame of at most 256 bytes: under 1 MB.
-_VALUE_PARTS: dict[bytes, ValueSig] = {}
-_MAX_VALUE_PARTS = 1024
-_MAX_LEARNED_FRAME = 256
-
-
 def _canonical_id(digits: bytes) -> int | None:
     """The int that `digits` writes in canonical form: ASCII digits, no sign,
     no leading zero, at most 16 of them; None for anything else."""
@@ -208,13 +192,14 @@ def _canonical_id(digits: bytes) -> int | None:
     return None
 
 
-def decode_envelope(data: bytes) -> Envelope:
+def decode_envelope(data: bytes, served: dict[bytes, ValueSig] = {}) -> Envelope:
     """The envelope `data` holds: a header, one JSON object with no
     whitespace before it, in valid UTF-8 and with every string valid
     Unicode; then the payload for a variant that carries one, and nothing
     for any other. The payload may be any bytes but none: its codec judges
-    them. A frame that is exactly a hot variant's template is read by
-    slicing; every other frame by `_decode_json_envelope`."""
+    them. A frame that is exactly a hot variant's template, naming a value
+    in `served` if it names one, is read by slicing; every other frame by
+    `_decode_json_envelope`."""
     head = data[:16]
     if head == b'{"t":"res","id":':
         end = data.find(b",", 16, 33)
@@ -231,28 +216,18 @@ def decode_envelope(data: bytes) -> Envelope:
     elif head == b'{"t":"req","id":':
         end = data.find(b",", 16, 33)
         if end > 0:
-            value = _VALUE_PARTS.get(data[end + 1:])
+            value = served.get(data[end + 1:])
             rid = _canonical_id(data[16:end])
             if value is not None and rid is not None:
                 return Request(rid, value)
     elif head == b'{"t":"chanopen",':
         end = data.find(b",", 23, 40)
         if end > 0 and data.startswith(b'"chan":', 16):
-            value = _VALUE_PARTS.get(data[end + 1:])
+            value = served.get(data[end + 1:])
             chan = _canonical_id(data[23:end])
             if value is not None and chan is not None:
                 return ChanOpen(chan, value)
     return _decode_json_envelope(data)
-
-
-def _learn(data: bytes, value: ValueSig) -> None:
-    """Remember the canonical value part that names `value`, if the frame
-    `data` it was read from is short. A full map starts again empty, so it
-    fills with the values in use."""
-    if len(data) <= _MAX_LEARNED_FRAME:
-        if len(_VALUE_PARTS) >= _MAX_VALUE_PARTS:
-            _VALUE_PARTS.clear()
-        _VALUE_PARTS[_value_fields(value) + b"}"] = value
 
 
 def _decode_json_envelope(data: bytes) -> Envelope:
@@ -280,13 +255,9 @@ def _decode_json_envelope(data: bytes) -> Envelope:
     if t == "res":
         return Response(_field(doc, "id", int), False, error=_field(doc, "error", str))
     if t == "req":
-        env = Request(_field(doc, "id", int), _value(doc))
-        _learn(data, env.value)
-        return env
+        return Request(_field(doc, "id", int), _value(doc))
     if t == "chanopen":
-        env = ChanOpen(_field(doc, "chan", int), _value(doc))
-        _learn(data, env.value)
-        return env
+        return ChanOpen(_field(doc, "chan", int), _value(doc))
     if t == "chanclose":
         return ChanClose(_field(doc, "chan", int))
     if t == "hello":

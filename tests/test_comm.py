@@ -1,10 +1,10 @@
+import itertools
 import json
 import queue
 import random
 import sys
 import threading
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -123,13 +123,22 @@ _IDS = st.one_of(st.integers(0, 10**16 - 1).map(b"%d".__mod__), st.integers(0, 1
     ])))
 
 
+_MODS = ["M", "Settle", "é", "a\nb"]
+_PATH_PARTS = ["a", "lib", "\x00"]
+_VALS = ["x:Int", "h1:(Int, Str)", "s:Stream[Int]"]
+# every value `_value_parts` draws but two: one unserved, one that cannot be encoded
+_SERVED = wire.value_parts(
+    ValueSig(val, ModuleSig(mod, path)) for mod in _MODS for val in _VALS
+    for size in range(3) for path in itertools.product(_PATH_PARTS, repeat=size))
+
+
 @st.composite
 def _value_parts(draw):
     """The value part of a req or chanopen frame (from `"mod"` to the
     closing brace): canonical, or written some other way JSON allows."""
-    fields = {"mod": draw(st.sampled_from(["M", "Settle", "é", "a\nb"])),
-              "path": draw(st.lists(st.sampled_from(["a", "lib", "\x00"]), max_size=2)),
-              "val": draw(st.sampled_from(["x:Int", "h1:(Int, Str)", "s:Stream[Int]", "\ud800"]))}
+    fields = {"mod": draw(st.sampled_from(_MODS)),
+              "path": draw(st.lists(st.sampled_from(_PATH_PARTS), max_size=2)),
+              "val": draw(st.sampled_from(_VALS + ["z:Int", "\ud800"]))}  # neither served
     canonical = json.dumps(fields, separators=(",", ":"), ensure_ascii=False)[1:]
     form = draw(st.sampled_from(["canonical"] * 3 + ["spaced", "reordered", "duplicate",
                                                        "escaped"]))
@@ -172,53 +181,33 @@ def _hot_frames(draw):
 @settings(max_examples=1000, deadline=None)
 @given(_hot_frames())
 def test_template_reading_of_hot_frames_matches_the_json_decoder(data):
-    with mock.patch.dict(wire._VALUE_PARTS, clear=True):
-        # the general decoder parses every frame's header as JSON; reading a
-        # canonical req or chanopen, it learns the value part the template reads
-        expected = _outcome(wire._decode_json_envelope, data)
-        assert _outcome(decode_envelope, data) == expected
+    # the general decoder parses every frame's header as JSON
+    expected = _outcome(wire._decode_json_envelope, data)
+    assert _outcome(lambda raw: decode_envelope(raw, _SERVED), data) == expected
 
 
 def test_canonical_hot_frames_are_read_without_parsing_json(monkeypatch):
-    monkeypatch.setattr(wire, "_VALUE_PARTS", {})
     value = ValueSig("h1:(Int, Str)", ModuleSig("Settle", ("lib",)))
     envs = [Request(12, value), ChanOpen(9_999_999_999_999_999, value),
             Response(0, True, payload=b'[1,"x"]'), ChanMsg(7, b"}")]
     frames = [encode_envelope(env) for env in envs]
-    for data in frames:
-        decode_envelope(data)  # a req or chanopen value part is learned here
 
     def parse(data):
         raise AssertionError(f"parsed as JSON: {data!r}")
 
     monkeypatch.setattr(wire, "_decode_json_envelope", parse)
-    assert [decode_envelope(data) for data in frames] == envs
+    assert [decode_envelope(data, wire.value_parts([value])) for data in frames] == envs
 
 
-def test_the_map_of_learned_value_parts_stays_bounded(monkeypatch):
-    monkeypatch.setattr(wire, "_VALUE_PARTS", {})
-    monkeypatch.setattr(wire, "_MAX_VALUE_PARTS", 2)
-    for n in range(5):
-        env = Request(n, ValueSig(f"v{n}:Int", ModuleSig("M")))
-        assert decode_envelope(encode_envelope(env)) == env
-        assert len(wire._VALUE_PARTS) <= 2
-    assert list(wire._VALUE_PARTS.values()) == [ValueSig("v4:Int", ModuleSig("M"))]
-
-
-def test_only_the_value_parts_of_short_frames_are_learned(monkeypatch):
-    monkeypatch.setattr(wire, "_VALUE_PARTS", {})
-
-    def request(size: int) -> Request:  # a canonical req frame of `size` bytes
-        short = len(encode_envelope(Request(1, ValueSig("v:Int", ModuleSig("M")))))
-        return Request(1, ValueSig("v:Int", ModuleSig("M" * (1 + size - short))))
-
-    for env in (request(257), request(1 << 20)):
-        assert decode_envelope(encode_envelope(env)) == env
-    assert wire._VALUE_PARTS == {}
-    env = request(256)
-    assert len(encode_envelope(env)) == 256
-    assert decode_envelope(encode_envelope(env)) == env
-    assert list(wire._VALUE_PARTS.values()) == [env.value]
+def test_remote_values_fill_no_process_wide_state():
+    heads = (b'{"t":"req","id":%d,', b'{"t":"chanopen","chan":%d,')
+    frames = [head % n + b'"mod":"M","path":["lib"],"val":"v%d:Int"}' % n
+              for n in range(2000) for head in heads]
+    assert max(map(len, frames)) < 256
+    before = wire._value_fields.cache_info()
+    for data in frames:
+        assert decode_envelope(data) == wire._decode_json_envelope(data)
+    assert wire._value_fields.cache_info() == before
 
 
 @pytest.mark.parametrize("payload", [b"\xff", b"\x80\x00\xfe", b'"\xed\xa0\x80"', b"\xc3", b"}{"])
@@ -747,14 +736,6 @@ def test_mem_hub_name_reusable_after_close():
     listener.close()
     again = listen("mem:hub-reuse", lambda conn: None)
     again.close()
-
-
-def test_unframe_one_shot():
-    from locic.wire import unframe
-
-    assert unframe(frame(b"ab") + frame(b"")) == [b"ab", b""]
-    with pytest.raises(ProtocolError):
-        unframe(frame(b"ab") + b"\x00")
 
 
 @pytest.mark.parametrize("spec", ["mem:hub-send-then-close", "tcp:127.0.0.1:0"])

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import helpers
-from locic import runtime, transport
+from locic import runtime, transport, wire
 from locic.arch import PeerId
 from locic.codecs import Codec, CodecError, parse_codec
 from locic.runtime import PeerInstance, RemoteRef, StartError, simulate, start
@@ -627,7 +627,8 @@ def test_forward_reference_is_runtime_error(instances):
     instance = start(comps[PeerId((), "P")], [], [], timeout=5)
     instances.append(instance)
     assert instance.slot_state("a") == "error"
-    assert "not yet initialized" in instance.slot_error("a")
+    with pytest.raises(runtime.EvalError, match="failed to initialize: .*not yet initialized"):
+        instance.slot("a")
     assert instance.slot("b") == 2
 
 
@@ -981,6 +982,36 @@ def test_sim_wires_a_tie_declared_by_either_end(instances, order):
     a = next(i for i in sims if i.label == "A#1")
     assert a.slot("y").value == 3
     assert [len(i.links()) for i in sims] == [1, 1]
+
+
+def test_every_request_for_a_served_value_is_read_by_template(instances, monkeypatch):
+    general = []  # the envelopes the general decoder read
+    decode = wire._decode_json_envelope
+
+    def counted(data):
+        general.append(decode(data))
+        return general[-1]
+
+    monkeypatch.setattr(wire, "_decode_json_envelope", counted)
+    sample = lambda name: components_for((helpers.ROOT / "samples" / name).read_text())
+    sensor, *displays = simulate(sample("streams.loci"), ["Sensor", "Display", "Display"], 5)
+    instances.extend([sensor, *displays])
+    got = []
+    for display in displays:
+        display.slot("mirror").subscribe(got.append)
+    readings = sensor.slot("readings")
+    deadline = time.time() + 5
+    while len(readings._subscribers) < 2 and time.time() < deadline:
+        time.sleep(0.005)  # both displays' channels are attached
+    sensor.fire("readings", 41)
+    while got != [41, 41] and time.time() < deadline:
+        time.sleep(0.005)
+    assert got == [41, 41]
+    for _ in range(3):
+        sims = simulate(sample("simple.loci"), ["MyPeer", "MyPeer"], 5)
+        instances.extend(sims)
+        assert [i.slot("j").value for i in sims] == [1, 1]
+    assert {type(env) for env in general} == {Hello, HelloAck}
 
 
 # --- start-up orderings forced deterministically -------------------------------
