@@ -236,8 +236,3 @@ def effective_ties(a: Architecture) -> EffectiveTies:
         for right in sorted(row):
             table[(left, right)] = row[right]
     return table
-
-
-def is_subpeer(a: Architecture, p: PeerId, q: PeerId) -> bool:
-    """True iff p is q or q is one of p's transitive super-peers."""
-    return q in a.closures[p]

@@ -373,11 +373,3 @@ def parse_type(text: str) -> ast.TypeExpr:
     ty = p.type_expr()
     p.expect("eof")
     return ty
-
-
-def parse_module(source: str) -> ast.SurfaceModule:
-    """Parse a source containing exactly one module."""
-    modules = parse_program(source)
-    if len(modules) != 1:
-        raise ParseError([Diagnostic(modules[1].pos, "expected a single module")])
-    return modules[0]

@@ -93,7 +93,6 @@ class _Link:
         self.remote_sig: PeerSig | None = None
         self.remote_pid: PeerId | None = None
         self.matched: list[PeerId] = []  # tie-table peers this remote counts toward
-        self.admitted = False
         self.live = False
 
     @property
@@ -219,8 +218,10 @@ class PeerInstance:
     def _on_inbound(self, conn: transport.Connection) -> None:
         self._make_endpoint(conn, _Link(opener=False), DEFAULT_TIMEOUT)
 
-    def _validate_hello(self, hello: Hello) -> tuple[PeerId, list[PeerId]] | str:
-        """Returns (remote peer id, matched tie entries) or a rejection reason."""
+    def _admit(self, link: _Link, hello: Hello) -> str | None:
+        """Admit the remote that said `hello` on `link`; None, or why not."""
+        if link.remote_pid is not None:
+            return "hello received twice"
         if hello.proto_version != wire.PROTO_VERSION:
             return (f"protocol version {hello.proto_version} is not supported "
                     f"(expected {wire.PROTO_VERSION})")
@@ -231,27 +232,15 @@ class PeerInstance:
         if (remote_pid not in self.component.peer_table
                 or self.component.sig_of(remote_pid) != hello.peer):
             return f"unknown peer signature '{hello.peer}'"
-        return remote_pid, self.component.ties_to(remote_pid)
-
-    def _admit(self, link: _Link, hello: Hello) -> str | None:
-        """Admit the remote that said `hello` on `link`; None, or why not."""
-        if link.admitted:
-            return "hello received twice"
-        outcome = self._validate_hello(hello)
-        if isinstance(outcome, str):
-            return outcome
-        remote_pid, matched = outcome
         if link.expected is not None and link.expected not in self.component.super_closure(remote_pid):
             return f"expected a {link.expected} instance, remote is {remote_pid}"
-        bounds = {pid: mult for pid, mult in self._tie_entries
-                  if mult in (Multiplicity.SINGLE, Multiplicity.OPTIONAL)}
+        matched = self.component.ties_to(remote_pid)
         for pid in matched:
-            if pid in bounds and any(pid in other.matched for other in self._links):
-                return (f"tie to {pid} is {bounds[pid].keyword}; "
-                        f"an instance is already connected")
+            mult = self.component.tie_table[pid]
+            if mult is not Multiplicity.MULTIPLE and any(pid in other.matched for other in self._links):
+                return f"tie to {pid} is {mult.keyword}; an instance is already connected"
         link.link_id = next(self._next_link_id)
         link.remote_sig, link.remote_pid, link.matched = hello.peer, remote_pid, matched
-        link.admitted = True
         return None
 
     def _drop_link(self, link: _Link, failure: str) -> None:
@@ -283,7 +272,7 @@ class PeerInstance:
             if not env.accepted:
                 self._drop_link(link, env.reason or "rejected")
                 ep.close()
-            elif not link.opener and link.admitted:
+            elif not link.opener and link.remote_pid is not None:
                 self._mark_live(link)
 
     def _mark_live(self, link: _Link) -> None:

@@ -192,10 +192,11 @@ class Endpoint:
     `on_control`, inbound value requests to `on_request` (which returns the
     `Response`, or `DEFERRED` and sends it later), and inbound channel-opens
     to `on_chan_open` (which returns the local stream, None to refuse, or
-    `DEFERRED` and calls `attach` later). No envelope is
-    delivered before `start()`, so the owner can finish wiring its handlers
-    first. `served` is the owner's served-value table (`wire.value_parts`),
-    by which requests and channel-opens for its values are read.
+    `DEFERRED` and calls `attach` later). No envelope is delivered before
+    `start()`, so the owner can finish wiring its handlers first. `served` is
+    the owner's served-value table (`wire.value_parts`), by which requests
+    and channel-opens for its values are read. An endpoint is closed exactly
+    when its connection is.
     """
 
     def __init__(self, conn: Connection, opener: bool,
@@ -205,7 +206,6 @@ class Endpoint:
                  on_closed: Callable[[str], None],
                  served: dict[bytes, ValueSig] = {}):
         self.conn = conn
-        self.opener = opener
         self._on_control = on_control
         self._on_request = on_request
         self._on_chan_open = on_chan_open
@@ -216,7 +216,6 @@ class Endpoint:
         self._pending: dict[int, tuple[FutureSlot, Codec]] = {}
         self._local_chans: dict[int, StreamHandle] = {}  # opened by us
         self._forwards: dict[int, Callable[[], None]] = {}  # opened by remote: unsubscribers
-        self._closed = False
 
     def start(self) -> None:
         """Start delivering inbound envelopes to the handlers."""
@@ -237,7 +236,7 @@ class Endpoint:
     def pull(self, sig, codec: Codec) -> FutureSlot:
         """Request the remote value once; a fresh request per call."""
         slot = FutureSlot()
-        if self._closed:
+        if self.conn.closed:
             slot.fail("connection lost")
             return slot
         rid = self._next_request_id
@@ -254,7 +253,7 @@ class Endpoint:
     def open_stream(self, sig, codec: Codec) -> StreamHandle:
         """Open a typed channel; emissions from the remote stream arrive in order."""
         handle = StreamHandle(codec)
-        if self._closed:
+        if self.conn.closed:
             handle.close()
             return handle
         chan = self._next_chan_id
@@ -262,7 +261,7 @@ class Endpoint:
         self._local_chans[chan] = handle
 
         def notify_remote():
-            if self._local_chans.pop(chan, None) is not None and not self.conn.closed:
+            if self._local_chans.pop(chan, None) is not None:
                 self.try_send(ChanClose(chan))
 
         handle.on_close(notify_remote)
@@ -315,7 +314,7 @@ class Endpoint:
         """Answer the remote's channel-open `chan`: forward every emission of
         `handle` from now on, or refuse the channel when there is no handle
         or its elements cannot be transmitted. Call it on the loop."""
-        if self._closed:
+        if self.conn.closed:
             return
         if handle is None or handle.codec is None:
             self.try_send(ChanClose(chan))
@@ -335,8 +334,7 @@ class Endpoint:
         unsub = self._forwards.pop(chan, None)
         if unsub is not None:
             unsub()
-            if not self.conn.closed:
-                self.try_send(ChanClose(chan))
+            self.try_send(ChanClose(chan))
 
     def _handle_chan_msg(self, env: ChanMsg) -> None:
         handle = self._local_chans.get(env.chan)
@@ -360,9 +358,6 @@ class Endpoint:
             unsub()
 
     def _on_conn_close(self, reason: str) -> None:
-        if self._closed:
-            return
-        self._closed = True
         pending, self._pending = self._pending, {}
         chans, self._local_chans = self._local_chans, {}
         forwards, self._forwards = self._forwards, {}

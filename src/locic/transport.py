@@ -321,9 +321,12 @@ def on_loop(method):
 # --- connections ----------------------------------------------------------
 
 class Connection:
-    """Duplex message endpoint. Subclasses implement _start_delivery, _send
-    and _close, and may implement _prepare; those and the callbacks run on
-    the loop, except `_prepare`, which runs in the sending thread."""
+    """Duplex message endpoint; the one record of whether it is closed and
+    whether its close callback has run. `close` marks it closed, then on the
+    loop flushes the batch, runs `_close`, which only takes the connection
+    down, and posts the close callback. Subclasses implement _start_delivery,
+    _send and _close, and may implement _prepare; those and the callbacks
+    run on the loop, except `_prepare`, which runs in the sending thread."""
 
     def __init__(self):
         self._loop = loop()
@@ -331,7 +334,6 @@ class Connection:
         self._on_close: Callable[[str], None] | None = None
         self._opened = False
         self._closed = False
-        self._close_fired = False
         self._batch: list[bytes] | None = None  # this turn's sends, once there is one
 
     @on_loop
@@ -379,7 +381,12 @@ class Connection:
         if self._closed:
             return
         self._closed = True  # sends fail from here on, whichever thread asks
-        self._loop.call(self._close, reason)
+        self._loop.call(self._take_down, reason)
+
+    def _take_down(self, reason: str) -> None:
+        self._flush_batch()
+        self._close(reason)
+        self._loop.post(self._fire_close, reason)
 
     def _deliver(self, messages) -> None:
         """Hand `messages` to the receive callback in order, until the
@@ -399,9 +406,8 @@ class Connection:
         """Run the close callback once, then drop both callbacks; an unopened
         connection runs it on open."""
         self._closed = True
-        if self._close_fired or self._on_close is None:
+        if self._on_close is None:
             return
-        self._close_fired = True
         on_close, self._on_close, self._on_message = self._on_close, None, None
         on_close(reason)
 
@@ -506,12 +512,10 @@ class MemConnection(Connection):
             self._loop.post(self._peer._receive, batch)
 
     def _close(self, reason: str) -> None:
-        self._flush_batch()
         peer, self._peer = self._peer, None
         if peer is not None:
             # after every message already sent, the peer learns of the close
             self._loop.post(peer._fire_close, "connection closed")
-        self._loop.post(self._fire_close, reason)
 
 
 def _mem_listen(name: str, on_connection) -> Listener:
@@ -618,7 +622,6 @@ class TcpConnection(Connection):
             self._watch()
 
     def _lost(self, reason: str) -> None:
-        self._closed = True
         self._release()
         self._fire_close(reason)
 
@@ -634,14 +637,12 @@ class TcpConnection(Connection):
             self._sock.close()
 
     def _close(self, reason: str) -> None:
-        self._flush_batch()
         if self._out:  # one last try for what the kernel has not taken yet
             try:
                 self._sock.send(self._out)
             except OSError:
                 pass
         self._release()
-        self._loop.post(self._fire_close, reason)
 
 
 def _tcp_listen(host: str, port: int, on_connection) -> Listener:

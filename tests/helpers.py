@@ -41,6 +41,14 @@ module P2P {
 """
 
 
+def parse_module(source: str) -> ast.SurfaceModule:
+    """Parse a source containing exactly one module."""
+    modules = parser.parse_program(source)
+    if len(modules) != 1:
+        raise parser.ParseError([Diagnostic(modules[1].pos, "expected a single module")])
+    return modules[0]
+
+
 def compile_source(source: str):
     """Full front half of the pipeline; the last module is the main one."""
     modules = parser.parse_program(source)

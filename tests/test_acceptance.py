@@ -14,7 +14,7 @@ import pytest
 
 import helpers
 from locic import ast, cli
-from locic.arch import PeerId, effective_ties, is_subpeer, resolve_architecture
+from locic.arch import PeerId, effective_ties, resolve_architecture
 from locic.ast import Multiplicity
 from locic.checker import (RemoteAccessShapeError, RemoteT, check_module, pair_of,
                            type_remote_access)
@@ -169,8 +169,10 @@ def test_criterion_6_tie_conformance():
         first.connect("mem:acc6-hub", "Hub", timeout=2)
         second = PeerInstance(comps[PeerId((), "Spoke")])
         created.append(second)
-        with pytest.raises(StartError):
+        with pytest.raises(StartError) as exc:
             second.connect("mem:acc6-hub", "Hub", timeout=2)
+        assert str(exc.value) == ("connection to mem:acc6-hub rejected: "
+                                  "tie to Spoke is single; an instance is already connected")
         # the hub's end goes live on the final HelloAck, maybe after connect returned
         assert hub_instance._wait_live_links(1, 2)
         assert len(hub_instance.links()) == 1
@@ -353,7 +355,7 @@ def test_criterion_10_split_shape():
             assert [name for name, _ in pc.slots] == a.def_order
             served = {plan.slot for plan in pc.dispatch.values()}
             expected = {name for name, placed in placements.items()
-                        if is_subpeer(a, pid, placed) and name in transmittable}
+                        if placed in a.super_closure(pid) and name in transmittable}
             assert served == expected
 
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 import helpers
 from locic import ast, parser, splitter, wire
-from locic.arch import (ArchError, PeerId, effective_ties, is_subpeer,
-                        parse_peer_name, resolve_architecture)
+from locic.arch import (ArchError, PeerId, effective_ties, parse_peer_name,
+                        resolve_architecture)
 from locic.ast import Multiplicity
 from locic.diagnostics import Pos
 from locic.parser import Token
@@ -63,26 +63,26 @@ def test_resolve_p2p_composition():
 
 
 def test_single_peer_module():
-    m = parser.parse_module("module M { peer Only { } }")
+    m = helpers.parse_module("module M { peer Only { } }")
     a = resolve_architecture(m, {})
     assert list(a.peers) == [PeerId((), "Only")]
     assert a.peers[PeerId((), "Only")].supers == ()
 
 
 def test_cyclic_supers_rejected():
-    m = parser.parse_module("module M { peer A : B { } peer B : A { } }")
+    m = helpers.parse_module("module M { peer A : B { } peer B : A { } }")
     with pytest.raises(ArchError) as exc:
         resolve_architecture(m, {})
     assert "cyclic" in exc.value.diagnostics[0].message
 
 
 def test_unknown_peer_and_include_errors():
-    m = parser.parse_module("module M { peer A : Ghost { } }")
+    m = helpers.parse_module("module M { peer A : Ghost { } }")
     with pytest.raises(ArchError) as exc:
         resolve_architecture(m, {})
     assert "unknown peer 'Ghost'" in exc.value.diagnostics[0].message
 
-    m = parser.parse_module("module M { include x: Nope }")
+    m = helpers.parse_module("module M { include x: Nope }")
     with pytest.raises(ArchError) as exc:
         resolve_architecture(m, {})
     assert "unknown include module 'Nope'" in exc.value.diagnostics[0].message
@@ -111,7 +111,7 @@ def test_effective_ties_node_registry():
 
 
 def test_tie_priority_optional_beats_multiple():
-    m = parser.parse_module("""
+    m = helpers.parse_module("""
         module M {
           peer L { tie: optional R, multiple R }
           peer R { }
@@ -122,7 +122,7 @@ def test_tie_priority_optional_beats_multiple():
 
 
 def test_tie_priority_via_supers():
-    m = parser.parse_module("""
+    m = helpers.parse_module("""
         module M {
           peer Base { tie: multiple R }
           peer L : Base { tie: optional R }
@@ -144,11 +144,11 @@ def test_tie_target_covers_sub_peers():
 
 def test_is_subpeer():
     a = p2p_architecture()
-    assert is_subpeer(a, REGISTRY_PID, MONITOR_PID)
-    assert is_subpeer(a, REGISTRY_PID, REGISTRY_PID)
-    assert not is_subpeer(a, MONITOR_PID, REGISTRY_PID)
-    assert not is_subpeer(a, NODE_PID, MONITOR_PID)
-    assert is_subpeer(a, NODE_PID, MONITORED_PID)
+    assert MONITOR_PID in a.super_closure(REGISTRY_PID)
+    assert REGISTRY_PID in a.super_closure(REGISTRY_PID)
+    assert REGISTRY_PID not in a.super_closure(MONITOR_PID)
+    assert MONITOR_PID not in a.super_closure(NODE_PID)
+    assert MONITORED_PID in a.super_closure(NODE_PID)
 
 
 def test_is_subpeer_matches_bfs_oracle():
@@ -170,7 +170,7 @@ def test_is_subpeer_matches_bfs_oracle():
         for p in a.peers:
             reachable = bfs(p)
             for q in a.peers:
-                assert is_subpeer(a, p, q) == (q in reachable)
+                assert (q in a.super_closure(p)) == (q in reachable)
 
 
 def test_effective_ties_matches_bruteforce_oracle_small():
@@ -202,13 +202,13 @@ def test_parse_peer_name():
 
 
 def test_effective_ties_deterministic_and_order_independent():
-    m1 = parser.parse_module("""
+    m1 = helpers.parse_module("""
         module M {
           peer A { tie: single B, multiple A }
           peer B { tie: optional A }
         }
     """)
-    m2 = parser.parse_module("""
+    m2 = helpers.parse_module("""
         module M {
           peer B { tie: optional A }
           peer A { tie: multiple A, single B }

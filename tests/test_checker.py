@@ -2,7 +2,7 @@ import pytest
 
 import helpers
 from locic import ast
-from locic.arch import PeerId, effective_ties, is_subpeer, resolve_architecture
+from locic.arch import PeerId, effective_ties, resolve_architecture
 from locic.ast import Multiplicity
 from locic.checker import (RemoteAccessShapeError, RemoteT, TRemoteAccess, check_module,
                            pair_of, type_remote_access)
@@ -299,7 +299,7 @@ def test_local_access_rule():
     registry = PeerId((), "Registry")
     node = PeerId((), "Node")
     monitor = PeerId(("mon",), "Monitor")
-    assert is_subpeer(a, registry, monitor)       # super-peer value
-    assert is_subpeer(a, registry, registry)      # own value
-    assert not is_subpeer(a, node, registry)      # needs asLocal
-    assert not is_subpeer(a, monitor, registry)   # supers don't see subs
+    assert monitor in a.super_closure(registry)        # super-peer value
+    assert registry in a.super_closure(registry)       # own value
+    assert registry not in a.super_closure(node)       # needs asLocal
+    assert registry not in a.super_closure(monitor)    # supers don't see subs

@@ -754,6 +754,42 @@ def test_send_just_before_close_is_delivered(spec):
         listener.close()
 
 
+# --- closing before open() ------------------------------------------------------
+
+def _close_runs_once_on_open(conn) -> None:
+    """Open `conn`, which is closed or whose peer is: its close callback runs
+    exactly once, at or after open(), nothing is delivered, and a later
+    close() adds no second call."""
+    rx = Collector()
+    conn.open(rx.on_message, rx.on_close)
+    assert rx.closed.wait(5)
+    conn.close()
+    loop().call(lambda: None)  # after anything posted before it
+    assert rx.events == [("close", "connection closed")]
+
+
+def test_a_mem_connection_closed_before_open_runs_its_close_callback_once():
+    listener, client, server = _pair("mem:hub-close-before-open")
+    try:
+        client.close()  # closed locally; its peer is closed by the peer's close
+        loop().call(lambda: None)
+        assert client.closed and server.closed
+        _close_runs_once_on_open(server)
+        _close_runs_once_on_open(client)
+    finally:
+        listener.close()
+
+
+def test_a_tcp_connection_whose_client_closed_before_open_runs_its_close_callback_once():
+    listener, client, server = _pair("tcp:127.0.0.1:0")
+    try:
+        client.close()
+        _close_runs_once_on_open(server)
+    finally:
+        server.close()
+        listener.close()
+
+
 # --- payload bytes in a live session -------------------------------------------
 
 VALUE_SIG = ValueSig("x:Int", ModuleSig("M"))
@@ -840,6 +876,39 @@ def test_whitespace_between_header_and_payload_is_refused_by_the_codec(pad):
         assert first.wait(5) and got == [43] and not client.conn.closed
     finally:
         client.close()
+
+
+@pytest.mark.parametrize("spec", ["mem:hub-close-in-turn", "tcp:127.0.0.1:0"])
+def test_an_endpoint_reads_and_sends_nothing_once_its_connection_closes(spec):
+    # the connection closes and, in the same loop turn, before its posted close
+    # callback has run, the endpoint is asked to pull, open and attach
+    listener, client_conn, server = _pair(spec)
+    rx, closed = Collector(), []
+    server.open(rx.on_message, rx.on_close)
+    ep = Endpoint(client_conn, True, on_control=lambda env: None,
+                  on_request=lambda req: None, on_chan_open=lambda env: None,
+                  on_closed=closed.append)
+    ep.start()
+    produced = StreamHandle(parse_codec("Int"))
+    try:
+        def one_turn():
+            ep.conn.close()
+            assert closed == []
+            pulled = ep.pull(VALUE_SIG, parse_codec("Int"))
+            assert pulled.state == FAILED and pulled.error == "connection lost"
+            assert ep.open_stream(STREAM_SIG, parse_codec("Int")).closed
+            ep.attach(2, produced)
+            produced.emit(1)
+
+        loop().call(one_turn)
+        assert rx.closed.wait(5)
+        loop().call(lambda: None)  # after the posted close callback
+        assert closed == ["closed locally"]
+        assert produced._subscribers == {}
+        assert rx.events == [("close", "connection closed")]
+    finally:
+        server.close()
+        listener.close()
 
 
 # --- per-turn batches, with the interleaving forced ------------------------------

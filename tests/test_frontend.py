@@ -3,9 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from helpers import parse_module
 from locic import ast, cli
 from locic.diagnostics import Pos
-from locic.parser import ParseError, parse_module, parse_program, tokenize
+from locic.parser import ParseError, parse_program, tokenize
 from render import render_module
 
 

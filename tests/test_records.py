@@ -51,10 +51,15 @@ def test_importing_the_cli_skips_dataclasses_and_inspect():
     # `arch` and `split` do not load it. The runtime itself carries payloads
     # raw, so it does not load `base64`, and it reads no codec id, so it does
     # not load the parser that `codecs.parse_codec` imports when it is called.
+    # Below the runtime, each layer loads none above it: connection state is
+    # read downward, never reached for upward.
     env = dict(os.environ, PYTHONPATH=str(helpers.ROOT / "src"))
     for imported, unwanted in (
             ("locic.cli", {"dataclasses", "inspect", "locic.transport", "socket", "selectors"}),
-            ("locic.runtime", {"dataclasses", "inspect", "base64", "locic.parser"})):
+            ("locic.runtime", {"dataclasses", "inspect", "base64", "locic.parser"}),
+            ("locic.wire", {"locic.transport", "locic.transmit", "locic.runtime"}),
+            ("locic.transport", {"locic.transmit", "locic.runtime"}),
+            ("locic.transmit", {"locic.runtime"})):
         out = subprocess.run(
             [sys.executable, "-c",
              f"import sys, {imported}; print(sorted({unwanted!r} & set(sys.modules)))"],

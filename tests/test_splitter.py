@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 from locic import arch, ast, checker
-from locic.arch import PeerId, is_subpeer
+from locic.arch import PeerId
 from locic.ast import Multiplicity
 from locic import transport
 from locic.codecs import parse_codec
@@ -160,7 +160,7 @@ def test_dispatch_completeness_bijection():
         for pid, pc in comps.items():
             served_slots = {plan.slot for plan in pc.dispatch.values()}
             expected = {name for name, placed in placements.items()
-                        if is_subpeer(a, pid, placed) and name in serializable}
+                        if placed in a.super_closure(pid) and name in serializable}
             assert served_slots == expected
 
 
