@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import ast
@@ -65,6 +66,22 @@ class Architecture:
     def super_closure(self, p: PeerId) -> frozenset[PeerId]:
         """p together with all transitive super-peers."""
         return self.closures[p]
+
+    @cached_property
+    def inherited_ties(self) -> dict[PeerId, dict[PeerId, Multiplicity]]:
+        """Every peer's ties, declared on it or its super-peers, most specific
+        per target: the runtime connection contract, built once. Targets stay
+        as declared; admission matches a remote against each entry whose target
+        it is a sub-peer of. (The checker's effective ties also widen targets
+        over their sub-peers, a typing notion.)"""
+        table = {}
+        for pid, closure in self.closures.items():
+            merged: dict[PeerId, Multiplicity] = {}
+            for member in closure:
+                for target, mult in self.peers[member].declared_ties.items():
+                    merged[target] = min(mult, merged.get(target, Multiplicity.MULTIPLE))
+            table[pid] = merged
+        return table
 
 
 def super_closures(supers: Mapping[PeerId, Sequence[PeerId]]) -> dict[PeerId, frozenset[PeerId]]:
@@ -202,21 +219,6 @@ def _check_acyclic(peers: dict[PeerId, PeerInfo], m: ast.SurfaceModule,
             return
 
 
-def inherited_ties(a: Architecture, pid: PeerId) -> dict[PeerId, Multiplicity]:
-    """Ties declared on a peer or its super-peers, most specific per target.
-
-    This is the runtime connection contract: targets stay as declared, and
-    admission later matches a remote against an entry whenever the remote is
-    a sub-peer of the entry's target. (The checker's effective-tie table,
-    which also widens targets over their sub-peers, is a typing notion.)
-    """
-    merged: dict[PeerId, Multiplicity] = {}
-    for member in a.closures[pid]:
-        for target, mult in a.peers[member].declared_ties.items():
-            merged[target] = min(mult, merged.get(target, Multiplicity.MULTIPLE))
-    return merged
-
-
 def effective_ties(a: Architecture) -> EffectiveTies:
     """Tie table over all peer pairs; absence of an entry means "not tied".
 
@@ -227,12 +229,14 @@ def effective_ties(a: Architecture) -> EffectiveTies:
     for p, closure in a.closures.items():
         for q in closure:
             sub_peers[q].append(p)
+    order = sorted(a.peers)
     table: EffectiveTies = {}
-    for left in sorted(a.peers):
+    for left in order:
         row: dict[PeerId, Multiplicity] = {}
-        for target, mult in inherited_ties(a, left).items():
-            for right in sub_peers[target]:
-                row[right] = min(mult, row.get(right, mult))
-        for right in sorted(row):
-            table[(left, right)] = row[right]
+        # least specific first, so that the most specific tie is written last
+        for target, mult in sorted(a.inherited_ties[left].items(), key=itemgetter(1), reverse=True):
+            row.update(dict.fromkeys(sub_peers[target], mult))
+        for right in order:
+            if right in row:
+                table[(left, right)] = row[right]
     return table

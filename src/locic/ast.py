@@ -19,11 +19,11 @@ class Multiplicity(enum.IntEnum):
     OPTIONAL = 1
     MULTIPLE = 2
 
-    @property
-    def keyword(self) -> str:
-        return self.name.lower()
+    keyword: str  # its source keyword, "single", "optional" or "multiple"
 
 
+for _m in Multiplicity:
+    _m.keyword = _m.name.lower()
 MULTIPLICITY_BY_KEYWORD = {m.keyword: m for m in Multiplicity}
 
 

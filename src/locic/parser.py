@@ -102,12 +102,9 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.cur = tokens[0]  # always tokens[i]
 
     # -- token plumbing --
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.i]
 
     def peek(self, offset: int = 1) -> Token:
         return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
@@ -119,6 +116,7 @@ class _Parser:
         tok = self.cur
         if tok.kind != "eof":
             self.i += 1
+            self.cur = self.tokens[self.i]
         return tok
 
     def expect(self, *kinds: str) -> Token:

@@ -11,6 +11,13 @@ slot that backs it, whether it is pulled or streamed, and the codec of its
 value (of each element, for a stream). The dispatch table maps value
 signatures to these plans, and a rewritten access site holds the plan of
 the value it reaches, so producer and consumer read the one decision.
+
+What is the same for every component of a module is built once and shared:
+each definition's slots and dispatch entry, every peer's inherited ties, and
+a `ModuleParts` record (root module, includes, peer table) that encodes the
+JSON text of those parts on first emit. A component adds its peer, its ties
+and what is placed on its super-closure. `read_component` builds a
+`ModuleParts` too, so every document is emitted by the one path.
 """
 
 from __future__ import annotations
@@ -18,14 +25,14 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Mapping
 from functools import cached_property, partial
+from json.encoder import encode_basestring
 
 from . import ast, checker
-from .arch import (Architecture, PeerId, inherited_ties, parse_peer_name,
-                   super_closures)
+from .arch import Architecture, PeerId, parse_peer_name, super_closures
 from .ast import Multiplicity
 from .checker import RemoteT, TypedExpr, TypedModule
-from .codecs import Codec, CodecError, parse_codec
-from .records import record
+from .codecs import Codec, CodecError, encode_json, parse_codec
+from .records import record, uncompared
 from .sigs import ModuleSig, PeerSig, ValueSig
 
 
@@ -46,11 +53,6 @@ class Evaluate:
     component that holds it."""
 
     body: TypedExpr
-
-    @cached_property
-    def body_json(self) -> str:
-        """The body's document as JSON, encoded once for all its components."""
-        return _encode(expr_to_doc(self.body))
 
 
 @record
@@ -75,19 +77,64 @@ class RemoteCall(TypedExpr):
 
 
 @record
-class PeerComponent:
-    peer: PeerId
+class ModuleParts:
+    """What every component of one module shares, and the JSON text of the
+    parts its documents repeat, encoded on first emit. `slots` and
+    `dispatch` hold every slot and served value of those components, with
+    their bodies and plans; only the text is built from them, and equality
+    ignores them."""
+
     root_module: ModuleSig
     includes: dict[str, str]  # include alias -> module name
     peer_table: dict[PeerId, tuple[PeerId, ...]]  # peer -> its super-peers
-    tie_table: dict[PeerId, Multiplicity]
-    slots: list[tuple[str, Evaluate | None]]  # None: placed on another peer
-    dispatch: dict[ValueSig, AccessPlan]
+    slots: list[tuple[str, Evaluate | None]] = uncompared(())
+    dispatch: dict[ValueSig, AccessPlan] = uncompared({})
 
     @cached_property
     def closures(self) -> dict[PeerId, frozenset[PeerId]]:
         """Every peer's super-closure, built on first use."""
         return super_closures(self.peer_table)
+
+    @cached_property
+    def names(self) -> dict[PeerId, str]:
+        """Every peer's dotted id."""
+        return {pid: str(pid) for pid in self.peer_table}
+
+    @cached_property
+    def fields_json(self) -> tuple[str, str]:
+        """The shared document text before and after a component's peer id."""
+        names = self.names
+        peers = {names[pid]: [names[s] for s in supers] for pid, supers in self.peer_table.items()}
+        return (f'"format":"{FORMAT}","includes":{_encode(self.includes)},"peer":',
+                f',"peers":{_encode(peers)},"rootModule":{_encode(self.root_module.name)}')
+
+    @cached_property
+    def slots_json(self) -> tuple[dict[str, str], dict[str, str]]:
+        """Each slot's text, as a placeholder and as an evaluated slot."""
+        placeholders = {name: _encode(name) for name, _ in self.slots}
+        evaluated = {name: '{"body":%s,"name":%s}' % (expr_json(ev.body), placeholders[name])
+                     for name, ev in self.slots if ev is not None}
+        return placeholders, evaluated
+
+    @cached_property
+    def dispatch_json(self) -> dict[ValueSig, str]:
+        """Each dispatch entry's text."""
+        return {sig: '{"plan":%s,"val":%s}' % (_plan_json(plan), _encode(sig.canonical))
+                for sig, plan in self.dispatch.items()}
+
+
+@record
+class PeerComponent:
+    peer: PeerId
+    module: ModuleParts
+    tie_table: dict[PeerId, Multiplicity]
+    slots: list[tuple[str, Evaluate | None]]  # None: placed on another peer
+    dispatch: dict[ValueSig, AccessPlan]
+
+    root_module = property(lambda self: self.module.root_module)
+    includes = property(lambda self: self.module.includes)
+    peer_table = property(lambda self: self.module.peer_table)
+    closures = property(lambda self: self.module.closures)
 
     def super_closure(self, p: PeerId) -> frozenset[PeerId]:
         return self.closures[p]
@@ -172,10 +219,8 @@ def split(tm: TypedModule) -> dict[PeerId, PeerComponent]:
         raise SplitError("cannot split a module with diagnostics")
     a = tm.arch
 
-    sigs: dict[str, ValueSig] = {}
     decls = {f.name: f.decl for f in a.defs}
-    for d in tm.defs:
-        sigs[d.name] = value_sig_of(a, d.name, decls[d.name])
+    sigs = {d.name: value_sig_of(a, d.name, decls[d.name]) for d in tm.defs}
 
     # one access plan per definition whose type is serializable
     plans: dict[str, AccessPlan] = {}
@@ -186,33 +231,31 @@ def split(tm: TypedModule) -> dict[PeerId, PeerComponent]:
             continue
 
     declared_types = {d.name: d.declared_type for d in tm.defs}
-    evaluates = {
-        d.name: Evaluate(_rewrite(d.body, plans, sigs, declared_types)) for d in tm.defs
-    }
+    # each definition's two slots, and where it is placed, built once
+    placeholders = [(d.name, None) for d in tm.defs]
+    evaluated = [(d.name, Evaluate(_rewrite(d.body, plans, sigs, declared_types)))
+                 for d in tm.defs]
+    placed: dict[PeerId, list[int]] = {}
+    served: dict[PeerId, dict[ValueSig, AccessPlan]] = {}
+    for i, d in enumerate(tm.defs):
+        placed.setdefault(d.placed_on, []).append(i)
+        if d.name in plans:
+            served.setdefault(d.placed_on, {})[sigs[d.name]] = plans[d.name]
 
-    peer_table = {pid: tuple(sorted(a.peers[pid].supers)) for pid in sorted(a.peers)}
-    root = ModuleSig(a.module_name, ())
-
-    # components share the read-only peer table, include map and evaluated bodies
+    module = ModuleParts(
+        ModuleSig(a.module_name, ()), a.includes,
+        {pid: tuple(sorted(a.peers[pid].supers)) for pid in sorted(a.peers)},
+        evaluated, {sigs[name]: plan for name, plan in plans.items()})
+    # a component fills in the definitions placed on its super-closure
     components: dict[PeerId, PeerComponent] = {}
     for pid in sorted(a.peers):
-        closure = a.closures[pid]
-        slots: list[tuple[str, Evaluate | None]] = []
+        slots = placeholders.copy()
         dispatch: dict[ValueSig, AccessPlan] = {}
-        for d in tm.defs:
-            available = d.placed_on in closure
-            slots.append((d.name, evaluates[d.name] if available else None))
-            if available and d.name in plans:
-                dispatch[sigs[d.name]] = plans[d.name]
-        components[pid] = PeerComponent(
-            peer=pid,
-            root_module=root,
-            includes=a.includes,
-            peer_table=peer_table,
-            tie_table=inherited_ties(a, pid),
-            slots=slots,
-            dispatch=dispatch,
-        )
+        for member in a.closures[pid]:
+            for i in placed.get(member, ()):
+                slots[i] = evaluated[i]
+            dispatch.update(served.get(member, ()))
+        components[pid] = PeerComponent(pid, module, a.inherited_ties[pid], slots, dispatch)
     return components
 
 
@@ -226,8 +269,8 @@ def split(tm: TypedModule) -> dict[PeerId, PeerComponent]:
 Modules = Callable[[tuple[str, ...]], ModuleSig]  # scope -> module, while reading
 
 
-def _plan_doc(plan: AccessPlan) -> dict:
-    return {"slot": plan.slot, "mode": plan.mode, "codec": plan.codec.id}
+def _plan_json(plan: AccessPlan) -> str:
+    return '{"codec":%s,"mode":%s,"slot":%s}' % (_str(plan.codec.id), _str(plan.mode), _str(plan.slot))
 
 
 def _plan_from(doc) -> AccessPlan:
@@ -240,16 +283,20 @@ def _plan_from(doc) -> AccessPlan:
         raise ComponentFormatError(f"access plan for '{slot}': {e}") from None
 
 
-def type_to_doc(t: ast.TypeExpr) -> dict:
+# The writers build each document's text directly, with its keys in sorted
+# order: the text `json.dumps(doc, sort_keys=True, ensure_ascii=False,
+# separators=(",", ":"))` gives for the document the readers take.
+
+def type_json(t: ast.TypeExpr) -> str:
     if isinstance(t, ast.TPrim):
-        return {"k": t.name}
+        return '{"k":%s}' % _str(t.name)
     if isinstance(t, ast.TTuple):
-        return {"k": "Tuple", "items": [type_to_doc(i) for i in t.items]}
+        return '{"items":[%s],"k":"Tuple"}' % ",".join(map(type_json, t.items))
     if isinstance(t, RemoteT):
-        return {"k": "Remote", "peer": str(t.peer)}
+        return '{"k":"Remote","peer":%s}' % _str(str(t.peer))
     if not isinstance(t, ast.TElem):
         raise TypeError(f"cannot serialize type {t!r}")
-    return {"k": t.kind, "elem": type_to_doc(t.elem)}
+    return '{"elem":%s,"k":%s}' % (type_json(t.elem), _str(t.kind))
 
 
 def type_from_doc(doc) -> ast.TypeExpr:
@@ -265,36 +312,31 @@ def type_from_doc(doc) -> ast.TypeExpr:
     return ast.ELEM_TYPES[k](type_from_doc(doc["elem"]))
 
 
-def expr_to_doc(e: TypedExpr) -> dict:
+def expr_json(e: TypedExpr) -> str:
     if isinstance(e, checker.TIntLit):
-        return {"k": "int", "v": e.value}
+        return '{"k":"int","v":%s}' % encode_json(e.value)
     if isinstance(e, checker.TBoolLit):
-        return {"k": "bool", "v": e.value}
+        return '{"k":"bool","v":%s}' % encode_json(e.value)
     if isinstance(e, checker.TStrLit):
-        return {"k": "str", "v": e.value}
+        return '{"k":"str","v":%s}' % encode_json(e.value)
     if isinstance(e, checker.TRef):
-        return {"k": "ref", "name": e.name, "var": e.is_var,
-                "ty": type_to_doc(e.ty)}
+        return '{"k":"ref","name":%s,"ty":%s,"var":%s}' % (
+            _encode(e.name), type_json(e.ty), encode_json(e.is_var))
     if isinstance(e, checker.TBinOp):
-        return {"k": "binop", "op": e.op, "l": expr_to_doc(e.left),
-                "r": expr_to_doc(e.right), "ty": type_to_doc(e.ty)}
+        return '{"k":"binop","l":%s,"op":%s,"r":%s,"ty":%s}' % (
+            expr_json(e.left), _encode(e.op), expr_json(e.right), type_json(e.ty))
     if isinstance(e, checker.TTupleExpr):
-        return {"k": "tuple", "items": [expr_to_doc(i) for i in e.items],
-                "ty": type_to_doc(e.ty)}
+        return '{"items":[%s],"k":"tuple","ty":%s}' % (
+            ",".join(map(expr_json, e.items)), type_json(e.ty))
     if isinstance(e, checker.TStreamMap):
-        return {"k": "map", "src": expr_to_doc(e.source), "var": e.var,
-                "body": expr_to_doc(e.body), "ty": type_to_doc(e.ty)}
+        return '{"body":%s,"k":"map","src":%s,"ty":%s,"var":%s}' % (
+            expr_json(e.body), expr_json(e.source), type_json(e.ty), _encode(e.var))
     if isinstance(e, checker.TStreamSource):
-        return {"k": "source", "ty": type_to_doc(e.ty)}
+        return '{"k":"source","ty":%s}' % type_json(e.ty)
     if isinstance(e, RemoteCall):
-        return {
-            "k": "remotecall",
-            "val": e.value_sig.canonical,
-            "target": str(e.target_peer_id),
-            "mult": e.mult.keyword,
-            "plan": _plan_doc(e.plan),
-            "ty": type_to_doc(e.ty),
-        }
+        return '{"k":"remotecall","mult":"%s","plan":%s,"target":%s,"ty":%s,"val":%s}' % (
+            e.mult.keyword, _plan_json(e.plan), _str(str(e.target_peer_id)),
+            type_json(e.ty), _encode(e.value_sig.canonical))
     raise TypeError(f"cannot serialize expression {e!r}")
 
 
@@ -336,28 +378,23 @@ FORMAT = "locic-component/3"
 
 
 _encode = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode
+_str = encode_basestring  # `_encode` of a str, for text that is always one
 
 
 def emit_component(pc: PeerComponent) -> str:
     """Deterministic document for one component: compact, key-sorted JSON on
-    one line plus a newline. `read_component` inverts it.
-
-    The keys are written in sorted order by hand, so that each evaluated
-    body is spliced in as the text its `Evaluate` encoded once."""
-    slots = ",".join(
-        _encode(name) if ev is None else '{"body":%s,"name":%s}' % (ev.body_json, _encode(name))
-        for name, ev in pc.slots)
-    return ('{"dispatch":%s,"format":"%s","includes":%s,"peer":%s,"peers":%s,'
-            '"rootModule":%s,"slots":[%s],"ties":%s}\n') % (
-        _encode([{"val": sig.canonical, "plan": _plan_doc(plan)}
-                 for sig, plan in sorted(pc.dispatch.items())]),
-        FORMAT,
-        _encode(pc.includes),
-        _encode(str(pc.peer)),
-        _encode({str(pid): [str(s) for s in supers] for pid, supers in pc.peer_table.items()}),
-        _encode(pc.root_module.name),
-        slots,
-        _encode({str(pid): mult.keyword for pid, mult in pc.tie_table.items()}),
+    one line plus a newline. `read_component` inverts it. The keys are
+    written in sorted order by hand, around text its `ModuleParts` encoded."""
+    m = pc.module
+    names, entries = m.names, m.dispatch_json
+    before_peer, after_peer = m.fields_json
+    placeholders, evaluated = m.slots_json
+    return '{"dispatch":[%s],%s%s%s,"slots":[%s],"ties":%s}\n' % (
+        ",".join([entries[sig] for sig in sorted(pc.dispatch)]),
+        before_peer, _str(names[pc.peer]), after_peer,
+        ",".join([placeholders[name] if ev is None else evaluated[name]
+                  for name, ev in pc.slots]),
+        _encode({names[pid]: mult.keyword for pid, mult in pc.tie_table.items()}),
     )
 
 
@@ -392,21 +429,16 @@ def read_component(text: str) -> PeerComponent:
             for s in doc["slots"]
         ]
         names = {name for name, _ in slots}
+        if len(names) < len(slots):  # a slot's text is looked up by its name
+            raise ComponentFormatError("two slots have one name")
         dispatch = {}
         for d in doc["dispatch"]:
             plan = _plan_from(d["plan"])
             if plan.slot not in names:
                 raise ComponentFormatError(f"dispatch entry for unknown slot '{plan.slot}'")
             dispatch[ValueSig(d["val"], modules(def_scope(plan.slot)))] = plan
-        return PeerComponent(
-            peer=peer,
-            root_module=modules(()),
-            includes=includes,
-            peer_table=peer_table,
-            tie_table=tie_table,
-            slots=slots,
-            dispatch=dispatch,
-        )
+        return PeerComponent(peer, ModuleParts(modules(()), includes, peer_table, slots, dispatch),
+                             tie_table, slots, dispatch)
     except (KeyError, TypeError, AttributeError, RecursionError) as e:
         raise ComponentFormatError(f"malformed component document: {e}") from None
 

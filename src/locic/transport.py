@@ -493,7 +493,12 @@ class MemConnection(Connection):
 
     def _start_delivery(self) -> None:
         held, self._held = self._held, None
+        # closed by its peer, not here: what the peer sent before it closed
+        # comes first, and `open` then runs the close callback
+        by_peer = self._closed and self._peer is not None
+        self._closed = self._closed and not by_peer
         self._deliver(held)
+        self._closed = self._closed or by_peer
 
     def _receive(self, batch: list[bytes]) -> None:
         if self._held is not None:

@@ -63,10 +63,14 @@ def test_tracer_hooks_wrap_and_restore():
 
 def test_compile_workload_checks_pass():
     # the tie oracle, the slot marks, byte-stable emit, and read-then-emit,
-    # on generated modules with included peers
+    # on one generated module with included peers of each size class
     gen, workloads = helpers.load_bench("gen"), helpers.load_bench("workloads")
-    pool = gen.inputs("compile", 7)["pool"][:4]
-    assert any("include" in expected["source"] for expected in pool)
+    by_size = {}
+    for expected in gen.inputs("compile", 7)["pool"]:
+        by_size.setdefault(len(expected["evaluated"]) - gen.LIB_PEERS, expected)
+    assert sorted(by_size) == [n_peers for n_peers, _, _ in gen.POOL_CLASSES] == [6, 16, 32, 48]
+    pool = list(by_size.values())
+    assert all("include" in expected["source"] for expected in pool)
     checks = workloads.Checks()
     for expected in pool:
         ties, typed, components = workloads.compile_program(expected["source"])

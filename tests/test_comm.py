@@ -790,6 +790,23 @@ def test_a_tcp_connection_whose_client_closed_before_open_runs_its_close_callbac
         listener.close()
 
 
+@pytest.mark.parametrize("spec", ["mem:hub-send-close-before-open", "tcp:127.0.0.1:0"])
+def test_what_the_peer_sent_before_closing_is_delivered_on_open(spec):
+    # the peer closing is not this end closing: its messages come first
+    listener, client, server = _pair(spec)
+    try:
+        client.send(b"before close")
+        client.close()
+        loop().call(lambda: None)  # after the close reached the other end
+        rx = Collector()
+        server.open(rx.on_message, rx.on_close)
+        assert rx.closed.wait(5)
+        assert rx.events == [("message", b"before close"), ("close", "connection closed")]
+    finally:
+        server.close()
+        listener.close()
+
+
 # --- payload bytes in a live session -------------------------------------------
 
 VALUE_SIG = ValueSig("x:Int", ModuleSig("M"))

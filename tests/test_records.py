@@ -38,9 +38,8 @@ def test_record_contract():
     # derived values are computed once per record
     _, arch, _, typed = helpers.compile_clean(helpers.SIMPLE_MODULE)
     (component,) = splitter.split(typed).values()
-    evaluate = next(plan for _, plan in component.slots if plan is not None)
     codec = parse_codec("(Int, Str)")
-    for owner, name in ((codec, "_coders"), (evaluate, "body_json"),
+    for owner, name in ((codec, "_coders"), (component.module, "slots_json"),
                         (arch, "closures"), (component, "closures")):
         assert getattr(owner, name) is getattr(owner, name)
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from locic import arch, ast, checker
+from locic import arch, ast, checker, parser, splitter
 from locic.arch import PeerId
 from locic.ast import Multiplicity
 from locic import transport
@@ -17,7 +17,7 @@ from locic.runtime import simulate
 from locic.sigs import ModuleSig, PeerSig, ValueSig
 from locic.splitter import (FORMAT, PULL, STREAM, AccessPlan, ComponentFormatError,
                             Evaluate, PeerComponent, RemoteCall, SplitError,
-                            emit_component, expr_to_doc, read_component, split)
+                            emit_component, read_component, split)
 from locic.transmit import FAILED, READY
 
 MYPEER = PeerId((), "MyPeer")
@@ -306,6 +306,40 @@ def test_emit_deterministic():
     assert first == second
 
 
+def _type_doc(t: ast.TypeExpr) -> dict:
+    if isinstance(t, ast.TPrim):
+        return {"k": t.name}
+    if isinstance(t, ast.TTuple):
+        return {"k": "Tuple", "items": [_type_doc(i) for i in t.items]}
+    if isinstance(t, checker.RemoteT):
+        return {"k": "Remote", "peer": str(t.peer)}
+    return {"k": t.kind, "elem": _type_doc(t.elem)}
+
+
+def _expr_doc(e) -> dict:
+    """A slot body's document, built as a dict for `json.dumps`, apart from
+    the text the splitter writes."""
+    if isinstance(e, (checker.TIntLit, checker.TBoolLit, checker.TStrLit)):
+        kind = {checker.TIntLit: "int", checker.TBoolLit: "bool", checker.TStrLit: "str"}
+        return {"k": kind[type(e)], "v": e.value}
+    if isinstance(e, checker.TRef):
+        return {"k": "ref", "name": e.name, "var": e.is_var, "ty": _type_doc(e.ty)}
+    if isinstance(e, checker.TBinOp):
+        return {"k": "binop", "op": e.op, "l": _expr_doc(e.left), "r": _expr_doc(e.right),
+                "ty": _type_doc(e.ty)}
+    if isinstance(e, checker.TTupleExpr):
+        return {"k": "tuple", "items": [_expr_doc(i) for i in e.items], "ty": _type_doc(e.ty)}
+    if isinstance(e, checker.TStreamMap):
+        return {"k": "map", "src": _expr_doc(e.source), "var": e.var,
+                "body": _expr_doc(e.body), "ty": _type_doc(e.ty)}
+    if isinstance(e, checker.TStreamSource):
+        return {"k": "source", "ty": _type_doc(e.ty)}
+    assert isinstance(e, RemoteCall)
+    return {"k": "remotecall", "val": e.value_sig.canonical, "target": str(e.target_peer_id),
+            "mult": e.mult.keyword, "ty": _type_doc(e.ty),
+            "plan": {"slot": e.plan.slot, "mode": e.plan.mode, "codec": e.plan.codec.id}}
+
+
 def _document(pc: PeerComponent) -> dict:
     """The whole document as one dict, which `emit_component` must encode
     as `json.dumps` would."""
@@ -316,7 +350,7 @@ def _document(pc: PeerComponent) -> dict:
         "includes": pc.includes,
         "peers": {str(pid): [str(s) for s in supers] for pid, supers in pc.peer_table.items()},
         "ties": {str(pid): mult.keyword for pid, mult in pc.tie_table.items()},
-        "slots": [name if ev is None else {"name": name, "body": expr_to_doc(ev.body)}
+        "slots": [name if ev is None else {"name": name, "body": _expr_doc(ev.body)}
                   for name, ev in pc.slots],
         "dispatch": [{"val": sig.canonical,
                       "plan": {"slot": plan.slot, "mode": plan.mode, "codec": plan.codec.id}}
@@ -343,6 +377,66 @@ def test_emit_template_matches_the_generic_encoding():
             assert all(ev is evs[0] for ev in evs)
             shared += len(evs) > 1
     assert shared
+
+
+def _bench_module(n_peers=48, n_defs=96, seed=3) -> str:
+    """A generated program of the benchmark's largest size class."""
+    return helpers.load_bench("gen").compile_module(random.Random(seed), n_peers, n_defs)["source"]
+
+
+def test_emit_matches_an_independent_byte_oracle():
+    # canonical JSON bytes from the document itself, and a read-back that
+    # emits the same bytes
+    rng = random.Random(11)
+    programs = [split(_check(helpers.random_checked_module(rng, max_peers=6, max_defs=10))[2])
+                for _ in range(40)]
+    programs.append(split_source(_bench_module())[1])
+    assert len(programs[-1]) == 52
+    for comps in programs:
+        for pc in comps.values():
+            text = emit_component(pc)
+            assert text == json.dumps(json.loads(text), sort_keys=True, ensure_ascii=False,
+                                      separators=(",", ":")) + "\n"
+            assert emit_component(read_component(text)) == text
+
+
+def test_split_and_emit_do_module_work_once_per_module(monkeypatch):
+    *included, main = parser.parse_program(_bench_module())
+    a = arch.resolve_architecture(main, {m.name: m for m in included})
+    # count each read of a peer's declared ties, which the inherited ties
+    # of every peer below it are built from
+    reads = collections.Counter()
+    owner = {}
+
+    class CountedInfo(arch.PeerInfo):
+        @property
+        def declared_ties(self):
+            reads[owner[id(self)]] += 1
+            return vars(self)["declared_ties"]
+
+    for pid, info in list(a.peers.items()):
+        a.peers[pid] = CountedInfo(info.supers, info.declared_ties)
+        owner[id(a.peers[pid])] = pid
+    encoded = collections.Counter()
+    encode = splitter._encode
+
+    def counted_encode(doc):
+        encoded[json.dumps(doc, sort_keys=True)] += 1
+        return encode(doc)
+
+    monkeypatch.setattr(splitter, "_encode", counted_encode)
+    tm = checker.check_module(main, a, arch.effective_ties(a))
+    assert not tm.diagnostics
+    comps = split(tm)
+    texts = [emit_component(pc) for pc in comps.values()]
+    assert len(comps) == 52 and len(a.peers) == 52
+    # each peer's inherited ties are built once: one read of a peer's
+    # declared ties per peer whose super-closure holds it
+    assert reads == collections.Counter(q for p in a.peers for q in a.super_closure(p))
+    # the peer table is encoded once for the module, not once per component
+    table = json.loads(texts[0])["peers"]
+    assert all(json.loads(text)["peers"] == table for text in texts)
+    assert encoded[json.dumps(table, sort_keys=True)] == 1
 
 
 def test_distinct_module_paths_give_distinct_peer_sigs():
@@ -471,6 +565,25 @@ def test_read_component_refuses_peers_missing_from_its_table(edit):
     edit(doc)
     with pytest.raises(ComponentFormatError, match="Ghost"):
         read_component(json.dumps(doc))
+
+
+@pytest.mark.parametrize("second", ["i", {"name": "i", "body": {"k": "int", "v": 2}}])
+def test_read_component_refuses_two_slots_of_one_name(second):
+    doc = _simple_document()
+    doc["slots"].append(second)
+    with pytest.raises(ComponentFormatError, match="two slots have one name"):
+        read_component(json.dumps(doc))
+
+
+def test_emit_writes_back_a_name_of_any_json_type():
+    # the reader does not check that a document's names are strings; emit
+    # writes each back as it came
+    doc = _simple_document()
+    doc["rootModule"] = 7
+    doc["dispatch"][0]["val"] = 5
+    next(slot for slot in doc["slots"] if slot["name"] == "j")["body"]["val"] = [6]
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    assert emit_component(read_component(text)) == text
 
 
 def test_read_component_refuses_a_slot_body_nested_too_deep():
