@@ -13,13 +13,15 @@ Every instance in a process runs on the transport's one event loop, so an
 instance starts no thread and holds no lock. A request or channel-open for
 a slot that is not evaluated yet is a deferred response: it waits in the
 slot's cell, is answered as soon as the slot evaluates, and fails with
-"peer stopped" if the instance stops first. `connect`, `activate` and
-`wait_settled` run their work on the loop and then wait for one completion
-(`Loop.run_until`): while no other thread drives the loop, the calling
-thread drives it, so `simulate` runs every instance on its caller's thread.
-The other public methods run on the loop whichever thread calls them. A
-blocking call made from a callback on the loop cannot wait, so it times out
-at once.
+"peer stopped" if the instance stops first. Other threads cross only at the
+public methods: `listen`, `fire`, `links` and `stop` run on the loop
+(`transport.on_loop`); `connect`, `activate` and `wait_settled` run their
+work on the loop and then wait for one completion (`Loop.run_until`): while
+no other thread drives the loop, the calling thread drives it, so
+`simulate` runs every instance on its caller's thread. `slot`, `slot_state`
+and the reports only read. The futures and streams a slot holds are
+loop-only (`transmit`). A blocking call made from a callback on the loop
+cannot wait, so it times out at once.
 """
 
 from __future__ import annotations
@@ -214,7 +216,6 @@ class PeerInstance:
         self._links.append(link)
         link.endpoint.start()  # the link holds its endpoint before any envelope arrives
 
-    @on_loop
     def _on_inbound(self, conn: transport.Connection) -> None:
         self._make_endpoint(conn, _Link(opener=False), DEFAULT_TIMEOUT)
 

@@ -11,12 +11,13 @@ A request or channel-open may be answered later: the owner's handler
 returns `DEFERRED` and answers with `Endpoint.send` or `Endpoint.attach`
 once it can, without holding up the connection meanwhile.
 
-Every object here lives on the transport's event loop and holds no lock:
-its state changes only on the thread driving the loop. The public methods
-that change state are `transport.on_loop`, so a call from any other thread
-runs on the loop (`Loop.call`). `FutureSlot.wait` is the one way to block:
-it drives the loop until the slot settles, or waits for the thread that
-drives it (`Loop.run_until`).
+Every object here is loop-only, as asyncio's futures and transports are:
+only the thread driving the transport's event loop touches it, so it holds
+no lock and checks no thread. Two methods may be called from any thread:
+`StreamHandle.subscribe` runs on the loop (`transport.on_loop`), and
+`FutureSlot.wait`, the one way to block, drives the loop until the slot
+settles or waits for the thread that drives it (`Loop.run_until`). Any
+other call from another thread goes through `Loop.call`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ class FutureSlot:
             raise ValueError(f"future is {self._state}, not failed")
         return self._error  # type: ignore[return-value]
 
-    @on_loop
     def _settle(self, state: str, value: Any, error: str | None) -> None:
         if self._state != PENDING:
             return
@@ -79,7 +79,6 @@ class FutureSlot:
     def fail(self, error: str) -> None:
         self._settle(FAILED, None, error)
 
-    @on_loop
     def on_settle(self, cb: Callable[["FutureSlot"], None]) -> None:
         """Run cb exactly once when settled; immediately if already settled."""
         if self._state == PENDING:
@@ -136,22 +135,20 @@ class StreamHandle:
 
     @on_loop
     def subscribe(self, cb: Callable[[Any], None]) -> Callable[[], None]:
-        """Register a subscriber; returns an unsubscribe function."""
+        """Register a subscriber; returns a loop-only unsubscribe function."""
         if self._closed:
             return lambda: None
         sub_id = self._next_sub
         self._next_sub += 1
         self._subscribers[sub_id] = cb
-        return on_loop(lambda: self._subscribers.pop(sub_id, None))
+        return lambda: self._subscribers.pop(sub_id, None)
 
-    @on_loop
     def on_close(self, cb: Callable[[], None]) -> None:
         if self._closed:
             cb()
         else:
             self._close_callbacks.append(cb)
 
-    @on_loop
     def emit(self, value: Any, payload: bytes | None = None) -> None:
         """Deliver `value` to every subscriber. `payload`, when given, is the
         value already serialized with `codec`; `encoded` reuses it."""
@@ -174,7 +171,6 @@ class StreamHandle:
         self._encoded = (value, payload)
         return payload
 
-    @on_loop
     def close(self) -> None:
         if self._closed:
             return
@@ -232,7 +228,6 @@ class Endpoint:
         except ConnectionClosed:
             pass
 
-    @on_loop
     def pull(self, sig, codec: Codec) -> FutureSlot:
         """Request the remote value once; a fresh request per call."""
         slot = FutureSlot()
@@ -249,7 +244,6 @@ class Endpoint:
             slot.fail("connection lost")
         return slot
 
-    @on_loop
     def open_stream(self, sig, codec: Codec) -> StreamHandle:
         """Open a typed channel; emissions from the remote stream arrive in order."""
         handle = StreamHandle(codec)

@@ -14,13 +14,16 @@ An exception raised by the receive callback closes the connection with a
 Threading model: one event loop per process (`loop()`: a `selectors`
 selector, a FIFO deque of callbacks and a heap of timers) drives every
 listener and connection and runs every callback. The thread that needs the
-loop drives it (`Loop.call`, `Loop.run_until`, `on_loop`); a call made while
-another thread drives is posted to that thread (`Loop.post`, which wakes it
-through a self-pipe) and waits. Work left when a thread gives the loop back
-(a ready callback, a live timer, a registered socket, an unsent batch)
-passes to a daemon thread, started on first need. TCP sockets are
-non-blocking, but a TCP connect blocks the driving thread. A callback must
-never block: it would hold up the loop that runs it.
+loop drives it (`Loop.call`, `Loop.run_until`); a call made while another
+thread drives is posted to that thread (`Loop.post`, which wakes it through
+a self-pipe) and waits. Besides these, only `listen`, `connect`,
+`Listener.close` and `Connection.open` (`on_loop`), `send` and `close` may
+be called from any thread; the rest is loop-only and checks no thread. Work
+left when a thread gives the loop back (a ready callback, a live timer, a
+registered socket, an unsent batch) passes to a daemon thread, started on
+first need. TCP sockets are non-blocking, but a TCP connect blocks the
+driving thread. A callback must never block: it would hold up the loop that
+runs it.
 
 Batching: a send made on the driving thread joins its connection's batch
 for the current loop turn, and the loop flushes every batch at the end of
@@ -307,7 +310,8 @@ def loop() -> Loop:
 
 
 def on_loop(method):
-    """Decorator: the method always runs on the loop (`Loop.call`)."""
+    """Decorator marking the thread boundary: a public method that other
+    threads call runs on the loop (`Loop.call`)."""
 
     @functools.wraps(method)
     def wrapper(*args, **kwargs):

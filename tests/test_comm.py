@@ -828,7 +828,8 @@ class _RawCodec:
 def _session(spec, payload: bytes):
     """A (client, server stream) pair of endpoints over `spec`. The server
     answers every pull with `payload` and attaches every channel to the
-    returned stream, whose elements go out as their raw bytes."""
+    returned stream, whose elements go out as their raw bytes. Both are
+    loop-only, so a test reaches them through `loop().call`."""
     listener, client_conn, server_conn = _pair(spec)
     stream = StreamHandle(_RawCodec())
 
@@ -863,12 +864,13 @@ def test_non_utf8_payload_bytes_cross_a_live_session_intact(spec):
     odd = b"\xff\x00\xfe\"\xed\xa0\x80\x80"
     client, stream = _session(spec, odd)
     try:
-        received = client.open_stream(STREAM_SIG, _RawCodec())
+        received = loop().call(client.open_stream, STREAM_SIG, _RawCodec())
         first, got = _first(received)
-        pulled = client.pull(VALUE_SIG, _RawCodec())  # answered after the channel attached
+        # answered after the channel attached
+        pulled = loop().call(client.pull, VALUE_SIG, _RawCodec())
         assert pulled.wait(5) and pulled.state == READY and pulled.value == odd
-        stream.emit(odd[::-1])
-        stream.emit(odd)
+        loop().call(stream.emit, odd[::-1])
+        loop().call(stream.emit, odd)
         assert first.wait(5) and first.value == odd[::-1]
         deadline = time.monotonic() + 5
         while len(got) < 2 and time.monotonic() < deadline:
@@ -883,13 +885,13 @@ def test_whitespace_between_header_and_payload_is_refused_by_the_codec(pad):
     # the frame is well formed; its payload is not the canonical bytes of an Int
     client, stream = _session("mem:hub-padded-payload", pad + b"42")
     try:
-        received = client.open_stream(STREAM_SIG, parse_codec("Int"))
+        received = loop().call(client.open_stream, STREAM_SIG, parse_codec("Int"))
         first, got = _first(received)
-        pulled = client.pull(VALUE_SIG, parse_codec("Int"))
+        pulled = loop().call(client.pull, VALUE_SIG, parse_codec("Int"))
         assert pulled.wait(5) and pulled.state == FAILED
         assert "codec Int: invalid encoding" in pulled.error
-        stream.emit(pad + b"42")  # dropped by the codec
-        stream.emit(b"43")
+        loop().call(stream.emit, pad + b"42")  # dropped by the codec
+        loop().call(stream.emit, b"43")
         assert first.wait(5) and got == [43] and not client.conn.closed
     finally:
         client.close()

@@ -350,15 +350,18 @@ def _raw_endpoint(spec: str) -> Endpoint:
 def _try_to_read(instance: PeerInstance, ep: Endpoint):
     """Pull `x` and open a channel to `s` over `ep`, then fire into `s`.
     Returns the settled pull, the values the channel delivered, and whether
-    the channel was closed."""
-    pulled = ep.pull(X_SIG, parse_codec("Int"))
-    chan = ep.open_stream(S_SIG, parse_codec("Int"))
+    the channel was closed. The endpoint is loop-only, and the instance's
+    handshake deadline keeps the daemon driving, so it is reached through
+    `loop().call`."""
+    call = transport.loop().call
+    pulled = call(ep.pull, X_SIG, parse_codec("Int"))
+    chan = call(ep.open_stream, S_SIG, parse_codec("Int"))
     got = []
     chan.subscribe(got.append)
     assert pulled.wait(5)
     instance.fire("s", 1)
     # the answer to a later pull comes after anything the fire sent
-    assert ep.pull(X_SIG, parse_codec("Int")).wait(5)
+    assert call(ep.pull, X_SIG, parse_codec("Int")).wait(5)
     return pulled, got, chan.closed
 
 
@@ -484,8 +487,8 @@ def test_spoke_refused_by_a_single_tie_reads_nothing(instances):
     ep = _raw_endpoint(hub)
     try:
         ep.send(Hello(spoke.root_module, spoke.sig))
-        pulled = ep.pull(X_SIG, parse_codec("Int"))
-        chan = ep.open_stream(S_SIG, parse_codec("Int"))
+        pulled = transport.loop().call(ep.pull, X_SIG, parse_codec("Int"))
+        chan = transport.loop().call(ep.open_stream, S_SIG, parse_codec("Int"))
         assert pulled.wait(5)
     finally:
         ep.close()
@@ -524,14 +527,15 @@ def test_dispatch_not_found_and_failure(instances):
     instances.extend(sims)
     a = sims[0]
     link = a._links[0]
-    unknown = link.endpoint.pull(ValueSig("ghost:Int", ModuleSig("SimpleModule")),
-                                 parse_codec("Int"))
+    unknown = transport.loop().call(link.endpoint.pull,
+                                    ValueSig("ghost:Int", ModuleSig("SimpleModule")),
+                                    parse_codec("Int"))
     assert unknown.wait(5)
     assert unknown.state == FAILED
     assert "value not found" in unknown.error
     # j: Future[Int] is placed here but not serializable, so not dispatchable
     j_sig = ValueSig("j:Future[Int]", ModuleSig("SimpleModule"))
-    refused = link.endpoint.pull(j_sig, parse_codec("Int"))
+    refused = transport.loop().call(link.endpoint.pull, j_sig, parse_codec("Int"))
     assert refused.wait(5)
     assert refused.state == FAILED
 
@@ -878,7 +882,7 @@ def test_fire_on_closed_stream_errors(instances):
     """)
     instance = start(comps[PeerId((), "P")], [], [], timeout=5)
     instances.append(instance)
-    instance.slot("s").close()
+    transport.loop().call(instance.slot("s").close)
     with pytest.raises(StreamClosed):
         instance.fire("s", 1)
 
@@ -1043,7 +1047,8 @@ def test_hello_delivered_during_endpoint_setup_is_handled(instances):
     instance = PeerInstance(component)
     instances.append(instance)
     conn = _EagerConnection([encode_envelope(Hello(component.root_module, component.sig))])
-    instance._on_inbound(conn)  # the accepting side, as a listener calls it
+    # the accepting side, on the loop as a listener calls it
+    transport.loop().call(instance._on_inbound, conn)
     assert not conn.closed
     assert conn.sent == [HelloAck(True), Hello(component.root_module, component.sig)]
 

@@ -3,12 +3,11 @@ import time
 
 import pytest
 
-from locic import transport
 from locic.codecs import parse_codec
 from locic.sigs import ModuleSig, ValueSig
 from locic.transmit import (DEFERRED, FAILED, PENDING, READY, Endpoint, FutureSlot,
                             StreamClosed, StreamHandle)
-from locic.transport import connect, listen
+from locic.transport import connect, listen, loop
 from locic.wire import Response
 
 MOD = ModuleSig("M")
@@ -42,6 +41,7 @@ def test_future_callback_after_settlement_fires_immediately():
 
 
 def test_future_settle_register_race_fires_exactly_once():
+    # a future is loop-only: two threads reach it through the loop
     for _ in range(50):
         slot = FutureSlot()
         count = [0]
@@ -49,11 +49,11 @@ def test_future_settle_register_race_fires_exactly_once():
 
         def settle():
             barrier.wait()
-            slot.resolve(1)
+            loop().call(slot.resolve, 1)
 
         def register():
             barrier.wait()
-            slot.on_settle(lambda s: count.__setitem__(0, count[0] + 1))
+            loop().call(slot.on_settle, lambda s: count.__setitem__(0, count[0] + 1))
 
         t1, t2 = threading.Thread(target=settle), threading.Thread(target=register)
         t1.start(); t2.start(); t1.join(); t2.join()
@@ -125,7 +125,9 @@ _counter = [0]
 
 def endpoint_pair(server_value=1, stream: StreamHandle | None = None):
     """A connected (client, server) endpoint pair; the server answers x:Int
-    requests with `server_value` and chan-opens on s:Stream[Int] with `stream`."""
+    requests with `server_value` and chan-opens on s:Stream[Int] with `stream`.
+    Endpoints and streams are loop-only, so the tests below reach them
+    through `loop().call`."""
     _counter[0] += 1
     hub = f"mem:transmit-{_counter[0]}"
     server_holder = {}
@@ -165,7 +167,7 @@ def endpoint_pair(server_value=1, stream: StreamHandle | None = None):
 
 def test_pull_resolves_future():
     client, server = endpoint_pair(server_value=1)
-    slot = client.pull(SIG_X, INT)
+    slot = loop().call(client.pull, SIG_X, INT)
     assert slot.wait(5)
     assert slot.state == READY
     assert slot.value == 1
@@ -174,7 +176,7 @@ def test_pull_resolves_future():
 
 def test_pull_unknown_sig_fails():
     client, server = endpoint_pair()
-    slot = client.pull(ValueSig("ghost:Int", MOD), INT)
+    slot = loop().call(client.pull, ValueSig("ghost:Int", MOD), INT)
     assert slot.wait(5)
     assert slot.state == FAILED
     assert "value not found" in slot.error
@@ -191,7 +193,7 @@ def test_each_pull_sends_a_fresh_request():
         original(env)
 
     client.send = counting_send
-    slots = [client.pull(SIG_X, INT) for _ in range(5)]
+    slots = [loop().call(client.pull, SIG_X, INT) for _ in range(5)]
     for slot in slots:
         assert slot.wait(5)
         assert slot.value == 7
@@ -222,7 +224,7 @@ def test_connection_loss_fails_pending_pulls():
                       on_chan_open=lambda e: None, on_closed=lambda r: None)
     client.start()
     listener.close()
-    slots = [client.pull(SIG_X, INT) for _ in range(3)]
+    slots = [loop().call(client.pull, SIG_X, INT) for _ in range(3)]
     client.close()
     for slot in slots:
         assert slot.wait(5)
@@ -233,14 +235,14 @@ def test_connection_loss_fails_pending_pulls():
 def test_open_stream_receives_emissions_in_order():
     produced = StreamHandle(INT)
     client, server = endpoint_pair(stream=produced)
-    handle = client.open_stream(SIG_S, INT)
+    handle = loop().call(client.open_stream, SIG_S, INT)
     got = []
     handle.subscribe(got.append)
     deadline = time.time() + 5
     while not produced._subscribers and time.time() < deadline:
         time.sleep(0.01)
     for n in (1, 2, 3):
-        produced.emit(n)
+        loop().call(produced.emit, n)
     _wait(lambda: len(got) == 3)
     assert got == [1, 2, 3]
     client.close()
@@ -249,15 +251,15 @@ def test_open_stream_receives_emissions_in_order():
 def test_closed_channel_sees_no_emissions():
     produced = StreamHandle(INT)
     client, server = endpoint_pair(stream=produced)
-    handle = client.open_stream(SIG_S, INT)
+    handle = loop().call(client.open_stream, SIG_S, INT)
     deadline = time.time() + 5
     while not produced._subscribers and time.time() < deadline:
         time.sleep(0.01)
     got = []
     handle.subscribe(got.append)
-    handle.close()
+    loop().call(handle.close)
     _wait(lambda: not produced._subscribers)  # forward detached on ChanClose
-    produced.emit(42)
+    loop().call(produced.emit, 42)
     time.sleep(0.1)
     assert got == []
     client.close()
@@ -265,7 +267,7 @@ def test_closed_channel_sees_no_emissions():
 
 def test_chan_open_refused_closes_handle():
     client, server = endpoint_pair(stream=None)
-    handle = client.open_stream(SIG_S, INT)
+    handle = loop().call(client.open_stream, SIG_S, INT)
     _wait(lambda: handle.closed)
     client.close()
 
@@ -296,15 +298,15 @@ def test_two_channels_each_receive_their_own_stream():
                       on_chan_open=lambda e: None, on_closed=lambda r: None)
     client.start()
     listener.close()
-    h1 = client.open_stream(sig1, INT)
-    h2 = client.open_stream(sig2, INT)
+    h1 = loop().call(client.open_stream, sig1, INT)
+    h2 = loop().call(client.open_stream, sig2, INT)
     got1, got2 = [], []
     h1.subscribe(got1.append)
     h2.subscribe(got2.append)
     _wait(lambda: s1._subscribers and s2._subscribers)
     for n in range(50):
-        s1.emit(n)
-        s2.emit(1000 + n)
+        loop().call(s1.emit, n)
+        loop().call(s2.emit, 1000 + n)
     _wait(lambda: len(got1) == 50 and len(got2) == 50)
     assert got1 == list(range(50))
     assert got2 == [1000 + n for n in range(50)]
@@ -313,10 +315,10 @@ def test_two_channels_each_receive_their_own_stream():
 
 def test_channel_ids_do_not_collide():
     client, server = endpoint_pair(stream=StreamHandle(INT))
-    client.open_stream(SIG_S, INT)
-    client_chans = transport.loop().call(lambda: set(client._local_chans))
-    server.open_stream(SIG_S, INT)
-    server_chans = transport.loop().call(lambda: set(server._local_chans))
+    loop().call(client.open_stream, SIG_S, INT)
+    client_chans = loop().call(lambda: set(client._local_chans))
+    loop().call(server.open_stream, SIG_S, INT)
+    server_chans = loop().call(lambda: set(server._local_chans))
     assert all(c % 2 == 1 for c in client_chans)
     assert all(c % 2 == 0 for c in server_chans)
     client.close()
@@ -334,12 +336,12 @@ def _wait(predicate, timeout=5.0):
 def test_n_channels_on_one_stream_all_receive():
     produced = StreamHandle(INT)
     client, server = endpoint_pair(stream=produced)
-    handles = [client.open_stream(SIG_S, INT) for _ in range(3)]
+    handles = [loop().call(client.open_stream, SIG_S, INT) for _ in range(3)]
     logs = [[] for _ in handles]
     for handle, log in zip(handles, logs):
         handle.subscribe(log.append)
     _wait(lambda: len(produced._subscribers) == 3)
-    produced.emit(7)
+    loop().call(produced.emit, 7)
     _wait(lambda: all(log == [7] for log in logs))
     client.close()
 
@@ -386,16 +388,16 @@ def test_raising_subscriber_closes_link_and_fails_pending_futures():
     client.start()
     listener.close()
     try:
-        handle = client.open_stream(SIG_S, INT)
+        handle = loop().call(client.open_stream, SIG_S, INT)
 
         def subscriber(value):
             raise RuntimeError(f"subscriber failed on {value}")
 
         handle.subscribe(subscriber)
-        slot = client.pull(SIG_X, INT)
+        slot = loop().call(client.pull, SIG_X, INT)
         # the server handles the channel-open before the request
         assert requested.wait(5)
-        produced.emit(7)
+        loop().call(produced.emit, 7)
         assert closed.wait(5)
         assert reasons == ["handler error: RuntimeError: subscriber failed on 7"]
         assert slot.wait(5)
