@@ -6,7 +6,10 @@ their canonical JSON bytes. Serialization is total for well-typed values;
 deserialization is strict: bytes decode successfully only if they are
 exactly the canonical encoding of some value of the codec's type, so
 corrupted input is either rejected or re-encodes to itself. One walk of the
-type compiles the codec's writer and its reader, on the codec's first use.
+type compiles the codec's writer and its reader, on the codec's first use;
+they make no call per primitive item, and `deserialize` calls the JSON
+scanner and encoder directly, so reading an `(Int, Str)` makes two Python
+calls.
 
 A codec's id is its type's text (`str(ty)`): `Int`, `Bool`, `Str`, `Unit`,
 or a tuple such as `(Int, (Str, Bool))`. `parse_codec` reads an id back with
@@ -71,7 +74,10 @@ Reader = Callable[[Any], Any]  # a parsed JSON document -> the value it holds
 
 def _compile(ty: ast.TypeExpr) -> tuple[Writer, Reader]:
     """The writer and the reader of a data type; each raises CodecError on
-    what the type does not hold."""
+    what the type does not hold. A tuple's coders check the exact type of
+    every item in one C pass (`map(type, ...)`) and call only the coders of
+    tuple items; anything else goes item by item, which accepts an `int`
+    subclass, say, and names the innermost type that refuses."""
     if isinstance(ty, ast.TPrim):
         kind, refused, noun = _PRIMITIVES[ty.name]
 
@@ -87,16 +93,32 @@ def _compile(ty: ast.TypeExpr) -> tuple[Writer, Reader]:
         return write, read
     writers, readers = zip(*map(_compile, ty.items))
     size = len(writers)
+    nested = [(k, writers[k], readers[k]) for k, item in enumerate(ty.items)
+              if isinstance(item, ast.TTuple)]
+    value_types = tuple(tuple if isinstance(item, ast.TTuple) else _PRIMITIVES[item.name][0]
+                        for item in ty.items)
+    doc_types = tuple(list if t is tuple else t for t in value_types)
 
     def write_tuple(value: Any) -> list:
+        if type(value) is tuple and tuple(map(type, value)) == value_types:
+            doc = list(value)
+            for k, write, _ in nested:
+                doc[k] = write(doc[k])
+            return doc
         if not isinstance(value, tuple) or len(value) != size:
             raise CodecError(f"{ty} codec cannot serialize {value!r}")
         return [write(v) for write, v in zip(writers, value)]
 
     def read_tuple(doc: Any) -> tuple:
+        if type(doc) is list and tuple(map(type, doc)) == doc_types:
+            if nested:
+                doc = doc.copy()
+                for k, _, read in nested:
+                    doc[k] = read(doc[k])
+            return tuple(doc)
         if type(doc) is not list or len(doc) != size:
             raise CodecError(f"expected a {ty}, got {doc!r}")
-        return tuple(read(d) for read, d in zip(readers, doc))
+        return tuple(read(d) for read, d in zip(readers, doc))  # some item refuses
     return write_tuple, read_tuple
 
 
@@ -127,14 +149,19 @@ class Codec:
     def serialize(self, value: Any) -> bytes:
         doc = self._coders[0](value)
         try:
-            return encode_json(doc).encode("utf-8")
+            return "".join(_encode(doc, 0)).encode("utf-8")
         except ValueError as e:  # a lone surrogate, or an int too long to print
             raise CodecError(f"{self.id} codec cannot serialize this value: {e}") from None
 
     def deserialize(self, data: bytes) -> Any:
         try:
             text = data.decode("utf-8")
-            doc = decode_json(text)
+            doc, end = _scan(text, 0)
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
+        except StopIteration as e:  # the scanner's "no value starts here"
+            error = json.JSONDecodeError("Expecting value", text, e.value)
+            raise CodecError(f"codec {self.id}: invalid encoding: {error}") from None
         except (ValueError, RecursionError) as e:  # also an overlong int, or deep nesting
             raise CodecError(f"codec {self.id}: invalid encoding: {e}") from None
         try:
@@ -142,7 +169,7 @@ class Codec:
         except CodecError as e:
             raise CodecError(f"codec {self.id}: {e}") from None
         # the document re-encodes to the bytes it came from only if they were canonical
-        if encode_json(doc) != text:
+        if "".join(_encode(doc, 0)) != text:
             raise CodecError(f"codec {self.id}: non-canonical encoding")
         return value
 

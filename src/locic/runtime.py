@@ -7,7 +7,9 @@ tie has its remote, evaluates the slots available on its peer in source
 order, and serves remote dispatch: a request or channel-open looks up the
 access plan of the value it names and reads the plan's slot. Remote-access
 sites in slot bodies produce futures (pull) or stream handles (connected
-channels) shaped by the tie multiplicity.
+channels) shaped by the tie multiplicity. A `.map` body is compiled once,
+when its stream is made, into closures of the mapped value; slot reads,
+remote pulls and evaluation errors still happen at each message.
 
 Every instance in a process runs on the transport's one event loop, so an
 instance starts no thread and holds no lock. A request or channel-open for
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from typing import Any, Callable
 
 from . import ast, transmit, transport, wire
@@ -50,6 +53,10 @@ DEFAULT_TIMEOUT = 10.0
 # how a failed handshake failed, besides a rejection
 _HANDSHAKE_TIMED_OUT = "handshake timed out"
 _CLOSED_IN_HANDSHAKE = "connection closed during handshake"
+
+
+# the binary operators on Ints; any other operator is `==`
+_BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "<": operator.lt}
 
 
 class StartError(Exception):
@@ -371,16 +378,7 @@ class PeerInstance:
             return self._read_slot(e.name)
         if isinstance(e, TBinOp):
             left = self._eval(e.left, env)
-            right = self._eval(e.right, env)
-            if e.op == "+":
-                return left + right
-            if e.op == "-":
-                return left - right
-            if e.op == "*":
-                return left * right
-            if e.op == "<":
-                return left < right
-            return left == right
+            return _BINOPS.get(e.op, operator.eq)(left, self._eval(e.right, env))
         if isinstance(e, TTupleExpr):
             return tuple(self._eval(i, env) for i in e.items)
         if isinstance(e, TStreamSource):
@@ -400,13 +398,11 @@ class PeerInstance:
         if not isinstance(source, StreamHandle):
             raise EvalError("'.map' applied to a non-stream value")
         derived = self._fresh_stream(e.ty)
-        captured = dict(env)
+        body, emit = self._compile(e.body, e.var, env), derived.emit
 
         def on_emit(value):
-            inner = dict(captured)
-            inner[e.var] = value
             try:
-                derived.emit(self._eval(e.body, inner))
+                emit(body(value))
             except (EvalError, transmit.StreamClosed):
                 pass
 
@@ -414,6 +410,27 @@ class PeerInstance:
         source.on_close(derived.close)
         derived.on_close(unsubscribe)
         return derived
+
+    def _compile(self, e: TypedExpr, var: str, env: dict[str, Any]) -> Callable[[Any], Any]:
+        """`e` as a closure of the value of `var`, the other variables fixed
+        by `env`: `_eval(e, {**env, var: value})`, with the tree walked once.
+        Slot reads and remote accesses still happen at each call."""
+        if isinstance(e, TRef) and e.is_var and e.name == var:
+            return lambda value: value
+        if isinstance(e, (TIntLit, TBoolLit, TStrLit)) or isinstance(e, TRef) and e.is_var:
+            const = env[e.name] if isinstance(e, TRef) else e.value
+            return lambda _value: const
+        if isinstance(e, TBinOp):
+            op = _BINOPS.get(e.op, operator.eq)
+            left, right = self._compile(e.left, var, env), self._compile(e.right, var, env)
+            return lambda value: op(left(value), right(value))
+        if isinstance(e, TTupleExpr):
+            items = [self._compile(i, var, env) for i in e.items]
+            return lambda value: tuple([item(value) for item in items])
+        if isinstance(e, TRef):
+            read, name = self._read_slot, e.name
+            return lambda _value: read(name)
+        return lambda value: self._eval(e, {**env, var: value})
 
     def _eval_remote_call(self, call: RemoteCall) -> Any:
         links = self._links_for(call.target_peer_id)

@@ -124,6 +124,7 @@ class StreamHandle:
     def __init__(self, codec: Codec | None = None):
         self.codec = codec
         self._subscribers: dict[int, Callable[[Any], None]] = {}
+        self._emit_to: tuple[Callable[[Any], None], ...] = ()  # the subscribers, as emit runs them
         self._next_sub = 0
         self._closed = False
         self._close_callbacks: list[Callable[[], None]] = []
@@ -141,7 +142,12 @@ class StreamHandle:
         sub_id = self._next_sub
         self._next_sub += 1
         self._subscribers[sub_id] = cb
-        return lambda: self._subscribers.pop(sub_id, None)
+        self._emit_to = tuple(self._subscribers.values())
+        return lambda: self._unsubscribe(sub_id)
+
+    def _unsubscribe(self, sub_id: int) -> None:
+        self._subscribers.pop(sub_id, None)
+        self._emit_to = tuple(self._subscribers.values())
 
     def on_close(self, cb: Callable[[], None]) -> None:
         if self._closed:
@@ -154,16 +160,16 @@ class StreamHandle:
         value already serialized with `codec`; `encoded` reuses it."""
         if self._closed:
             raise StreamClosed("stream is closed")
-        self._encoded = None if payload is None else (value, payload)
-        try:
-            for cb in list(self._subscribers.values()):
-                cb(value)
-        finally:
-            self._encoded = None
+        if payload is not None:
+            self._encoded = (value, payload)
+        for cb in self._emit_to:
+            cb(value)
 
     def encoded(self, value: Any) -> bytes:
-        """`value` serialized with `codec`. During an emission the bytes are
-        made once and shared by every subscriber that asks for them."""
+        """`value` serialized with `codec`. The bytes of the value last
+        serialized or emitted with its payload are kept, keyed by the value's
+        identity, so every subscriber of an emission shares them; values are
+        immutable, so kept bytes never go stale."""
         memo = self._encoded
         if memo is not None and memo[0] is value:
             return memo[1]
@@ -176,6 +182,7 @@ class StreamHandle:
             return
         self._closed = True
         self._subscribers.clear()
+        self._emit_to = ()
         callbacks, self._close_callbacks = self._close_callbacks, []
         for cb in callbacks:
             cb()

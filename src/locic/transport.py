@@ -28,10 +28,12 @@ runs it.
 Batching: a send made on the driving thread joins its connection's batch
 for the current loop turn, and the loop flushes every batch at the end of
 the turn (Nagle's idea, RFC 896, with the turn in place of a timer). A mem
-batch reaches the peer as one loop callback; a TCP batch leaves in one
-`sock.send` of all its frames. A send from any other thread is posted to
-the loop, which adds it to the batch there. Closing a connection flushes
-its batch first, so the peer gets every message sent before the close.
+batch joins the loop's ready FIFO as one callback for the peer, and a mem
+close follows the batches sent before it there, as a TCP end of stream
+does; a TCP batch leaves in one `sock.send` of all its frames. A send from
+any other thread is posted to the loop, which adds it to the batch there.
+Closing a connection flushes its batch first, so the peer gets every
+message sent before the close.
 """
 
 from __future__ import annotations
@@ -110,7 +112,9 @@ class Loop:
         os.set_blocking(self._wake_r, False)
         os.set_blocking(self._wake_w, False)
         self.selector.register(self._wake_r, selectors.EVENT_READ, self._drain_wake)
-        self._watched = self.selector.get_map()  # a live view; the wake pipe is one entry
+        # the selector's fd table, a dict in every stdlib selector: its len()
+        # runs no Python code, as `get_map()`'s does; the wake pipe is one entry
+        self._watched = self.selector._fd_to_key
 
     def post(self, fn: Callable, *args) -> None:
         """Run fn(*args) on the loop after everything posted before it.
@@ -266,10 +270,12 @@ class Loop:
         """Send every batch filled since the last flush, the end of a turn."""
         dirty, self._dirty = self._dirty, []
         for conn in dirty:
-            try:
-                conn._flush_batch()
-            except Exception as e:
-                _log_failure("event loop flush failed", e)
+            batch, conn._batch = conn._batch, None
+            if batch is not None:  # else flushed by a close since
+                try:
+                    conn._send(batch)
+                except Exception as e:
+                    _log_failure("event loop flush failed", e)
 
     def _queue_due_timers(self) -> float | None:
         """Move every due timer's callback to the ready FIFO; returns the
@@ -317,7 +323,9 @@ def on_loop(method):
     def wrapper(*args, **kwargs):
         if _loop is not None and _loop._owner == threading.get_ident():
             return method(*args, **kwargs)
-        return loop().call(functools.partial(method, *args, **kwargs))
+        if kwargs:
+            return loop().call(functools.partial(method, *args, **kwargs))
+        return (_loop or loop()).call(method, *args)
 
     return wrapper
 
@@ -376,11 +384,6 @@ class Connection:
         else:
             batch.append(data)
 
-    def _flush_batch(self) -> None:
-        batch, self._batch = self._batch, None
-        if batch is not None:
-            self._send(batch)
-
     def close(self, reason: str = "closed locally") -> None:
         if self._closed:
             return
@@ -388,7 +391,9 @@ class Connection:
         self._loop.call(self._take_down, reason)
 
     def _take_down(self, reason: str) -> None:
-        self._flush_batch()
+        batch, self._batch = self._batch, None
+        if batch is not None:
+            self._send(batch)
         self._close(reason)
         self._loop.post(self._fire_close, reason)
 
@@ -487,26 +492,28 @@ _mem_hubs: dict[str, Callable[["Connection"], None]] = {}
 
 
 class MemConnection(Connection):
-    """One end of an in-process pair. A flushed batch is posted to the loop
-    as one delivery, so the loop's FIFO keeps every connection's order."""
+    """One end of an in-process pair. A flushed batch goes to the loop's
+    ready FIFO as one delivery, so the FIFO keeps every connection's order.
+    A close reaches the peer the same way, after every batch sent before it,
+    as a TCP end of stream does: the peer reads `closed` once that close is
+    delivered, after its `open()`."""
 
     def __init__(self):
         super().__init__()
         self._peer: MemConnection | None = None  # None once closed
-        self._held: list[bytes] | None = []  # arrived before open(); None once open
+        self._held: list[list[bytes] | None] | None = []  # arrived before open(); None once open
 
     def _start_delivery(self) -> None:
         held, self._held = self._held, None
-        # closed by its peer, not here: what the peer sent before it closed
-        # comes first, and `open` then runs the close callback
-        by_peer = self._closed and self._peer is not None
-        self._closed = self._closed and not by_peer
-        self._deliver(held)
-        self._closed = self._closed or by_peer
+        for batch in held:
+            self._receive(batch)
 
-    def _receive(self, batch: list[bytes]) -> None:
+    def _receive(self, batch: list[bytes] | None) -> None:
+        """Deliver a batch from the peer, or its close (None)."""
         if self._held is not None:
-            self._held += batch
+            self._held.append(batch)
+        elif batch is None:
+            self._fire_close("connection closed")
         else:
             self._deliver(batch)
 
@@ -517,14 +524,13 @@ class MemConnection(Connection):
         return bytes(data)
 
     def _send(self, batch: list[bytes]) -> None:
-        if self._peer is not None:
-            self._loop.post(self._peer._receive, batch)
+        if self._peer is not None:  # on the loop, so no thread to wake
+            self._loop._ready.append((self._peer._receive, (batch,)))
 
     def _close(self, reason: str) -> None:
         peer, self._peer = self._peer, None
         if peer is not None:
-            # after every message already sent, the peer learns of the close
-            self._loop.post(peer._fire_close, "connection closed")
+            self._loop._ready.append((peer._receive, (None,)))
 
 
 def _mem_listen(name: str, on_connection) -> Listener:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from locic import arch, ast, checker, parser
 from locic.ast import Multiplicity
+from locic.codecs import CodecError, decode_json, encode_json
 from locic.diagnostics import Diagnostic, Pos
 from locic.parser import KEYWORDS
 from locic.sigs import ModuleSig, PeerSig, ValueSig
@@ -328,6 +329,71 @@ def reference_tokenize(source: str) -> list[parser.Token]:
             err(f"unexpected character {c!r}", pos)
     tokens.append(parser.Token("eof", "", Pos(line, col)))
     return tokens
+
+
+# --- reference codec ---------------------------------------------------------
+
+_REFERENCE_PRIMITIVES = {"Int": (int, bool, "an Int"), "Bool": (bool, (), "a Bool"),
+                         "Str": (str, (), "a Str"), "Unit": (type(None), (), "Unit")}
+
+
+def _reference_coders(ty: ast.TypeExpr):
+    if isinstance(ty, ast.TPrim):
+        kind, refused, noun = _REFERENCE_PRIMITIVES[ty.name]
+
+        def write(value):
+            if not isinstance(value, kind) or isinstance(value, refused):
+                raise CodecError(f"{ty} codec cannot serialize {value!r}")
+            return value
+
+        def read(doc):
+            if type(doc) is not kind:
+                raise CodecError(f"expected {noun}, got {doc!r}")
+            return doc
+        return write, read
+    writers, readers = zip(*map(_reference_coders, ty.items))
+    size = len(writers)
+
+    def write_tuple(value):
+        if not isinstance(value, tuple) or len(value) != size:
+            raise CodecError(f"{ty} codec cannot serialize {value!r}")
+        return [write(v) for write, v in zip(writers, value)]
+
+    def read_tuple(doc):
+        if type(doc) is not list or len(doc) != size:
+            raise CodecError(f"expected a {ty}, got {doc!r}")
+        return tuple(read(d) for read, d in zip(readers, doc))
+    return write_tuple, read_tuple
+
+
+def reference_codec(ty: ast.TypeExpr):
+    """The (serialize, deserialize) pair of the item-by-item closure codec
+    that `codecs.Codec` replaced, kept as the oracle for its bytes, values
+    and refusal texts."""
+    codec_id = str(ty)
+    write, read = _reference_coders(ty)
+
+    def serialize(value) -> bytes:
+        doc = write(value)
+        try:
+            return encode_json(doc).encode("utf-8")
+        except ValueError as e:
+            raise CodecError(f"{codec_id} codec cannot serialize this value: {e}") from None
+
+    def deserialize(data: bytes):
+        try:
+            text = data.decode("utf-8")
+            doc = decode_json(text)
+        except (ValueError, RecursionError) as e:
+            raise CodecError(f"codec {codec_id}: invalid encoding: {e}") from None
+        try:
+            value = read(doc)
+        except CodecError as e:
+            raise CodecError(f"codec {codec_id}: {e}") from None
+        if encode_json(doc) != text:
+            raise CodecError(f"codec {codec_id}: non-canonical encoding")
+        return value
+    return serialize, deserialize
 
 
 # --- walking typed bodies ----------------------------------------------------

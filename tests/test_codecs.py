@@ -269,3 +269,91 @@ def _samples(codec_id):
         "(Int, Str)": [(1, "a"), (-2, "")],
         "(Bool, (Int, Int))": [(True, (1, 2))],
     }[codec_id]
+
+
+# --- against the reference codec ------------------------------------------------
+
+class _Int(int):
+    """An `int` subclass: an Int codec writes it; a reader never makes one."""
+
+
+_PRIM_VALUES = {"Int": [0, -7, 2**70, _Int(5)], "Bool": [True, False],
+                "Str": ["", 'é"\\\n\x00'], "Unit": [None]}
+_WRONG_VALUES = [True, 1, "1", None, [1, "a"], (1,), (1, "a", None), b"x"]
+
+
+def _data_types():
+    """Every data type of at most three levels (a primitive is one) whose
+    tuples have two items, and every triple of primitives."""
+    prims = [ast.TPrim(name) for name in ("Int", "Bool", "Str", "Unit")]
+    two_levels = prims + [ast.TTuple((a, b)) for a in prims for b in prims]
+    return (prims + [ast.TTuple((a, b)) for a in two_levels for b in two_levels]
+            + [ast.TTuple((a, b, c)) for a in prims for b in prims for c in prims])
+
+
+def _values(ty, k: int) -> list:
+    """A few values of `ty`, the k-th of each primitive's samples first."""
+    if isinstance(ty, ast.TPrim):
+        samples = _PRIM_VALUES[ty.name]
+        return samples[k % len(samples):] + samples[:k % len(samples)]
+    columns = [_values(item, k + n) for n, item in enumerate(ty.items)]
+    return [tuple(column[n % len(column)] for column in columns) for n in range(3)]
+
+
+def _payloads(good: bytes) -> list[bytes]:
+    """Non-canonical, wrong-arity and malformed variants of `good`."""
+    text = good.decode("utf-8")
+    return [b" " + good, good + b" ", good.replace(b",", b", "), good[:-1], good + b"]",
+            b"[" + good + b"]", b"[" + good + b",1]", good.replace(b"[", b"[1,", 1),
+            text.replace("é", "\\u00e9").encode(), good.replace(b"0", b"-0"),
+            good.replace(b"7", b"7.0"), b"", b"\xff" + good, b"[]", b"{}"]
+
+
+def _same(fn, reference, arg) -> None:
+    """`fn(arg)` and `reference(arg)` return equal values of one shape, or
+    refuse with one text."""
+    def outcome(f):
+        try:
+            return "ok", repr(f(arg))
+        except CodecError as e:
+            return "refused", str(e)
+    assert outcome(fn) == outcome(reference), arg
+
+
+def test_codecs_match_the_reference_codec_on_every_small_data_type():
+    types = _data_types()
+    canonical = [parse_codec(str(ty)).serialize(_values(ty, 0)[0]) for ty in types[::7]]
+    for k, ty in enumerate(types):
+        codec = Codec(ty)
+        serialize, deserialize = helpers.reference_codec(ty)
+        for value in _values(ty, k) + _WRONG_VALUES:
+            _same(codec.serialize, serialize, value)
+        good = codec.serialize(_values(ty, k)[0])
+        for payload in [good] + _payloads(good) + canonical:  # others: mostly wrong types
+            _same(codec.deserialize, deserialize, payload)
+
+
+def test_codecs_match_the_reference_codec_300_levels_deep():
+    def nested(leaf):
+        ty, value = ast.STR, leaf
+        for level in range(300):
+            ty = ast.TTuple((ast.INT, ty)) if level % 2 else ast.TTuple((ty, ast.BOOL))
+            value = (level, value) if level % 2 else (value, True)
+        return ty, value
+
+    ty, value = nested("leaf")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(5000)  # a type's text takes three frames per level
+    try:
+        codec = Codec(ty)
+        serialize, deserialize = helpers.reference_codec(ty)
+        good = serialize(value)
+        assert codec.serialize(value) == good and codec.deserialize(good) == value
+        wrong = good.replace(b'"leaf"', b"1")  # the innermost item refuses
+        for payload in [good, wrong, good.replace(b"true", b"1", 1)] + _payloads(good):
+            _same(codec.deserialize, deserialize, payload)
+        for bad in [value[:1], (value[0], 1), (True, value[1]), nested(1)[1],
+                    (_Int(value[0]), value[1])]:  # the last is an Int's value
+            _same(codec.serialize, serialize, bad)
+    finally:
+        sys.setrecursionlimit(limit)

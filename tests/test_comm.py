@@ -771,9 +771,9 @@ def _close_runs_once_on_open(conn) -> None:
 def test_a_mem_connection_closed_before_open_runs_its_close_callback_once():
     listener, client, server = _pair("mem:hub-close-before-open")
     try:
-        client.close()  # closed locally; its peer is closed by the peer's close
+        client.close()  # closed locally; its peer reads the close once open, as on TCP
         loop().call(lambda: None)
-        assert client.closed and server.closed
+        assert client.closed and not server.closed
         _close_runs_once_on_open(server)
         _close_runs_once_on_open(client)
     finally:

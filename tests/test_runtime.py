@@ -1,7 +1,9 @@
+import collections
 import gc
 import json
 import os
 import queue
+import random
 import socket
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import pytest
 import helpers
 from locic import runtime, transport, wire
 from locic.arch import PeerId
+from locic.checker import TStreamMap
 from locic.codecs import Codec, CodecError, parse_codec
 from locic.runtime import PeerInstance, RemoteRef, StartError, simulate, start
 from locic.sigs import ModuleSig, PeerSig, ValueSig
@@ -914,6 +917,131 @@ def test_remote_pull_inside_stream_map(instances):
     for fut in futures:
         assert fut.wait(5)
         assert fut.value == 100
+
+
+MAP_FORMS = """
+    module M {
+      peer P { tie: single H }
+      peer H { tie: multiple P }
+      val h: Int on H = 100
+      val base: Int on P = 40
+      val bad: Int on P = later + 1
+      val later: Int on P = 2
+      source s: Stream[Int] on P
+      val k: Stream[Int] on P = s.map(x => 7)
+      val b: Stream[Bool] on P = s.map(x => true)
+      val t: Stream[Str] on P = s.map(x => "é")
+      val v: Stream[Int] on P = s.map(x => x)
+      val r: Stream[Int] on P = s.map(x => base)
+      val add: Stream[Int] on P = s.map(x => x + base)
+      val sub: Stream[Int] on P = s.map(x => x - 3)
+      val mul: Stream[Int] on P = s.map(x => x * x)
+      val lt: Stream[Bool] on P = s.map(x => x < 2)
+      val eq: Stream[Bool] on P = s.map(x => x == 2)
+      val tup: Stream[(Int, Str)] on P = s.map(x => (x, "t"))
+      val nest: Stream[((Int, Int), (Bool, Int))] on P = s.map(x => ((x, x * 2), (x < 1, base)))
+      val mm: Stream[Int] on P = add.map(y => y * 10)
+      val pulls: Stream[Future[Int]] on P = s.map(x => h.asLocal)
+      val failed: Stream[Int] on P = s.map(x => x + bad)
+      val ss: Stream[Stream[Int]] on P = s.map(x => s.map(y => x - y))
+    }
+"""
+
+
+def test_each_map_body_emits_what_eval_of_the_body_gives(instances):
+    helper, p = simulate(components_for(MAP_FORMS), ["H", "P"], timeout=5)
+    instances.extend([helper, p])
+    loop = transport.loop()
+    maps = {name: cell.body for name, cell in p._slots.items()
+            if isinstance(cell.body, TStreamMap)}
+    got = {name: [] for name in [*maps, "s"]}
+    for name in got:
+        p.slot(name).subscribe(got[name].append)
+    fired = [0, 1, 2, -5, 10**20]
+    for value in fired:
+        p.fire("s", value)
+
+    def evaluated(name: str) -> list:
+        """`_eval` of the map's body on each value its source emitted; a
+        failure drops the value, as the mapped stream drops the message."""
+        e, out = maps[name], []
+        for value in got[e.source.name]:
+            try:
+                out.append(loop.call(p._eval, e.body, {e.var: value}))
+            except runtime.EvalError:
+                pass
+        return out
+
+    def settled(futures) -> list:
+        return [future.value for future in futures if future.wait(5)]
+
+    assert got["s"] == fired
+    for name in maps.keys() - {"pulls", "ss"}:
+        assert got[name] == evaluated(name), name
+    assert got["failed"] == [] and not p.slot("failed").closed  # dropped; the stream stays open
+    assert got["mm"] == [(x + 40) * 10 for x in fired]
+    assert got["nest"][:2] == [((0, 0), (True, 40)), ((1, 2), (False, 40))]
+    # futures of fresh pulls: their values are compared
+    assert settled(got["pulls"]) == settled(evaluated("pulls")) == [100] * len(fired)
+    # streams, whose bodies read the outer variable: compared on one more value
+    inner = [[] for _ in fired]
+    for handle, out in zip(got["ss"] + evaluated("ss"), inner + inner):
+        handle.subscribe(out.append)
+    p.fire("s", 3)
+    assert inner == [[x - 3, x - 3] for x in fired]
+
+
+TELEMETRY = """
+    module Telemetry {
+      peer Sensor { tie: multiple Display }
+      peer Display { tie: single Sensor }
+      source ints: Stream[Int] on Sensor
+      source pairs: Stream[(Int, Str)] on Sensor
+      val mi: Stream[Int] on Display = ints.asLocal
+      val mp: Stream[(Int, Str)] on Display = pairs.asLocal
+      val mapped: Stream[Int] on Display = mi.map(v => v * 7 + 31)
+    }
+"""
+CALLS_PER_MESSAGE = 66  # Python calls on the push path, fire to both displays' subscribers
+
+
+def test_a_pushed_message_stays_within_its_python_call_budget(instances):
+    # a count, not a timing: the whole push path runs on this thread (the
+    # loop is driven by whoever fires), so the count repeats exactly
+    sensor, *displays = simulate(components_for(TELEMETRY), ["Sensor", "Display", "Display"],
+                                 timeout=5)
+    instances.extend([sensor, *displays])
+    loop, got = transport.loop(), []
+    assert loop.call(lambda: all(len(sensor.slot(s)._subscribers) == 2 for s in ("ints", "pairs")))
+    for display in displays:
+        display.slot("mapped").subscribe(got.append)
+        display.slot("mp").subscribe(got.append)
+    rng = random.Random(22)
+    messages = [("ints", rng.randrange(10**6)) if rng.random() < 0.5 else
+                ("pairs", (rng.randrange(10**6), "é" * rng.choice((1, 8, 32, 128))))
+                for _ in range(200)]
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[frame.f_code] += 1
+
+    deadline = time.monotonic() + 5
+    while loop._owner is not None and time.monotonic() < deadline:
+        time.sleep(0.01)  # a daemon still driving would run the fires on its thread
+    sensor.fire("ints", 1)  # every lazy part built before counting
+    sensor.fire("pairs", (1, "a"))
+    got.clear()
+    sys.setprofile(profile)
+    try:
+        for name, value in messages:
+            sensor.fire(name, value)
+    finally:
+        sys.setprofile(None)
+    assert len(got) == 2 * len(messages)
+    assert counts[Codec.deserialize.__code__] == 2 * len(messages)  # delivered on this thread
+    calls = sum(counts.values()) / len(messages)
+    assert calls <= CALLS_PER_MESSAGE, f"{calls} Python calls per message"
 
 
 def test_sim_with_qualified_peer_names(instances):
