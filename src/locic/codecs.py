@@ -7,9 +7,7 @@ deserialization is strict: bytes decode successfully only if they are
 exactly the canonical encoding of some value of the codec's type, so
 corrupted input is either rejected or re-encodes to itself. One walk of the
 type compiles the codec's writer and its reader, on the codec's first use;
-they make no call per primitive item, and `deserialize` calls the JSON
-scanner and encoder directly, so reading an `(Int, Str)` makes two Python
-calls.
+a tuple of primitives is read and written with no call per item.
 
 A codec's id is its type's text (`str(ty)`): `Int`, `Bool`, `Str`, `Unit`,
 or a tuple such as `(Int, (Str, Bool))`. `parse_codec` reads an id back with
@@ -74,10 +72,10 @@ Reader = Callable[[Any], Any]  # a parsed JSON document -> the value it holds
 
 def _compile(ty: ast.TypeExpr) -> tuple[Writer, Reader]:
     """The writer and the reader of a data type; each raises CodecError on
-    what the type does not hold. A tuple's coders check the exact type of
-    every item in one C pass (`map(type, ...)`) and call only the coders of
-    tuple items; anything else goes item by item, which accepts an `int`
-    subclass, say, and names the innermost type that refuses."""
+    what the type does not hold. A tuple of primitives whose items all have
+    exactly their Python types is checked in one C pass (`map(type, ...)`);
+    anything else goes item by item, which accepts an `int` subclass, say,
+    and names the innermost type that refuses."""
     if isinstance(ty, ast.TPrim):
         kind, refused, noun = _PRIMITIVES[ty.name]
 
@@ -93,39 +91,33 @@ def _compile(ty: ast.TypeExpr) -> tuple[Writer, Reader]:
         return write, read
     writers, readers = zip(*map(_compile, ty.items))
     size = len(writers)
-    nested = [(k, writers[k], readers[k]) for k, item in enumerate(ty.items)
-              if isinstance(item, ast.TTuple)]
-    value_types = tuple(tuple if isinstance(item, ast.TTuple) else _PRIMITIVES[item.name][0]
-                        for item in ty.items)
-    doc_types = tuple(list if t is tuple else t for t in value_types)
+    # the items' exact types if all are primitives; a nested tuple never matches
+    flat = (None if any(isinstance(item, ast.TTuple) for item in ty.items)
+            else tuple(_PRIMITIVES[item.name][0] for item in ty.items))
 
     def write_tuple(value: Any) -> list:
-        if type(value) is tuple and tuple(map(type, value)) == value_types:
-            doc = list(value)
-            for k, write, _ in nested:
-                doc[k] = write(doc[k])
-            return doc
+        if type(value) is tuple and tuple(map(type, value)) == flat:
+            return list(value)
         if not isinstance(value, tuple) or len(value) != size:
             raise CodecError(f"{ty} codec cannot serialize {value!r}")
         return [write(v) for write, v in zip(writers, value)]
 
     def read_tuple(doc: Any) -> tuple:
-        if type(doc) is list and tuple(map(type, doc)) == doc_types:
-            if nested:
-                doc = doc.copy()
-                for k, _, read in nested:
-                    doc[k] = read(doc[k])
+        if type(doc) is list and tuple(map(type, doc)) == flat:
             return tuple(doc)
         if type(doc) is not list or len(doc) != size:
             raise CodecError(f"expected a {ty}, got {doc!r}")
-        return tuple(read(d) for read, d in zip(readers, doc))  # some item refuses
+        return tuple(read(d) for read, d in zip(readers, doc))
     return write_tuple, read_tuple
 
 
 def decode_json(text: str) -> Any:
     """The one JSON value `text` holds, with no whitespace around it;
-    JSONDecodeError otherwise."""
-    doc, end = scan_json(text)
+    JSONDecodeError otherwise, RecursionError if it nests too deep."""
+    try:
+        doc, end = _scan(text, 0)  # not `scan_json`: one call less per payload
+    except StopIteration as e:
+        raise json.JSONDecodeError("Expecting value", text, e.value) from None
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
     return doc
@@ -156,12 +148,7 @@ class Codec:
     def deserialize(self, data: bytes) -> Any:
         try:
             text = data.decode("utf-8")
-            doc, end = _scan(text, 0)
-            if end != len(text):
-                raise json.JSONDecodeError("Extra data", text, end)
-        except StopIteration as e:  # the scanner's "no value starts here"
-            error = json.JSONDecodeError("Expecting value", text, e.value)
-            raise CodecError(f"codec {self.id}: invalid encoding: {error}") from None
+            doc = decode_json(text)
         except (ValueError, RecursionError) as e:  # also an overlong int, or deep nesting
             raise CodecError(f"codec {self.id}: invalid encoding: {e}") from None
         try:

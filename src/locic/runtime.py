@@ -7,9 +7,10 @@ tie has its remote, evaluates the slots available on its peer in source
 order, and serves remote dispatch: a request or channel-open looks up the
 access plan of the value it names and reads the plan's slot. Remote-access
 sites in slot bodies produce futures (pull) or stream handles (connected
-channels) shaped by the tie multiplicity. A `.map` body is compiled once,
-when its stream is made, into closures of the mapped value; slot reads,
-remote pulls and evaluation errors still happen at each message.
+channels) shaped by the tie multiplicity. A `.map` body's variable,
+literals and operators are compiled once, when its stream is made, into
+closures of the mapped value; slot reads, remote pulls and evaluation
+errors still happen at each message.
 
 Every instance in a process runs on the transport's one event loop, so an
 instance starts no thread and holds no lock. A request or channel-open for
@@ -413,23 +414,18 @@ class PeerInstance:
 
     def _compile(self, e: TypedExpr, var: str, env: dict[str, Any]) -> Callable[[Any], Any]:
         """`e` as a closure of the value of `var`, the other variables fixed
-        by `env`: `_eval(e, {**env, var: value})`, with the tree walked once.
-        Slot reads and remote accesses still happen at each call."""
+        by `env`: `_eval(e, {**env, var: value})`. The variable, literals and
+        binary operators are walked once; any other form is left to `_eval`
+        at each call."""
         if isinstance(e, TRef) and e.is_var and e.name == var:
             return lambda value: value
-        if isinstance(e, (TIntLit, TBoolLit, TStrLit)) or isinstance(e, TRef) and e.is_var:
-            const = env[e.name] if isinstance(e, TRef) else e.value
+        if isinstance(e, (TIntLit, TBoolLit, TStrLit)):
+            const = e.value
             return lambda _value: const
         if isinstance(e, TBinOp):
             op = _BINOPS.get(e.op, operator.eq)
             left, right = self._compile(e.left, var, env), self._compile(e.right, var, env)
             return lambda value: op(left(value), right(value))
-        if isinstance(e, TTupleExpr):
-            items = [self._compile(i, var, env) for i in e.items]
-            return lambda value: tuple([item(value) for item in items])
-        if isinstance(e, TRef):
-            read, name = self._read_slot, e.name
-            return lambda _value: read(name)
         return lambda value: self._eval(e, {**env, var: value})
 
     def _eval_remote_call(self, call: RemoteCall) -> Any:

@@ -123,8 +123,9 @@ class StreamHandle:
 
     def __init__(self, codec: Codec | None = None):
         self.codec = codec
+        # replaced, never changed in place, so emit runs the subscribers it
+        # found even if one of them subscribes or unsubscribes
         self._subscribers: dict[int, Callable[[Any], None]] = {}
-        self._emit_to: tuple[Callable[[Any], None], ...] = ()  # the subscribers, as emit runs them
         self._next_sub = 0
         self._closed = False
         self._close_callbacks: list[Callable[[], None]] = []
@@ -141,13 +142,11 @@ class StreamHandle:
             return lambda: None
         sub_id = self._next_sub
         self._next_sub += 1
-        self._subscribers[sub_id] = cb
-        self._emit_to = tuple(self._subscribers.values())
+        self._subscribers = {**self._subscribers, sub_id: cb}
         return lambda: self._unsubscribe(sub_id)
 
     def _unsubscribe(self, sub_id: int) -> None:
-        self._subscribers.pop(sub_id, None)
-        self._emit_to = tuple(self._subscribers.values())
+        self._subscribers = {k: cb for k, cb in self._subscribers.items() if k != sub_id}
 
     def on_close(self, cb: Callable[[], None]) -> None:
         if self._closed:
@@ -162,7 +161,7 @@ class StreamHandle:
             raise StreamClosed("stream is closed")
         if payload is not None:
             self._encoded = (value, payload)
-        for cb in self._emit_to:
+        for cb in self._subscribers.values():
             cb(value)
 
     def encoded(self, value: Any) -> bytes:
@@ -181,8 +180,7 @@ class StreamHandle:
         if self._closed:
             return
         self._closed = True
-        self._subscribers.clear()
-        self._emit_to = ()
+        self._subscribers = {}
         callbacks, self._close_callbacks = self._close_callbacks, []
         for cb in callbacks:
             cb()

@@ -270,12 +270,10 @@ class Loop:
         """Send every batch filled since the last flush, the end of a turn."""
         dirty, self._dirty = self._dirty, []
         for conn in dirty:
-            batch, conn._batch = conn._batch, None
-            if batch is not None:  # else flushed by a close since
-                try:
-                    conn._send(batch)
-                except Exception as e:
-                    _log_failure("event loop flush failed", e)
+            try:
+                conn._flush_batch()
+            except Exception as e:
+                _log_failure("event loop flush failed", e)
 
     def _queue_due_timers(self) -> float | None:
         """Move every due timer's callback to the ready FIFO; returns the
@@ -384,6 +382,11 @@ class Connection:
         else:
             batch.append(data)
 
+    def _flush_batch(self) -> None:
+        batch, self._batch = self._batch, None
+        if batch is not None:
+            self._send(batch)
+
     def close(self, reason: str = "closed locally") -> None:
         if self._closed:
             return
@@ -391,9 +394,7 @@ class Connection:
         self._loop.call(self._take_down, reason)
 
     def _take_down(self, reason: str) -> None:
-        batch, self._batch = self._batch, None
-        if batch is not None:
-            self._send(batch)
+        self._flush_batch()
         self._close(reason)
         self._loop.post(self._fire_close, reason)
 

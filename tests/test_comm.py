@@ -2,6 +2,8 @@ import itertools
 import json
 import queue
 import random
+import selectors
+import socket
 import sys
 import threading
 import time
@@ -448,6 +450,22 @@ def test_a_post_that_lands_while_the_driver_gives_the_loop_back_still_runs(monke
     hooked[0].join(5)
     assert not hooked[0].is_alive()
     assert ran.wait(5)
+
+
+def test_the_loop_counts_watched_sockets_in_the_selectors_own_table():
+    # `_watched` is a private attribute of the stdlib selectors (a Python
+    # that renames it fails here): it must track every registration
+    lp = Loop()
+    a, b = socket.socketpair()
+    try:
+        assert len(lp._watched) == len(lp.selector.get_map()) == 1  # the wake pipe
+        lp.selector.register(a, selectors.EVENT_READ)
+        assert len(lp._watched) == len(lp.selector.get_map()) == 2
+        lp.selector.unregister(a)
+        assert len(lp._watched) == len(lp.selector.get_map()) == 1
+    finally:
+        a.close()
+        b.close()
 
 
 def test_the_driver_runs_a_call_inline_and_a_second_thread_waits_for_it():

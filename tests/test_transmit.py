@@ -90,6 +90,24 @@ def test_stream_unsubscribe():
     assert seen == [1]
 
 
+def test_an_emit_reaches_the_subscribers_it_began_with():
+    # one subscriber unsubscribes another and subscribes a third mid-emit
+    s = StreamHandle()
+    seen, unsubscribe_b = [], []
+
+    def a(value):
+        seen.append(("a", value))
+        if value == 1:
+            unsubscribe_b[0]()
+            s.subscribe(lambda v: seen.append(("c", v)))
+
+    s.subscribe(a)
+    unsubscribe_b.append(s.subscribe(lambda v: seen.append(("b", v))))
+    s.emit(1)
+    s.emit(2)
+    assert seen == [("a", 1), ("b", 1), ("a", 2), ("c", 2)]
+
+
 def test_stream_emit_after_close_raises():
     s = StreamHandle()
     s.close()
