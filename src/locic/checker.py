@@ -160,7 +160,6 @@ class TypedDef:
 @record
 class TypedModule:
     arch: Architecture
-    ties: EffectiveTies
     defs: list[TypedDef]
     diagnostics: list[Diagnostic]
 
@@ -341,5 +340,5 @@ def check_module(m: ast.SurfaceModule, a: Architecture, t: EffectiveTies) -> Typ
                     peer=str(peer)))
         typed_defs.append(TypedDef(flat.name, peer, declared, body, decl.kind, pos=decl.pos))
 
-    return TypedModule(a, t, typed_defs, ctx.diagnostics)
+    return TypedModule(a, typed_defs, ctx.diagnostics)
 

@@ -170,7 +170,7 @@ def parse_codec(codec_id: str) -> Codec:
         raise CodecError(f"unknown codec {codec_id!r}")
     try:
         ty = parser.parse_type(codec_id)
-    except (parser.ParseError, RecursionError):
+    except parser.ParseError:  # also a type nested past parser.MAX_NESTING
         ty = None
     if ty is None or str(ty) != codec_id or ast.non_data_part(ty) is not None:
         raise CodecError(f"unknown codec '{codec_id}'")

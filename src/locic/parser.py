@@ -13,6 +13,11 @@ class ParseError(SourceError):
     pass
 
 
+# the most brackets a type or an expression nests: parentheses, tuples, `.map`
+# bodies and `[...]` type arguments; every later stage walks them recursively
+MAX_NESTING = 100
+
+
 KEYWORDS = {
     "module", "include", "peer", "tie", "val", "source", "on",
     "single", "optional", "multiple", "true", "false",
@@ -126,6 +131,14 @@ class _Parser:
         found = self.cur.kind if self.cur.kind != "eof" else "end of input"
         raise ParseError([Diagnostic(self.cur.pos, f"syntax error: expected {expected}, found {found}")])
 
+    @staticmethod
+    def nest(depth: int, bracket: Token) -> int:
+        """The bracket depth inside `bracket`, opened at `depth`; ParseError
+        past MAX_NESTING."""
+        if depth == MAX_NESTING:
+            raise ParseError([Diagnostic(bracket.pos, f"nesting deeper than {MAX_NESTING} levels")])
+        return depth + 1
+
     # -- grammar --
 
     def program(self) -> list[ast.SurfaceModule]:
@@ -234,13 +247,14 @@ class _Parser:
         body = self.expr()
         return ast.DefDecl(name, ast.DefKind.VAL, ty, placed, body, pos=start.pos)
 
-    def type_expr(self) -> ast.TypeExpr:
+    def type_expr(self, depth: int = 0) -> ast.TypeExpr:
         if self.at("("):
             open_tok = self.advance()
-            items = [self.type_expr()]
+            inner = self.nest(depth, open_tok)
+            items = [self.type_expr(inner)]
             while self.at(","):
                 self.advance()
-                items.append(self.type_expr())
+                items.append(self.type_expr(inner))
             self.expect(")")
             if len(items) < 2:
                 raise ParseError([Diagnostic(open_tok.pos, "tuple type needs at least 2 elements")])
@@ -250,8 +264,7 @@ class _Parser:
         if name in ast.PRIMS:
             return ast.PRIMS[name]
         if name in ast.ELEM_TYPES:
-            self.expect("[")
-            elem = self.type_expr()
+            elem = self.type_expr(self.nest(depth, self.expect("[")))
             self.expect("]")
             return ast.ELEM_TYPES[name](elem)
         if name == "Remote":
@@ -262,32 +275,32 @@ class _Parser:
         raise ParseError([Diagnostic(tok.pos, f"syntax error: unknown type '{name}'")])
 
     # Expression precedence: comparison < additive < multiplicative < postfix.
-    def expr(self) -> ast.Expr:
-        left = self.additive()
+    def expr(self, depth: int = 0) -> ast.Expr:
+        left = self.additive(depth)
         if self.cur.kind in ("<", "=="):
             op = self.advance()
-            right = self.additive()
+            right = self.additive(depth)
             return ast.BinOp(op.kind, left, right, pos=op.pos)
         return left
 
-    def additive(self) -> ast.Expr:
-        left = self.multiplicative()
+    def additive(self, depth: int) -> ast.Expr:
+        left = self.multiplicative(depth)
         while self.cur.kind in ("+", "-"):
             op = self.advance()
-            right = self.multiplicative()
+            right = self.multiplicative(depth)
             left = ast.BinOp(op.kind, left, right, pos=op.pos)
         return left
 
-    def multiplicative(self) -> ast.Expr:
-        left = self.postfix()
+    def multiplicative(self, depth: int) -> ast.Expr:
+        left = self.postfix(depth)
         while self.at("*"):
             op = self.advance()
-            right = self.postfix()
+            right = self.postfix(depth)
             left = ast.BinOp("*", left, right, pos=op.pos)
         return left
 
-    def postfix(self) -> ast.Expr:
-        e = self.primary()
+    def postfix(self, depth: int) -> ast.Expr:
+        e = self.primary(depth)
         while self.at("."):
             dot = self.cur
             nxt = self.peek()
@@ -305,17 +318,17 @@ class _Parser:
                 elif method.kind == "asLocalFromAll":
                     e = ast.AsLocalFromAll(e, pos=method.pos)
                 else:
-                    self.expect("(")
+                    inner = self.nest(depth, self.expect("("))
                     var = self.expect("ident").text
                     self.expect("=>")
-                    body = self.expr()
+                    body = self.expr(inner)
                     self.expect(")")
                     e = ast.StreamMap(e, var, body, pos=method.pos)
             else:
                 break
         return e
 
-    def primary(self) -> ast.Expr:
+    def primary(self, depth: int) -> ast.Expr:
         tok = self.cur
         if tok.kind == "int":
             self.advance()
@@ -340,10 +353,11 @@ class _Parser:
             return ast.Ref(None, tok.text, pos=tok.pos)
         if tok.kind == "(":
             self.advance()
-            items = [self.expr()]
+            inner = self.nest(depth, tok)
+            items = [self.expr(inner)]
             while self.at(","):
                 self.advance()
-                items.append(self.expr())
+                items.append(self.expr(inner))
             self.expect(")")
             if len(items) == 1:
                 return items[0]

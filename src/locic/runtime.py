@@ -7,10 +7,10 @@ tie has its remote, evaluates the slots available on its peer in source
 order, and serves remote dispatch: a request or channel-open looks up the
 access plan of the value it names and reads the plan's slot. Remote-access
 sites in slot bodies produce futures (pull) or stream handles (connected
-channels) shaped by the tie multiplicity. A `.map` body's variable,
-literals and operators are compiled once, when its stream is made, into
-closures of the mapped value; slot reads, remote pulls and evaluation
-errors still happen at each message.
+channels) shaped by the tie multiplicity. Every body, a slot's or a
+`.map`'s, is compiled once into a closure (`_compile`): a slot's when it
+evaluates, a `.map`'s when its stream is made. Slot reads, remote pulls and
+evaluation errors still happen at each call, so at each mapped message.
 
 Every instance in a process runs on the transport's one event loop, so an
 instance starts no thread and holds no lock. A request or channel-open for
@@ -143,6 +143,7 @@ class PeerInstance:
         self._gather: dict[PeerId, list[_Link]] = {}  # see _links_for
         self._tie_entries = sorted(component.tie_table.items())
         self._served = wire.value_parts(component.dispatch)
+        self._hello = Hello(component.root_module, component.sig)  # sent on every link
 
     # -- waiting on the loop ------------------------------------------------
 
@@ -195,7 +196,7 @@ class PeerInstance:
     def _open_link(self, spec: str, link: _Link, timeout: float) -> None:
         self._make_endpoint(transport.connect(spec), link, timeout)
         try:
-            link.endpoint.send(Hello(self.component.root_module, self.component.sig))
+            link.endpoint.send(self._hello)
         except transport.ConnectionClosed:
             link.result.fail(_CLOSED_IN_HANDSHAKE)
 
@@ -271,7 +272,7 @@ class PeerInstance:
             try:
                 ep.send(HelloAck(True))
                 if not link.opener:
-                    ep.send(Hello(self.component.root_module, self.component.sig))
+                    ep.send(self._hello)
             except transport.ConnectionClosed:
                 self._drop_link(link, "connection lost during handshake")
                 return
@@ -331,7 +332,7 @@ class PeerInstance:
         self._evaluated = True
         for cell in self._slots.values():
             try:
-                cell.value = self._eval(cell.body, {})
+                cell.value = self._compile(cell.body)(None)
                 cell.state = _SlotCell.READY
             except EvalError as e:
                 cell.error = str(e)
@@ -370,32 +371,45 @@ class PeerInstance:
                 key=lambda link: link.link_id)
         return links
 
-    def _eval(self, e: TypedExpr, env: dict[str, Any]) -> Any:
+    def _compile(self, e: TypedExpr, var: str | None = None,
+                 env: dict[str, Any] = {}) -> Callable[[Any], Any]:
+        """`e` as a closure of the value of `var`, walked once; the variables
+        of enclosing maps are fixed by `env`, which is never changed. Slot
+        reads, remote accesses and new streams happen at each call."""
         if isinstance(e, (TIntLit, TBoolLit, TStrLit)):
-            return e.value
+            const = e.value
+            return lambda _value: const
         if isinstance(e, TRef):
-            if e.is_var:
-                return env[e.name]
-            return self._read_slot(e.name)
+            name = e.name
+            if not e.is_var:
+                return lambda _value: self._read_slot(name)
+            if name == var:
+                return lambda value: value
+            const = env[name]
+            return lambda _value: const
         if isinstance(e, TBinOp):
-            left = self._eval(e.left, env)
-            return _BINOPS.get(e.op, operator.eq)(left, self._eval(e.right, env))
+            op = _BINOPS.get(e.op, operator.eq)
+            left, right = self._compile(e.left, var, env), self._compile(e.right, var, env)
+            return lambda value: op(left(value), right(value))
         if isinstance(e, TTupleExpr):
-            return tuple(self._eval(i, env) for i in e.items)
+            items = [self._compile(i, var, env) for i in e.items]
+            return lambda value: tuple([item(value) for item in items])
         if isinstance(e, TStreamSource):
-            return self._fresh_stream(e.ty)
+            return lambda _value: self._fresh_stream(e.ty)
         if isinstance(e, TStreamMap):
-            return self._eval_stream_map(e, env)
+            source = self._compile(e.source, var, env)
+            return lambda value: self._eval_stream_map(e, source(value), {**env, var: value})
         if isinstance(e, RemoteCall):
-            return self._eval_remote_call(e)
+            return lambda _value: self._eval_remote_call(e)
         raise EvalError(f"cannot evaluate {type(e).__name__}")
 
     @staticmethod
     def _fresh_stream(ty) -> StreamHandle:
         return StreamHandle(codec_of(ty.elem) if isinstance(ty, ast.TStream) else None)
 
-    def _eval_stream_map(self, e: TStreamMap, env: dict[str, Any]) -> StreamHandle:
-        source = self._eval(e.source, env)
+    def _eval_stream_map(self, e: TStreamMap, source: Any, env: dict[str, Any]) -> StreamHandle:
+        """The stream of `e`'s body on each value `source` emits; its body is
+        compiled once, here, with the enclosing maps' variables in `env`."""
         if not isinstance(source, StreamHandle):
             raise EvalError("'.map' applied to a non-stream value")
         derived = self._fresh_stream(e.ty)
@@ -411,22 +425,6 @@ class PeerInstance:
         source.on_close(derived.close)
         derived.on_close(unsubscribe)
         return derived
-
-    def _compile(self, e: TypedExpr, var: str, env: dict[str, Any]) -> Callable[[Any], Any]:
-        """`e` as a closure of the value of `var`, the other variables fixed
-        by `env`: `_eval(e, {**env, var: value})`. The variable, literals and
-        binary operators are walked once; any other form is left to `_eval`
-        at each call."""
-        if isinstance(e, TRef) and e.is_var and e.name == var:
-            return lambda value: value
-        if isinstance(e, (TIntLit, TBoolLit, TStrLit)):
-            const = e.value
-            return lambda _value: const
-        if isinstance(e, TBinOp):
-            op = _BINOPS.get(e.op, operator.eq)
-            left, right = self._compile(e.left, var, env), self._compile(e.right, var, env)
-            return lambda value: op(left(value), right(value))
-        return lambda value: self._eval(e, {**env, var: value})
 
     def _eval_remote_call(self, call: RemoteCall) -> Any:
         links = self._links_for(call.target_peer_id)

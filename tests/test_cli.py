@@ -65,6 +65,19 @@ module Bare {
     assert "remote access must be explicit" in err
 
 
+@pytest.mark.parametrize("ty, body", [("(Int, " * 250 + "Str" + ")" * 250, "1"),
+                                      ("Int", "(" * 200 + "1" + ")" * 200),
+                                      ("Stream[Int]", "s.map(x => " * 120 + "x" + ")" * 120)])
+def test_check_refuses_nesting_too_deep_with_one_diagnostic(tmp_path, capsys, ty, body):
+    path = tmp_path / "deep.loci"
+    path.write_text(f"module Deep {{\n  peer P {{ }}\n  source s: Stream[Int] on P\n"
+                    f"  val x: {ty} on P = {body}\n}}\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"{path}:4:")
+    assert err[0].endswith("nesting deeper than 100 levels")
+
+
 def test_check_json_diagnostics(bad_file, capsys):
     assert main(["check", bad_file, "--format", "json"]) == 1
     diags = json.loads(capsys.readouterr().err)

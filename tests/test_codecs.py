@@ -214,6 +214,12 @@ def test_a_codec_id_that_is_not_a_data_types_text_is_refused(codec_id):
     assert str(refused.value) == f"unknown codec '{codec_id}'"
 
 
+def test_a_codec_id_nested_past_the_type_grammars_limit_is_refused():
+    deep = "(Int, " * 300 + "Str" + ")" * 300
+    with pytest.raises(CodecError, match="^unknown codec "):
+        parse_codec(deep)
+
+
 def test_builtin_codecs():
     for codec_id in ("Int", "Bool", "Str", "Unit"):
         assert parse_codec(codec_id).id == codec_id

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 import helpers
 from helpers import parse_module
 from locic import ast, cli
-from locic.diagnostics import Pos
-from locic.parser import ParseError, parse_program, tokenize
+from locic.diagnostics import Diagnostic, Pos
+from locic.parser import MAX_NESTING, ParseError, parse_program, tokenize
 from render import render_module
 
 
@@ -185,6 +185,31 @@ def test_multi_module_program():
     with pytest.raises(ParseError) as exc:
         parse_program("module A { } module A { }")
     assert "duplicate module name" in exc.value.diagnostics[0].message
+
+
+# each form that nests, as (type, body) with `n` brackets, one inside the next
+NESTING_FORMS = {
+    "tuple type": lambda n: ("(Int, " * n + "Str" + ")" * n, "1"),
+    "type argument": lambda n: ("Future[" * n + "Int" + "]" * n, "1"),
+    "parentheses": lambda n: ("Int", "(" * n + "1" + ")" * n),
+    "tuple": lambda n: ("Int", "(1, " * n + "2" + ")" * n),
+    "map body": lambda n: ("Int", "s.map(x => " * n + "x" + ")" * n),
+}
+
+
+@pytest.mark.parametrize("form", NESTING_FORMS)
+def test_nesting_past_the_limit_is_refused_at_its_bracket(form):
+    def source(n: int) -> str:
+        ty, body = NESTING_FORMS[form](n)
+        return f"module M {{ peer P {{ }} val x: {ty} on P = {body} }}"
+
+    parse_module(source(MAX_NESTING))
+    text = source(MAX_NESTING + 1)
+    brackets = [i for i, c in enumerate(text) if c in "(["]
+    with pytest.raises(ParseError) as refused:
+        parse_module(text)
+    assert refused.value.diagnostics == [
+        Diagnostic(Pos(1, brackets[MAX_NESTING] + 1), f"nesting deeper than {MAX_NESTING} levels")]
 
 
 def test_render_empty_module():

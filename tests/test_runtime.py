@@ -20,7 +20,8 @@ from locic.checker import TStreamMap
 from locic.codecs import Codec, CodecError, parse_codec
 from locic.runtime import PeerInstance, RemoteRef, StartError, simulate, start
 from locic.sigs import ModuleSig, PeerSig, ValueSig
-from locic.splitter import PeerComponent, split
+from locic.parser import MAX_NESTING
+from locic.splitter import PeerComponent, emit_component, read_component, split
 from locic.transmit import FAILED, READY, Endpoint
 from locic.transport import connect
 from locic.wire import Hello, HelloAck, Response, decode_envelope, encode_envelope
@@ -948,12 +949,23 @@ MAP_FORMS = """
 """
 
 
-def test_each_map_body_emits_what_eval_of_the_body_gives(instances):
+def test_each_map_body_emits_what_its_body_gives(instances):
     helper, p = simulate(components_for(MAP_FORMS), ["H", "P"], timeout=5)
     instances.extend([helper, p])
-    loop = transport.loop()
+    # each body of MAP_FORMS as a Python function of the mapped value; a slot
+    # read is the peer's own, so a failed slot raises EvalError here too
+    bodies = {
+        "k": lambda x: 7, "b": lambda x: True, "t": lambda x: "é", "v": lambda x: x,
+        "r": lambda x: p.slot("base"), "add": lambda x: x + p.slot("base"),
+        "sub": lambda x: x - 3, "mul": lambda x: x * x, "lt": lambda x: x < 2,
+        "eq": lambda x: x == 2, "tup": lambda x: (x, "t"),
+        "nest": lambda x: ((x, x * 2), (x < 1, p.slot("base"))), "mm": lambda y: y * 10,
+        "pulls": lambda x: helper.slot("h"), "failed": lambda x: x + p.slot("bad"),
+        "ss": lambda x: lambda y: x - y,
+    }
     maps = {name: cell.body for name, cell in p._slots.items()
             if isinstance(cell.body, TStreamMap)}
+    assert maps.keys() == bodies.keys()
     got = {name: [] for name in [*maps, "s"]}
     for name in got:
         p.slot(name).subscribe(got[name].append)
@@ -962,12 +974,12 @@ def test_each_map_body_emits_what_eval_of_the_body_gives(instances):
         p.fire("s", value)
 
     def evaluated(name: str) -> list:
-        """`_eval` of the map's body on each value its source emitted; a
+        """The body's function on each value the map's source emitted; a
         failure drops the value, as the mapped stream drops the message."""
-        e, out = maps[name], []
-        for value in got[e.source.name]:
+        out = []
+        for value in got[maps[name].source.name]:
             try:
-                out.append(loop.call(p._eval, e.body, {e.var: value}))
+                out.append(bodies[name](value))
             except runtime.EvalError:
                 pass
         return out
@@ -982,13 +994,13 @@ def test_each_map_body_emits_what_eval_of_the_body_gives(instances):
     assert got["mm"] == [(x + 40) * 10 for x in fired]
     assert got["nest"][:2] == [((0, 0), (True, 40)), ((1, 2), (False, 40))]
     # futures of fresh pulls: their values are compared
-    assert settled(got["pulls"]) == settled(evaluated("pulls")) == [100] * len(fired)
+    assert settled(got["pulls"]) == evaluated("pulls") == [100] * len(fired)
     # streams, whose bodies read the outer variable: compared on one more value
-    inner = [[] for _ in fired]
-    for handle, out in zip(got["ss"] + evaluated("ss"), inner + inner):
+    inner, expected = [[] for _ in fired], [[f(3)] for f in evaluated("ss")]
+    for handle, out in zip(got["ss"], inner):
         handle.subscribe(out.append)
     p.fire("s", 3)
-    assert inner == [[x - 3, x - 3] for x in fired]
+    assert inner == expected == [[x - 3] for x in fired]
 
 
 TELEMETRY = """
@@ -1042,6 +1054,93 @@ def test_a_pushed_message_stays_within_its_python_call_budget(instances):
     assert counts[Codec.deserialize.__code__] == 2 * len(messages)  # delivered on this thread
     calls = sum(counts.values()) / len(messages)
     assert calls <= CALLS_PER_MESSAGE, f"{calls} Python calls per message"
+
+
+SETTLE_FORMS = """
+    module Settle {
+      peer Hub { tie: multiple Spoke }
+      peer Spoke { tie: single Hub }
+      val n: Int on Hub = 7
+      val t: ((Int, Str), (Bool, Int)) on Hub = ((1, "a"), (true, 2))
+      val r: Int on Hub = n * 6 + 1
+      val sv: (Int, Str) on Spoke = (3, "s")
+      val pn: Future[Int] on Spoke = n.asLocal
+      val pt: Future[((Int, Str), (Bool, Int))] on Spoke = t.asLocal
+      val pr: Future[Int] on Spoke = r.asLocal
+      val g: Seq[(Remote[Spoke], Future[(Int, Str)])] on Hub = sv.asLocalFromAll
+    }
+"""
+CALLS_PER_SESSION = 1430  # Python calls in one whole session: connect, evaluate, settle, stop
+
+
+def test_a_settle_session_stays_within_its_python_call_budget():
+    # a count, not a timing: `simulate` drives the loop on this thread
+    comps = components_for(SETTLE_FORMS)
+    loop, counts = transport.loop(), collections.Counter()
+
+    sessions = []
+
+    def session() -> None:
+        sessions.append(simulate(comps, ["Spoke", "Spoke", "Hub"], timeout=5))
+        for instance in sessions[-1]:
+            instance.stop()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[frame.f_code] += 1
+
+    deadline = time.monotonic() + 5
+    while loop._owner is not None and time.monotonic() < deadline:
+        time.sleep(0.01)  # a daemon still driving would run the sessions on its thread
+    session()  # every lazy part built before counting
+    sys.setprofile(profile)
+    try:
+        for _ in range(10):
+            session()
+    finally:
+        sys.setprofile(None)
+    for *spokes, hub in sessions:
+        assert [s.slot_line(name) for s in spokes for name in ("pn", "pt", "pr")] == [
+            "pn = 7", 'pt = ((1, "a"), (true, 2))', "pr = 43"] * 2
+        assert hub.slot_line("g").count('(3, "s")') == 2
+    calls = sum(counts.values()) / 10
+    assert counts[PeerInstance.evaluate_slots.__code__] == 10 * 3
+    assert calls <= CALLS_PER_SESSION, f"{calls} Python calls per session"
+
+
+def test_a_module_nested_to_the_limit_checks_splits_reads_back_and_settles(instances):
+    n = MAX_NESTING
+
+    def nested(depth: int) -> tuple[str, str, tuple]:
+        """A tuple type `depth` tuples deep, a literal of it and its value."""
+        ty, lit, value = "Str", '"s"', "s"
+        for k in range(depth):
+            ty, lit, value = f"(Int, {ty})", f"({k}, {lit})", (k, value)
+        return ty, lit, value
+
+    deep_ty, deep_lit, deep_value = nested(n)
+    pulled_ty, pulled_lit, pulled_value = nested(n - 1)  # `Future[` is one level more
+    source = f"""
+        module Deep {{
+          peer Hub {{ tie: multiple Spoke }}
+          peer Spoke {{ tie: single Hub }}
+          val deep: {deep_ty} on Hub = {deep_lit}
+          val parens: Int on Hub = {"(" * n}1{")" * n}
+          val h: {pulled_ty} on Hub = {pulled_lit}
+          source s: Stream[Int] on Spoke
+          val m: Stream[Int] on Spoke = s.map(x => {"(" * (n - 1)}x + 1{")" * (n - 1)})
+          val p: Future[{pulled_ty}] on Spoke = h.asLocal
+        }}
+    """
+    comps = {pid: read_component(emit_component(c)) for pid, c in components_for(source).items()}
+    spoke, hub = simulate(comps, ["Spoke", "Hub"], timeout=5)
+    instances.extend([spoke, hub])
+    assert hub.slot("deep") == deep_value and hub.slot("parens") == 1
+    assert spoke.slot("p").state == READY and spoke.slot("p").value == pulled_value
+    got = []
+    spoke.slot("m").subscribe(got.append)
+    spoke.fire("s", 4)
+    assert got == [5]
 
 
 def test_sim_with_qualified_peer_names(instances):
