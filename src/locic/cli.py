@@ -32,7 +32,8 @@ def _print_diagnostics(diags: list[Diagnostic], path: str, fmt: str) -> None:
 
 
 def compile_file(path: str):
-    """Parse, resolve, and check a module file.
+    """Parse, resolve, and check a module file; returns its architecture,
+    its effective ties and the checked module.
 
     A file may declare several modules; the last one is compiled and the
     earlier ones are available for inclusion.
@@ -44,12 +45,12 @@ def compile_file(path: str):
     architecture = arch_mod.resolve_architecture(main_module, registry)
     ties = arch_mod.effective_ties(architecture)
     typed = checker.check_module(main_module, architecture, ties)
-    return main_module, architecture, ties, typed
+    return architecture, ties, typed
 
 
 def cmd_check(args) -> int:
     try:
-        _, _, _, typed = compile_file(args.file)
+        _, _, typed = compile_file(args.file)
     except SourceError as e:
         _print_diagnostics(e.diagnostics, args.file, args.format)
         return EXIT_CHECK
@@ -62,7 +63,7 @@ def cmd_check(args) -> int:
 
 def cmd_arch(args) -> int:
     try:
-        _, architecture, ties, _ = compile_file(args.file)
+        architecture, ties, _ = compile_file(args.file)
     except SourceError as e:
         _print_diagnostics(e.diagnostics, args.file, args.format)
         return EXIT_CHECK
@@ -102,7 +103,7 @@ def _split_checked(args):
     """The components of the checked module, or EXIT_CHECK once the errors
     that stop it are reported."""
     try:
-        _, _, _, typed = compile_file(args.file)
+        _, _, typed = compile_file(args.file)
         if typed.diagnostics:
             raise SourceError(typed.diagnostics)
         return splitter.split(typed)

@@ -421,8 +421,7 @@ class PeerInstance:
             except (EvalError, transmit.StreamClosed):
                 pass
 
-        unsubscribe = source.subscribe(on_emit)
-        source.on_close(derived.close)
+        unsubscribe = source.subscribe(on_emit, derived.close)
         derived.on_close(unsubscribe)
         return derived
 

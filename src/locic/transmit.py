@@ -128,7 +128,8 @@ class StreamHandle:
         self._subscribers: dict[int, Callable[[Any], None]] = {}
         self._next_sub = 0
         self._closed = False
-        self._close_callbacks: list[Callable[[], None]] = []
+        # run once on close, in the order added; a subscriber's goes with it
+        self._close_callbacks: dict[int, Callable[[], None]] = {}
         self._encoded: tuple[Any, bytes] | None = None  # (value, payload)
 
     @property
@@ -136,23 +137,32 @@ class StreamHandle:
         return self._closed
 
     @on_loop
-    def subscribe(self, cb: Callable[[Any], None]) -> Callable[[], None]:
-        """Register a subscriber; returns a loop-only unsubscribe function."""
+    def subscribe(self, cb: Callable[[Any], None],
+                  on_close: Callable[[], None] | None = None) -> Callable[[], None]:
+        """Register a subscriber, and `on_close` to run when the stream
+        closes; returns a loop-only function that removes both. On a closed
+        stream `on_close` runs at once."""
         if self._closed:
+            if on_close is not None:
+                on_close()
             return lambda: None
         sub_id = self._next_sub
         self._next_sub += 1
         self._subscribers = {**self._subscribers, sub_id: cb}
+        if on_close is not None:
+            self._close_callbacks[sub_id] = on_close
         return lambda: self._unsubscribe(sub_id)
 
     def _unsubscribe(self, sub_id: int) -> None:
         self._subscribers = {k: cb for k, cb in self._subscribers.items() if k != sub_id}
+        self._close_callbacks.pop(sub_id, None)
 
     def on_close(self, cb: Callable[[], None]) -> None:
         if self._closed:
             cb()
         else:
-            self._close_callbacks.append(cb)
+            self._close_callbacks[self._next_sub] = cb
+            self._next_sub += 1
 
     def emit(self, value: Any, payload: bytes | None = None) -> None:
         """Deliver `value` to every subscriber. `payload`, when given, is the
@@ -181,8 +191,8 @@ class StreamHandle:
             return
         self._closed = True
         self._subscribers = {}
-        callbacks, self._close_callbacks = self._close_callbacks, []
-        for cb in callbacks:
+        callbacks, self._close_callbacks = self._close_callbacks, {}
+        for cb in callbacks.values():
             cb()
 
 
@@ -311,11 +321,12 @@ class Endpoint:
 
     def attach(self, chan: int, handle: StreamHandle | None) -> None:
         """Answer the remote's channel-open `chan`: forward every emission of
-        `handle` from now on, or refuse the channel when there is no handle
-        or its elements cannot be transmitted. Call it on the loop."""
+        `handle` from now on, or refuse the channel when there is no handle,
+        it has closed or its elements cannot be transmitted. Call it on the
+        loop."""
         if self.conn.closed:
             return
-        if handle is None or handle.codec is None:
+        if handle is None or handle.closed or handle.codec is None:
             self.try_send(ChanClose(chan))
             return
 
@@ -325,9 +336,8 @@ class Endpoint:
             except (ConnectionClosed, CodecError):
                 pass
 
-        self._forwards[chan] = handle.subscribe(forward)
         # if the producer stream itself closes, tear the channel down
-        handle.on_close(lambda: self._producer_closed(chan))
+        self._forwards[chan] = handle.subscribe(forward, lambda: self._producer_closed(chan))
 
     def _producer_closed(self, chan: int) -> None:
         unsub = self._forwards.pop(chan, None)

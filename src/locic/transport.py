@@ -16,24 +16,24 @@ selector, a FIFO deque of callbacks and a heap of timers) drives every
 listener and connection and runs every callback. The thread that needs the
 loop drives it (`Loop.call`, `Loop.run_until`); a call made while another
 thread drives is posted to that thread (`Loop.post`, which wakes it through
-a self-pipe) and waits. Besides these, only `listen`, `connect`,
-`Listener.close` and `Connection.open` (`on_loop`), `send` and `close` may
-be called from any thread; the rest is loop-only and checks no thread. Work
-left when a thread gives the loop back (a ready callback, a live timer, a
-registered socket, an unsent batch) passes to a daemon thread, started on
-first need. TCP sockets are non-blocking, but a TCP connect blocks the
-driving thread. A callback must never block: it would hold up the loop that
-runs it.
+a self-pipe) and waits. Besides these, only `listen`, `connect` and
+`Listener.close` may be called from any thread: they take the loop through
+`Loop.call` where they need it. Connections are loop-only, as asyncio's
+transports are: `open`, `send` and `close` run on the driving thread and
+check no thread; another thread reaches them through `Loop.call` or
+`Loop.post`. Work left when a thread gives the loop back (a ready callback,
+a live timer, a registered socket, an unsent batch) passes to a daemon
+thread, started on first need. TCP sockets are non-blocking, but a TCP
+connect blocks the driving thread. A callback must never block: it would
+hold up the loop that runs it.
 
-Batching: a send made on the driving thread joins its connection's batch
-for the current loop turn, and the loop flushes every batch at the end of
-the turn (Nagle's idea, RFC 896, with the turn in place of a timer). A mem
-batch joins the loop's ready FIFO as one callback for the peer, and a mem
-close follows the batches sent before it there, as a TCP end of stream
-does; a TCP batch leaves in one `sock.send` of all its frames. A send from
-any other thread is posted to the loop, which adds it to the batch there.
-Closing a connection flushes its batch first, so the peer gets every
-message sent before the close.
+Batching: a send joins its connection's batch for the current loop turn,
+and the loop flushes every batch at the end of the turn (Nagle's idea, RFC
+896, with the turn in place of a timer). A mem batch joins the loop's ready
+FIFO as one callback for the peer, and a mem close follows the batches sent
+before it there, as a TCP end of stream does; a TCP batch leaves in one
+`sock.send` of all its frames. Closing a connection flushes its batch
+first, so the peer gets every message sent before the close.
 """
 
 from __future__ import annotations
@@ -315,14 +315,13 @@ def loop() -> Loop:
 
 def on_loop(method):
     """Decorator marking the thread boundary: a public method that other
-    threads call runs on the loop (`Loop.call`)."""
+    threads call runs on the loop (`Loop.call`). It passes positional
+    arguments only."""
 
     @functools.wraps(method)
-    def wrapper(*args, **kwargs):
+    def wrapper(*args):
         if _loop is not None and _loop._owner == threading.get_ident():
-            return method(*args, **kwargs)
-        if kwargs:
-            return loop().call(functools.partial(method, *args, **kwargs))
+            return method(*args)
         return (_loop or loop()).call(method, *args)
 
     return wrapper
@@ -331,12 +330,11 @@ def on_loop(method):
 # --- connections ----------------------------------------------------------
 
 class Connection:
-    """Duplex message endpoint; the one record of whether it is closed and
-    whether its close callback has run. `close` marks it closed, then on the
-    loop flushes the batch, runs `_close`, which only takes the connection
-    down, and posts the close callback. Subclasses implement _start_delivery,
-    _send and _close, and may implement _prepare; those and the callbacks
-    run on the loop, except `_prepare`, which runs in the sending thread."""
+    """Duplex message endpoint, loop-only; the one record of whether it is
+    closed and whether its close callback has run. `close` marks it closed,
+    flushes the batch, runs `_close`, which only takes the connection down,
+    and queues the close callback. Subclasses implement _start_delivery,
+    _send and _close, and may implement _prepare."""
 
     def __init__(self):
         self._loop = loop()
@@ -346,7 +344,6 @@ class Connection:
         self._closed = False
         self._batch: list[bytes] | None = None  # this turn's sends, once there is one
 
-    @on_loop
     def open(self, on_message: Callable[[bytes], None],
              on_close: Callable[[str], None]) -> None:
         """Attach handlers and start delivery. Must be called exactly once."""
@@ -364,17 +361,10 @@ class Connection:
         return self._closed
 
     def send(self, data: bytes) -> None:
-        """Send one message: it joins this loop turn's batch, posted there
-        when the calling thread does not drive the loop."""
+        """Send one message: it joins this loop turn's batch."""
         if self._closed:
             raise ConnectionClosed("connection is closed")
         data = self._prepare(data)
-        if self._loop._owner == threading.get_ident():
-            self._queue(data)
-        else:
-            self._loop.post(self._queue, data)
-
-    def _queue(self, data: bytes) -> None:
         batch = self._batch
         if batch is None:
             self._batch = [data]
@@ -390,13 +380,10 @@ class Connection:
     def close(self, reason: str = "closed locally") -> None:
         if self._closed:
             return
-        self._closed = True  # sends fail from here on, whichever thread asks
-        self._loop.call(self._take_down, reason)
-
-    def _take_down(self, reason: str) -> None:
+        self._closed = True
         self._flush_batch()
         self._close(reason)
-        self._loop.post(self._fire_close, reason)
+        self._loop._ready.append((self._fire_close, (reason,)))  # on the loop: none to wake
 
     def _deliver(self, messages) -> None:
         """Hand `messages` to the receive callback in order, until the
@@ -427,7 +414,7 @@ class Connection:
 
     def _prepare(self, data: bytes) -> bytes:
         """What the batch holds for message `data`, by default the message
-        itself; raises in the sender if it cannot be sent."""
+        itself; raises in `send` if it cannot be sent."""
         return data
 
     def _send(self, batch: list[bytes]) -> None:

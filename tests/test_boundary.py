@@ -1,7 +1,7 @@
-"""The thread boundary. Futures, streams and endpoints are loop-only objects:
-only the thread driving the loop touches them. Other threads cross at a few
-public methods, marked `transport.on_loop`, and at the calls that cross
-through `Loop.call` or `Loop.run_until` themselves."""
+"""The thread boundary. Connections, futures, streams and endpoints are
+loop-only objects: only the thread driving the loop touches them. Other
+threads cross at a few public methods, marked `transport.on_loop`, and at the
+calls that cross through `Loop.call` or `Loop.run_until` themselves."""
 
 import collections
 import threading
@@ -25,6 +25,8 @@ SESSION = """
 """
 
 LOOP_ONLY = [
+    (transport.Connection, "open"), (transport.Connection, "send"),
+    (transport.Connection, "close"),
     (transmit.FutureSlot, "_settle"), (transmit.FutureSlot, "on_settle"),
     (transmit.StreamHandle, "emit"), (transmit.StreamHandle, "on_close"),
     (transmit.StreamHandle, "close"),
@@ -33,8 +35,8 @@ LOOP_ONLY = [
 ]
 
 # the methods that other threads call, each running on the loop
-BOUNDARY = {"Connection.open", "StreamHandle.subscribe", "PeerInstance.listen",
-            "PeerInstance.fire", "PeerInstance.links", "PeerInstance.stop"}
+BOUNDARY = {"StreamHandle.subscribe", "PeerInstance.listen", "PeerInstance.fire",
+            "PeerInstance.links", "PeerInstance.stop"}
 
 
 def _marked_on_loop() -> set[str]:

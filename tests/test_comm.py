@@ -583,17 +583,17 @@ def test_mem_loopback_echo():
     listener, client, server = _pair("mem:hub-echo")
     try:
         server_rx = Collector()
-        server.open(server_rx.on_message, server_rx.on_close)
+        loop().call(server.open, server_rx.on_message, server_rx.on_close)
         client_rx = Collector()
-        client.open(client_rx.on_message, client_rx.on_close)
-        client.send(b"ab")
+        loop().call(client.open, client_rx.on_message, client_rx.on_close)
+        loop().call(client.send, b"ab")
         assert server_rx.wait_count(1)
         assert server_rx.messages == [b"ab"]
-        server.send(b"ba")
+        loop().call(server.send, b"ba")
         assert client_rx.wait_count(1)
         assert client_rx.messages == [b"ba"]
     finally:
-        client.close()
+        loop().call(client.close)
         listener.close()
 
 
@@ -606,14 +606,14 @@ def test_mem_fifo_1000_messages():
     listener, client, server = _pair("mem:hub-fifo")
     try:
         rx = Collector()
-        server.open(rx.on_message, rx.on_close)
-        client.open(lambda d: None, lambda r: None)
+        loop().call(server.open, rx.on_message, rx.on_close)
+        loop().call(client.open, lambda d: None, lambda r: None)
         for n in range(1000):
-            client.send(n.to_bytes(4, "big"))
+            loop().call(client.send, n.to_bytes(4, "big"))
         assert rx.wait_count(1000)
         assert [int.from_bytes(m, "big") for m in rx.messages] == list(range(1000))
     finally:
-        client.close()
+        loop().call(client.close)
         listener.close()
 
 
@@ -621,11 +621,11 @@ def test_mem_send_after_close_fails():
     listener, client, server = _pair("mem:hub-close")
     try:
         rx = Collector()
-        client.open(rx.on_message, rx.on_close)
-        server.open(lambda d: None, lambda r: None)
-        client.close()
+        loop().call(client.open, rx.on_message, rx.on_close)
+        loop().call(server.open, lambda d: None, lambda r: None)
+        loop().call(client.close)
         with pytest.raises(ConnectionClosed):
-            client.send(b"too late")
+            loop().call(client.send, b"too late")
         assert rx.closed.wait(5)
     finally:
         listener.close()
@@ -635,10 +635,10 @@ def test_mem_close_propagates_to_peer():
     listener, client, server = _pair("mem:hub-close2")
     try:
         client_rx = Collector()
-        client.open(client_rx.on_message, client_rx.on_close)
+        loop().call(client.open, client_rx.on_message, client_rx.on_close)
         server_rx = Collector()
-        server.open(server_rx.on_message, server_rx.on_close)
-        server.close()
+        loop().call(server.open, server_rx.on_message, server_rx.on_close)
+        loop().call(server.close)
         assert client_rx.closed.wait(5)
     finally:
         listener.close()
@@ -660,19 +660,19 @@ def test_tcp_echo_and_fifo():
     listener, client, server = _pair("tcp:127.0.0.1:0")
     try:
         rx = Collector()
-        server.open(rx.on_message, rx.on_close)
+        loop().call(server.open, rx.on_message, rx.on_close)
         client_rx = Collector()
-        client.open(client_rx.on_message, client_rx.on_close)
+        loop().call(client.open, client_rx.on_message, client_rx.on_close)
         for n in range(500):
-            client.send(n.to_bytes(4, "big"))
+            loop().call(client.send, n.to_bytes(4, "big"))
         assert rx.wait_count(500)
         assert [int.from_bytes(m, "big") for m in rx.messages] == list(range(500))
-        server.send(b"pong")
+        loop().call(server.send, b"pong")
         assert client_rx.wait_count(1)
         assert client_rx.messages == [b"pong"]
     finally:
-        client.close()
-        server.close()
+        loop().call(client.close)
+        loop().call(server.close)
         listener.close()
 
 
@@ -699,17 +699,17 @@ def test_handler_error_closes_connection(spec):
             reasons.append(reason)
             closed.set()
 
-        server.open(on_message, on_close)
+        loop().call(server.open, on_message, on_close)
         client_rx = Collector()
-        client.open(client_rx.on_message, client_rx.on_close)
-        client.send(b"x")
+        loop().call(client.open, client_rx.on_message, client_rx.on_close)
+        loop().call(client.send, b"x")
         assert closed.wait(5)
         assert reasons == ["handler error: ValueError: cannot handle b'x'"]
         assert server.closed
         assert client_rx.closed.wait(5)  # the other end learns of it too
     finally:
-        client.close()
-        server.close()
+        loop().call(client.close)
+        loop().call(server.close)
         listener.close()
 
 
@@ -719,15 +719,15 @@ def test_tcp_large_payload_round_trip():
     listener, client, server = _pair("tcp:127.0.0.1:0")
     try:
         rx = Collector()
-        server.open(rx.on_message, rx.on_close)
-        client.open(lambda d: None, lambda r: None)
+        loop().call(server.open, rx.on_message, rx.on_close)
+        loop().call(client.open, lambda d: None, lambda r: None)
         for p in payloads:
-            client.send(p)
+            loop().call(client.send, p)
         assert rx.wait_count(len(payloads), timeout=10)
         assert rx.messages == payloads
     finally:
-        client.close()
-        server.close()
+        loop().call(client.close)
+        loop().call(server.close)
         listener.close()
 
 
@@ -761,14 +761,14 @@ def test_send_just_before_close_is_delivered(spec):
     listener, client, server = _pair(spec)
     try:
         rx = Collector()
-        server.open(rx.on_message, rx.on_close)
-        client.open(lambda d: None, lambda r: None)
-        client.send(b"last words")
-        client.close()
+        loop().call(server.open, rx.on_message, rx.on_close)
+        loop().call(client.open, lambda d: None, lambda r: None)
+        loop().call(client.send, b"last words")
+        loop().call(client.close)
         assert rx.closed.wait(5)
         assert rx.messages == [b"last words"]
     finally:
-        server.close()
+        loop().call(server.close)
         listener.close()
 
 
@@ -779,9 +779,9 @@ def _close_runs_once_on_open(conn) -> None:
     exactly once, at or after open(), nothing is delivered, and a later
     close() adds no second call."""
     rx = Collector()
-    conn.open(rx.on_message, rx.on_close)
+    loop().call(conn.open, rx.on_message, rx.on_close)
     assert rx.closed.wait(5)
-    conn.close()
+    loop().call(conn.close)
     loop().call(lambda: None)  # after anything posted before it
     assert rx.events == [("close", "connection closed")]
 
@@ -789,7 +789,8 @@ def _close_runs_once_on_open(conn) -> None:
 def test_a_mem_connection_closed_before_open_runs_its_close_callback_once():
     listener, client, server = _pair("mem:hub-close-before-open")
     try:
-        client.close()  # closed locally; its peer reads the close once open, as on TCP
+        # closed locally; its peer reads the close once open, as on TCP
+        loop().call(client.close)
         loop().call(lambda: None)
         assert client.closed and not server.closed
         _close_runs_once_on_open(server)
@@ -801,10 +802,10 @@ def test_a_mem_connection_closed_before_open_runs_its_close_callback_once():
 def test_a_tcp_connection_whose_client_closed_before_open_runs_its_close_callback_once():
     listener, client, server = _pair("tcp:127.0.0.1:0")
     try:
-        client.close()
+        loop().call(client.close)
         _close_runs_once_on_open(server)
     finally:
-        server.close()
+        loop().call(server.close)
         listener.close()
 
 
@@ -813,15 +814,15 @@ def test_what_the_peer_sent_before_closing_is_delivered_on_open(spec):
     # the peer closing is not this end closing: its messages come first
     listener, client, server = _pair(spec)
     try:
-        client.send(b"before close")
-        client.close()
+        loop().call(client.send, b"before close")
+        loop().call(client.close)
         loop().call(lambda: None)  # after the close reached the other end
         rx = Collector()
-        server.open(rx.on_message, rx.on_close)
+        loop().call(server.open, rx.on_message, rx.on_close)
         assert rx.closed.wait(5)
         assert rx.events == [("message", b"before close"), ("close", "connection closed")]
     finally:
-        server.close()
+        loop().call(server.close)
         listener.close()
 
 
@@ -854,7 +855,7 @@ def _session(spec, payload: bytes):
     def endpoint(conn, opener, on_request, on_chan_open):
         ep = Endpoint(conn, opener, on_control=lambda env: None, on_request=on_request,
                       on_chan_open=on_chan_open, on_closed=lambda reason: None)
-        ep.start()
+        loop().call(ep.start)
         return ep
 
     endpoint(server_conn, False, lambda req: Response(req.id, True, payload=payload),
@@ -895,7 +896,7 @@ def test_non_utf8_payload_bytes_cross_a_live_session_intact(spec):
             time.sleep(0.005)
         assert got == [odd[::-1], odd] and not client.conn.closed
     finally:
-        client.close()
+        loop().call(client.close)
 
 
 @pytest.mark.parametrize("pad", [b" ", b"\n"])
@@ -912,7 +913,7 @@ def test_whitespace_between_header_and_payload_is_refused_by_the_codec(pad):
         loop().call(stream.emit, b"43")
         assert first.wait(5) and got == [43] and not client.conn.closed
     finally:
-        client.close()
+        loop().call(client.close)
 
 
 @pytest.mark.parametrize("spec", ["mem:hub-close-in-turn", "tcp:127.0.0.1:0"])
@@ -921,11 +922,11 @@ def test_an_endpoint_reads_and_sends_nothing_once_its_connection_closes(spec):
     # callback has run, the endpoint is asked to pull, open and attach
     listener, client_conn, server = _pair(spec)
     rx, closed = Collector(), []
-    server.open(rx.on_message, rx.on_close)
+    loop().call(server.open, rx.on_message, rx.on_close)
     ep = Endpoint(client_conn, True, on_control=lambda env: None,
                   on_request=lambda req: None, on_chan_open=lambda env: None,
                   on_closed=closed.append)
-    ep.start()
+    loop().call(ep.start)
     produced = StreamHandle(parse_codec("Int"))
     try:
         def one_turn():
@@ -944,8 +945,35 @@ def test_an_endpoint_reads_and_sends_nothing_once_its_connection_closes(spec):
         assert produced._subscribers == {}
         assert rx.events == [("close", "connection closed")]
     finally:
-        server.close()
+        loop().call(server.close)
         listener.close()
+
+
+@pytest.mark.parametrize("spec", ["mem:hub-closed-producer", "tcp:127.0.0.1:0"])
+def test_a_channel_opened_to_a_closed_stream_is_closed_and_kept_by_neither_side(spec):
+    listener, client_conn, server_conn = _pair(spec)
+    listener.close()
+    produced = StreamHandle(parse_codec("Int"))
+    loop().call(produced.close)
+
+    def endpoint(conn, opener, on_chan_open):
+        ep = Endpoint(conn, opener, on_control=lambda env: None,
+                      on_request=lambda req: None, on_chan_open=on_chan_open,
+                      on_closed=lambda reason: None)
+        loop().call(ep.start)
+        return ep
+
+    server = endpoint(server_conn, False, lambda env: produced)
+    client = endpoint(client_conn, True, lambda env: None)
+    try:
+        received = loop().call(client.open_stream, STREAM_SIG, parse_codec("Int"))
+        ended = FutureSlot()
+        loop().call(received.on_close, lambda: ended.resolve(None))
+        assert ended.wait(5) and received.closed
+        assert loop().call(lambda: (server._forwards, client._local_chans)) == ({}, {})
+        assert not client.conn.closed and not server.conn.closed
+    finally:
+        loop().call(client.close)
 
 
 # --- per-turn batches, with the interleaving forced ------------------------------
@@ -959,9 +987,9 @@ def test_sends_on_two_connections_in_one_turn_then_close_arrive_in_order(spec):
     try:
         ends = {b1: Collector(), b2: Collector()}
         for conn in (a1, a2):
-            conn.open(lambda data: None, lambda reason: None)
+            loop().call(conn.open, lambda data: None, lambda reason: None)
         for conn, rx in ends.items():
-            conn.open(rx.on_message, rx.on_close)
+            loop().call(conn.open, rx.on_message, rx.on_close)
 
         def one_turn():  # every send joins a batch; both closes flush theirs first
             for n in range(5):
@@ -979,7 +1007,7 @@ def test_sends_on_two_connections_in_one_turn_then_close_arrive_in_order(spec):
             [("close", "connection closed")]
     finally:
         for conn in (b1, b2):
-            conn.close()
+            loop().call(conn.close)
         listener.close()
 
 
@@ -994,35 +1022,36 @@ def test_a_handler_that_raises_mid_batch_closes_and_delivers_nothing_after(spec)
             if data == b"m1":
                 raise ValueError("cannot handle m1")
 
-        server.open(on_message, rx.on_close)
+        loop().call(server.open, on_message, rx.on_close)
         client_rx = Collector()
-        client.open(client_rx.on_message, client_rx.on_close)
+        loop().call(client.open, client_rx.on_message, client_rx.on_close)
         loop().call(lambda: [client.send(b"m%d" % n) for n in range(4)])  # one batch
         assert rx.closed.wait(5) and client_rx.closed.wait(5)
         assert got == [b"m0", b"m1"]
         assert rx.events == [("close", "handler error: ValueError: cannot handle m1")]
         assert server.closed
     finally:
-        client.close()
-        server.close()
+        loop().call(client.close)
+        loop().call(server.close)
         listener.close()
 
 
 @pytest.mark.parametrize("spec", ["mem:hub-batch-threads", "tcp:127.0.0.1:0"])
 def test_sends_from_many_threads_lose_nothing_and_keep_each_threads_order(spec):
-    # more threads than cores send on one connection while the loop batches,
-    # with thread switches forced often; a lost or reordered send breaks the check
+    # more threads than cores post sends on one connection to the loop, or
+    # call it with them, while the loop batches, with thread switches forced
+    # often; a lost or reordered send breaks the check
     listener, client, server = _pair(spec)
     per_thread, threads_n = 300, 4
     rx = Collector()
     try:
-        server.open(rx.on_message, rx.on_close)
-        client.open(lambda data: None, lambda reason: None)
+        loop().call(server.open, rx.on_message, rx.on_close)
+        loop().call(client.open, lambda data: None, lambda reason: None)
 
         def work(t):
             for n in range(per_thread):
                 if n % 3:
-                    client.send(b"%d %d" % (t, n))
+                    loop().post(client.send, b"%d %d" % (t, n))
                 else:  # also from the thread driving the loop, into the batch itself
                     loop().call(client.send, b"%d %d" % (t, n))
 
@@ -1042,6 +1071,6 @@ def test_sends_from_many_threads_lose_nothing_and_keep_each_threads_order(spec):
         for t in range(threads_n):
             assert [n for s, n in seen if s == t] == list(range(per_thread))
     finally:
-        client.close()
-        server.close()
+        loop().call(client.close)
+        loop().call(server.close)
         listener.close()

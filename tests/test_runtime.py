@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -223,9 +224,9 @@ def _hello_ack(instances, hello: Hello, source: str = helpers.SIMPLE_MODULE,
     instances.append(instance)
     instance.listen(hub)
     ep, acks = _acked_endpoint(hub)
-    ep.send(hello)
+    transport.loop().call(ep.send, hello)
     ack = acks.get(timeout=5)
-    ep.close()
+    transport.loop().call(ep.close)
     return ack
 
 
@@ -241,7 +242,7 @@ def _acked_endpoint(spec: str) -> tuple[Endpoint, queue.Queue]:
     ep = Endpoint(connect(spec), opener=True, on_control=on_control,
                   on_request=lambda r: Response(r.id, False, error="no"),
                   on_chan_open=lambda e: None, on_closed=lambda r: None)
-    ep.start()
+    transport.loop().call(ep.start)
     return ep, acks
 
 
@@ -282,12 +283,12 @@ def test_second_hello_on_one_connection_is_refused(instances):
     spoke = comps[PeerId((), "Spoke")]
     ep, acks = _acked_endpoint(hub)
     try:
-        ep.send(Hello(spoke.root_module, spoke.sig))
+        transport.loop().call(ep.send, Hello(spoke.root_module, spoke.sig))
         assert acks.get(timeout=5) == HelloAck(True)
-        ep.send(Hello(spoke.root_module, spoke.sig))
+        transport.loop().call(ep.send, Hello(spoke.root_module, spoke.sig))
         assert acks.get(timeout=5) == HelloAck(False, "hello received twice")
     finally:
-        ep.close()
+        transport.loop().call(ep.close)
 
 
 def test_lone_surrogate_request_closes_only_the_probing_link(instances, monkeypatch):
@@ -315,7 +316,8 @@ def test_lone_surrogate_request_closes_only_the_probing_link(instances, monkeypa
     b.activate(5)
     assert a.wait_settled(5) and b.wait_settled(5)
 
-    b._links[0].endpoint.conn.send(
+    transport.loop().call(
+        b._links[0].endpoint.conn.send,
         b'{"t":"req","id":99,"mod":"SimpleModule","path":[],"val":"\\ud800"}')
     deadline = time.monotonic() + 5
     while (a.links() or b.links()) and time.monotonic() < deadline:
@@ -377,7 +379,7 @@ def test_endpoint_without_hello_reads_nothing(instances):
     try:
         pulled, got, closed = _try_to_read(a, ep)
     finally:
-        ep.close()
+        transport.loop().call(ep.close)
     assert pulled.state == FAILED and pulled.error == "connection not admitted"
     assert got == [] and closed
 
@@ -391,10 +393,10 @@ def test_endpoint_that_skips_the_final_hello_ack_reads_nothing(instances):
     b = comps[PeerId((), "B")]
     ep = _raw_endpoint(hub)
     try:
-        ep.send(Hello(b.root_module, b.sig))
+        transport.loop().call(ep.send, Hello(b.root_module, b.sig))
         pulled, got, closed = _try_to_read(a, ep)
     finally:
-        ep.close()
+        transport.loop().call(ep.close)
     assert pulled.state == FAILED and pulled.error == "connection not admitted"
     assert got == [] and closed
     assert a.links() == []
@@ -410,7 +412,8 @@ def test_half_open_handshake_frees_an_optional_tie_at_its_deadline(instances, mo
     b = comps[PeerId((), "B")]
     ep, acks = _acked_endpoint(hub)
     try:
-        ep.send(Hello(b.root_module, b.sig))  # and never the final HelloAck
+        # and never the final HelloAck
+        transport.loop().call(ep.send, Hello(b.root_module, b.sig))
         assert acks.get(timeout=5) == HelloAck(True)
         with pytest.raises(StartError) as exc:
             start(b, [], [(hub, "A")], timeout=5)
@@ -421,7 +424,7 @@ def test_half_open_handshake_frees_an_optional_tie_at_its_deadline(instances, mo
             time.sleep(0.01)
         assert ep.conn.closed  # A closed the half-open connection at its deadline
     finally:
-        ep.close()
+        transport.loop().call(ep.close)
     instances.append(start(b, [], [(hub, "A")], timeout=5))
     assert a._wait_live_links(1, 5)
     assert len(a.links()) == 1
@@ -441,7 +444,7 @@ def test_stop_closes_a_connection_still_in_its_handshake(instances, monkeypatch)
             time.sleep(0.01)
         assert ep.conn.closed
     finally:
-        ep.close()
+        transport.loop().call(ep.close)
 
 
 def test_completed_handshakes_hold_no_timer(instances):
@@ -490,12 +493,12 @@ def test_spoke_refused_by_a_single_tie_reads_nothing(instances):
     spoke = comps[PeerId((), "Spoke")]
     ep = _raw_endpoint(hub)
     try:
-        ep.send(Hello(spoke.root_module, spoke.sig))
+        transport.loop().call(ep.send, Hello(spoke.root_module, spoke.sig))
         pulled = transport.loop().call(ep.pull, X_SIG, parse_codec("Int"))
         chan = transport.loop().call(ep.open_stream, S_SIG, parse_codec("Int"))
         assert pulled.wait(5)
     finally:
-        ep.close()
+        transport.loop().call(ep.close)
     # the refusal closed the connection, which failed the pull and the channel
     assert pulled.state == FAILED and chan.closed
     assert hub_instance._wait_live_links(1, 5)
@@ -1014,7 +1017,7 @@ TELEMETRY = """
       val mapped: Stream[Int] on Display = mi.map(v => v * 7 + 31)
     }
 """
-CALLS_PER_MESSAGE = 66  # Python calls on the push path, fire to both displays' subscribers
+CALLS_PER_MESSAGE = 64  # Python calls on the push path, fire to both displays' subscribers
 
 
 def test_a_pushed_message_stays_within_its_python_call_budget(instances):
@@ -1070,7 +1073,7 @@ SETTLE_FORMS = """
       val g: Seq[(Remote[Spoke], Future[(Int, Str)])] on Hub = sv.asLocalFromAll
     }
 """
-CALLS_PER_SESSION = 1430  # Python calls in one whole session: connect, evaluate, settle, stop
+CALLS_PER_SESSION = 1400  # Python calls in one whole session: connect, evaluate, settle, stop
 
 
 def test_a_settle_session_stays_within_its_python_call_budget():
@@ -1594,3 +1597,34 @@ def test_a_stopped_session_is_freed_by_reference_counting():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _wait_on_loop(check, timeout=5.0) -> None:
+    """Poll `check` on the loop until it holds."""
+    deadline = time.monotonic() + timeout
+    while not transport.loop().call(check):
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.001)
+
+
+def test_a_producer_stream_keeps_nothing_of_the_consumers_that_stopped(instances):
+    # each Display attaches a channel to the Sensor's `readings` and stops:
+    # the stream's close hooks stay as many, and no session's endpoint lives on
+    comps = components_for((helpers.ROOT / "samples" / "streams.loci").read_text())
+    hub = fresh_hub()
+    sensor = start(comps[PeerId((), "Sensor")], [hub], [], timeout=5)
+    instances.append(sensor)
+    readings, call = sensor.slot("readings"), transport.loop().call
+    hooks = call(lambda: len(readings._close_callbacks))  # `celsius`'s map
+    endpoints = []
+    for _ in range(200):
+        display = start(comps[PeerId((), "Display")], [], [(hub, "Sensor")], timeout=5)
+        _wait_on_loop(lambda: len(readings._subscribers) == 2)  # the channel attached
+        endpoints += call(lambda: [weakref.ref(link.endpoint)
+                                   for link in sensor._links + display._links])
+        display.stop()
+        _wait_on_loop(lambda: not sensor._links)
+    del display
+    gc.collect()
+    assert call(lambda: len(readings._close_callbacks)) == hooks == 1
+    assert len(endpoints) == 400 and [ref for ref in endpoints if ref() is not None] == []

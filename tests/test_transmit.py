@@ -136,6 +136,20 @@ def test_stream_close_callbacks():
     assert fired == ["a", "b"]
 
 
+def test_a_subscribers_close_hook_runs_in_order_and_goes_with_it():
+    s = StreamHandle()
+    fired = []
+    s.on_close(lambda: fired.append("a"))
+    s.subscribe(lambda v: None, lambda: fired.append("kept"))
+    unsubscribe = s.subscribe(lambda v: None, lambda: fired.append("gone"))
+    s.on_close(lambda: fired.append("b"))
+    unsubscribe()
+    assert len(s._close_callbacks) == 3
+    s.close()
+    s.subscribe(lambda v: None, lambda: fired.append("late"))  # closed: runs at once
+    assert fired == ["a", "kept", "b", "late"]
+
+
 # --- Endpoint pairs over the mem transport -----------------------------------
 
 _counter = [0]
@@ -177,7 +191,7 @@ def endpoint_pair(server_value=1, stream: StreamHandle | None = None):
                       on_request=lambda req: Response(req.id, False, error="client serves nothing"),
                       on_chan_open=lambda env: None,
                       on_closed=lambda reason: None)
-    client.start()
+    loop().call(client.start)
     assert ready.wait(5)
     listener.close()
     return client, server_holder["ep"]
@@ -189,7 +203,7 @@ def test_pull_resolves_future():
     assert slot.wait(5)
     assert slot.state == READY
     assert slot.value == 1
-    client.close()
+    loop().call(client.close)
 
 
 def test_pull_unknown_sig_fails():
@@ -198,7 +212,7 @@ def test_pull_unknown_sig_fails():
     assert slot.wait(5)
     assert slot.state == FAILED
     assert "value not found" in slot.error
-    client.close()
+    loop().call(client.close)
 
 
 def test_each_pull_sends_a_fresh_request():
@@ -218,7 +232,7 @@ def test_each_pull_sends_a_fresh_request():
     ids = [env.id for env in sent]
     assert len(ids) == 5
     assert len(set(ids)) == 5
-    client.close()
+    loop().call(client.close)
 
 
 def test_connection_loss_fails_pending_pulls():
@@ -240,10 +254,10 @@ def test_connection_loss_fails_pending_pulls():
                       on_control=lambda e: None,
                       on_request=lambda r: Response(r.id, False, error="no"),
                       on_chan_open=lambda e: None, on_closed=lambda r: None)
-    client.start()
+    loop().call(client.start)
     listener.close()
     slots = [loop().call(client.pull, SIG_X, INT) for _ in range(3)]
-    client.close()
+    loop().call(client.close)
     for slot in slots:
         assert slot.wait(5)
         assert slot.state == FAILED
@@ -263,7 +277,7 @@ def test_open_stream_receives_emissions_in_order():
         loop().call(produced.emit, n)
     _wait(lambda: len(got) == 3)
     assert got == [1, 2, 3]
-    client.close()
+    loop().call(client.close)
 
 
 def test_closed_channel_sees_no_emissions():
@@ -280,14 +294,14 @@ def test_closed_channel_sees_no_emissions():
     loop().call(produced.emit, 42)
     time.sleep(0.1)
     assert got == []
-    client.close()
+    loop().call(client.close)
 
 
 def test_chan_open_refused_closes_handle():
     client, server = endpoint_pair(stream=None)
     handle = loop().call(client.open_stream, SIG_S, INT)
     _wait(lambda: handle.closed)
-    client.close()
+    loop().call(client.close)
 
 
 def test_two_channels_each_receive_their_own_stream():
@@ -314,7 +328,7 @@ def test_two_channels_each_receive_their_own_stream():
                       on_control=lambda e: None,
                       on_request=lambda r: Response(r.id, False, error="no"),
                       on_chan_open=lambda e: None, on_closed=lambda r: None)
-    client.start()
+    loop().call(client.start)
     listener.close()
     h1 = loop().call(client.open_stream, sig1, INT)
     h2 = loop().call(client.open_stream, sig2, INT)
@@ -328,7 +342,7 @@ def test_two_channels_each_receive_their_own_stream():
     _wait(lambda: len(got1) == 50 and len(got2) == 50)
     assert got1 == list(range(50))
     assert got2 == [1000 + n for n in range(50)]
-    client.close()
+    loop().call(client.close)
 
 
 def test_channel_ids_do_not_collide():
@@ -339,7 +353,7 @@ def test_channel_ids_do_not_collide():
     server_chans = loop().call(lambda: set(server._local_chans))
     assert all(c % 2 == 1 for c in client_chans)
     assert all(c % 2 == 0 for c in server_chans)
-    client.close()
+    loop().call(client.close)
 
 
 def _wait(predicate, timeout=5.0):
@@ -361,7 +375,7 @@ def test_n_channels_on_one_stream_all_receive():
     _wait(lambda: len(produced._subscribers) == 3)
     loop().call(produced.emit, 7)
     _wait(lambda: all(log == [7] for log in logs))
-    client.close()
+    loop().call(client.close)
 
 
 def test_emit_with_zero_subscribers_sends_nothing():
@@ -372,7 +386,7 @@ def test_emit_with_zero_subscribers_sends_nothing():
     # no channel opened: emissions go nowhere
     time.sleep(0.05)
     assert sent == []
-    client.close()
+    loop().call(client.close)
 
 
 def test_raising_subscriber_closes_link_and_fails_pending_futures():
@@ -403,7 +417,7 @@ def test_raising_subscriber_closes_link_and_fails_pending_futures():
                       on_control=lambda e: None,
                       on_request=lambda r: Response(r.id, False, error="no"),
                       on_chan_open=lambda e: None, on_closed=on_closed)
-    client.start()
+    loop().call(client.start)
     listener.close()
     try:
         handle = loop().call(client.open_stream, SIG_S, INT)
@@ -423,4 +437,4 @@ def test_raising_subscriber_closes_link_and_fails_pending_futures():
         assert slot.error == "connection lost"
         assert client.conn.closed
     finally:
-        client.close()
+        loop().call(client.close)
