@@ -2,6 +2,8 @@
 
 Nodes carry their source position for diagnostics, but positions are
 excluded from equality so that parse/render round-trips compare equal.
+The parser builds each `Pos` from a token's offset and the source's line
+starts, and only for the nodes that have a `pos` field (type nodes have none).
 """
 
 from __future__ import annotations

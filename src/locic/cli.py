@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import arch as arch_mod
 from . import checker, parser, splitter
-from .diagnostics import Diagnostic, SourceError
+from .diagnostics import Diagnostic, Pos, SourceError
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -31,6 +31,21 @@ def _print_diagnostics(diags: list[Diagnostic], path: str, fmt: str) -> None:
             print(d.text(path), file=sys.stderr)
 
 
+def _read_source(path: str) -> str:
+    """A module file's text, with newlines read as `open` reads text.
+    OSError when the file cannot be read; SourceError at the first byte
+    that is not UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        before = data[: e.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        pos = Pos(before.count("\n") + 1, len(before) - before.rfind("\n"))
+        raise SourceError([Diagnostic(pos, "source is not valid UTF-8")]) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def compile_file(path: str):
     """Parse, resolve, and check a module file; returns its architecture,
     its effective ties and the checked module.
@@ -38,8 +53,7 @@ def compile_file(path: str):
     A file may declare several modules; the last one is compiled and the
     earlier ones are available for inclusion.
     """
-    source = Path(path).read_text(encoding="utf-8")
-    modules = parser.parse_program(source)
+    modules = parser.parse_program(_read_source(path))
     registry = {m.name: m for m in modules[:-1]}
     main_module = modules[-1]
     architecture = arch_mod.resolve_architecture(main_module, registry)
@@ -270,8 +284,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except FileNotFoundError as e:
-        print(f"cannot read {e.filename}", file=sys.stderr)
+    except OSError as e:
+        if e.filename != args.file:  # not the module file
+            raise
+        print(f"cannot read {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_USAGE
 
 

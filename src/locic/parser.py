@@ -1,8 +1,19 @@
-"""Lexer and recursive-descent parser for multitier module files (.loci)."""
+"""Lexer and recursive-descent parser for multitier module files (.loci).
+
+`tokenize` splits a whole source with one regular expression and keeps its
+tokens as three parallel lists, with no object per token: each token's
+kind, its source text and its start offset. The parser reads kinds and
+texts by index. A `Pos` (line, column) is built from a token's offset and
+the source's line starts, and only for the AST nodes and diagnostics that
+keep one.
+"""
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from itertools import accumulate, compress, count, repeat
+from operator import add, itemgetter, ne
 from typing import NamedTuple
 
 from . import ast
@@ -23,346 +34,331 @@ KEYWORDS = {
     "single", "optional", "multiple", "true", "false",
     "asLocal", "asLocalFromAll",
 }
+PUNCT = ("=>", "==", "{", "}", "(", ")", "[", "]", ":", ",", ".", "=", "+", "-", "*", "<")
 
 
 class Token(NamedTuple):
     kind: str  # 'ident' | 'int' | 'str' | keyword or punct literal | 'eof'
-    text: str
+    text: str  # a string literal's value
     pos: Pos
 
-    @property
-    def int_value(self) -> int:
-        return int(self.text)
 
-
+# The patterns are compiled by `re` on first use, so importing compiles none.
 # A string literal up to its closing quote, or up to its first fault.
-_STRING = re.compile(r'"(?:[^"\\\n]|\\[nrt"\\]|\\u(?![dD][89a-fA-F])[0-9a-fA-F]{4})*')
+_STRING = r'"(?:[^"\\\n]|\\[nrt"\\]|\\u(?![dD][89a-fA-F])[0-9a-fA-F]{4})*'
 
-# One match per token or comment, with the blanks before it; only trailing
-# blanks match nothing. A faulty string literal falls to `bad`.
-_TOKEN = re.compile(r"""[ \t\r]*(?:
-    (?P<int>[0-9]+)  # ASCII only: \d also takes "٣"
-    | (?P<word>\w+)
-    | (?P<punct>=>|==|[{}()\[\]:,.=+\-*<])
-    | (?P<comment>\#.*)
-    | (?P<str>%s")
-    | (?P<bad>[^ \t\r]))
-""" % _STRING.pattern, re.VERBOSE)
+# One token or comment with the blanks after it: blanks before the first token
+# match nothing, a faulty string literal falls to the last character class, and
+# the end of input is an empty token.
+_TOKEN = r"""(?x)(?:
+    [A-Za-z_]\w* | [{}()\[\]:,.+\-*<] | [0-9]+  # ASCII only: \d also takes "٣"
+    | =[>=]? | \#.* | %s" | \w+ | [^ \t\r\n] | \Z)[ \t\r\n]*
+""" % _STRING
+
+# A token's kind from its text, else from its first character (`_FIRST`); None
+# for a word that starts past ASCII, a bad character and a faulty string.
+_KINDS = {**{k: k for k in (*KEYWORDS, *PUNCT)}, "": "eof", '"': None}
+_FIRST = {**dict.fromkeys("0123456789", "int"), '"': "str", "#": "#",
+          **dict.fromkeys("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", "ident")}
+_first = itemgetter(slice(1))
+_BLANKS = " \t\r\n"
+_new = tuple.__new__  # skips the NamedTuple constructor's Python frame
+
+# how tight each binary operator binds: comparison < additive < multiplicative
+_BINDING = {"<": 1, "==": 1, "+": 2, "-": 2, "*": 3}
 
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-_ESCAPE = re.compile(r"\\(?:u(....)|(.))")
+_ESCAPE = r"\\(?:u(....)|(.))"
 
 
 def _unescape(m: re.Match) -> str:
     return chr(int(m[1], 16)) if m[1] else _ESCAPES[m[2]]
 
 
-def _string_error(text: str, i: int, line: int) -> ParseError:
-    """The first fault of the string literal opening at text[i], where
-    `text` is its line plus the newline that follows it, if any."""
-    j = _STRING.match(text, i).end()
-    if text[j : j + 1] == "\\" and j + 1 < len(text):  # an escape it cannot read
-        esc = text[j + 1]
+def string_value(text: str) -> str:
+    """The value of the string literal whose source text is `text`."""
+    return re.sub(_ESCAPE, _unescape, text[1:-1]) if "\\" in text else text[1:-1]
+
+
+class Tokens:
+    """A source's tokens, `eof` last, as parallel lists: `kinds`, `texts`
+    (source text: a string literal keeps its quotes and escapes) and
+    `starts` (offsets into the source); `lines` holds the offset each line
+    starts at. Indexing builds a `Token` whose text is a literal's value."""
+
+    __slots__ = ("kinds", "texts", "starts", "lines")
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        kind, text = self.kinds[i], self.texts[i]
+        return Token(kind, string_value(text) if kind == "str" else text, self.pos(i))
+
+    def pos(self, i: int) -> Pos:
+        offset, lines = self.starts[i], self.lines
+        line = bisect_right(lines, offset)
+        return _new(Pos, (line, offset - lines[line - 1] + 1))
+
+    def error(self, i: int, message: str) -> ParseError:
+        return ParseError([Diagnostic(self.pos(i), message)])
+
+
+def _fault(source: str, tokens: Tokens, i: int) -> ParseError:
+    """The error for token i, a bad character or the opening quote of a
+    string literal that stops at its first fault."""
+    text = tokens.texts[i]
+    if text != '"':
+        return tokens.error(i, f"unexpected character {text[0]!r}")
+    start = tokens.starts[i]
+    j = re.compile(_STRING).match(source, start).end()
+    if source[j : j + 1] == "\\" and j + 1 < len(source):  # an escape it cannot read
+        esc = source[j + 1]
+        line, col = tokens.pos(i)
         message = "invalid \\u escape" if esc == "u" else f"invalid escape '\\{esc}'"
-        return ParseError([Diagnostic(Pos(line, j + 1), message)])
-    return ParseError([Diagnostic(Pos(line, i + 1), "unterminated string literal")])
+        return ParseError([Diagnostic(Pos(line, col + j - start), message)])
+    return tokens.error(i, "unterminated string literal")
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__  # skips the NamedTuple constructors' Python frames
-    lines = source.split("\n")
-    for line, text in enumerate(lines, 1):
-        end = len(text)  # the end-of-input column stops at a trailing comment
-        for m in _TOKEN.finditer(text):
-            kind = m.lastgroup
-            word = m[kind]
-            col = m.end() - len(word) + 1
-            if kind == "word":
-                # \w is str.isalnum() or "_"; a word must start alphabetic
-                if not (word[0].isalpha() or word[0] == "_"):
-                    kind = "bad"
-                else:
-                    kind = word if word in KEYWORDS else "ident"
-            elif kind == "punct":
-                kind = word
-            elif kind == "str":
-                word = word[1:-1]
-                if "\\" in word:
-                    word = _ESCAPE.sub(_unescape, word)
-            elif kind == "comment":
-                end = col - 1
-                continue
-            if kind == "bad":
-                if word == '"':
-                    raise _string_error(text + "\n" if line < len(lines) else text, col - 1, line)
-                raise ParseError([Diagnostic(Pos(line, col), f"unexpected character {word[0]!r}")])
-            append(new(Token, (kind, word, new(Pos, (line, col)))))
-    append(Token("eof", "", Pos(line, end + 1)))
+def tokenize(source: str) -> Tokens:
+    found = re.findall(_TOKEN, source)
+    tokens = Tokens()
+    tokens.texts = texts = list(map(str.rstrip, found, repeat(_BLANKS)))
+    tokens.kinds = kinds = list(map(_KINDS.get, texts, map(_FIRST.get, map(_first, texts))))
+    # each token starts where the one before it and its blanks end
+    starts = list(accumulate(map(len, found), initial=len(source) - len(source.lstrip(_BLANKS))))
+    del starts[-1]
+    tokens.starts = starts
+    tokens.lines = list(map(add, accumulate(map(len, source.split("\n")), initial=0), count()))
+    if None in kinds:
+        for i in [i for i, kind in enumerate(kinds) if kind is None]:
+            # \w is str.isalnum() or "_"; a word must start alphabetic
+            if not texts[i][0].isalpha():
+                raise _fault(source, tokens, i)
+            kinds[i] = "ident"
+    if "#" in kinds:  # comments; the end-of-input column stops at one on the last line
+        if kinds[-2] == "#" and "\n" not in found[-2]:
+            starts[-1] = starts[-2]
+        keep = list(map(ne, kinds, repeat("#")))
+        tokens.kinds, tokens.texts, tokens.starts = (
+            list(compress(seq, keep)) for seq in (kinds, texts, starts))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.i = 0
-        self.cur = tokens[0]  # always tokens[i]
+    """Each grammar method parses from token i and returns its node with
+    the index of the token after it."""
 
-    # -- token plumbing --
+    def __init__(self, tokens: Tokens):
+        self.kinds, self.texts, self.pos, self.error = tokens.kinds, tokens.texts, tokens.pos, tokens.error
 
-    def peek(self, offset: int = 1) -> Token:
-        return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
-
-    def at(self, kind: str) -> bool:
-        return self.cur.kind == kind
-
-    def advance(self) -> Token:
-        tok = self.cur
-        if tok.kind != "eof":
-            self.i += 1
-            self.cur = self.tokens[self.i]
-        return tok
-
-    def expect(self, *kinds: str) -> Token:
-        if self.cur.kind in kinds:
-            return self.advance()
+    def expected(self, i: int, *kinds: str) -> ParseError:
+        found = self.kinds[i] if self.kinds[i] != "eof" else "end of input"
         expected = " or ".join(f"'{k}'" for k in kinds)
-        found = self.cur.kind if self.cur.kind != "eof" else "end of input"
-        raise ParseError([Diagnostic(self.cur.pos, f"syntax error: expected {expected}, found {found}")])
+        return self.error(i, f"syntax error: expected {expected}, found {found}")
 
-    @staticmethod
-    def nest(depth: int, bracket: Token) -> int:
-        """The bracket depth inside `bracket`, opened at `depth`; ParseError
-        past MAX_NESTING."""
+    def expect(self, i: int, *kinds: str) -> int:
+        """The index past `kinds`, one token each from i on."""
+        for j, kind in enumerate(kinds, i):
+            if self.kinds[j] != kind:
+                raise self.expected(j, kind)
+        return i + len(kinds)
+
+    def too_deep(self, i: int) -> ParseError:
+        return self.error(i, f"nesting deeper than {MAX_NESTING} levels")
+
+    def parenthesized(self, i: int, item, depth: int) -> tuple[list, int]:
+        """The comma-separated `item`s in the parentheses opened at token i,
+        and the index past ')'; `depth` brackets are open outside them."""
         if depth == MAX_NESTING:
-            raise ParseError([Diagnostic(bracket.pos, f"nesting deeper than {MAX_NESTING} levels")])
-        return depth + 1
+            raise self.too_deep(i)
+        kinds, items, sep = self.kinds, [], "("
+        while kinds[i] == sep:
+            node, i = item(i + 1, depth + 1)
+            items.append(node)
+            sep = ","
+        if kinds[i] != ")":
+            raise self.expected(i, ")")
+        return items, i + 1
 
     # -- grammar --
 
     def program(self) -> list[ast.SurfaceModule]:
-        modules = []
-        while not self.at("eof"):
-            modules.append(self.module())
-        if not modules:
-            raise ParseError([Diagnostic(self.cur.pos, "syntax error: expected 'module', found end of input")])
+        modules, i = [], 0
+        while self.kinds[i] != "eof" or not modules:
+            module, i = self.module(i)
+            modules.append(module)
         return modules
 
-    def module(self) -> ast.SurfaceModule:
-        start = self.expect("module")
-        name = self.expect("ident").text
-        self.expect("{")
+    def module(self, start: int) -> tuple[ast.SurfaceModule, int]:
+        kinds, texts = self.kinds, self.texts
+        i = self.expect(start, "module", "ident", "{")
         includes: list[ast.IncludeDecl] = []
         peers: list[ast.PeerDecl] = []
         defs: list[ast.DefDecl] = []
-        while not self.at("}"):
-            if self.at("include"):
-                includes.append(self.include())
-            elif self.at("peer"):
-                peers.append(self.peer())
-            elif self.at("val") or self.at("source"):
-                defs.append(self.definition())
+        while kinds[i] != "}":
+            kind = kinds[i]
+            if kind == "peer":
+                peer, i = self.peer(i)
+                peers.append(peer)
+            elif kind == "val" or kind == "source":
+                definition, i = self.definition(i)
+                defs.append(definition)
+            elif kind == "include":
+                i = self.expect(i, "include", "ident", ":", "ident")
+                includes.append(ast.IncludeDecl(texts[i - 3], texts[i - 1], self.pos(i - 4)))
             else:
-                self.expect("include", "peer", "val", "source", "}")
-        self.expect("}")
-        mod = ast.SurfaceModule(name, tuple(includes), tuple(peers), tuple(defs), pos=start.pos)
+                raise self.expected(i, "include", "peer", "val", "source", "}")
+        mod = ast.SurfaceModule(texts[start + 1], tuple(includes), tuple(peers), tuple(defs),
+                                self.pos(start))
         self._check_unique_names(mod)
-        return mod
+        return mod, i + 1
 
     def _check_unique_names(self, mod: ast.SurfaceModule) -> None:
-        seen: dict[str, Pos] = {}
+        decls = (*mod.includes, *mod.peers, *mod.defs)
+        names = [i.alias for i in mod.includes] + [d.name for d in decls[len(mod.includes):]]
+        if len(set(names)) == len(names):
+            return
+        seen: set[str] = set()
         diags: list[Diagnostic] = []
-        decls = (
-            [(i.alias, i.pos) for i in mod.includes]
-            + [(p.name, p.pos) for p in mod.peers]
-            + [(d.name, d.pos) for d in mod.defs]
-        )
-        for name, pos in decls:
+        for name, decl in zip(names, decls):
             if name in seen:
-                diags.append(Diagnostic(pos, f"duplicate name '{name}' in module '{mod.name}'"))
-            else:
-                seen[name] = pos
-        if diags:
-            raise ParseError(diags)
+                diags.append(Diagnostic(decl.pos, f"duplicate name '{name}' in module '{mod.name}'"))
+            seen.add(name)
+        raise ParseError(diags)
 
-    def include(self) -> ast.IncludeDecl:
-        start = self.expect("include")
-        alias = self.expect("ident").text
-        self.expect(":")
-        module_name = self.expect("ident").text
-        return ast.IncludeDecl(alias, module_name, pos=start.pos)
-
-    def peer(self) -> ast.PeerDecl:
-        start = self.expect("peer")
-        name = self.expect("ident").text
+    def peer(self, start: int) -> tuple[ast.PeerDecl, int]:
+        kinds, peer_ref = self.kinds, self.peer_ref
+        if kinds[start + 1] != "ident":
+            raise self.expected(start + 1, "ident")
+        i, sep = start + 2, ":"
         supers: list[ast.PeerRef] = []
-        if self.at(":"):
-            self.advance()
-            supers.append(self.peer_ref())
-            while self.at(","):
-                self.advance()
-                supers.append(self.peer_ref())
         ties: list[tuple[ast.Multiplicity, ast.PeerRef]] = []
-        if self.at("{"):
-            self.advance()
-            if self.at("tie"):
-                self.advance()
-                self.expect(":")
-                ties.append(self.tie())
-                while self.at(","):
-                    self.advance()
-                    ties.append(self.tie())
-            self.expect("}")
-        return ast.PeerDecl(name, tuple(supers), tuple(ties), pos=start.pos)
+        while kinds[i] == sep:
+            ref, i = peer_ref(i + 1)
+            supers.append(ref)
+            sep = ","
+        if kinds[i] == "{":
+            i += 1
+            if kinds[i] == "tie":
+                i, sep = self.expect(i + 1, ":") - 1, ":"
+                while kinds[i] == sep:
+                    mult = ast.MULTIPLICITY_BY_KEYWORD.get(kinds[i + 1])
+                    if mult is None:
+                        raise self.expected(i + 1, "single", "optional", "multiple")
+                    ref, i = peer_ref(i + 2)
+                    ties.append((mult, ref))
+                    sep = ","
+            if kinds[i] != "}":
+                raise self.expected(i, "}")
+            i += 1
+        return ast.PeerDecl(self.texts[start + 1], tuple(supers), tuple(ties), self.pos(start)), i
 
-    def tie(self) -> tuple[ast.Multiplicity, ast.PeerRef]:
-        tok = self.expect("single", "optional", "multiple")
-        return ast.MULTIPLICITY_BY_KEYWORD[tok.kind], self.peer_ref()
+    def peer_ref(self, i: int) -> tuple[ast.PeerRef, int]:
+        kinds, texts = self.kinds, self.texts
+        if kinds[i] != "ident":
+            raise self.expected(i, "ident")
+        if kinds[i + 1] == "." and kinds[i + 2] == "ident":
+            return ast.PeerRef(texts[i], texts[i + 2], self.pos(i)), i + 3
+        return ast.PeerRef(None, texts[i], self.pos(i)), i + 1
 
-    def peer_ref(self) -> ast.PeerRef:
-        first = self.expect("ident")
-        if self.at(".") and self.peek().kind == "ident":
-            self.advance()
-            second = self.expect("ident")
-            return ast.PeerRef(first.text, second.text, pos=first.pos)
-        return ast.PeerRef(None, first.text, pos=first.pos)
+    def definition(self, start: int) -> tuple[ast.DefDecl, int]:
+        kinds = self.kinds
+        if kinds[start + 1] != "ident" or kinds[start + 2] != ":":
+            self.expect(start + 1, "ident", ":")
+        ty, i = self.type_expr(start + 3)
+        if kinds[i] != "on":
+            raise self.expected(i, "on")
+        placed, i = self.peer_ref(i + 1)
+        if kinds[start] == "source":
+            return ast.DefDecl(self.texts[start + 1], ast.DefKind.STREAM_SOURCE, ty, placed, None,
+                               self.pos(start)), i
+        if kinds[i] != "=":
+            raise self.expected(i, "=")
+        body, i = self.expr(i + 1)
+        return ast.DefDecl(self.texts[start + 1], ast.DefKind.VAL, ty, placed, body, self.pos(start)), i
 
-    def definition(self) -> ast.DefDecl:
-        if self.at("source"):
-            start = self.advance()
-            name = self.expect("ident").text
-            self.expect(":")
-            ty = self.type_expr()
-            self.expect("on")
-            placed = self.peer_ref()
-            return ast.DefDecl(name, ast.DefKind.STREAM_SOURCE, ty, placed, None, pos=start.pos)
-        start = self.expect("val")
-        name = self.expect("ident").text
-        self.expect(":")
-        ty = self.type_expr()
-        self.expect("on")
-        placed = self.peer_ref()
-        self.expect("=")
-        body = self.expr()
-        return ast.DefDecl(name, ast.DefKind.VAL, ty, placed, body, pos=start.pos)
-
-    def type_expr(self, depth: int = 0) -> ast.TypeExpr:
-        if self.at("("):
-            open_tok = self.advance()
-            inner = self.nest(depth, open_tok)
-            items = [self.type_expr(inner)]
-            while self.at(","):
-                self.advance()
-                items.append(self.type_expr(inner))
-            self.expect(")")
+    def type_expr(self, i: int, depth: int = 0) -> tuple[ast.TypeExpr, int]:
+        kinds, name = self.kinds, self.texts[i]
+        ty = ast.PRIMS.get(name)  # only an ident spells a primitive
+        if ty is not None:
+            return ty, i + 1
+        if kinds[i] == "(":
+            items, j = self.parenthesized(i, self.type_expr, depth)
             if len(items) < 2:
-                raise ParseError([Diagnostic(open_tok.pos, "tuple type needs at least 2 elements")])
-            return ast.TTuple(tuple(items))
-        tok = self.expect("ident")
-        name = tok.text
-        if name in ast.PRIMS:
-            return ast.PRIMS[name]
-        if name in ast.ELEM_TYPES:
-            elem = self.type_expr(self.nest(depth, self.expect("[")))
-            self.expect("]")
-            return ast.ELEM_TYPES[name](elem)
+                raise self.error(i, "tuple type needs at least 2 elements")
+            return ast.TTuple(tuple(items)), j
+        if kinds[i] != "ident":
+            raise self.expected(i, "ident")
+        if name not in ast.ELEM_TYPES and name != "Remote":
+            raise self.error(i, f"syntax error: unknown type '{name}'")
+        if kinds[i + 1] != "[":
+            raise self.expected(i + 1, "[")
         if name == "Remote":
-            self.expect("[")
-            peer = self.peer_ref()
-            self.expect("]")
-            return ast.TRemote(peer)
-        raise ParseError([Diagnostic(tok.pos, f"syntax error: unknown type '{name}'")])
+            peer, j = self.peer_ref(i + 2)
+            ty = ast.TRemote(peer)
+        elif depth == MAX_NESTING:
+            raise self.too_deep(i + 1)
+        else:
+            elem, j = self.type_expr(i + 2, depth + 1)
+            ty = ast.ELEM_TYPES[name](elem)
+        if kinds[j] != "]":
+            raise self.expected(j, "]")
+        return ty, j + 1
 
-    # Expression precedence: comparison < additive < multiplicative < postfix.
-    def expr(self, depth: int = 0) -> ast.Expr:
-        left = self.additive(depth)
-        if self.cur.kind in ("<", "=="):
-            op = self.advance()
-            right = self.additive(depth)
-            return ast.BinOp(op.kind, left, right, pos=op.pos)
-        return left
-
-    def additive(self, depth: int) -> ast.Expr:
-        left = self.multiplicative(depth)
-        while self.cur.kind in ("+", "-"):
-            op = self.advance()
-            right = self.multiplicative(depth)
-            left = ast.BinOp(op.kind, left, right, pos=op.pos)
-        return left
-
-    def multiplicative(self, depth: int) -> ast.Expr:
-        left = self.postfix(depth)
-        while self.at("*"):
-            op = self.advance()
-            right = self.postfix(depth)
-            left = ast.BinOp("*", left, right, pos=op.pos)
-        return left
-
-    def postfix(self, depth: int) -> ast.Expr:
-        e = self.primary(depth)
-        while self.at("."):
-            dot = self.cur
-            nxt = self.peek()
-            if nxt.kind in ("asLocal", "asLocalFromAll") or (
-                nxt.kind == "ident" and nxt.text == "map" and self.peek(2).kind == "("
-            ):
-                if not isinstance(e, ast.Ref):
-                    raise ParseError(
-                        [Diagnostic(dot.pos, "remote access and stream map apply to named values only")]
-                    )
-                self.advance()
-                method = self.advance()
-                if method.kind == "asLocal":
-                    e = ast.AsLocal(e, pos=method.pos)
-                elif method.kind == "asLocalFromAll":
-                    e = ast.AsLocalFromAll(e, pos=method.pos)
-                else:
-                    inner = self.nest(depth, self.expect("("))
-                    var = self.expect("ident").text
-                    self.expect("=>")
-                    body = self.expr(inner)
-                    self.expect(")")
-                    e = ast.StreamMap(e, var, body, pos=method.pos)
-            else:
+    def expr(self, i: int, depth: int = 0, least: int = 1) -> tuple[ast.Expr, int]:
+        """The operand at token i and the operators after it that bind at
+        least `least` tight, left-associative; comparisons do not chain."""
+        kinds = self.kinds
+        left, i = self.primary(i, depth)
+        while (binding := _BINDING.get(kinds[i], 0)) >= least:
+            right, j = self.expr(i + 1, depth, binding + 1)
+            left, i = ast.BinOp(kinds[i], left, right, self.pos(i)), j
+            if binding == 1:
                 break
-        return e
+        return left, i
 
-    def primary(self, depth: int) -> ast.Expr:
-        tok = self.cur
-        if tok.kind == "int":
-            self.advance()
-            try:
-                return ast.IntLit(tok.int_value, pos=tok.pos)
-            except ValueError:  # more digits than int() converts
-                raise ParseError([Diagnostic(tok.pos, "integer literal is too long")]) from None
-        if tok.kind in ("true", "false"):
-            self.advance()
-            return ast.BoolLit(tok.kind == "true", pos=tok.pos)
-        if tok.kind == "str":
-            self.advance()
-            return ast.StrLit(tok.text, pos=tok.pos)
-        if tok.kind == "ident":
-            self.advance()
-            if self.at(".") and self.peek().kind == "ident" and not (
-                self.peek().text == "map" and self.peek(2).kind == "("
+    def primary(self, i: int, depth: int) -> tuple[ast.Expr, int]:
+        """An operand, with the remote accesses and stream maps after it."""
+        kinds, texts = self.kinds, self.texts
+        kind = kinds[i]
+        if kind == "ident":
+            if kinds[i + 1] == "." and kinds[i + 2] == "ident" and not (
+                texts[i + 2] == "map" and kinds[i + 3] == "("
             ):
-                self.advance()
-                member = self.expect("ident")
-                return ast.Ref(tok.text, member.text, pos=tok.pos)
-            return ast.Ref(None, tok.text, pos=tok.pos)
-        if tok.kind == "(":
-            self.advance()
-            inner = self.nest(depth, tok)
-            items = [self.expr(inner)]
-            while self.at(","):
-                self.advance()
-                items.append(self.expr(inner))
-            self.expect(")")
-            if len(items) == 1:
-                return items[0]
-            return ast.TupleExpr(tuple(items), pos=tok.pos)
-        raise ParseError([Diagnostic(tok.pos, f"syntax error: expected an expression, found '{tok.kind}'")])
+                e, j = ast.Ref(texts[i], texts[i + 2], self.pos(i)), i + 3
+            else:
+                e, j = ast.Ref(None, texts[i], self.pos(i)), i + 1
+        elif kind == "int":
+            try:
+                e, j = ast.IntLit(int(texts[i]), self.pos(i)), i + 1
+            except ValueError:  # more digits than int() converts
+                raise self.error(i, "integer literal is too long") from None
+        elif kind == "true" or kind == "false":
+            e, j = ast.BoolLit(kind == "true", self.pos(i)), i + 1
+        elif kind == "str":
+            e, j = ast.StrLit(string_value(texts[i]), self.pos(i)), i + 1
+        elif kind == "(":
+            items, j = self.parenthesized(i, self.expr, depth)
+            e = items[0] if len(items) == 1 else ast.TupleExpr(tuple(items), self.pos(i))
+        else:
+            raise self.error(i, f"syntax error: expected an expression, found '{kind}'")
+        while kinds[j] == "." and (kinds[j + 1] in ("asLocal", "asLocalFromAll") or (
+            texts[j + 1] == "map" and kinds[j + 2] == "(")
+        ):
+            if not isinstance(e, ast.Ref):
+                raise self.error(j, "remote access and stream map apply to named values only")
+            method = kinds[j + 1]
+            if method == "asLocal":
+                e, j = ast.AsLocal(e, self.pos(j + 1)), j + 2
+            elif method == "asLocalFromAll":
+                e, j = ast.AsLocalFromAll(e, self.pos(j + 1)), j + 2
+            else:
+                if depth == MAX_NESTING:
+                    raise self.too_deep(j + 2)
+                body, k = self.expr(self.expect(j + 3, "ident", "=>"), depth + 1)
+                e, j = ast.StreamMap(e, texts[j + 3], body, self.pos(j + 1)), self.expect(k, ")")
+        return e, j
 
 
 def parse_program(source: str) -> list[ast.SurfaceModule]:
@@ -382,6 +378,6 @@ def parse_program(source: str) -> list[ast.SurfaceModule]:
 def parse_type(text: str) -> ast.TypeExpr:
     """Parse one type expression and nothing after it."""
     p = _Parser(tokenize(text))
-    ty = p.type_expr()
-    p.expect("eof")
+    ty, i = p.type_expr(0)
+    p.expect(i, "eof")
     return ty

@@ -102,6 +102,31 @@ def test_usage_errors(capsys):
 
 def test_missing_file(capsys):
     assert main(["check", "/nonexistent/nope.loci"]) == 2
+    assert capsys.readouterr().err == "cannot read /nonexistent/nope.loci: No such file or directory\n"
+
+
+def _argv(command, path, tmp_path):
+    extra = {"split": ["--out", str(tmp_path / "out")], "sim": ["--peers", "A"]}
+    return [command, str(path), *extra.get(command, [])]
+
+
+@pytest.mark.parametrize("command", ["check", "arch", "split", "sim"])
+def test_a_module_file_that_cannot_be_read_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "d.loci"
+    path.mkdir()
+    assert main(_argv(command, path, tmp_path)) == 2
+    assert capsys.readouterr() == ("", f"cannot read {path}: Is a directory\n")
+
+
+@pytest.mark.parametrize("command", ["check", "arch", "split", "sim"])
+def test_invalid_utf8_is_one_diagnostic_at_its_first_bad_byte(tmp_path, capsys, command):
+    # CRLF line ends count as one newline each, as when the file is read as text
+    before = 'module M {\r\n  peer A { }\r\n  val s: Str on A = "é'
+    path = tmp_path / "bad.loci"
+    path.write_bytes(before.encode("utf-8") + b'\xff\xfe"\r\n}\r\n')
+    assert main(_argv(command, path, tmp_path)) == 1
+    col = len(before.rsplit("\n", 1)[1]) + 1
+    assert capsys.readouterr() == ("", f"{path}:3:{col} source is not valid UTF-8\n")
 
 
 def test_arch_text_output(simple_file, capsys):

@@ -1,3 +1,8 @@
+import collections
+import gc
+import json
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,6 +151,55 @@ def test_escapes_next_to_the_surrogate_range_are_characters():
     assert tokenize('"\\ud7ff\\ue000"')[0].text == "\ud7ff\ue000"
 
 
+def _bench_module(n_peers: int = 48) -> str:
+    """The first module of `n_peers` peers in the seed-7 compile pool of the benchmark."""
+    gen = helpers.load_bench("gen")
+    return next(expected["source"] for expected in gen.inputs("compile", 7)["pool"]
+                if len(expected["evaluated"]) - gen.LIB_PEERS == n_peers)
+
+
+CALLS_PER_MODULE = 3000  # Python calls in parse_program of the 48-peer module above
+
+
+def test_parsing_a_module_stays_within_its_python_call_budget():
+    # a count, not a timing: record constructors and positions included
+    source = _bench_module()
+    parse_program(source)
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[frame.f_code] += 1
+
+    sys.setprofile(profile)
+    try:
+        parse_program(source)
+    finally:
+        sys.setprofile(None)
+    calls = sum(counts.values())
+    assert calls <= CALLS_PER_MODULE, f"{calls} Python calls per module"
+
+
+def test_tokenize_allocates_no_tracked_object_per_token():
+    source = _bench_module()
+
+    def allocations(text):
+        tokenize(text)  # the same free lists before each count
+        gc.collect()
+        before = gc.get_count()[0]
+        tokens = tokenize(text)
+        return gc.get_count()[0] - before, len(tokens)
+
+    gc.disable()
+    try:
+        once, n = allocations(source)
+        tenfold, n_tenfold = allocations(source * 10)
+    finally:
+        gc.enable()
+    assert n_tenfold == 10 * (n - 1) + 1  # one eof
+    assert tenfold <= once < 50
+
+
 def _tokens_or_diagnostics(tokenize_fn, source):
     try:
         return [(t.kind, t.text, t.pos) for t in tokenize_fn(source)]
@@ -244,3 +298,46 @@ def test_parse_render_round_trip(module):
 def test_render_is_stable(module):
     rendered = render_module(module)
     assert render_module(parse_module(rendered)) == rendered
+
+
+# --- positions ------------------------------------------------------------------
+
+AST_POSITIONS = helpers.ROOT / "tests" / "golden" / "ast_positions.json"
+_LABELS = ("name", "alias", "op", "value", "var")
+
+
+def node_positions(node, out: list) -> list:
+    """[type, name or operator, line, col] of every node under `node` that
+    keeps a position, depth first in field order."""
+    if isinstance(node, tuple):
+        for item in node:
+            node_positions(item, out)
+        return out
+    fields = getattr(type(node), "_fields", ())
+    if "pos" in fields:
+        label = next((getattr(node, f) for f in _LABELS if f in fields), None)
+        out.append([type(node).__name__, label, node.pos.line, node.pos.col])
+    for f in fields:
+        if f != "pos":
+            node_positions(getattr(node, f), out)
+    return out
+
+
+def position_sources() -> dict[str, str]:
+    """The samples, and the first seed-7 compile module of each size class."""
+    sources = {f"samples/{p.name}": p.read_text(encoding="utf-8")
+               for p in sorted((helpers.ROOT / "samples").glob("*.loci"))}
+    gen = helpers.load_bench("gen")
+    for expected in gen.inputs("compile", 7)["pool"]:
+        n_peers = len(expected["evaluated"]) - gen.LIB_PEERS
+        sources.setdefault(f"compile seed 7, {n_peers} peers", expected["source"])
+    return sources
+
+
+def test_every_node_keeps_its_recorded_position():
+    recorded = json.loads(AST_POSITIONS.read_text(encoding="utf-8"))
+    got = {name: node_positions(tuple(parse_program(src)), [])
+           for name, src in position_sources().items()}
+    assert list(got) == list(recorded)
+    for name in recorded:
+        assert got[name] == recorded[name], name
