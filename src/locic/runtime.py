@@ -1,30 +1,30 @@
 """Peer instance lifecycle.
 
-A peer instance loads one component, establishes connections that are
-validated against the component's tie table during a hello handshake
-(closed if it has not completed by its deadline), waits until every single
-tie has its remote, evaluates the slots available on its peer in source
-order, and serves remote dispatch: a request or channel-open looks up the
-access plan of the value it names and reads the plan's slot. Remote-access
-sites in slot bodies produce futures (pull) or stream handles (connected
-channels) shaped by the tie multiplicity. Every body, a slot's or a
-`.map`'s, is compiled once into a closure (`_compile`): a slot's when it
-evaluates, a `.map`'s when its stream is made. Slot reads, remote pulls and
-evaluation errors still happen at each call, so at each mapped message.
+A peer instance loads one component, establishes connections, each a
+`_Link` that its endpoint calls, validated against the component's tie
+table during a hello handshake (closed if it has not completed by its
+deadline), waits until every single tie has its remote, evaluates the slots
+available on its peer in source order, and serves remote dispatch: a
+request or channel-open reads the access plan of the value it names.
+Remote-access sites in slot bodies produce futures (pull) or stream handles
+(connected channels) shaped by the tie multiplicity. Every body, a slot's
+or a `.map`'s, is compiled once into a closure (`_compile`): a slot's when
+it evaluates, a `.map`'s when its stream is made. Slot reads, remote pulls
+and evaluation errors still happen at each call, so at each mapped message.
 
 Every instance in a process runs on the transport's one event loop, so an
 instance starts no thread and holds no lock. A request or channel-open for
 a slot that is not evaluated yet is a deferred response: it waits in the
-slot's cell, is answered as soon as the slot evaluates, and fails with
-"peer stopped" if the instance stops first. Other threads cross only at the
-public methods: `listen`, `fire`, `links` and `stop` run on the loop
-(`transport.on_loop`); `connect`, `activate` and `wait_settled` run their
-work on the loop and then wait for one completion (`Loop.run_until`): while
-no other thread drives the loop, the calling thread drives it, so
-`simulate` runs every instance on its caller's thread. `slot`, `slot_state`
-and the reports only read. The futures and streams a slot holds are
-loop-only (`transmit`). A blocking call made from a callback on the loop
-cannot wait, so it times out at once.
+slot's cell, is answered as soon as the slot evaluates, fails with "peer
+stopped" if the instance stops first, and is dropped if its link closes.
+Other threads cross only at the public methods: `listen`, `fire`, `links`
+and `stop` run on the loop (`transport.on_loop`); `connect`, `activate`
+and `wait_settled` run their work on the loop and then wait for one
+completion (`Loop.run_until`): while no other thread drives the loop, the
+calling thread drives it, so `simulate` runs every instance on its
+caller's thread. `slot`, `slot_state` and the reports only read. The
+futures and streams a slot holds are loop-only (`transmit`). A blocking
+call made from a callback on the loop cannot wait, so it times out at once.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from .checker import (TBinOp, TBoolLit, TIntLit, TRef, TStreamMap, TStreamSource
 from .codecs import CodecError
 from .records import record
 from .sigs import PeerSig
-from .splitter import STREAM, AccessPlan, PeerComponent, RemoteCall, codec_of
-from .transmit import DEFERRED, PENDING, Endpoint, FutureSlot, StreamHandle
+from .splitter import STREAM, PeerComponent, RemoteCall, codec_of
+from .transmit import DEFERRED, Endpoint, FutureSlot, StreamHandle
 from .transport import on_loop
 from .wire import ChanOpen, Hello, HelloAck, Request, Response
 
@@ -89,25 +89,111 @@ def slot_futures(value: Any) -> list[FutureSlot]:
 
 
 class _Link:
-    """One connection, from its first byte. `result` resolves once the hello
-    handshake has admitted the remote and the link is live, or fails with
-    the reason, at the latest at the handshake deadline. The
-    remote's identity is filled in when its hello is admitted."""
+    """One connection, from its first byte: it starts its endpoint on `conn`
+    and is the owner that endpoint calls. Its handshake is open while
+    `deadline`, its timer, is set, and settles once, keeping neither that
+    timer nor `waiter`, the future `connect` waits on. The remote's identity,
+    shared with the instance, is filled in when its hello is admitted."""
 
-    def __init__(self, opener: bool, expected: PeerId | None = None):
+    def __init__(self, instance: PeerInstance, conn: transport.Connection, opener: bool,
+                 timeout: float, expected: PeerId | None = None,
+                 waiter: FutureSlot | None = None):
+        self.instance = instance
         self.opener = opener
         self.expected = expected
-        self.result = FutureSlot()
-        self.endpoint: Endpoint | None = None
+        self.waiter = waiter
         self.link_id = 0
         self.remote_sig: PeerSig | None = None
         self.remote_pid: PeerId | None = None
-        self.matched: list[PeerId] = []  # tie-table peers this remote counts toward
+        self.matched: tuple[PeerId, ...] = ()  # tie-table peers this remote counts toward
         self.live = False
+        self.deadline: transport.Timer | None = transport.loop().call_later(
+            timeout, self.timed_out)
+        self.endpoint = Endpoint(conn, opener, self, instance._served)
+        instance._links.append(self)
+        self.endpoint.start()  # the link holds its endpoint before any envelope arrives
 
     @property
     def ref(self) -> RemoteRef:
         return RemoteRef(self.remote_sig, self.link_id)
+
+    def settle(self, failure: str | None = None) -> None:
+        """End the handshake, if still open: cancel its deadline and hand
+        `connect` why it failed, None once the link is live."""
+        if self.deadline is not None:
+            self.deadline.cancel()
+            waiter, self.deadline, self.waiter = self.waiter, None, None
+            if waiter is not None:
+                waiter.resolve(failure)
+
+    def timed_out(self) -> None:
+        if self.deadline is not None:
+            self.instance._drop_link(self, _HANDSHAKE_TIMED_OUT)
+            self.endpoint.close(_HANDSHAKE_TIMED_OUT)
+
+    def on_control(self, env) -> None:
+        instance, ep = self.instance, self.endpoint
+        if isinstance(env, Hello):
+            refused = instance._admit(self, env)
+            if refused is not None:
+                ep.try_send(HelloAck(False, refused))
+                ep.close()
+                self.settle(refused)
+                return
+            try:
+                ep.send(HelloAck(True))
+                if not self.opener:
+                    ep.send(instance._hello)
+            except transport.ConnectionClosed:
+                instance._drop_link(self, "connection lost during handshake")
+                return
+            if self.opener:  # connector admitted the acceptor's hello: handshake complete
+                instance._mark_live(self)
+        elif isinstance(env, HelloAck):
+            if not env.accepted:
+                instance._drop_link(self, env.reason or "rejected")
+                ep.close()
+            elif not self.opener and self.remote_pid is not None:
+                instance._mark_live(self)
+
+    def on_closed(self, reason: str) -> None:
+        self.instance._drop_link(self, f"connection closed: {reason}")
+
+    def on_request(self, req: Request):
+        if not self.live:  # only a link the handshake admitted and completed is served
+            return Response(req.id, False, error="connection not admitted")
+        instance = self.instance
+        plan = instance.component.dispatch.get(req.value)
+        if plan is None:
+            return Response(req.id, False, error=f"value not found: {req.value.canonical}")
+        if plan.mode == STREAM:
+            return Response(req.id, False, error=(f"'{req.value.canonical}' is a stream; "
+                                                  f"open a channel to access it"))
+        cell = instance._slots[plan.slot]
+        if instance._defers(cell):
+            cell.waiters.append((self, req))
+            return DEFERRED
+        if cell.state != _SlotCell.READY:
+            return Response(req.id, False, error=(f"value '{cell.name}' is unavailable: "
+                                                  f"{cell.error or 'peer stopped'}"))
+        if cell.payload is None:  # a READY value never changes; serve its bytes again
+            try:
+                cell.payload = plan.codec.serialize(cell.value)
+            except CodecError as e:
+                return Response(req.id, False, error=str(e))
+        return Response(req.id, True, payload=cell.payload)
+
+    def on_chan_open(self, env: ChanOpen):
+        instance = self.instance
+        plan = instance.component.dispatch.get(env.value)
+        if plan is None or plan.mode != STREAM or not self.live:
+            return None
+        cell = instance._slots[plan.slot]
+        if instance._defers(cell):
+            cell.waiters.append((self, env))
+            return DEFERRED
+        ready = cell.state == _SlotCell.READY and isinstance(cell.value, StreamHandle)
+        return cell.value if ready else None
 
 
 class _SlotCell:
@@ -122,7 +208,7 @@ class _SlotCell:
         self.value: Any = None
         self.error: str | None = None
         self.payload: bytes | None = None  # the READY value, once serialized
-        self.waiters: list[Callable[[], None]] = []  # deferred responses
+        self.waiters: list[tuple[_Link, Request | ChanOpen]] = []  # deferred responses
 
 
 class PeerInstance:
@@ -142,6 +228,10 @@ class PeerInstance:
         self._evaluated = False
         self._gather: dict[PeerId, list[_Link]] = {}  # see _links_for
         self._tie_entries = sorted(component.tie_table.items())
+        # a known remote's signature -> that signature, its peer id and the
+        # tie-table entries it counts toward, shared by the remote's links
+        sigs = {pid: component.sig_of(pid) for pid in component.peer_table}
+        self._remotes = {sig: (sig, pid, component.ties_to(pid)) for pid, sig in sigs.items()}
         self._served = wire.value_parts(component.dispatch)
         self._hello = Hello(component.root_module, component.sig)  # sent on every link
 
@@ -180,53 +270,37 @@ class PeerInstance:
     def connect(self, spec: str, expected_peer: str | None = None,
                 timeout: float = DEFAULT_TIMEOUT) -> RemoteRef:
         expected = self._resolve_peer_name(expected_peer) if expected_peer else None
-        link, loop = _Link(opener=True, expected=expected), transport.loop()
-        loop.call(self._open_link, spec, link, timeout)
-        # the handshake deadline settles the result, so the wait needs none
-        if not loop.run_until(link.result):  # on the loop thread nothing is waited for
-            loop.call(self._handshake_timed_out, link)
-        if link.result.state == transmit.READY:
+        done, loop = FutureSlot(), transport.loop()
+        link = loop.call(self._open_link, spec, timeout, expected, done)
+        # the handshake deadline settles `done`, so the wait needs none
+        if not loop.run_until(done):  # on the loop thread nothing is waited for
+            loop.call(link.timed_out)
+        failure = done.value
+        if failure is None:
             return link.ref
-        if link.result.error == _HANDSHAKE_TIMED_OUT:
+        if failure == _HANDSHAKE_TIMED_OUT:
             raise StartError(f"handshake with {spec} timed out")
-        if link.result.error == _CLOSED_IN_HANDSHAKE:
+        if failure == _CLOSED_IN_HANDSHAKE:
             raise StartError(f"connection to {spec} closed during handshake")
-        raise StartError(f"connection to {spec} rejected: {link.result.error}")
+        raise StartError(f"connection to {spec} rejected: {failure}")
 
-    def _open_link(self, spec: str, link: _Link, timeout: float) -> None:
-        self._make_endpoint(transport.connect(spec), link, timeout)
+    def _open_link(self, spec: str, timeout: float, expected: PeerId | None,
+                   done: FutureSlot) -> _Link:
+        link = _Link(self, transport.connect(spec), True, timeout, expected, done)
         try:
             link.endpoint.send(self._hello)
         except transport.ConnectionClosed:
-            link.result.fail(_CLOSED_IN_HANDSHAKE)
-
-    def _handshake_timed_out(self, link: _Link) -> None:
-        if link.result.state == PENDING:
-            self._drop_link(link, _HANDSHAKE_TIMED_OUT)
-            link.endpoint.close(_HANDSHAKE_TIMED_OUT)
+            link.settle(_CLOSED_IN_HANDSHAKE)
+        return link
 
     def _resolve_peer_name(self, name: str) -> PeerId:
         pid = parse_peer_name(name)
         if pid not in self.component.peer_table:
             raise StartError(f"unknown peer '{name}'")
-        return pid
-
-    def _make_endpoint(self, conn: transport.Connection, link: _Link, timeout: float) -> None:
-        """Start `link`'s endpoint on `conn`, with a handshake deadline."""
-        timer = transport.loop().call_later(timeout, self._handshake_timed_out, link)
-        link.result.on_settle(lambda _result: timer.cancel())
-        link.endpoint = Endpoint(
-            conn, link.opener,
-            on_control=lambda env: self._on_control(link, env),
-            on_request=lambda req: self._handle_request(link, req),
-            on_chan_open=lambda env: self._handle_chan_open(link, env),
-            on_closed=lambda reason: self._on_link_closed(link, reason),
-            served=self._served)
-        self._links.append(link)
-        link.endpoint.start()  # the link holds its endpoint before any envelope arrives
+        return next(own for own in self.component.peer_table if own == pid)  # the table's own
 
     def _on_inbound(self, conn: transport.Connection) -> None:
-        self._make_endpoint(conn, _Link(opener=False), DEFAULT_TIMEOUT)
+        _Link(self, conn, False, DEFAULT_TIMEOUT)
 
     def _admit(self, link: _Link, hello: Hello) -> str | None:
         """Admit the remote that said `hello` on `link`; None, or why not."""
@@ -238,65 +312,39 @@ class PeerInstance:
         if hello.module != self.component.root_module:
             return (f"module signature mismatch: remote compiled from "
                     f"'{hello.module}', local from '{self.component.root_module}'")
-        remote_pid = PeerId(hello.peer.module.path, hello.peer.peer_name)
-        if (remote_pid not in self.component.peer_table
-                or self.component.sig_of(remote_pid) != hello.peer):
+        remote = self._remotes.get(hello.peer)
+        if remote is None:
             return f"unknown peer signature '{hello.peer}'"
+        _, remote_pid, matched = remote
         if link.expected is not None and link.expected not in self.component.super_closure(remote_pid):
             return f"expected a {link.expected} instance, remote is {remote_pid}"
-        matched = self.component.ties_to(remote_pid)
         for pid in matched:
             mult = self.component.tie_table[pid]
             if mult is not Multiplicity.MULTIPLE and any(pid in other.matched for other in self._links):
                 return f"tie to {pid} is {mult.keyword}; an instance is already connected"
         link.link_id = next(self._next_link_id)
-        link.remote_sig, link.remote_pid, link.matched = hello.peer, remote_pid, matched
+        link.remote_sig, link.remote_pid, link.matched = remote
         return None
 
     def _drop_link(self, link: _Link, failure: str) -> None:
-        """Forget `link`; its handshake, if still open, fails with `failure`."""
+        """Forget `link` and its deferred responses; its handshake, if open, fails."""
         if link in self._links:
             self._links.remove(link)
+            for cell in self._slots.values():
+                if cell.waiters:
+                    cell.waiters = [w for w in cell.waiters if w[0] is not link]
             self._changed()
-        link.result.fail(failure)
-
-    def _on_control(self, link: _Link, env) -> None:
-        ep = link.endpoint
-        if isinstance(env, Hello):
-            refused = self._admit(link, env)
-            if refused is not None:
-                ep.try_send(HelloAck(False, refused))
-                ep.close()
-                link.result.fail(refused)
-                return
-            try:
-                ep.send(HelloAck(True))
-                if not link.opener:
-                    ep.send(self._hello)
-            except transport.ConnectionClosed:
-                self._drop_link(link, "connection lost during handshake")
-                return
-            if link.opener:  # connector admitted the acceptor's hello: handshake complete
-                self._mark_live(link)
-        elif isinstance(env, HelloAck):
-            if not env.accepted:
-                self._drop_link(link, env.reason or "rejected")
-                ep.close()
-            elif not link.opener and link.remote_pid is not None:
-                self._mark_live(link)
+        link.settle(failure)
 
     def _mark_live(self, link: _Link) -> None:
         link.live = True
         self._changed()
-        link.result.resolve(None)
+        link.settle()
 
     def _wait_live_links(self, count: int, timeout: float) -> bool:
         """Wait until at least `count` links are live at this end."""
         return self._await(lambda: sum(1 for link in self._links if link.live) >= count,
                            timeout)
-
-    def _on_link_closed(self, link: _Link, reason: str) -> None:
-        self._drop_link(link, f"connection closed: {reason}")
 
     # -- activation -------------------------------------------------------
 
@@ -342,9 +390,17 @@ class PeerInstance:
 
     @staticmethod
     def _answer_waiters(cell: _SlotCell) -> None:
+        """Answer the deferred responses, now that `cell` does not defer."""
         waiters, cell.waiters = cell.waiters, []
-        for answer in waiters:
-            answer()
+        for link, env in waiters:
+            if isinstance(env, Request):
+                link.endpoint.try_send(link.on_request(env))
+            else:
+                link.endpoint.attach(env.chan, link.on_chan_open(env))
+
+    def _defers(self, cell: _SlotCell) -> bool:
+        """Whether a request for `cell` waits for it to evaluate."""
+        return cell.state == _SlotCell.PENDING and self.state != STOPPED
 
     # -- expression evaluation ---------------------------------------------
 
@@ -445,56 +501,6 @@ class PeerInstance:
                 return None
             return links[0].endpoint.pull(call.value_sig, codec)
         return [(link.ref, link.endpoint.pull(call.value_sig, codec)) for link in links]
-
-    # -- serving ------------------------------------------------------------
-
-    def _handle_request(self, link: _Link, req: Request):
-        if not link.live:  # only a link the handshake admitted and completed is served
-            return Response(req.id, False, error="connection not admitted")
-        plan = self.component.dispatch.get(req.value)
-        if plan is None:
-            return Response(req.id, False, error=f"value not found: {req.value.canonical}")
-        if plan.mode == STREAM:
-            return Response(req.id, False, error=(f"'{req.value.canonical}' is a stream; "
-                                                  f"open a channel to access it"))
-        cell = self._slots[plan.slot]
-        if self._defers(cell):
-            cell.waiters.append(lambda: link.endpoint.try_send(self._response(req, plan, cell)))
-            return DEFERRED
-        return self._response(req, plan, cell)
-
-    def _defers(self, cell: _SlotCell) -> bool:
-        """Whether a request for `cell` waits for it to evaluate."""
-        return cell.state == _SlotCell.PENDING and self.state != STOPPED
-
-    @staticmethod
-    def _response(req: Request, plan: AccessPlan, cell: _SlotCell) -> Response:
-        if cell.state != _SlotCell.READY:
-            return Response(req.id, False, error=(f"value '{cell.name}' is unavailable: "
-                                                  f"{cell.error or 'peer stopped'}"))
-        if cell.payload is None:  # a READY value never changes; serve its bytes again
-            try:
-                cell.payload = plan.codec.serialize(cell.value)
-            except CodecError as e:
-                return Response(req.id, False, error=str(e))
-        return Response(req.id, True, payload=cell.payload)
-
-    def _handle_chan_open(self, link: _Link, env: ChanOpen):
-        """The evaluated local stream the channel attaches to, None to
-        refuse it, or DEFERRED until its slot evaluates."""
-        plan = self.component.dispatch.get(env.value)
-        if plan is None or plan.mode != STREAM or not link.live:
-            return None
-        cell = self._slots[plan.slot]
-        if self._defers(cell):
-            cell.waiters.append(lambda: link.endpoint.attach(env.chan, self._stream_of(cell)))
-            return DEFERRED
-        return self._stream_of(cell)
-
-    @staticmethod
-    def _stream_of(cell: _SlotCell) -> StreamHandle | None:
-        ready = cell.state == _SlotCell.READY and isinstance(cell.value, StreamHandle)
-        return cell.value if ready else None
 
     # -- local producer API ---------------------------------------------------
 

@@ -139,11 +139,11 @@ class PeerComponent:
     def super_closure(self, p: PeerId) -> frozenset[PeerId]:
         return self.closures[p]
 
-    def ties_to(self, remote: PeerId) -> list[PeerId]:
+    def ties_to(self, remote: PeerId) -> tuple[PeerId, ...]:
         """The tie-table entries, in order, that an instance of `remote`
         counts toward: the ties to it or to one of its super-peers."""
         closure = self.closures[remote]
-        return [pid for pid in sorted(self.tie_table) if pid in closure]
+        return tuple([pid for pid in sorted(self.tie_table) if pid in closure])
 
     def sig_of(self, pid: PeerId) -> PeerSig:
         return PeerSig(pid.name, module_sig_of(self.root_module.name, self.includes, pid.path))

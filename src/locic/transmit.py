@@ -7,9 +7,11 @@ from the moment it attaches the channel, and either side may close the
 channel. Channel ids are allocated odd by the connection's opener and even
 by the acceptor, so they never collide.
 
-A request or channel-open may be answered later: the owner's handler
-returns `DEFERRED` and answers with `Endpoint.send` or `Endpoint.attach`
-once it can, without holding up the connection meanwhile.
+An `Endpoint` calls the methods of one owner, as an asyncio transport calls
+its protocol's, until the connection closes. A request or channel-open may
+be answered later: the owner returns `DEFERRED` and answers with
+`Endpoint.send` or `Endpoint.attach` once it can, without holding up the
+connection meanwhile.
 
 Every object here is loop-only, as asyncio's futures and transports are:
 only the thread driving the transport's event loop touches it, so it holds
@@ -199,28 +201,21 @@ class StreamHandle:
 class Endpoint:
     """Protocol session over one connection: requests, responses, channels.
 
-    The runtime owns the control plane: handshake envelopes go to
-    `on_control`, inbound value requests to `on_request` (which returns the
-    `Response`, or `DEFERRED` and sends it later), and inbound channel-opens
-    to `on_chan_open` (which returns the local stream, None to refuse, or
-    `DEFERRED` and calls `attach` later). No envelope is delivered before
-    `start()`, so the owner can finish wiring its handlers first. `served` is
-    the owner's served-value table (`wire.value_parts`), by which requests
-    and channel-opens for its values are read. An endpoint is closed exactly
-    when its connection is.
+    The endpoint calls four methods of its owner: `on_control(env)` with each
+    handshake envelope, `on_request(req)` with each value request (it returns
+    the `Response`, or `DEFERRED` and sends it later), `on_chan_open(env)`
+    with each channel-open (it returns the local stream, None to refuse, or
+    `DEFERRED` and calls `attach` later) and, once the endpoint has dropped
+    the owner, `on_closed(reason)`. No envelope is delivered before `start()`.
+    `served` is the owner's served-value table (`wire.value_parts`), by which
+    requests and channel-opens for its values are read. An endpoint is
+    closed exactly when its connection is.
     """
 
-    def __init__(self, conn: Connection, opener: bool,
-                 on_control: Callable[[Envelope], None],
-                 on_request: Callable[[Request], Response],
-                 on_chan_open: Callable[[ChanOpen], "StreamHandle | None"],
-                 on_closed: Callable[[str], None],
+    def __init__(self, conn: Connection, opener: bool, owner: Any,
                  served: dict[bytes, ValueSig] = {}):
         self.conn = conn
-        self._on_control = on_control
-        self._on_request = on_request
-        self._on_chan_open = on_chan_open
-        self._on_closed = on_closed
+        self._owner = owner
         self._served = served
         self._next_request_id = 1
         self._next_chan_id = 1 if opener else 2
@@ -229,7 +224,7 @@ class Endpoint:
         self._forwards: dict[int, Callable[[], None]] = {}  # opened by remote: unsubscribers
 
     def start(self) -> None:
-        """Start delivering inbound envelopes to the handlers."""
+        """Start delivering inbound envelopes to the owner."""
         self.conn.open(self._on_bytes, self._on_conn_close)
 
     # -- outbound --
@@ -294,15 +289,15 @@ class Endpoint:
         self._HANDLERS[type(env)](self, env)
 
     def _handle_control(self, env: Hello | HelloAck) -> None:
-        self._on_control(env)
+        self._owner.on_control(env)
 
     def _handle_request(self, env: Request) -> None:
-        response = self._on_request(env)
+        response = self._owner.on_request(env)
         if response is not DEFERRED:
             self.try_send(response)
 
     def _handle_chan_open(self, env: ChanOpen) -> None:
-        attached = self._on_chan_open(env)
+        attached = self._owner.on_chan_open(env)
         if attached is not DEFERRED:
             self.attach(env.chan, attached)
 
@@ -376,10 +371,8 @@ class Endpoint:
             handle.close()
         for unsub in forwards.values():
             unsub()
-        on_closed = self._on_closed
-        # nothing reaches the owner's handlers from now on, so they go
-        self._on_control = self._on_request = self._on_chan_open = self._on_closed = None
-        on_closed(reason)
+        owner, self._owner = self._owner, None  # nothing reaches it from now on
+        owner.on_closed(reason)
 
     _HANDLERS = {Hello: _handle_control, HelloAck: _handle_control,
                  Request: _handle_request, Response: _handle_response,

@@ -7,6 +7,7 @@ import socket
 import sys
 import threading
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -853,8 +854,9 @@ def _session(spec, payload: bytes):
     stream = StreamHandle(_RawCodec())
 
     def endpoint(conn, opener, on_request, on_chan_open):
-        ep = Endpoint(conn, opener, on_control=lambda env: None, on_request=on_request,
-                      on_chan_open=on_chan_open, on_closed=lambda reason: None)
+        ep = Endpoint(conn, opener, types.SimpleNamespace(
+            on_control=lambda env: None, on_request=on_request,
+            on_chan_open=on_chan_open, on_closed=lambda reason: None))
         loop().call(ep.start)
         return ep
 
@@ -923,9 +925,9 @@ def test_an_endpoint_reads_and_sends_nothing_once_its_connection_closes(spec):
     listener, client_conn, server = _pair(spec)
     rx, closed = Collector(), []
     loop().call(server.open, rx.on_message, rx.on_close)
-    ep = Endpoint(client_conn, True, on_control=lambda env: None,
-                  on_request=lambda req: None, on_chan_open=lambda env: None,
-                  on_closed=closed.append)
+    ep = Endpoint(client_conn, True, types.SimpleNamespace(
+        on_control=lambda env: None, on_request=lambda req: None,
+        on_chan_open=lambda env: None, on_closed=closed.append))
     loop().call(ep.start)
     produced = StreamHandle(parse_codec("Int"))
     try:
@@ -957,9 +959,9 @@ def test_a_channel_opened_to_a_closed_stream_is_closed_and_kept_by_neither_side(
     loop().call(produced.close)
 
     def endpoint(conn, opener, on_chan_open):
-        ep = Endpoint(conn, opener, on_control=lambda env: None,
-                      on_request=lambda req: None, on_chan_open=on_chan_open,
-                      on_closed=lambda reason: None)
+        ep = Endpoint(conn, opener, types.SimpleNamespace(
+            on_control=lambda env: None, on_request=lambda req: None,
+            on_chan_open=on_chan_open, on_closed=lambda reason: None))
         loop().call(ep.start)
         return ep
 

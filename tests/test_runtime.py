@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import weakref
 from pathlib import Path
 
@@ -239,9 +240,9 @@ def _acked_endpoint(spec: str) -> tuple[Endpoint, queue.Queue]:
         if isinstance(env, HelloAck):
             acks.put(env)
 
-    ep = Endpoint(connect(spec), opener=True, on_control=on_control,
-                  on_request=lambda r: Response(r.id, False, error="no"),
-                  on_chan_open=lambda e: None, on_closed=lambda r: None)
+    ep = Endpoint(connect(spec), opener=True, owner=types.SimpleNamespace(
+        on_control=on_control, on_request=lambda r: Response(r.id, False, error="no"),
+        on_chan_open=lambda e: None, on_closed=lambda r: None))
     transport.loop().call(ep.start)
     return ep, acks
 
@@ -295,13 +296,13 @@ def test_lone_surrogate_request_closes_only_the_probing_link(instances, monkeypa
     logged = []
     monkeypatch.setattr(transport, "_log_failure", lambda what, e: logged.append(what))
     reasons = []
-    on_link_closed = PeerInstance._on_link_closed
+    on_closed = runtime._Link.on_closed
 
-    def record(self, link, reason):
-        reasons.append((self.label, reason))
-        on_link_closed(self, link, reason)
+    def record(link, reason):
+        reasons.append((link.instance.label, reason))
+        on_closed(link, reason)
 
-    monkeypatch.setattr(PeerInstance, "_on_link_closed", record)
+    monkeypatch.setattr(runtime._Link, "on_closed", record)
     source = (helpers.ROOT / "samples" / "simple.loci").read_text()
     comp = components_for(source)[PeerId((), "MyPeer")]
     hub = fresh_hub()
@@ -450,10 +451,105 @@ def test_stop_closes_a_connection_still_in_its_handshake(instances, monkeypatch)
 def test_completed_handshakes_hold_no_timer(instances):
     sims = simulate(components_for(helpers.SIMPLE_MODULE), ["MyPeer", "MyPeer"], timeout=5)
     instances.extend(sims)
-    # a timer left armed would keep its instance reachable until the deadline
+    # a timer left armed would keep its link, and so its instance, reachable
+    # until the deadline
     armed = transport.loop().call(
         lambda: [t for t in transport.loop()._timers if t.fn is not None])
-    assert not [t for t in armed if getattr(t.fn, "__self__", None) in sims]
+    assert not [t for t in armed
+                if getattr(getattr(t.fn, "__self__", None), "instance", None) in sims]
+
+
+def _start_error(fn, *args) -> str:
+    """The message of the StartError that fn(*args) raises."""
+    try:
+        fn(*args)
+    except StartError as e:
+        return str(e)
+    raise AssertionError(f"{fn.__name__} raised no StartError")
+
+
+def _settle_by_timeout(comps) -> list[PeerInstance]:
+    hub, accepted = fresh_hub(), []
+    listener = transport.listen(hub, accepted.append)  # never opens what it accepts
+    a = PeerInstance(comps[PeerId((), "MyPeer")])
+    assert _start_error(a.connect, hub, None, 0.05) == f"handshake with {hub} timed out"
+    listener.close()
+    transport.loop().call(accepted.pop().close)
+    return [a]
+
+
+def _settle_by_refusal(comps) -> list[PeerInstance]:
+    hub = fresh_hub()
+    a = PeerInstance(comps[PeerId((), "MyPeer")])
+    a.listen(hub)
+    b = PeerInstance(comps[PeerId((), "B")])
+    assert "rejected: module signature mismatch" in _start_error(b.connect, hub)
+    return [a, b]
+
+
+def _settle_by_close(comps) -> list[PeerInstance]:
+    # the connecting end's remote closes at once; the accepting end's remote
+    # closes before it says hello
+    hub, call = fresh_hub(), transport.loop().call
+    listener = transport.listen(hub, lambda conn: conn.close())
+    a = PeerInstance(comps[PeerId((), "MyPeer")])
+    assert _start_error(a.connect, hub) == f"connection to {hub} closed during handshake"
+    listener.close()
+    hub = fresh_hub()
+    b = PeerInstance(comps[PeerId((), "MyPeer")])
+    b.listen(hub)
+    call(call(transport.connect, hub).close)
+    return [a, b]
+
+
+def _settle_by_second_hello(comps) -> list[PeerInstance]:
+    hub = fresh_hub()
+    a = PeerInstance(comps[PeerId((), "Hub")])
+    a.listen(hub)
+    spoke = comps[PeerId((), "Spoke")]
+    ep, acks = _acked_endpoint(hub)
+    transport.loop().call(ep.send, Hello(spoke.root_module, spoke.sig))
+    assert acks.get(timeout=5) == HelloAck(True)
+    transport.loop().call(ep.send, Hello(spoke.root_module, spoke.sig))
+    assert acks.get(timeout=5) == HelloAck(False, "hello received twice")
+    transport.loop().call(ep.close)
+    return [a]
+
+
+@pytest.mark.parametrize("settle", [_settle_by_timeout, _settle_by_refusal,
+                                    _settle_by_close, _settle_by_second_hello])
+def test_a_settled_handshake_leaves_no_timer_and_its_link_is_freed(settle, monkeypatch):
+    # every way a handshake ends breaks the link's cycles with its deadline
+    # timer and its endpoint, so the link goes by reference counting alone
+    links = []
+    init = runtime._Link.__init__
+
+    def recording(link, *args):
+        links.append(weakref.ref(link))
+        init(link, *args)
+
+    monkeypatch.setattr(runtime._Link, "__init__", recording)
+    comps = {**components_for(helpers.SIMPLE_MODULE), **components_for(OPTIONAL_PAIR),
+             **components_for(HUB_AND_SPOKES)}
+    loop = transport.loop()
+    gc.collect()
+    gc.disable()
+    try:
+        sims = settle(comps)
+        for instance in sims:
+            _wait_on_loop(lambda: not instance._links)
+        assert links
+        held = [link() for link in links if link() is not None]
+        armed = loop.call(lambda: [t for t in loop._timers if t.fn is not None])
+        assert not [t for t in armed if any(getattr(t.fn, "__self__", None) is link
+                                            or link in t.args for link in held)]
+        for instance in sims:
+            instance.stop()
+        del sims, instance, held, armed
+        assert gc.collect() == 0
+        assert [link() for link in links] == [None] * len(links)
+    finally:
+        gc.enable()
 
 
 def test_connect_times_out_when_the_remote_never_answers(instances):
@@ -1073,7 +1169,7 @@ SETTLE_FORMS = """
       val g: Seq[(Remote[Spoke], Future[(Int, Str)])] on Hub = sv.asLocalFromAll
     }
 """
-CALLS_PER_SESSION = 1400  # Python calls in one whole session: connect, evaluate, settle, stop
+CALLS_PER_SESSION = 1380  # Python calls in one whole session: connect, evaluate, settle, stop
 
 
 def test_a_settle_session_stays_within_its_python_call_budget():
@@ -1328,21 +1424,23 @@ PROD_AND_CONS = """
 def _record_arrivals(instance: PeerInstance, monkeypatch) -> dict[str, threading.Event]:
     """Events set once `instance` has handled a request or a channel-open."""
     arrived = {"request": threading.Event(), "chan_open": threading.Event()}
-    handle_request = instance._handle_request
-    handle_chan_open = instance._handle_chan_open
+    handle_request = runtime._Link.on_request
+    handle_chan_open = runtime._Link.on_chan_open
 
     def on_request(link, req):
         outcome = handle_request(link, req)
-        arrived["request"].set()
+        if link.instance is instance:
+            arrived["request"].set()
         return outcome
 
     def on_chan_open(link, env):
         outcome = handle_chan_open(link, env)
-        arrived["chan_open"].set()
+        if link.instance is instance:
+            arrived["chan_open"].set()
         return outcome
 
-    monkeypatch.setattr(instance, "_handle_request", on_request)
-    monkeypatch.setattr(instance, "_handle_chan_open", on_chan_open)
+    monkeypatch.setattr(runtime._Link, "on_request", on_request)
+    monkeypatch.setattr(runtime._Link, "on_chan_open", on_chan_open)
     return arrived
 
 
@@ -1384,6 +1482,20 @@ def test_pull_and_chan_open_before_evaluation_are_answered_once_it_evaluates(
     assert received.wait(5)
     assert got == [7]
     assert [len(prod._slots[n].waiters) for n in ("s", "x")] == [0, 0]
+
+
+def test_a_closed_links_deferred_responses_are_dropped(instances, monkeypatch):
+    # Cons's pull and channel-open wait in Prod's slots; once Cons stops,
+    # Prod keeps neither them nor, through them, the link they came on
+    prod, cons = _unactivated_prod_with_cons(instances, monkeypatch)
+    assert [len(prod._slots[n].waiters) for n in ("s", "x")] == [1, 1]
+    link = weakref.ref(transport.loop().call(lambda: prod._links[0]))
+    cons.stop()
+    _wait_on_loop(lambda: not prod._links)
+    assert [len(prod._slots[n].waiters) for n in ("s", "x")] == [0, 0]
+    assert link() is None
+    prod.activate(5)
+    assert prod.slot("x") == 42
 
 
 def test_waiting_request_does_not_hold_up_another_connection(instances, monkeypatch):
@@ -1529,6 +1641,29 @@ def test_p2p_sim_with_100_nodes_settles(instances):
     assert all(len(node.links()) == 99 for node in nodes)
     values = [node.slot("fromNode") for node in nodes]
     assert all(fut.state == READY and fut.value == 5 for fut in values)
+
+
+def test_a_link_costs_few_tracked_objects_and_no_per_link_copies():
+    # what two p2p sims of 20 and 40 nodes hold, per link added between them:
+    # each end's link, endpoint and connection and the connection's two bound
+    # callbacks; the identities and tie lists a link holds are its instance's
+    comps = components_for(P2P_SAMPLE.read_text(encoding="utf-8"))
+
+    def census(nodes: int) -> collections.Counter:
+        gc.collect()
+        before = collections.Counter(type(o).__name__ for o in gc.get_objects())
+        sims = simulate(comps, ["Registry"] + ["Node"] * (nodes - 1), timeout=10)
+        held = collections.Counter(type(o).__name__ for o in gc.get_objects())
+        for instance in sims:
+            instance.stop()
+        return held - before
+
+    small, large = census(20), census(40)
+    added_links = 40 * 39 // 2 - 20 * 19 // 2
+    per_link = (sum(large.values()) - sum(small.values())) / added_links
+    assert per_link <= 12, f"{per_link} tracked objects per link"  # 43.5 with closures
+    for name in ("function", "cell", "FutureSlot", "PeerSig", "ModuleSig", "PeerId"):
+        assert large[name] - small[name] < added_links, name  # fewer than one a link
 
 
 # --- per-turn batches -------------------------------------------------------------

@@ -1,5 +1,6 @@
 import threading
 import time
+import types
 
 import pytest
 
@@ -176,21 +177,21 @@ def endpoint_pair(server_value=1, stream: StreamHandle | None = None):
         return None
 
     def on_connection(conn):
-        server_holder["ep"] = Endpoint(conn, opener=False,
-                                       on_control=lambda env: None,
-                                       on_request=on_request,
-                                       on_chan_open=on_chan_open,
-                                       on_closed=lambda reason: None)
+        server_holder["ep"] = Endpoint(conn, opener=False, owner=types.SimpleNamespace(
+            on_control=lambda env: None,
+            on_request=on_request,
+            on_chan_open=on_chan_open,
+            on_closed=lambda reason: None))
         server_holder["ep"].start()
         ready.set()
 
     listener = listen(hub, on_connection)
     client_conn = connect(hub)
-    client = Endpoint(client_conn, opener=True,
-                      on_control=lambda env: None,
-                      on_request=lambda req: Response(req.id, False, error="client serves nothing"),
-                      on_chan_open=lambda env: None,
-                      on_closed=lambda reason: None)
+    client = Endpoint(client_conn, opener=True, owner=types.SimpleNamespace(
+        on_control=lambda env: None,
+        on_request=lambda req: Response(req.id, False, error="client serves nothing"),
+        on_chan_open=lambda env: None,
+        on_closed=lambda reason: None))
     loop().call(client.start)
     assert ready.wait(5)
     listener.close()
@@ -244,16 +245,16 @@ def test_connection_loss_fails_pending_pulls():
     holder = {}
 
     def on_connection(conn):
-        holder["ep"] = Endpoint(conn, opener=False,
-                                on_control=lambda e: None, on_request=on_request,
-                                on_chan_open=lambda e: None, on_closed=lambda r: None)
+        holder["ep"] = Endpoint(conn, opener=False, owner=types.SimpleNamespace(
+            on_control=lambda e: None, on_request=on_request,
+            on_chan_open=lambda e: None, on_closed=lambda r: None))
         holder["ep"].start()
 
     listener = listen(hub, on_connection)
-    client = Endpoint(connect(hub), opener=True,
-                      on_control=lambda e: None,
-                      on_request=lambda r: Response(r.id, False, error="no"),
-                      on_chan_open=lambda e: None, on_closed=lambda r: None)
+    client = Endpoint(connect(hub), opener=True, owner=types.SimpleNamespace(
+        on_control=lambda e: None,
+        on_request=lambda r: Response(r.id, False, error="no"),
+        on_chan_open=lambda e: None, on_closed=lambda r: None))
     loop().call(client.start)
     listener.close()
     slots = [loop().call(client.pull, SIG_X, INT) for _ in range(3)]
@@ -319,15 +320,16 @@ def test_two_channels_each_receive_their_own_stream():
         return None
 
     def on_connection(conn):
-        Endpoint(conn, opener=False, on_control=lambda e: None,
-                 on_request=lambda r: Response(r.id, False, error="no"),
-                 on_chan_open=on_chan_open, on_closed=lambda r: None).start()
+        Endpoint(conn, opener=False, owner=types.SimpleNamespace(
+            on_control=lambda e: None,
+            on_request=lambda r: Response(r.id, False, error="no"),
+            on_chan_open=on_chan_open, on_closed=lambda r: None)).start()
 
     listener = listen(hub, on_connection)
-    client = Endpoint(connect(hub), opener=True,
-                      on_control=lambda e: None,
-                      on_request=lambda r: Response(r.id, False, error="no"),
-                      on_chan_open=lambda e: None, on_closed=lambda r: None)
+    client = Endpoint(connect(hub), opener=True, owner=types.SimpleNamespace(
+        on_control=lambda e: None,
+        on_request=lambda r: Response(r.id, False, error="no"),
+        on_chan_open=lambda e: None, on_closed=lambda r: None))
     loop().call(client.start)
     listener.close()
     h1 = loop().call(client.open_stream, sig1, INT)
@@ -400,10 +402,11 @@ def test_raising_subscriber_closes_link_and_fails_pending_futures():
         return DEFERRED  # keep the request pending on the client
 
     def on_connection(conn):
-        Endpoint(conn, opener=False, on_control=lambda e: None,
-                 on_request=on_request,
-                 on_chan_open=lambda e: produced,
-                 on_closed=lambda r: None).start()
+        Endpoint(conn, opener=False, owner=types.SimpleNamespace(
+            on_control=lambda e: None,
+            on_request=on_request,
+            on_chan_open=lambda e: produced,
+            on_closed=lambda r: None)).start()
 
     reasons = []
     closed = threading.Event()
@@ -413,10 +416,10 @@ def test_raising_subscriber_closes_link_and_fails_pending_futures():
         closed.set()
 
     listener = listen(hub, on_connection)
-    client = Endpoint(connect(hub), opener=True,
-                      on_control=lambda e: None,
-                      on_request=lambda r: Response(r.id, False, error="no"),
-                      on_chan_open=lambda e: None, on_closed=on_closed)
+    client = Endpoint(connect(hub), opener=True, owner=types.SimpleNamespace(
+        on_control=lambda e: None,
+        on_request=lambda r: Response(r.id, False, error="no"),
+        on_chan_open=lambda e: None, on_closed=on_closed))
     loop().call(client.start)
     listener.close()
     try:
