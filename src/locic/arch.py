@@ -2,7 +2,9 @@
 
 Effective ties combine every tie declared on a peer or its super-peers,
 targeting a peer or its super-peers, and keep the most specific multiplicity
-(single beats optional beats multiple).
+(single beats optional beats multiple). Acyclicity is read from the same
+super-closures: a peer is on a cycle exactly when one of its direct
+super-peers has it in its super-closure.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ def peer_id_of(ref: ast.PeerRef, scope: str | None) -> PeerId:
     return PeerId((scope,) if scope is not None else (), ref.name)
 
 
-def _resolve_ref(ref: ast.PeerRef, known: set[PeerId], scope: str | None,
+def _resolve_ref(ref: ast.PeerRef, known: Mapping[PeerId, ast.PeerDecl], scope: str | None,
                  diags: list[Diagnostic]) -> PeerId | None:
     """Resolve a peer reference, or report it unknown."""
     pid = peer_id_of(ref, scope)
@@ -149,11 +151,8 @@ def resolve_architecture(m: ast.SurfaceModule,
         scoped.append((inc.alias, sub))
     scoped.append((None, m))
 
-    known: set[PeerId] = set()
-    for scope, mod in scoped:
-        for p in mod.peers:
-            known.add(PeerId((scope,) if scope else (), p.name))
-
+    known = {PeerId((scope,) if scope else (), p.name): p
+             for scope, mod in scoped for p in mod.peers}
     peers: dict[PeerId, PeerInfo] = {}
     for scope, mod in scoped:
         for p in mod.peers:
@@ -181,11 +180,7 @@ def resolve_architecture(m: ast.SurfaceModule,
             if pid is not None:
                 placements[name] = pid
 
-    _check_acyclic(peers, m, diags)
-    if diags:
-        raise ArchError(diags)
-
-    return Architecture(
+    a = Architecture(
         module_name=m.name,
         peers=peers,
         placements=placements,
@@ -193,30 +188,14 @@ def resolve_architecture(m: ast.SurfaceModule,
         defs=flat_defs,
         includes=includes,
     )
-
-
-def _check_acyclic(peers: dict[PeerId, PeerInfo], m: ast.SurfaceModule,
-                   diags: list[Diagnostic]) -> None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {p: WHITE for p in peers}
-
-    def visit(p: PeerId) -> bool:
-        color[p] = GRAY
-        for s in peers[p].supers:
-            if s not in color:
-                continue
-            if color[s] == GRAY:
-                return False
-            if color[s] == WHITE and not visit(s):
-                return False
-        color[p] = BLACK
-        return True
-
+    closures = a.closures
     for p in sorted(peers):
-        if color[p] == WHITE and not visit(p):
-            decl_pos = next((d.pos for d in m.peers if d.name == p.name), m.pos)
-            diags.append(Diagnostic(decl_pos, f"cyclic peer supertypes involving '{p}'"))
-            return
+        if any(p in closures[s] for s in peers[p].supers):
+            diags.append(Diagnostic(known[p].pos, f"cyclic peer supertypes involving '{p}'"))
+            break
+    if diags:
+        raise ArchError(diags)
+    return a
 
 
 def effective_ties(a: Architecture) -> EffectiveTies:

@@ -632,9 +632,10 @@ def simulate(components: dict[PeerId, PeerComponent], peer_names: list[str],
              timeout: float = DEFAULT_TIMEOUT) -> list[PeerInstance]:
     """Instantiate the named peers on the mem transport, wiring every pair
     related by a tie. Once every link is live at both ends, activate them
-    all on the loop, in the order given, and wait for settlement. An
-    instance that evaluates first leaves its pulls to the others deferred
-    until they evaluate.
+    all on the loop, in the order given, and wait for settlement. No link
+    can arrive after that, so activation does not wait: a single tie that
+    no listed peer meets fails at once. An instance that evaluates first
+    leaves its pulls to the others deferred until they evaluate.
 
     The caller owns the returned instances and must stop them.
     """
@@ -669,7 +670,7 @@ def simulate(components: dict[PeerId, PeerComponent], peer_names: list[str],
                 raise StartError(f"{instance.label}: timed out waiting for its links")
         for instance in instances:
             try:
-                instance.activate(timeout)
+                instance.activate(0)
             except StartError as e:
                 raise StartError(f"{instance.label}: {e}") from None
         for instance in instances:

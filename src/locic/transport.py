@@ -541,7 +541,8 @@ def _mem_connect(name: str) -> Connection:
 
 class TcpConnection(Connection):
     """A non-blocking socket registered with the loop's selector. Bytes the
-    kernel does not take at once wait in `_out` for the socket to drain."""
+    kernel does not take at once wait in `_out` for the socket to drain; a
+    closed connection keeps its socket until they have all gone."""
 
     def __init__(self, sock: socket.socket):
         super().__init__()
@@ -552,7 +553,8 @@ class TcpConnection(Connection):
         self._events = 0  # what the selector watches for on this socket
 
     def _watch(self) -> None:
-        events = (selectors.EVENT_READ if self._on_message is not None else 0) | \
+        reading = self._on_message is not None and not self._closed
+        events = (selectors.EVENT_READ if reading else 0) | \
                  (selectors.EVENT_WRITE if self._out else 0)
         if events == self._events:
             return
@@ -613,15 +615,19 @@ class TcpConnection(Connection):
             self._watch()
 
     def _flush(self) -> None:
+        """Send what waits in `_out`; a closed connection releases its
+        socket once `_out` is empty."""
         try:
-            sent = self._sock.send(self._out)
+            sent = self._sock.send(self._out) if self._out else 0
         except (BlockingIOError, InterruptedError):
-            return
+            sent = 0
         except OSError as e:
             self._lost(f"send failed: {e}")
             return
         del self._out[:sent]
-        if not self._closed:
+        if self._closed and not self._out:
+            self._release()
+        else:
             self._watch()
 
     def _lost(self, reason: str) -> None:
@@ -640,12 +646,7 @@ class TcpConnection(Connection):
             self._sock.close()
 
     def _close(self, reason: str) -> None:
-        if self._out:  # one last try for what the kernel has not taken yet
-            try:
-                self._sock.send(self._out)
-            except OSError:
-                pass
-        self._release()
+        self._flush()
 
 
 def _tcp_listen(host: str, port: int, on_connection) -> Listener:

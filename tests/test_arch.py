@@ -76,6 +76,34 @@ def test_cyclic_supers_rejected():
     assert "cyclic" in exc.value.diagnostics[0].message
 
 
+def test_a_deep_super_chain_declared_top_down_checks_clean():
+    # P0 : P1, P1 : P2, ... : each peer names a super declared after it
+    n = 2000
+    source = ("module M {\n" + "".join(f"  peer P{i} : P{i + 1} {{ }}\n" for i in range(n - 1))
+              + f"  peer P{n - 1} {{ }}\n}}\n")
+    _, a, _, _ = helpers.compile_clean(source)
+    assert len(a.super_closure(PeerId((), "P0"))) == n
+
+
+def test_a_cycle_is_reported_at_a_peer_on_it():
+    m = helpers.parse_module("module M {\n  peer A : B { }\n  peer B : C { }\n  peer C : B { }\n}")
+    with pytest.raises(ArchError) as exc:
+        resolve_architecture(m, {})
+    (diag,) = exc.value.diagnostics
+    assert diag.message == "cyclic peer supertypes involving 'B'"
+    assert diag.pos == Pos(3, 3)
+
+
+def test_a_cycle_in_an_include_is_reported_at_the_included_declaration():
+    lib, main = parser.parse_program("module Lib {\n  peer X : Y { }\n  peer Y : X { }\n}\n"
+                                     "module Main {\n  include l: Lib\n  peer Z { }\n  peer X { }\n}")
+    with pytest.raises(ArchError) as exc:
+        resolve_architecture(main, {lib.name: lib})
+    (diag,) = exc.value.diagnostics
+    assert diag.message == "cyclic peer supertypes involving 'l.X'"
+    assert diag.pos == Pos(2, 3)
+
+
 def test_unknown_peer_and_include_errors():
     m = helpers.parse_module("module M { peer A : Ghost { } }")
     with pytest.raises(ArchError) as exc:

@@ -757,17 +757,27 @@ def test_mem_hub_name_reusable_after_close():
     again.close()
 
 
-@pytest.mark.parametrize("spec", ["mem:hub-send-then-close", "tcp:127.0.0.1:0"])
-def test_send_just_before_close_is_delivered(spec):
+_8MIB = bytes(range(256)) * 32768  # more than the kernel takes in one send over loopback
+
+
+@pytest.mark.parametrize("spec, message", [
+    pytest.param("mem:hub-send-then-close", b"last words", id="mem:hub-send-then-close"),
+    pytest.param("tcp:127.0.0.1:0", b"last words", id="tcp:127.0.0.1:0"),
+    pytest.param("mem:hub-send-8mib-then-close", _8MIB, id="mem-8MiB"),
+    pytest.param("tcp:127.0.0.1:0", _8MIB, id="tcp-8MiB"),
+])
+def test_send_just_before_close_is_delivered(spec, message):
     listener, client, server = _pair(spec)
     try:
         rx = Collector()
         loop().call(server.open, rx.on_message, rx.on_close)
         loop().call(client.open, lambda d: None, lambda r: None)
-        loop().call(client.send, b"last words")
+        loop().call(client.send, message)
         loop().call(client.close)
         assert rx.closed.wait(5)
-        assert rx.messages == [b"last words"]
+        assert [len(m) for m in rx.messages] == [len(message)]
+        assert rx.messages == [message]
+        assert rx.events[-1] == ("close", "connection closed")
     finally:
         loop().call(server.close)
         listener.close()

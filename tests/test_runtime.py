@@ -852,11 +852,12 @@ def test_sim_unsatisfiable_single_tie_fails_cleanly():
           val pulled: Future[Int] on Node = r.asLocal
         }
     """)
+    # every wired link is live before activation, so the unmet tie is final
     began = time.time()
     with pytest.raises(StartError) as exc:
-        simulate(comps, ["Node"], timeout=0.4)
+        simulate(comps, ["Node"], timeout=5)
     assert "Registry" in str(exc.value)
-    assert time.time() - began < 5
+    assert time.time() - began < 1
 
 
 def test_expected_peer_mismatch_rejected(instances):
