@@ -130,22 +130,30 @@ class Expr:
     pass
 
 
+# A literal's type is its class's `ty`; typed bodies keep these nodes.
+
 @record
 class IntLit(Expr):
     value: int
     pos: Pos = uncompared(UNKNOWN_POS)
+    ty = INT
 
 
 @record
 class BoolLit(Expr):
     value: bool
     pos: Pos = uncompared(UNKNOWN_POS)
+    ty = BOOL
 
 
 @record
 class StrLit(Expr):
     value: str
     pos: Pos = uncompared(UNKNOWN_POS)
+    ty = STR
+
+
+LITERALS = (IntLit, BoolLit, StrLit)
 
 
 @record

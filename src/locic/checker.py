@@ -6,6 +6,9 @@ accessed peer: a single tie yields a future, an optional tie an optional
 future, a multiple tie a sequence of (remote reference, future) pairs.
 Event streams accessed over a single tie stay streams. Bare references to
 values placed elsewhere are rejected; remote access must be explicit.
+
+Typed bodies keep the parser's literal nodes; the checker builds a new node
+only where it adds a type or a resolved name.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from __future__ import annotations
 from . import ast
 from .arch import Architecture, EffectiveTies, FlatDef, PeerId, peer_id_of
 from .ast import Multiplicity
-from .diagnostics import UNKNOWN_POS, Diagnostic, Pos
-from .records import record, uncompared
+from .diagnostics import Diagnostic, Pos
+from .records import record
 
 
 # --- semantic types ---------------------------------------------------
@@ -41,11 +44,6 @@ class ErrorT(ast.TypeExpr):
 ERROR_T = ErrorT()
 
 
-def pair_of(a: ast.TypeExpr, b: ast.TypeExpr) -> ast.TTuple:
-    """The pair shape used by asLocalFromAll results; identical to a 2-tuple."""
-    return ast.TTuple((a, b))
-
-
 class RemoteAccessShapeError(Exception):
     pass
 
@@ -68,7 +66,7 @@ def type_remote_access(target: ast.TypeExpr, mult: Multiplicity, target_peer: Pe
         if not from_all:
             raise RemoteAccessShapeError(
                 "asLocal cannot be used over a multiple tie; use asLocalFromAll")
-        return ast.TSeq(pair_of(RemoteT(target_peer), ast.TFuture(target)))
+        return ast.TSeq(ast.TTuple((RemoteT(target_peer), ast.TFuture(target))))
     if from_all:
         raise RemoteAccessShapeError(
             f"asLocalFromAll requires a multiple tie (found {mult.keyword})")
@@ -80,25 +78,8 @@ def type_remote_access(target: ast.TypeExpr, mult: Multiplicity, target_peer: Pe
 # --- typed expressions ------------------------------------------------
 
 class TypedExpr:
-    pass
-
-
-@record
-class TIntLit(TypedExpr):
-    value: int
-    ty: ast.TypeExpr = ast.INT
-
-
-@record
-class TBoolLit(TypedExpr):
-    value: bool
-    ty: ast.TypeExpr = ast.BOOL
-
-
-@record
-class TStrLit(TypedExpr):
-    value: str
-    ty: ast.TypeExpr = ast.STR
+    """A typed expression node. A literal keeps the parser's node
+    (`ast.LITERALS`), whose class gives its type."""
 
 
 @record
@@ -153,8 +134,6 @@ class TypedDef:
     placed_on: PeerId
     declared_type: ast.TypeExpr
     body: TypedExpr
-    kind: ast.DefKind
-    pos: Pos = uncompared(UNKNOWN_POS)
 
 
 @record
@@ -184,12 +163,8 @@ class _DefChecker:
         return ref.name
 
     def check(self, e: ast.Expr) -> TypedExpr:
-        if isinstance(e, ast.IntLit):
-            return TIntLit(e.value)
-        if isinstance(e, ast.BoolLit):
-            return TBoolLit(e.value)
-        if isinstance(e, ast.StrLit):
-            return TStrLit(e.value)
+        if isinstance(e, ast.LITERALS):
+            return e
         if isinstance(e, ast.Ref):
             return self.check_ref(e)
         if isinstance(e, ast.BinOp):
@@ -338,7 +313,7 @@ def check_module(m: ast.SurfaceModule, a: Architecture, t: EffectiveTies) -> Typ
                 ctx.diagnostics.append(Diagnostic(
                     decl.pos, f"declared type {declared} does not match body type {body.ty}",
                     peer=str(peer)))
-        typed_defs.append(TypedDef(flat.name, peer, declared, body, decl.kind, pos=decl.pos))
+        typed_defs.append(TypedDef(flat.name, peer, declared, body))
 
     return TypedModule(a, typed_defs, ctx.diagnostics)
 

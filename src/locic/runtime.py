@@ -37,8 +37,7 @@ from typing import Any, Callable
 from . import ast, transmit, transport, wire
 from .arch import PeerId, parse_peer_name
 from .ast import Multiplicity
-from .checker import (TBinOp, TBoolLit, TIntLit, TRef, TStreamMap, TStreamSource,
-                      TStrLit, TTupleExpr, TypedExpr)
+from .checker import TBinOp, TRef, TStreamMap, TStreamSource, TTupleExpr, TypedExpr
 from .codecs import CodecError
 from .records import record
 from .sigs import PeerSig
@@ -369,7 +368,8 @@ class PeerInstance:
 
         if not self._await(ties_met, timeout):
             unmet = ", ".join(str(p) for p in transport.loop().call(self._unmet_single_ties))
-            raise StartError(f"timed out waiting for single ties to: {unmet}")
+            waited = "timed out waiting for" if timeout > 0 else "unmet"
+            raise StartError(f"{waited} single ties to: {unmet}")
         if not self._evaluated:
             raise StartError("stopped while connecting")
 
@@ -432,7 +432,7 @@ class PeerInstance:
         """`e` as a closure of the value of `var`, walked once; the variables
         of enclosing maps are fixed by `env`, which is never changed. Slot
         reads, remote accesses and new streams happen at each call."""
-        if isinstance(e, (TIntLit, TBoolLit, TStrLit)):
+        if isinstance(e, ast.LITERALS):
             const = e.value
             return lambda _value: const
         if isinstance(e, TRef):

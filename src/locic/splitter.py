@@ -313,11 +313,11 @@ def type_from_doc(doc) -> ast.TypeExpr:
 
 
 def expr_json(e: TypedExpr) -> str:
-    if isinstance(e, checker.TIntLit):
+    if isinstance(e, ast.IntLit):
         return '{"k":"int","v":%s}' % encode_json(e.value)
-    if isinstance(e, checker.TBoolLit):
+    if isinstance(e, ast.BoolLit):
         return '{"k":"bool","v":%s}' % encode_json(e.value)
-    if isinstance(e, checker.TStrLit):
+    if isinstance(e, ast.StrLit):
         return '{"k":"str","v":%s}' % encode_json(e.value)
     if isinstance(e, checker.TRef):
         return '{"k":"ref","name":%s,"ty":%s,"var":%s}' % (
@@ -343,11 +343,11 @@ def expr_json(e: TypedExpr) -> str:
 def expr_from_doc(doc, modules: Modules) -> TypedExpr:
     k = doc["k"]
     if k == "int":
-        return checker.TIntLit(doc["v"])
+        return ast.IntLit(doc["v"])
     if k == "bool":
-        return checker.TBoolLit(doc["v"])
+        return ast.BoolLit(doc["v"])
     if k == "str":
-        return checker.TStrLit(doc["v"])
+        return ast.StrLit(doc["v"])
     if k == "ref":
         return checker.TRef(doc["name"], doc["var"], type_from_doc(doc["ty"]))
     if k == "binop":

@@ -600,19 +600,8 @@ class TcpConnection(Connection):
     def _send(self, batch: list[bytes]) -> None:
         if self._sock.fileno() < 0:
             return  # released; a send made just before close() still goes out
-        framed = batch[0] if len(batch) == 1 else b"".join(batch)
-        if not self._out:
-            try:
-                sent = self._sock.send(framed)
-            except (BlockingIOError, InterruptedError):
-                sent = 0
-            except OSError as e:
-                self._lost(f"send failed: {e}")
-                return
-            framed = framed[sent:]
-        if framed:
-            self._out += framed
-            self._watch()
+        self._out += b"".join(batch)
+        self._flush()
 
     def _flush(self) -> None:
         """Send what waits in `_out`; a closed connection releases its

@@ -16,8 +16,7 @@ import helpers
 from locic import ast, cli
 from locic.arch import PeerId, effective_ties, resolve_architecture
 from locic.ast import Multiplicity
-from locic.checker import (RemoteAccessShapeError, RemoteT, check_module, pair_of,
-                           type_remote_access)
+from locic.checker import RemoteAccessShapeError, RemoteT, check_module, type_remote_access
 from locic.codecs import CodecError, parse_codec
 from locic.runtime import PeerInstance, StartError, start
 from locic.sigs import ModuleSig, ValueSig
@@ -71,7 +70,7 @@ def test_criterion_2_typing_table():
         assert type_remote_access(target, Multiplicity.OPTIONAL, peer) == \
             ast.TOption(ast.TFuture(target))
         assert type_remote_access(target, Multiplicity.MULTIPLE, peer, from_all=True) == \
-            ast.TSeq(pair_of(RemoteT(peer), ast.TFuture(target)))
+            ast.TSeq(ast.TTuple((RemoteT(peer), ast.TFuture(target))))
         with pytest.raises(RemoteAccessShapeError):
             type_remote_access(target, Multiplicity.MULTIPLE, peer, from_all=False)
         with pytest.raises(RemoteAccessShapeError):

@@ -5,7 +5,7 @@ from locic import ast
 from locic.arch import PeerId, effective_ties, resolve_architecture
 from locic.ast import Multiplicity
 from locic.checker import (RemoteAccessShapeError, RemoteT, TRemoteAccess, check_module,
-                           pair_of, type_remote_access)
+                           type_remote_access)
 
 R = PeerId((), "R")
 
@@ -31,7 +31,7 @@ def test_optional_tie_yields_optional_future():
 
 def test_multiple_tie_yields_remote_pairs():
     got = type_remote_access(ast.INT, Multiplicity.MULTIPLE, R, from_all=True)
-    assert got == ast.TSeq(pair_of(RemoteT(R), ast.TFuture(ast.INT)))
+    assert got == ast.TSeq(ast.TTuple((RemoteT(R), ast.TFuture(ast.INT))))
 
 
 def test_stream_over_single_tie_stays_a_stream():
@@ -59,7 +59,7 @@ def test_access_shape_depends_only_on_type_and_multiplicity(target):
     assert type_remote_access(target, Multiplicity.SINGLE, R) == ast.TFuture(target)
     assert type_remote_access(target, Multiplicity.OPTIONAL, R) == ast.TOption(ast.TFuture(target))
     assert type_remote_access(target, Multiplicity.MULTIPLE, R, from_all=True) == \
-        ast.TSeq(pair_of(RemoteT(R), ast.TFuture(target)))
+        ast.TSeq(ast.TTuple((RemoteT(R), ast.TFuture(target))))
 
 
 # --- whole-module checking ----------------------------------------------
@@ -153,6 +153,20 @@ def test_multiple_access_types_as_pair_sequence():
     assert tm.diagnostics == []
     xs = next(d for d in tm.defs if d.name == "xs")
     assert xs.declared_type == ast.TSeq(ast.TTuple((RemoteT(PeerId((), "Leaf")), ast.TFuture(ast.INT))))
+
+
+def test_a_literal_body_is_the_parsers_node():
+    module, _, _, tm = helpers.compile_clean("""
+        module M {
+          peer P { }
+          val i: Int on P = 7
+          val b: Bool on P = true
+          val s: Str on P = "x"
+        }
+    """)
+    for decl, typed, ty in zip(module.defs, tm.defs, (ast.INT, ast.BOOL, ast.STR)):
+        assert typed.body is decl.body
+        assert typed.body.ty == typed.declared_type == ty
 
 
 def test_stream_source_and_map_typing():

@@ -857,6 +857,7 @@ def test_sim_unsatisfiable_single_tie_fails_cleanly():
     with pytest.raises(StartError) as exc:
         simulate(comps, ["Node"], timeout=5)
     assert "Registry" in str(exc.value)
+    assert "timed out" not in str(exc.value)  # nothing was waited for
     assert time.time() - began < 1
 
 
@@ -1553,6 +1554,27 @@ def test_p2p_sim_starts_at_most_the_loop_thread(instances, monkeypatch):
     assert left <= {"locic-loop"}
     nodes = sims[1:]
     assert all(node.slot("fromNode").value == 5 for node in nodes)
+
+
+def test_p2p_sim_settles_while_the_daemon_drives_the_loop(instances):
+    # an open listening socket keeps the daemon driving, so every call the
+    # simulation makes from this thread, its waits for links included, is
+    # posted to the daemon
+    comps = components_for(P2P_SAMPLE.read_text(encoding="utf-8"))
+    lp = transport.loop()
+    listener = transport.listen("tcp:127.0.0.1:0", lambda conn: conn.close())
+    try:
+        assert lp._owner is not None and lp._owner == lp._daemon.ident
+        assert lp._owner != threading.get_ident()
+        sims = simulate(comps, ["Registry"] + ["Node"] * 9, timeout=10)
+        instances.extend(sims)
+        registry, nodes = sims[0], sims[1:]
+        assert registry.slot("localRead") == 6
+        assert all(node.slot("fromNode").value == 5 for node in nodes)
+        # the Registry reaches every Node; a Node the Registry and the 8 others
+        assert [len(instance.links()) for instance in sims] == [9] * 10
+    finally:
+        listener.close()
 
 
 _NO_THREAD_SCRIPT = """

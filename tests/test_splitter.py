@@ -319,8 +319,8 @@ def _type_doc(t: ast.TypeExpr) -> dict:
 def _expr_doc(e) -> dict:
     """A slot body's document, built as a dict for `json.dumps`, apart from
     the text the splitter writes."""
-    if isinstance(e, (checker.TIntLit, checker.TBoolLit, checker.TStrLit)):
-        kind = {checker.TIntLit: "int", checker.TBoolLit: "bool", checker.TStrLit: "str"}
+    if isinstance(e, (ast.IntLit, ast.BoolLit, ast.StrLit)):
+        kind = {ast.IntLit: "int", ast.BoolLit: "bool", ast.StrLit: "str"}
         return {"k": kind[type(e)], "v": e.value}
     if isinstance(e, checker.TRef):
         return {"k": "ref", "name": e.name, "var": e.is_var, "ty": _type_doc(e.ty)}
