@@ -8,7 +8,13 @@ Event streams accessed over a single tie stay streams. Bare references to
 values placed elsewhere are rejected; remote access must be explicit.
 
 Typed bodies keep the parser's literal nodes; the checker builds a new node
-only where it adds a type or a resolved name.
+only where it adds a type or a resolved name. Each definition gets its value
+signature and, where its type can be transmitted, one `AccessPlan`: the slot
+that backs it, whether it is pulled or streamed, and the codec of its value
+(of each element, for a stream). A remote access is typed into its final
+`RemoteCall`, which holds the plan of the value it reaches, so the bodies
+are what a peer runs. A module whose remote access reaches a value with no
+codec checks clean; the splitter refuses it (`TypedModule.unsendable`).
 """
 
 from __future__ import annotations
@@ -16,8 +22,10 @@ from __future__ import annotations
 from . import ast
 from .arch import Architecture, EffectiveTies, FlatDef, PeerId, peer_id_of
 from .ast import Multiplicity
+from .codecs import Codec
 from .diagnostics import Diagnostic, Pos
 from .records import record
+from .sigs import ModuleSig, ValueSig
 
 
 # --- semantic types ---------------------------------------------------
@@ -103,13 +111,40 @@ class TTupleExpr(TypedExpr):
     ty: ast.TypeExpr
 
 
-@record
-class TRemoteAccess(TypedExpr):
-    """An asLocal / asLocalFromAll site, before splitting rewrites it."""
+PULL, STREAM = "pull", "stream"
 
-    target: str  # qualified definition name
-    to_peer: PeerId
+
+@record
+class AccessPlan:
+    """How one definition is transmitted."""
+
+    slot: str  # qualified definition name backing this entry
+    mode: str  # PULL | STREAM
+    codec: Codec  # of the value, or of each element of a stream
+
+
+def codec_of(t: ast.TypeExpr) -> Codec | None:
+    """The codec for a data type, or None if the type is not serializable."""
+    return Codec(t) if ast.non_data_part(t) is None else None
+
+
+def access_plan(def_name: str, declared: ast.TypeExpr) -> AccessPlan | None:
+    """The plan for remote access to a definition, or None if its value (each
+    element, for a stream) has no codec."""
+    stream = isinstance(declared, ast.TStream)
+    codec = codec_of(declared.elem if stream else declared)
+    return None if codec is None else AccessPlan(def_name, STREAM if stream else PULL, codec)
+
+
+@record
+class RemoteCall(TypedExpr):
+    """An asLocal / asLocalFromAll site: the value's signature, the peer that
+    serves it, and its access plan there (None if it has no codec)."""
+
+    value_sig: ValueSig
+    target_peer_id: PeerId
     mult: Multiplicity
+    plan: AccessPlan | None
     ty: ast.TypeExpr
 
 
@@ -134,6 +169,8 @@ class TypedDef:
     placed_on: PeerId
     declared_type: ast.TypeExpr
     body: TypedExpr
+    sig: ValueSig
+    plan: AccessPlan | None  # None: the value has no codec
 
 
 @record
@@ -141,6 +178,9 @@ class TypedModule:
     arch: Architecture
     defs: list[TypedDef]
     diagnostics: list[Diagnostic]
+    # (name, declared type) of each remote access target with no codec, in
+    # source order
+    unsendable: list[tuple[str, ast.TypeExpr]]
 
 
 # --- the checker ------------------------------------------------------
@@ -190,7 +230,7 @@ class _DefChecker:
         if target is None:
             self.diag(e.pos, f"unknown value '{e}'")
             return TRef(name, False, ERROR_T)
-        target_type, target_peer = target
+        target_type, target_peer, _, _ = target
         if target_peer not in self.m.arch.closures[self.peer]:
             self.diag(e.pos, f"remote access must be explicit: '{e}' is placed on "
                              f"{target_peer}, use asLocal")
@@ -221,7 +261,7 @@ class _DefChecker:
         if target is None:
             self.diag(target_ref.pos, f"unknown value '{target_ref}'")
             return TRef(name, False, ERROR_T)
-        target_type, target_peer = target
+        target_type, target_peer, sig, plan = target
         mult = self.m.ties.get((self.peer, target_peer))
         if mult is None:
             self.diag(pos, f"no tie from {self.peer} to {target_peer}")
@@ -231,7 +271,9 @@ class _DefChecker:
         except RemoteAccessShapeError as err:
             self.diag(pos, str(err))
             return TRef(name, False, ERROR_T)
-        return TRemoteAccess(name, target_peer, mult, ty)
+        if plan is None:
+            self.m.unsendable.append((name, target_type))
+        return RemoteCall(sig, target_peer, mult, plan, ty)
 
     def check_stream_map(self, e: ast.StreamMap) -> TypedExpr:
         source = self.check_ref(e.source)
@@ -256,7 +298,9 @@ class _ModuleContext:
         self.arch = arch
         self.ties = ties
         self.diagnostics: list[Diagnostic] = []
-        self.def_types: dict[str, tuple[ast.TypeExpr, PeerId]] = {}
+        # name -> (declared type, peer, value signature, access plan)
+        self.def_types: dict[str, tuple[ast.TypeExpr, PeerId, ValueSig, AccessPlan | None]] = {}
+        self.unsendable: list[tuple[str, ast.TypeExpr]] = []
 
 
 def resolve_type(t: ast.TypeExpr, arch: Architecture, scope: str | None,
@@ -286,16 +330,20 @@ def check_module(m: ast.SurfaceModule, a: Architecture, t: EffectiveTies) -> Typ
         peer = a.placements.get(flat.name)
         if peer is None:
             continue
-        declared = resolve_type(flat.decl.surface_type, a, flat.include,
+        decl = flat.decl
+        declared = resolve_type(decl.surface_type, a, flat.include,
                                 ctx.diagnostics, peer=str(peer))
-        ctx.def_types[flat.name] = (declared, peer)
+        scope = (ModuleSig(a.includes[flat.include], (flat.include,)) if flat.include
+                 else ModuleSig(a.module_name))
+        sig = ValueSig(f"{decl.name}:{decl.surface_type}", scope)
+        ctx.def_types[flat.name] = (declared, peer, sig, access_plan(flat.name, declared))
 
     typed_defs: list[TypedDef] = []
     for flat in a.defs:
         peer = a.placements.get(flat.name)
         if peer is None:
             continue
-        declared, _ = ctx.def_types[flat.name]
+        declared, _, sig, plan = ctx.def_types[flat.name]
         decl = flat.decl
         if decl.kind is ast.DefKind.STREAM_SOURCE:
             if not isinstance(declared, ast.TStream) and not isinstance(declared, ErrorT):
@@ -313,7 +361,7 @@ def check_module(m: ast.SurfaceModule, a: Architecture, t: EffectiveTies) -> Typ
                 ctx.diagnostics.append(Diagnostic(
                     decl.pos, f"declared type {declared} does not match body type {body.ty}",
                     peer=str(peer)))
-        typed_defs.append(TypedDef(flat.name, peer, declared, body))
+        typed_defs.append(TypedDef(flat.name, peer, declared, body, sig, plan))
 
-    return TypedModule(a, typed_defs, ctx.diagnostics)
+    return TypedModule(a, typed_defs, ctx.diagnostics, ctx.unsendable)
 

@@ -12,7 +12,7 @@ a tuple of primitives is read and written with no call per item.
 A codec's id is its type's text (`str(ty)`): `Int`, `Bool`, `Str`, `Unit`,
 or a tuple such as `(Int, (Str, Bool))`. `parse_codec` reads an id back with
 the language's own type grammar (`parser.parse_type`) and accepts only a
-data type's canonical text. The splitter builds each access plan's codec
+data type's canonical text. The checker builds each access plan's codec
 once, so nothing looks codecs up while a peer runs.
 """
 

@@ -14,7 +14,6 @@ import re
 from bisect import bisect_right
 from itertools import accumulate, compress, count, repeat
 from operator import add, itemgetter, ne
-from typing import NamedTuple
 
 from . import ast
 from .diagnostics import Diagnostic, Pos, SourceError
@@ -35,12 +34,6 @@ KEYWORDS = {
     "asLocal", "asLocalFromAll",
 }
 PUNCT = ("=>", "==", "{", "}", "(", ")", "[", "]", ":", ",", ".", "=", "+", "-", "*", "<")
-
-
-class Token(NamedTuple):
-    kind: str  # 'ident' | 'int' | 'str' | keyword or punct literal | 'eof'
-    text: str  # a string literal's value
-    pos: Pos
 
 
 # The patterns are compiled by `re` on first use, so importing compiles none.
@@ -84,16 +77,13 @@ class Tokens:
     """A source's tokens, `eof` last, as parallel lists: `kinds`, `texts`
     (source text: a string literal keeps its quotes and escapes) and
     `starts` (offsets into the source); `lines` holds the offset each line
-    starts at. Indexing builds a `Token` whose text is a literal's value."""
+    starts at. A kind is 'ident', 'int', 'str', 'eof', or the keyword or
+    punctuation itself."""
 
     __slots__ = ("kinds", "texts", "starts", "lines")
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, i: int) -> Token:
-        kind, text = self.kinds[i], self.texts[i]
-        return Token(kind, string_value(text) if kind == "str" else text, self.pos(i))
 
     def pos(self, i: int) -> Pos:
         offset, lines = self.starts[i], self.lines

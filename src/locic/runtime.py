@@ -37,11 +37,12 @@ from typing import Any, Callable
 from . import ast, transmit, transport, wire
 from .arch import PeerId, parse_peer_name
 from .ast import Multiplicity
-from .checker import TBinOp, TRef, TStreamMap, TStreamSource, TTupleExpr, TypedExpr
+from .checker import (STREAM, RemoteCall, TBinOp, TRef, TStreamMap, TStreamSource, TTupleExpr,
+                      TypedExpr, codec_of)
 from .codecs import CodecError
 from .records import record
 from .sigs import PeerSig
-from .splitter import STREAM, PeerComponent, RemoteCall, codec_of
+from .splitter import PeerComponent
 from .transmit import DEFERRED, Endpoint, FutureSlot, StreamHandle
 from .transport import on_loop
 from .wire import ChanOpen, Hello, HelloAck, Request, Response

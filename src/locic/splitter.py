@@ -2,15 +2,12 @@
 
 Every concrete peer receives a component holding: its peer id, the include
 map, the peer and tie tables keyed by peer id, one slot per definition in
-source order (with no body where it is placed on another peer), a dispatch
-table for the values it can serve remotely, and bodies whose remote-access
-sites are rewritten into runtime remote-request calls.
-
-Each definition whose type can be transmitted gets one `AccessPlan`: the
-slot that backs it, whether it is pulled or streamed, and the codec of its
-value (of each element, for a stream). The dispatch table maps value
-signatures to these plans, and a rewritten access site holds the plan of
-the value it reaches, so producer and consumer read the one decision.
+source order (with no body where it is placed on another peer), and a
+dispatch table for the values it can serve remotely. A slot holds the
+checker's own typed body: its remote-access sites are already `RemoteCall`s
+that hold the access plan of the value they reach, and the dispatch table
+maps value signatures to the same plans, so producer and consumer read the
+one decision. Splitting builds no expression node.
 
 What is the same for every component of a module is built once and shared:
 each definition's slots and dispatch entry, every peer's inherited ties, and
@@ -28,10 +25,10 @@ from functools import cached_property, partial
 from json.encoder import encode_basestring
 
 from . import ast, checker
-from .arch import Architecture, PeerId, parse_peer_name, super_closures
+from .arch import PeerId, parse_peer_name, super_closures
 from .ast import Multiplicity
-from .checker import RemoteT, TypedExpr, TypedModule
-from .codecs import Codec, CodecError, encode_json, parse_codec
+from .checker import PULL, STREAM, AccessPlan, RemoteCall, RemoteT, TypedExpr, TypedModule
+from .codecs import CodecError, encode_json, parse_codec
 from .records import record, uncompared
 from .sigs import ModuleSig, PeerSig, ValueSig
 
@@ -44,36 +41,12 @@ class ComponentFormatError(Exception):
     pass
 
 
-PULL, STREAM = "pull", "stream"
-
-
 @record
 class Evaluate:
     """A slot this peer evaluates; one per definition, shared by every
     component that holds it."""
 
     body: TypedExpr
-
-
-@record
-class AccessPlan:
-    """How one definition is transmitted."""
-
-    slot: str  # qualified definition name backing this entry
-    mode: str  # PULL | STREAM
-    codec: Codec  # of the value, or of each element of a stream
-
-
-@record
-class RemoteCall(TypedExpr):
-    """A rewritten remote-access site: the value's signature, the peer that
-    serves it, and its access plan there."""
-
-    value_sig: ValueSig
-    target_peer_id: PeerId
-    mult: Multiplicity
-    plan: AccessPlan
-    ty: ast.TypeExpr
 
 
 @record
@@ -153,7 +126,7 @@ class PeerComponent:
         return self.sig_of(self.peer)
 
 
-# --- signatures and codecs ---------------------------------------------
+# --- signatures -----------------------------------------------------------
 
 def module_sig_of(module_name: str, includes: Mapping[str, str],
                   path: tuple[str, ...]) -> ModuleSig:
@@ -169,83 +142,34 @@ def def_scope(flat_name: str) -> tuple[str, ...]:
     return (flat_name.split(".", 1)[0],) if "." in flat_name else ()
 
 
-def value_sig_of(a: Architecture, flat_name: str, decl: ast.DefDecl) -> ValueSig:
-    canonical = f"{decl.name}:{decl.surface_type}"
-    return ValueSig(canonical, module_sig_of(a.module_name, a.includes, def_scope(flat_name)))
-
-
-def codec_of(t: ast.TypeExpr) -> Codec | None:
-    """The codec for a data type, or None if the type is not serializable."""
-    return Codec(t) if ast.non_data_part(t) is None else None
-
-
-def access_plan(def_name: str, declared: ast.TypeExpr) -> AccessPlan:
-    """The plan for remote access to a definition, or SplitError."""
-    stream = isinstance(declared, ast.TStream)
-    payload = declared.elem if stream else declared
-    bad = ast.non_data_part(payload)
-    if bad is not None:
-        raise SplitError(
-            f"definition '{def_name}': type {declared} is not serializable "
-            f"(no codec for {bad})")
-    return AccessPlan(def_name, STREAM if stream else PULL, Codec(payload))
-
-
 # --- splitting ----------------------------------------------------------
 
-def _rewrite(e: TypedExpr, plans: dict[str, AccessPlan],
-             sigs: dict[str, ValueSig],
-             declared: dict[str, ast.TypeExpr]) -> TypedExpr:
-    if isinstance(e, checker.TRemoteAccess):
-        if e.target not in plans:
-            # raises, naming the definition and the innermost part that is not data
-            access_plan(e.target, declared[e.target])
-        return RemoteCall(sigs[e.target], e.to_peer, e.mult, plans[e.target], e.ty)
-    if isinstance(e, checker.TBinOp):
-        return checker.TBinOp(e.op, _rewrite(e.left, plans, sigs, declared),
-                              _rewrite(e.right, plans, sigs, declared), e.ty)
-    if isinstance(e, checker.TTupleExpr):
-        return checker.TTupleExpr(
-            tuple(_rewrite(i, plans, sigs, declared) for i in e.items), e.ty)
-    if isinstance(e, checker.TStreamMap):
-        return checker.TStreamMap(_rewrite(e.source, plans, sigs, declared), e.var,
-                                  _rewrite(e.body, plans, sigs, declared), e.ty)
-    return e
-
-
 def split(tm: TypedModule) -> dict[PeerId, PeerComponent]:
-    """One component per concrete peer. Requires a diagnostic-free module."""
+    """One component per concrete peer. Requires a diagnostic-free module
+    whose remote accesses all reach a value with a codec."""
     if tm.diagnostics:
         raise SplitError("cannot split a module with diagnostics")
+    if tm.unsendable:
+        name, declared = tm.unsendable[0]
+        payload = declared.elem if isinstance(declared, ast.TStream) else declared
+        raise SplitError(f"definition '{name}': type {declared} is not serializable "
+                         f"(no codec for {ast.non_data_part(payload)})")
     a = tm.arch
 
-    decls = {f.name: f.decl for f in a.defs}
-    sigs = {d.name: value_sig_of(a, d.name, decls[d.name]) for d in tm.defs}
-
-    # one access plan per definition whose type is serializable
-    plans: dict[str, AccessPlan] = {}
-    for d in tm.defs:
-        try:
-            plans[d.name] = access_plan(d.name, d.declared_type)
-        except SplitError:
-            continue
-
-    declared_types = {d.name: d.declared_type for d in tm.defs}
     # each definition's two slots, and where it is placed, built once
     placeholders = [(d.name, None) for d in tm.defs]
-    evaluated = [(d.name, Evaluate(_rewrite(d.body, plans, sigs, declared_types)))
-                 for d in tm.defs]
+    evaluated = [(d.name, Evaluate(d.body)) for d in tm.defs]
     placed: dict[PeerId, list[int]] = {}
     served: dict[PeerId, dict[ValueSig, AccessPlan]] = {}
     for i, d in enumerate(tm.defs):
         placed.setdefault(d.placed_on, []).append(i)
-        if d.name in plans:
-            served.setdefault(d.placed_on, {})[sigs[d.name]] = plans[d.name]
+        if d.plan is not None:
+            served.setdefault(d.placed_on, {})[d.sig] = d.plan
 
     module = ModuleParts(
         ModuleSig(a.module_name, ()), a.includes,
         {pid: tuple(sorted(a.peers[pid].supers)) for pid in sorted(a.peers)},
-        evaluated, {sigs[name]: plan for name, plan in plans.items()})
+        evaluated, {d.sig: d.plan for d in tm.defs if d.plan is not None})
     # a component fills in the definitions placed on its super-closure
     components: dict[PeerId, PeerComponent] = {}
     for pid in sorted(a.peers):

@@ -242,10 +242,17 @@ _PUNCT = ("=>", "==", "{", "}", "(", ")", "[", "]", ":", ",", ".", "=", "+", "-"
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 
 
-def reference_tokenize(source: str) -> list[parser.Token]:
+def token_triples(tokens: parser.Tokens) -> list[tuple[str, str, Pos]]:
+    """(kind, text, position) of each token; a string literal's text is its value."""
+    return [(kind, parser.string_value(text) if kind == "str" else text, tokens.pos(i))
+            for i, (kind, text) in enumerate(zip(tokens.kinds, tokens.texts))]
+
+
+def reference_tokenize(source: str) -> list[tuple[str, str, Pos]]:
     """The character-loop tokenizer `parser.tokenize` replaced, kept as the
-    oracle for its tokens, positions and diagnostics."""
-    tokens: list[parser.Token] = []
+    oracle for its tokens (as `token_triples` gives them), positions and
+    diagnostics."""
+    tokens: list[tuple[str, str, Pos]] = []
     line, col = 1, 1
     i, n = 0, len(source)
 
@@ -272,7 +279,7 @@ def reference_tokenize(source: str) -> list[parser.Token]:
             j = i
             while j < n and "0" <= source[j] <= "9":
                 j += 1
-            tokens.append(parser.Token("int", source[i:j], pos))
+            tokens.append(("int", source[i:j], pos))
             col += j - i
             i = j
             continue
@@ -282,7 +289,7 @@ def reference_tokenize(source: str) -> list[parser.Token]:
                 j += 1
             word = source[i:j]
             kind = word if word in KEYWORDS else "ident"
-            tokens.append(parser.Token(kind, word, pos))
+            tokens.append((kind, word, pos))
             col += j - i
             i = j
             continue
@@ -315,19 +322,19 @@ def reference_tokenize(source: str) -> list[parser.Token]:
                 else:
                     out.append(ch)
                     j += 1
-            tokens.append(parser.Token("str", "".join(out), pos))
+            tokens.append(("str", "".join(out), pos))
             col += j - i
             i = j
             continue
         for p in _PUNCT:
             if source.startswith(p, i):
-                tokens.append(parser.Token(p, p, pos))
+                tokens.append((p, p, pos))
                 i += len(p)
                 col += len(p)
                 break
         else:
             err(f"unexpected character {c!r}", pos)
-    tokens.append(parser.Token("eof", "", Pos(line, col)))
+    tokens.append(("eof", "", Pos(line, col)))
     return tokens
 
 
@@ -416,7 +423,7 @@ def sites(e, kind):
 def remote_accesses(tm):
     """(accessing definition, access) for every remote access in the typed
     bodies of a checked module, in source order."""
-    return [(d, access) for d in tm.defs for access in sites(d.body, checker.TRemoteAccess)]
+    return [(d, access) for d in tm.defs for access in sites(d.body, checker.RemoteCall)]
 
 
 # --- random well-typed modules (serializable defs, optional remote reads) --

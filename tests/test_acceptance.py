@@ -16,11 +16,12 @@ import helpers
 from locic import ast, cli
 from locic.arch import PeerId, effective_ties, resolve_architecture
 from locic.ast import Multiplicity
-from locic.checker import RemoteAccessShapeError, RemoteT, check_module, type_remote_access
+from locic.checker import (RemoteAccessShapeError, RemoteT, check_module, codec_of,
+                           type_remote_access)
 from locic.codecs import CodecError, parse_codec
 from locic.runtime import PeerInstance, StartError, start
 from locic.sigs import ModuleSig, ValueSig
-from locic.splitter import Evaluate, codec_of, emit_component, split
+from locic.splitter import Evaluate, emit_component, split
 from locic.transmit import READY
 from locic.wire import Framer, decode_envelope, encode_envelope, frame
 

@@ -10,7 +10,6 @@ from locic.arch import (ArchError, PeerId, effective_ties, parse_peer_name,
                         resolve_architecture)
 from locic.ast import Multiplicity
 from locic.diagnostics import Pos
-from locic.parser import Token
 from locic.sigs import ModuleSig, ValueSig
 
 REGISTRY_PID = PeerId((), "Registry")
@@ -25,7 +24,7 @@ def test_peer_ids_sort_as_path_name_pairs(pairs):
     assert sorted(PeerId(path, name) for path, name in pairs) == sorted(pairs)
 
 
-_, SIMPLE_ARCH, _, SIMPLE_TYPED = helpers.compile_clean(helpers.SIMPLE_MODULE)
+SIMPLE_MODULE, SIMPLE_ARCH, _, SIMPLE_TYPED = helpers.compile_clean(helpers.SIMPLE_MODULE)
 (SIMPLE_COMPONENT,) = splitter.split(SIMPLE_TYPED).values()
 VALUE_SIG = ValueSig("i:Int", ModuleSig("M"))
 
@@ -33,7 +32,7 @@ VALUE_SIG = ValueSig("i:Int", ModuleSig("M"))
 @pytest.mark.parametrize("value, field", [
     (PeerId(("mon",), "Monitor"), "name"), (PeerId((), "A"), "path"),
     (Pos(1, 2), "line"), (Pos(1, 2), "col"),
-    (Token("int", "1", Pos(1, 1)), "kind"), (Token("int", "1", Pos(1, 1)), "pos"),
+    (SIMPLE_MODULE.defs[0], "kind"), (SIMPLE_MODULE.defs[0], "pos"),
     (ModuleSig("M", ("a",)), "path"), (VALUE_SIG, "module"),
     (ast.IntLit(1, Pos(1, 1)), "pos"), (ast.TTuple((ast.INT, ast.STR)), "items"),
     (wire.Request(1, VALUE_SIG), "id"), (next(iter(SIMPLE_COMPONENT.dispatch.values())), "codec"),

@@ -4,7 +4,7 @@ import helpers
 from locic import ast
 from locic.arch import PeerId, effective_ties, resolve_architecture
 from locic.ast import Multiplicity
-from locic.checker import (RemoteAccessShapeError, RemoteT, TRemoteAccess, check_module,
+from locic.checker import (RemoteAccessShapeError, RemoteCall, RemoteT, check_module,
                            type_remote_access)
 
 R = PeerId((), "R")
@@ -69,7 +69,7 @@ def test_simple_module_accepts():
     assert tm.diagnostics == []
     j = next(d for d in tm.defs if d.name == "j")
     assert j.declared_type == ast.TFuture(ast.INT)
-    assert isinstance(j.body, TRemoteAccess)
+    assert isinstance(j.body, RemoteCall)
     assert j.body.mult is Multiplicity.SINGLE
 
 
@@ -268,9 +268,9 @@ def test_every_remote_access_is_recorded():
     # the typed bodies are the one record of remote accesses
     tm = check_source(helpers.MONITORING_P2P)
     ((d, access),) = helpers.remote_accesses(tm)
-    assert access.target == "mon.interval"
+    assert access.plan.slot == "mon.interval"
     assert d.placed_on == PeerId((), "Node")
-    assert access.to_peer == PeerId(("mon",), "Monitor")
+    assert access.target_peer_id == PeerId(("mon",), "Monitor")
     assert access.mult is Multiplicity.SINGLE
 
 
@@ -285,8 +285,8 @@ def test_accepted_accesses_always_have_ties():
         tm = check_module(m, a, ties)
         assert tm.diagnostics == []
         for d, access in helpers.remote_accesses(tm):
-            assert (d.placed_on, access.to_peer) in ties
-            assert ties[(d.placed_on, access.to_peer)] == access.mult
+            assert (d.placed_on, access.target_peer_id) in ties
+            assert ties[(d.placed_on, access.target_peer_id)] == access.mult
 
 
 def test_stream_access_requires_single_tie_in_module():

@@ -175,6 +175,44 @@ def test_split_into_a_path_that_names_a_file_is_a_usage_error(simple_file, tmp_p
     assert taken.read_text(encoding="utf-8") == "kept"
 
 
+# a remote access to a value with no codec checks clean, and cannot be split:
+# the first such target in source order is named
+UNSENDABLE = {
+    "j": """\
+module M {
+  peer P { tie: single P }
+  val i: Int on P = 1
+  val j: Future[Int] on P = i.asLocal
+  val k: Future[Future[Int]] on P = j.asLocal
+}
+""",
+    "t": """\
+module M {
+  peer P { tie: single P }
+  val i: Int on P = 1
+  val j: Future[Int] on P = i.asLocal
+  val t: (Future[Int], Int) on P = (j, 1)
+  val u: (Future[(Future[Int], Int)], Future[Future[Int]]) on P = (t.asLocal, j.asLocal)
+}
+""",
+}
+
+
+@pytest.mark.parametrize("target, declared", [("j", "Future[Int]"), ("t", "(Future[Int], Int)")])
+def test_a_remote_access_to_a_value_with_no_codec_checks_but_does_not_split(
+        tmp_path, capsys, target, declared):
+    path = tmp_path / "unsendable.loci"
+    path.write_text(UNSENDABLE[target], encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr() == ("ok\n", "")
+    refusal = (f"{path}: definition '{target}': type {declared} is not serializable "
+               f"(no codec for Future[Int])\n")
+    assert main(["split", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", refusal)
+    assert main(["sim", str(path), "--peers", "P"]) == 1
+    assert capsys.readouterr() == ("", refusal)
+
+
 def test_sim_simple_module(simple_file, capsys):
     assert main(["sim", simple_file, "--peers", "MyPeer,MyPeer", "--timeout", "5"]) == 0
     out = capsys.readouterr().out

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import helpers
 from locic import ast
 from locic.codecs import Codec, CodecError, decode_json, encode_json, parse_codec
-from locic.splitter import codec_of
+from locic.checker import codec_of
 
 
 def test_int_codec_examples():

@@ -1,4 +1,5 @@
 import collections
+import functools
 import json
 import random
 import re
@@ -12,11 +13,11 @@ from locic import arch, ast, checker, parser, splitter
 from locic.arch import PeerId
 from locic.ast import Multiplicity
 from locic import transport
+from locic.checker import PULL, STREAM, AccessPlan, RemoteCall, codec_of
 from locic.codecs import parse_codec
 from locic.runtime import simulate
 from locic.sigs import ModuleSig, PeerSig, ValueSig
-from locic.splitter import (FORMAT, PULL, STREAM, AccessPlan, ComponentFormatError,
-                            Evaluate, PeerComponent, RemoteCall, SplitError,
+from locic.splitter import (FORMAT, ComponentFormatError, Evaluate, PeerComponent, SplitError,
                             emit_component, read_component, split)
 from locic.transmit import FAILED, READY
 
@@ -143,8 +144,6 @@ def _check(m):
 
 
 def _transmittable(declared) -> bool:
-    from locic.splitter import codec_of
-
     payload = declared.elem if isinstance(declared, ast.TStream) else declared
     return codec_of(payload) is not None
 
@@ -164,16 +163,28 @@ def test_dispatch_completeness_bijection():
             assert served_slots == expected
 
 
-def test_remote_call_rewrite_bijection():
-    from locic.splitter import value_sig_of
+def _surface_accesses(e):
+    """Every asLocal / asLocalFromAll site of a surface expression, in source order."""
+    if isinstance(e, (ast.AsLocal, ast.AsLocalFromAll)):
+        yield e
+    elif isinstance(e, ast.BinOp):
+        yield from _surface_accesses(e.left)
+        yield from _surface_accesses(e.right)
+    elif isinstance(e, ast.TupleExpr):
+        for i in e.items:
+            yield from _surface_accesses(i)
+    elif isinstance(e, ast.StreamMap):
+        yield from _surface_accesses(e.body)
 
+
+def test_remote_call_rewrite_bijection():
     rng = random.Random(41)
     for _ in range(50):
         m = helpers.random_checked_module(rng)
         a, t, tm = _check(m)
         comps = split(tm)
         placements = {d.name: d.placed_on for d in tm.defs}
-        # collect rewritten calls from each definition's own component
+        # collect remote calls from each definition's own component
         own_peer_calls = set()
         for pid, pc in comps.items():
             for name, plan in pc.slots:
@@ -181,11 +192,50 @@ def test_remote_call_rewrite_bijection():
                     continue
                 own_peer_calls.update(
                     (name, call.value_sig) for call in helpers.sites(plan.body, RemoteCall))
-        expected = set()
-        for d, access in helpers.remote_accesses(tm):
-            target_decl = next(f.decl for f in a.defs if f.name == access.target)
-            expected.add((d.name, value_sig_of(a, access.target, target_decl)))
+        # the expected side comes from the surface module, not from the checker
+        decls = {d.name: d for d in m.defs}
+        expected = {(d.name, ValueSig(f"{site.target.name}:{decls[site.target.name].surface_type}",
+                                      ModuleSig(m.name)))
+                    for d in m.defs if d.body is not None for site in _surface_accesses(d.body)}
         assert own_peer_calls == expected
+
+
+def _typed_nodes(e):
+    """Every node of a typed body."""
+    yield e
+    if isinstance(e, checker.TBinOp):
+        children = (e.left, e.right)
+    elif isinstance(e, checker.TTupleExpr):
+        children = e.items
+    elif isinstance(e, checker.TStreamMap):
+        children = (e.source, e.body)
+    else:
+        children = ()
+    for child in children:
+        yield from _typed_nodes(child)
+
+
+def test_a_typed_body_is_final_and_split_shares_it():
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted((helpers.ROOT / "samples").glob("*.loci"))]
+    typed = [helpers.compile_clean(source)[3] for source in sources]
+    rng = random.Random(43)
+    typed += [_check(helpers.random_checked_module(rng))[2] for _ in range(20)]
+    found = set()
+    for tm in typed:
+        a = tm.arch
+        modules = functools.partial(splitter.module_sig_of, a.module_name, a.includes)
+        comps = split(tm)
+        for d in tm.defs:
+            found.update(type(node) for node in _typed_nodes(d.body))
+            doc = json.loads(splitter.expr_json(d.body))
+            assert splitter.expr_from_doc(doc, modules) == d.body
+        for pc in comps.values():
+            slots = dict(pc.slots)
+            for d in tm.defs:
+                if slots[d.name] is not None:
+                    assert slots[d.name].body is d.body
+    assert found == {*ast.LITERALS, *checker.TypedExpr.__subclasses__()}
 
 
 # an included module with definitions but no peers of its own: its alias
